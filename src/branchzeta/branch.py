@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidCharSeq, NotInSemigroup, NotPlaneBranchSemigroup
 
@@ -135,6 +136,21 @@ class BranchNumerics:
         for l in range(lo, hi + 1):
             out *= self.nn[l]
         return out
+
+    @cached_property
+    def steps(self) -> tuple:
+        """Bezout data of every toric step (toric.toric_steps), built once."""
+        from .toric import toric_steps  # toric builds on this module
+
+        return tuple(toric_steps(self))
+
+    @cached_property
+    def ladders(self) -> tuple:
+        """Integer candidate-ladder record per rupture index (poles.Ladder),
+        built once."""
+        from .poles import Ladder  # poles builds on this module
+
+        return tuple(Ladder.of(self, i) for i in range(1, self.g + 1))
 
 
 def derive_numerics(cs: CharSeq) -> BranchNumerics:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -47,6 +48,12 @@ def _frac(x) -> str:
     return str(Fraction(x))
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms, printed as str(Fraction) prints it."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _cx(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
@@ -72,13 +79,25 @@ def _poly_dict(p) -> dict:
 
 def _multiset_list(ms) -> list:
     return [
-        {"exponent": _frac(exp), "multiplicity": mult}
-        for exp, mult in ms.sorted_items()
+        {"exponent": _ratio(k, ms.den), "multiplicity": mult}
+        for k, mult in ms.sorted_counts()
     ]
+
+
+def _candidate_rows(rep):
+    """(i, nu, sigma, eps1, eps2, eps3, status) of every candidate, the
+    rationals as text made straight from the integer ladders."""
+    for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
+        nm = lad.n * lad.mbar
+        for nu in range(hi):
+            t, e1, e2, status = lad.row(nu)
+            yield (lad.i, nu, _ratio(-t, lad.N), _ratio(e1, lad.n),
+                   _ratio(e2, lad.mbar), _ratio(-t, nm), status.value)
 
 
 def report_to_dict(rep) -> dict:
     bn = rep.bn
+    den = rep.eigenvalues.den
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
         "numerics": {
@@ -110,16 +129,8 @@ def report_to_dict(rep) -> dict:
             for d in rep.divisors
         ],
         "candidates": [
-            {
-                "i": c.i,
-                "nu": c.nu,
-                "sigma": _frac(c.sigma),
-                "eps1": _frac(c.eps1),
-                "eps2": _frac(c.eps2),
-                "eps3": _frac(c.eps3),
-                "status": c.status.value,
-            }
-            for c in rep.candidates
+            dict(zip(("i", "nu", "sigma", "eps1", "eps2", "eps3", "status"), row))
+            for row in _candidate_rows(rep)
         ],
         "pi": _multiset_list(rep.pi_merged),
         "pi_levels": [_multiset_list(ms) for ms in rep.pi_sets],
@@ -128,12 +139,12 @@ def report_to_dict(rep) -> dict:
             "distinct": rep.eigenvalues.distinct,
             "classes": [
                 {
-                    "fraction": _frac(frac),
+                    "fraction": _ratio(frac, den),
                     "members": [
-                        {"exponent": _frac(e), "multiplicity": m} for e, m in items
+                        {"exponent": _ratio(k, den), "multiplicity": m} for k, m in items
                     ],
                 }
-                for frac, items in rep.eigenvalues.classes
+                for frac, items in rep.eigenvalues.groups
             ],
         },
         "resonances": [
@@ -148,14 +159,6 @@ def report_to_dict(rep) -> dict:
         "strict_transform": rep.strict_transform_poles,
         "verdict": rep.verdict,
     }
-
-
-def _candidate_rows(rep) -> list[list[str]]:
-    return [
-        [str(c.i), str(c.nu), _frac(c.sigma), _frac(c.eps1), _frac(c.eps2),
-         _frac(c.eps3), c.status.value]
-        for c in rep.candidates
-    ]
 
 
 def _print_analyze_text(rep) -> None:
@@ -180,11 +183,11 @@ def _print_analyze_text(rep) -> None:
     for row in _candidate_rows(rep):
         print("  " + " ".join(f"{v:>12}" for v in row[:6]) + f"  {row[6]}")
     print(f"pi ({rep.pi_merged.total} exponents with multiplicity):")
-    for exp, mult in rep.pi_merged.sorted_items():
-        print(f"  {str(exp):>12} x{mult}")
+    for k, mult in rep.pi_merged.sorted_counts():
+        print(f"  {_ratio(k, rep.pi_merged.den):>12} x{mult}")
     print("yano:")
-    for exp, mult in rep.yano.sorted_items():
-        print(f"  {str(exp):>12} x{mult}")
+    for k, mult in rep.yano.sorted_counts():
+        print(f"  {_ratio(k, rep.yano.den):>12} x{mult}")
     print(f"eigenvalues distinct: {str(rep.eigenvalues.distinct).lower()}")
     for r in rep.resonances:
         where = ", ".join(f"(i={i}, nu={nu})" for i, nu, _ in r.occurrences)
@@ -203,7 +206,7 @@ def cmd_analyze(ns) -> int:
     elif ns.format == "tsv":
         print("\t".join(["i", "nu", "sigma", "eps1", "eps2", "eps3", "status"]))
         for row in _candidate_rows(rep):
-            print("\t".join(row))
+            print("\t".join(map(str, row)))
     else:
         _print_analyze_text(rep)
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,8 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# |value| of a finite result must lie in the normal double range
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 def log_gamma(z) -> complex:
@@ -110,12 +113,26 @@ def _nonpos_int(x) -> bool:
     return isinstance(x, Fraction) and x.denominator == 1 and x <= 0
 
 
-def _pair_ladder(u, v) -> tuple[int, complex]:
-    """Order and Laurent leading coefficient of lim Gamma(u+eps)/Gamma(v+eps).
+def _polar(log_c: complex, sign: float = 1.0) -> tuple[float, complex]:
+    """(log-magnitude, phase as a unit complex) of sign * exp(log_c)."""
+    return log_c.real, sign * cmath.exp(1j * log_c.imag)
+
+
+def _log_factorial_ratio(l: int, k: int) -> float:
+    """log(l!/k!), from the exact integer ratio while both fit a double."""
+    if max(k, l) <= 170:
+        return math.log(math.factorial(l) / math.factorial(k))
+    return math.lgamma(l + 1) - math.lgamma(k + 1)
+
+
+def _pair_ladder(u, v) -> tuple[int, float, complex]:
+    """Order, log-magnitude and phase of the Laurent leading coefficient of
+    lim Gamma(u+eps)/Gamma(v+eps).
 
     Near a non-positive integer -k, Gamma(-k+eps) = (-1)^k/(k! eps) + O(1).
     The leading coefficient is the value when order = 0, the residue-ratio
-    coefficient otherwise; it is finite and nonzero in every case.
+    coefficient otherwise; it is finite and nonzero in every case, but may
+    lie far outside double range, so it is returned as log|c| and c/|c|.
     """
     u = _as_exact(u)
     v = _as_exact(v)
@@ -123,29 +140,33 @@ def _pair_ladder(u, v) -> tuple[int, complex]:
     v_sing = _nonpos_int(v)
     if u_sing and v_sing:
         k, l = int(-u), int(-v)
-        sign = (-1.0) ** ((k - l) % 2)
-        if max(k, l) <= 170:
-            # exact integer factorials, representable in double precision
-            return 0, complex(sign * math.factorial(l) / math.factorial(k))
-        return 0, complex(sign * math.exp(math.lgamma(l + 1) - math.lgamma(k + 1)))
+        return 0, _log_factorial_ratio(l, k), complex((-1.0) ** ((k - l) % 2))
     if u_sing:
         k = int(-u)
-        sign = (-1.0) ** (k % 2)
-        return 1, sign * cmath.exp(-math.lgamma(k + 1) - log_gamma(v))
+        return (1, *_polar(-math.lgamma(k + 1) - log_gamma(v), (-1.0) ** (k % 2)))
     if v_sing:
         l = int(-v)
-        sign = (-1.0) ** (l % 2)
-        return -1, sign * cmath.exp(math.lgamma(l + 1) + log_gamma(u))
+        return (-1, *_polar(math.lgamma(l + 1) + log_gamma(u), (-1.0) ** (l % 2)))
     if (
         isinstance(u, Fraction)
         and isinstance(v, Fraction)
         and u.denominator == 1
         and v.denominator == 1
     ):
-        # both positive integers: exact factorial ratio when representable
-        if max(u, v) <= 171:
-            return 0, complex(math.factorial(int(u) - 1) / math.factorial(int(v) - 1))
-    return 0, gamma_ratio(complex(u), complex(v))
+        # both positive integers: (u-1)!/(v-1)!
+        return 0, _log_factorial_ratio(int(u) - 1, int(v) - 1), complex(1.0)
+    return (0, *_polar(log_gamma(complex(u)) - log_gamma(complex(v))))
+
+
+def _from_polar(log_mag: float, phase: complex) -> complex:
+    """exp(log_mag) * phase; DomainError when |value| leaves the normal
+    double range."""
+    if not _LOG_MIN <= log_mag <= _LOG_MAX:
+        raise DomainError(
+            f"|value| = exp({log_mag:.6g}) lies outside the double range "
+            f"[{sys.float_info.min:.6g}, {sys.float_info.max:.6g}]"
+        )
+    return math.exp(log_mag) * phase
 
 
 def gamma_pair(u, v) -> MeromorphicValue:
@@ -164,7 +185,7 @@ def gamma_pair(u, v) -> MeromorphicValue:
             raise PreconditionViolated(f"u + v = {s} is not an integer")
     elif total.denominator != 1:
         raise PreconditionViolated(f"u + v = {total} is not an integer")
-    order, lead = _pair_ladder(ue, ve)
+    order, log_mag, phase = _pair_ladder(ue, ve)
     reason = (
         (f"Gamma({ue})", 1 if _nonpos_int(ue) else 0),
         (f"1/Gamma({ve})", -1 if _nonpos_int(ve) else 0),
@@ -173,7 +194,7 @@ def gamma_pair(u, v) -> MeromorphicValue:
         return MeromorphicValue(order=order, value=None, reason=reason)
     if order < 0:
         return MeromorphicValue(order=order, value=0j, reason=reason)
-    return MeromorphicValue(order=0, value=lead, reason=reason)
+    return MeromorphicValue(order=0, value=_from_polar(log_mag, phase), reason=reason)
 
 
 @dataclass(frozen=True)
@@ -228,14 +249,18 @@ def rnm_closed_form(p: RnmParams) -> MeromorphicValue:
     is -2 pi i lambda^{-alpha'-1} conj(lambda)^{-alpha-1} times the product
     of pair leading coefficients (principal branch for the lambda powers);
     negative total order is an exact zero; positive total order is a pole.
+    The product is formed in log space and exponentiated once, so pair
+    coefficients outside double range cancel; a value whose magnitude lies
+    outside the normal double range raises DomainError.
     """
     total = 0
-    lead = complex(1.0)
+    log_mag, phase = 0.0, complex(1.0)
     reason = []
     for label, u, v in p.pairs():
-        order, coeff = _pair_ladder(u, v)
+        order, pair_log, pair_phase = _pair_ladder(u, v)
         total += order
-        lead *= coeff
+        log_mag += pair_log
+        phase *= pair_phase
         reason.append((label, order))
     reason = tuple(reason)
     if total > 0:
@@ -245,8 +270,12 @@ def rnm_closed_form(p: RnmParams) -> MeromorphicValue:
     lam = complex(p.lam)
     a_exp = -complex(p.alpha_prime) - 1
     b_exp = -complex(p.alpha) - 1
-    prefactor = -2j * cmath.pi * lam**a_exp * lam.conjugate() ** b_exp
-    return MeromorphicValue(order=0, value=prefactor * lead, reason=reason)
+    pre_log, pre_phase = _polar(
+        math.log(2.0 * math.pi) + a_exp * cmath.log(lam) + b_exp * cmath.log(lam.conjugate()),
+        -1j,
+    )
+    value = _from_polar(log_mag + pre_log, phase * pre_phase)
+    return MeromorphicValue(order=0, value=value, reason=reason)
 
 
 def symmetry_check(p: RnmParams, rel_tol: float = 1e-10) -> bool:

@@ -3,28 +3,27 @@ residue numbers, generic pole sets (b-exponents), the Yano exponent multiset,
 monodromy-eigenvalue distinctness, and the aggregated branch report.
 
 The candidate attached to rupture divisor i and shift nu is
-sigma_{i,nu} = -(m_i + n_1...n_i + nu) / (n_i betabar_i).  A candidate is
-excluded when the dead-end divisor (betabar_i sigma integral) or the
-previous-step divisor chain (e_{i-1} sigma integral) forces the residue to
-vanish; the survivors, written as b-exponents -sigma, form the sets Pi_i.
-Everything here is exact rational arithmetic; no floats.
+sigma_{i,nu} = -(r_i + nu) / N_i, excluded when the dead-end divisor or the
+previous-step divisor chain forces the residue to vanish; the survivors, as
+b-exponents -sigma, form the sets Pi_i.  All of it is integer arithmetic on
+one Ladder record per rupture index; exact Fractions are built only when a
+result is read.  No floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import Counter
+from itertools import chain
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
-from .branch import (
-    BranchNumerics,
-    CharSeq,
-    PlaneSemigroup,
-    charseq_from_semigroup,
-    derive_numerics,
-)
+from .branch import (BranchNumerics, CharSeq, PlaneSemigroup, charseq_from_semigroup,
+                     derive_numerics, parse_input)
 from .errors import IndexOutOfRange, NegativeCoefficient
-from .toric import DivisorNumerics, ToricStep, divisor_numerics, toric_steps
+from .toric import DivisorNumerics, ToricStep, divisor_numerics
 
 
 class PoleStatus(Enum):
@@ -34,122 +33,141 @@ class PoleStatus(Enum):
     EXCLUDED_BOTH = "ExcludedBoth"
 
 
+_STATUS = tuple(PoleStatus)  # index: dead end excludes + 2 * previous level excludes
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """Integer record of the candidate ladder at rupture index i: n = n_i,
+    e = e_i, mbar = mbar_i, r = m_i + n_1...n_i, N = n_i betabar_i = n e mbar,
+    D = c_i n_{i-1} mbar_{i-1} + d_i, c2 = m_{i-1} - n_{i-1} mbar_{i-1}
+    + n_1...n_{i-1} - mbar_i (n_0 = m_0 = 0, mbar_0 = 1).  With t = r + nu:
+    sigma = -t/N, eps1 = (1 - n - a_i nu)/n, eps2 = (c2 - D nu)/mbar and
+    eps3 = e sigma = -t/(n mbar).  betabar_i sigma is integral (dead end)
+    iff n | t, and e_{i-1} sigma (previous level) iff mbar | t."""
+
+    i: int
+    r: int
+    N: int
+    n: int
+    mbar: int
+    e: int
+    a: int
+    D: int
+    c2: int
+
+    @classmethod
+    def of(cls, bn: BranchNumerics, i: int) -> Ladder:
+        st, prev = bn.steps[i - 1], bn.nn[i - 1] * bn.mbar[i - 1]
+        return cls(i, bn.mm[i] + bn.nprod(1, i), bn.nn[i] * bn.gens[i], bn.nn[i],
+                   bn.mbar[i], bn.e[i], st.a, st.c * prev + st.d,
+                   bn.mm[i - 1] - prev + bn.nprod(1, i - 1) - bn.mbar[i])
+
+    def row(self, nu: int) -> tuple[int, int, int, PoleStatus]:
+        """(t, eps1 numerator, eps2 numerator, status) at shift nu, after
+        checking eps1 + eps2 + eps3 + nu + 2 = 0 as
+        e1 mbar + e2 n - t + (nu + 2) n mbar = 0."""
+        n, mbar, t = self.n, self.mbar, self.r + nu
+        e1, e2 = 1 - n - self.a * nu, self.c2 - self.D * nu
+        assert e1 * mbar + e2 * n - t + (nu + 2) * n * mbar == 0
+        return t, e1, e2, _STATUS[(t % n == 0) + 2 * (t % mbar == 0)]
+
+
 @dataclass(frozen=True)
 class CandidatePole:
-    i: int
+    """One candidate; its exact values are built from the integers when read."""
+
+    ladder: Ladder
     nu: int
-    sigma: Fraction
-    eps1: Fraction
-    eps2: Fraction
-    eps3: Fraction
-    status: PoleStatus
 
-    def __post_init__(self):
-        assert self.eps1 + self.eps2 + self.eps3 + self.nu + 2 == 0
+    i = property(lambda self: self.ladder.i)
+    sigma = property(lambda self: Fraction(-self.ladder.r - self.nu, self.ladder.N))
+    eps1 = property(lambda self: Fraction(self.ladder.row(self.nu)[1], self.ladder.n))
+    eps2 = property(lambda self: Fraction(self.ladder.row(self.nu)[2], self.ladder.mbar))
+    eps3 = property(lambda self: self.ladder.e * self.sigma)
+    status = property(lambda self: self.ladder.row(self.nu)[3])
 
 
-@dataclass
 class ExponentMultiset:
-    """Map from exact rational exponent to multiplicity.
+    """Map from exact rational exponent to multiplicity, counted on integer
+    numerators over one denominator (`counts` over `den`); `entries`, the
+    Fraction-keyed view in increasing order, is built on first read.  Signed
+    counts may occur transiently; finalize() enforces non-negativity."""
 
-    Signed counts are allowed transiently while assembling Yano's series;
-    finalize() enforces non-negativity and drops zeros.
-    """
+    def __init__(self, den: int = 1, counts=()):
+        self.den, self._entries = den, None
+        self.counts = {k: m for k, m in dict(counts).items() if m}
 
-    entries: dict = field(default_factory=dict)
+    def add(self, exponent, mult: int = 1) -> None:
+        exponent = Fraction(exponent)
+        scale = exponent.denominator // math.gcd(self.den, exponent.denominator)
+        if scale > 1:
+            self.den *= scale
+            self.counts = {k * scale: m for k, m in self.counts.items()}
+        key = exponent.numerator * (self.den // exponent.denominator)
+        self.counts[key] = self.counts.get(key, 0) + mult
+        if not self.counts[key]:
+            del self.counts[key]
+        self._entries = None
 
-    def add(self, exponent: Fraction, mult: int = 1) -> None:
-        cur = self.entries.get(exponent, 0) + mult
-        if cur == 0:
-            self.entries.pop(exponent, None)
-        else:
-            self.entries[exponent] = cur
-
-    def merge(self, other: "ExponentMultiset") -> None:
-        for exp, mult in other.entries.items():
-            self.add(exp, mult)
-
-    def finalize(self) -> "ExponentMultiset":
-        for exp, mult in self.entries.items():
+    def finalize(self) -> ExponentMultiset:
+        for key, mult in self.counts.items():
             if mult < 0:
-                raise NegativeCoefficient(exp, mult)
+                raise NegativeCoefficient(Fraction(key, self.den), mult)
         return self
 
     @property
-    def total(self) -> int:
-        return sum(self.entries.values())
+    def entries(self) -> dict:
+        if self._entries is None:
+            self._entries = {Fraction(k, self.den): m for k, m in self.sorted_counts()}
+        return self._entries
+
+    total = property(lambda self: sum(self.counts.values()))
+
+    def sorted_counts(self) -> list[tuple[int, int]]:
+        return sorted(self.counts.items())
 
     def sorted_items(self) -> list[tuple[Fraction, int]]:
-        return sorted(self.entries.items())
+        return list(self.entries.items())
+
+    def __eq__(self, other):
+        return isinstance(other, ExponentMultiset) and self.entries == other.entries
 
 
 def residue_numbers(bn: BranchNumerics, steps, i: int, nu: int) -> tuple[Fraction, Fraction]:
-    """The two residue numbers (eps_{1,nu}, eps_{2,nu}) at rupture index i.
-
-    eps1 + 1 = (-a_i nu + 1)/n_i and
-    eps2 + 1 = (-(c_i n_{i-1} mbar_{i-1} + d_i) nu
-               + m_{i-1} - n_{i-1} mbar_{i-1} + n_1...n_{i-1}) / mbar_i,
-    with the boundary conventions n_0 = m_0 = 0, mbar_0 = 1.
-    """
-    if not (1 <= i <= len(steps)) or nu < 0:
-        raise IndexOutOfRange(f"need 1 <= i <= {len(steps)} and nu >= 0, got i={i}, nu={nu}")
-    st = steps[i - 1]
-    dd = st.c * bn.nn[i - 1] * bn.mbar[i - 1] + st.d
-    eps1 = -1 + Fraction(-st.a * nu + 1, st.n)
-    top = -dd * nu + bn.mm[i - 1] - bn.nn[i - 1] * bn.mbar[i - 1] + bn.nprod(1, i - 1)
-    eps2 = -1 + Fraction(top, bn.mbar[i])
-    return eps1, eps2
+    """The residue numbers (eps_{1,nu}, eps_{2,nu}) at rupture index i (steps is unused)."""
+    cand = candidate_pole(bn, i, nu)
+    return cand.eps1, cand.eps2
 
 
 def candidate_pole(bn: BranchNumerics, i: int, nu: int) -> CandidatePole:
-    """Assemble one candidate with its exclusion status.
-
-    Integrality tests reduce to divisibility of r_i + nu: the dead-end value
-    betabar_i*sigma is integral iff n_i | (r_i + nu), and e_{i-1}*sigma is
-    integral iff mbar_i | (r_i + nu), since n_i betabar_i = e_{i-1} mbar_i.
-    """
+    """The candidate at rupture index i and shift nu, with its exclusion status."""
     if not (1 <= i <= bn.g) or nu < 0:
         raise IndexOutOfRange(f"need 1 <= i <= {bn.g} and nu >= 0, got i={i}, nu={nu}")
-    r = bn.mm[i] + bn.nprod(1, i)
-    big_n = bn.nn[i] * bn.gens[i]
-    sigma = Fraction(-(r + nu), big_n)
-    eps1, eps2 = residue_numbers(bn, toric_steps(bn), i, nu)
-    eps3 = bn.e[i] * sigma
-    dead = (r + nu) % bn.nn[i] == 0
-    prev = (r + nu) % bn.mbar[i] == 0
-    if dead and prev:
-        status = PoleStatus.EXCLUDED_BOTH
-    elif dead:
-        status = PoleStatus.EXCLUDED_DEADEND
-    elif prev:
-        status = PoleStatus.EXCLUDED_PREVIOUS
-    else:
-        status = PoleStatus.POLE_CANDIDATE
-    return CandidatePole(i=i, nu=nu, sigma=sigma, eps1=eps1, eps2=eps2, eps3=eps3, status=status)
+    return CandidatePole(bn.ladders[i - 1], nu)
+
+
+def _numerators(den: int, start: int, count: int, q: int) -> range:
+    """Numerators over den of (start + j)/q for 0 <= j < count (q | den)."""
+    step = den // q
+    return range(start * step, (start + count) * step, step)
 
 
 def pi_multisets(bn: BranchNumerics) -> tuple[list[ExponentMultiset], ExponentMultiset]:
     """Generic pole sets as b-exponents -sigma, one per rupture index, plus
-    their merged union.  One full period 0 <= nu < n_i betabar_i per index;
-    the survivor count is n_i betabar_i - betabar_i - n_i e_i + e_i and the
-    merged total equals the Milnor number."""
-    sets = []
-    merged = ExponentMultiset()
-    for i in range(1, bn.g + 1):
-        r = bn.mm[i] + bn.nprod(1, i)
-        big_n = bn.nn[i] * bn.gens[i]
-        pi_i = ExponentMultiset()
-        for nu in range(big_n):
-            top = r + nu
-            if top % bn.nn[i] == 0 or top % bn.mbar[i] == 0:
-                continue
-            pi_i.add(Fraction(top, big_n))
-        expected = big_n - bn.gens[i] - bn.nn[i] * bn.e[i] + bn.e[i]
-        assert pi_i.total == expected, "survivor count disagrees with inclusion-exclusion"
-        sets.append(pi_i.finalize())
-        merged.merge(pi_i)
+    their merged union.  One full period 0 <= nu < N_i per index; the
+    survivor count is N_i - betabar_i - n_i e_i + e_i and the merged total
+    equals the Milnor number."""
+    den, sets, merged = math.lcm(*(lad.N for lad in bn.ladders)), [], Counter()
+    for lad in bn.ladders:
+        kept = [t for t in range(lad.r, lad.r + lad.N) if t % lad.n and t % lad.mbar]
+        expected = lad.N - lad.N // lad.n - lad.N // lad.mbar + lad.e
+        assert len(kept) == expected, "survivor count disagrees with inclusion-exclusion"
+        sets.append(ExponentMultiset(lad.N, dict.fromkeys(kept, 1)))
+        merged.update(map((den // lad.N).__mul__, kept))
+    merged = ExponentMultiset(den, merged)
     assert merged.total == bn.milnor
-    return sets, merged.finalize()
+    return sets, merged
 
 
 def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
@@ -161,28 +179,25 @@ def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
     restores the doubly-subtracted exponent 1.  Raises NegativeCoefficient
     if the signed assembly ever finalizes below zero.
     """
-    ms = ExponentMultiset()
+    # a common denominator: n | N_1 = n m_1 and R'_i | R_i = N_i (cross-checked)
+    den, signed = math.lcm(*(bn.nn[i] * bn.gens[i] for i in range(1, bn.g + 1))), Counter()
+
     for i in range(1, bn.g + 1):
         # R_i from its defining sum; equals n_i betabar_i (cross-checked)
-        top = bn.betas[i - 1] * bn.e[i - 1] + sum(
-            bn.betas[l - 1] * (bn.e[l - 1] - bn.e[l]) for l in range(1, i)
-        )
-        assert top % bn.e[i] == 0
-        big_r = top // bn.e[i]
-        assert big_r == bn.nn[i] * bn.gens[i]
+        top = bn.betas[i - 1] * bn.e[i - 1] + sum(bn.betas[l - 1] * (bn.e[l - 1] - bn.e[l])
+                                                  for l in range(1, i))
+        big_r, rem = divmod(top, bn.e[i])
+        assert rem == 0 and big_r == bn.nn[i] * bn.gens[i]
         r = (bn.betas[i - 1] + bn.n) // bn.e[i]
         assert r == bn.mm[i] + bn.nprod(1, i)
-        for j in range(big_r):
-            ms.add(Fraction(r + j, big_r), +1)
+        signed.update(_numerators(den, r, big_r, big_r))
         rp = (r * bn.e[i]) // bn.e[i - 1] + 1
         rbig_p = big_r // bn.nn[i]
         assert rbig_p == bn.gens[i]
-        for j in range(rbig_p):
-            ms.add(Fraction(rp + j, rbig_p), -1)
-    for j in range(bn.n):
-        ms.add(Fraction(2 + j, bn.n), -1)
-    ms.add(Fraction(1), +1)
-    ms.finalize()
+        signed.subtract(_numerators(den, rp, rbig_p, rbig_p))
+    signed.subtract(_numerators(den, 2, bn.n, bn.n))
+    signed[den] += 1
+    ms = ExponentMultiset(den, signed).finalize()
     assert ms.total == bn.milnor
     return ms
 
@@ -190,8 +205,16 @@ def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
 @dataclass(frozen=True)
 class EigenvalueAnalysis:
     distinct: bool
-    # fractional part -> sorted (exponent, multiplicity) pairs in that class
-    classes: tuple[tuple[Fraction, tuple[tuple[Fraction, int], ...]], ...]
+    den: int
+    # fractional part -> sorted (exponent, multiplicity) pairs in that class,
+    # every rational as its numerator over den; classes holds them as Fractions
+    groups: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Fraction, tuple[tuple[Fraction, int], ...]], ...]:
+        d = self.den
+        return tuple((Fraction(f, d), tuple((Fraction(k, d), m) for k, m in items))
+                     for f, items in self.groups)
 
 
 def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
@@ -201,13 +224,11 @@ def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
     agree mod 1; they are pairwise different iff every class is a singleton
     with multiplicity one.
     """
-    groups: dict[Fraction, list[tuple[Fraction, int]]] = {}
-    for exp, mult in pi.sorted_items():
-        frac = exp - (exp.numerator // exp.denominator)
-        groups.setdefault(frac, []).append((exp, mult))
-    classes = tuple((frac, tuple(items)) for frac, items in sorted(groups.items()))
-    distinct = all(len(items) == 1 and items[0][1] == 1 for _, items in classes)
-    return EigenvalueAnalysis(distinct=distinct, classes=classes)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, mult in pi.sorted_counts():
+        groups.setdefault(k % pi.den, []).append((k, mult))
+    distinct = all(len(items) == 1 and items[0][1] == 1 for items in groups.values())
+    return EigenvalueAnalysis(distinct, pi.den, tuple((f, tuple(items)) for f, items in sorted(groups.items())))
 
 
 def log_canonical_threshold(bn: BranchNumerics) -> Fraction:
@@ -221,6 +242,17 @@ class Resonance:
     occurrences: tuple[tuple[int, int, PoleStatus], ...]  # (i, nu, status)
 
 
+def _resonances(bn: BranchNumerics, ends: tuple[int, ...], den: int) -> tuple[Resonance, ...]:
+    """Candidate values on two or more ladders, largest sigma first."""
+    tops = [_numerators(den, lad.r, hi, lad.N) for lad, hi in zip(bn.ladders, ends)]
+    hits = Counter(chain.from_iterable(tops))
+    return tuple(
+        Resonance(Fraction(-key, den), tuple(
+            (lad.i, key // top.step - lad.r, lad.row(key // top.step - lad.r)[3])
+            for lad, top in zip(bn.ladders, tops) if key in top))
+        for key in sorted(k for k, c in hits.items() if c > 1))
+
+
 @dataclass(frozen=True)
 class BranchReport:
     input_text: str
@@ -229,7 +261,7 @@ class BranchReport:
     steps: tuple[ToricStep, ...]
     divisors: tuple[DivisorNumerics, ...]
     lct: Fraction
-    candidates: tuple[CandidatePole, ...]
+    ladder_lengths: tuple[int, ...]  # ladder i holds the candidates 0 <= nu < length
     pi_sets: tuple[ExponentMultiset, ...]
     pi_merged: ExponentMultiset
     yano: ExponentMultiset
@@ -240,75 +272,41 @@ class BranchReport:
     # The strict transform contributes the pole ladder -1, -2, -3, ...
     strict_transform_poles: str = "all negative integers"
 
-
-def _parse_kind(text: str):
-    from .branch import parse_input
-
-    parsed = parse_input(text)
-    if isinstance(parsed, PlaneSemigroup):
-        return "semigroup", derive_numerics(charseq_from_semigroup(parsed))
-    return "charseq", derive_numerics(parsed)
+    @cached_property
+    def candidates(self) -> tuple[CandidatePole, ...]:
+        """Every candidate, ladder by ladder, in increasing nu."""
+        return tuple(CandidatePole(lad, nu)
+                     for lad, hi in zip(self.bn.ladders, self.ladder_lengths) for nu in range(hi))
 
 
 def branch_report(input_spec, nu_max: int | None = None) -> BranchReport:
-    """Aggregate every invariant into one report.
-
-    input_spec may be a CharSeq, a PlaneSemigroup, or an input string in
-    either CLI syntax.  The candidate list covers one full period
-    0 <= nu < n_i betabar_i per rupture index; nu_max extends it.
-    """
-    if isinstance(input_spec, CharSeq):
-        kind, bn, text = "charseq", derive_numerics(input_spec), str(input_spec)
-    elif isinstance(input_spec, PlaneSemigroup):
-        kind = "semigroup"
-        bn = derive_numerics(charseq_from_semigroup(input_spec))
-        text = "semigroup:" + ",".join(str(v) for v in input_spec.gens)
+    """Aggregate every invariant into one report of a CharSeq, a
+    PlaneSemigroup or an input string in either CLI syntax; input_text is in
+    CLI syntax.  The candidates cover one full period 0 <= nu < n_i betabar_i
+    per rupture index; nu_max extends it."""
+    text = None if isinstance(input_spec, (CharSeq, PlaneSemigroup)) else str(input_spec)
+    spec = input_spec if text is None else parse_input(text)
+    if isinstance(spec, PlaneSemigroup):
+        kind, cs = "semigroup", charseq_from_semigroup(spec)
+        text = text or "semigroup:" + ",".join(map(str, spec.gens))
     else:
-        text = str(input_spec)
-        kind, bn = _parse_kind(text)
+        kind, cs = "charseq", spec
+        text = text or ",".join(map(str, (cs.n, *cs.betas)))
+    bn = derive_numerics(cs)
 
-    steps = tuple(toric_steps(bn))
-    divisors = tuple(divisor_numerics(bn))
-    candidates: list[CandidatePole] = []
-    by_sigma: dict[Fraction, list[CandidatePole]] = {}
-    for i in range(1, bn.g + 1):
-        hi = bn.nn[i] * bn.gens[i]
-        if nu_max is not None:
-            hi = max(hi, nu_max + 1)
-        for nu in range(hi):
-            cand = candidate_pole(bn, i, nu)
-            candidates.append(cand)
-            by_sigma.setdefault(cand.sigma, []).append(cand)
-
-    resonances = []
-    for sigma, group in sorted(by_sigma.items(), reverse=True):
-        if len({c.i for c in group}) >= 2:
-            resonances.append(
-                Resonance(sigma, tuple((c.i, c.nu, c.status) for c in group))
-            )
-
+    ends = tuple(lad.N if nu_max is None else max(lad.N, nu_max + 1) for lad in bn.ladders)
     pi_sets, pi_merged = pi_multisets(bn)
     yano = yano_multiset(bn)
     eigen = eigenvalue_analysis(pi_merged)
     lct = log_canonical_threshold(bn)
-
-    assert pi_merged.total == bn.milnor
-    assert lct == -candidates[0].sigma  # nu = 0 at i = 1 comes first
-    pole_values = [-c.sigma for c in candidates if c.status is PoleStatus.POLE_CANDIDATE]
-    assert lct == min(pole_values)
+    assert lct == Fraction(bn.ladders[0].r, bn.ladders[0].N)  # nu = 0 at i = 1 comes first
+    # the smallest kept pole value: every ladder's lies in its first period
+    assert lct == Fraction(min(pi_merged.counts), pi_merged.den)
 
     return BranchReport(
-        input_text=text,
-        kind=kind,
-        bn=bn,
-        steps=steps,
-        divisors=divisors,
-        lct=lct,
-        candidates=tuple(candidates),
-        pi_sets=pi_sets,
-        pi_merged=pi_merged,
-        yano=yano,
-        eigenvalues=eigen,
-        resonances=tuple(resonances),
+        input_text=text, kind=kind, bn=bn, steps=bn.steps,
+        divisors=tuple(divisor_numerics(bn)), lct=lct, ladder_lengths=ends,
+        pi_sets=tuple(pi_sets), pi_merged=pi_merged, yano=yano, eigenvalues=eigen,
+        resonances=_resonances(bn, ends, pi_merged.den) if bn.g > 1 else (),
         verdict="proved-distinct" if eigen.distinct else "conjectural-generic",
     )

@@ -101,7 +101,7 @@ def linear_forms(bn: BranchNumerics, i: int, j: int, ks) -> tuple[int, int, int]
     if any(v < 0 for v in ks):
         raise IndexOutOfRange("exponents must be non-negative")
 
-    step = toric_steps(bn)[i - 1]
+    step = bn.steps[i - 1]
     mbar_i = bn.mbar[i]
     # D = c_i n_{i-1} mbar_{i-1} + d_i, the k_i coefficient shared by C
     dd = step.c * bn.nn[i - 1] * bn.mbar[i - 1] + step.d

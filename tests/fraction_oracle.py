@@ -1,0 +1,91 @@
+"""Fraction implementations of the candidate ladders, kept as an oracle for
+the integer ladder core of branchzeta.poles.
+
+Every candidate here rebuilds the toric steps and its exact values from
+BranchNumerics with Fraction arithmetic, straight from the formulas:
+sigma = -(r_i + nu)/(n_i betabar_i), eps1 + 1 = (-a_i nu + 1)/n_i,
+eps2 + 1 = (-(c_i n_{i-1} mbar_{i-1} + d_i) nu + m_{i-1} - n_{i-1} mbar_{i-1}
++ n_1...n_{i-1})/mbar_i, eps3 = e_i sigma, and the exclusion tests are the
+integrality of betabar_i sigma (dead end) and e_{i-1} sigma (previous
+level).  Statuses are the PoleStatus value strings.
+"""
+
+from fractions import Fraction
+
+from branchzeta.toric import toric_steps
+
+STATUS = {
+    (False, False): "PoleCandidate",
+    (True, False): "ExcludedDeadEnd",
+    (False, True): "ExcludedPrevious",
+    (True, True): "ExcludedBoth",
+}
+
+
+def residue_numbers(bn, i, nu):
+    st = toric_steps(bn)[i - 1]
+    dd = st.c * bn.nn[i - 1] * bn.mbar[i - 1] + st.d
+    eps1 = -1 + Fraction(-st.a * nu + 1, st.n)
+    top = -dd * nu + bn.mm[i - 1] - bn.nn[i - 1] * bn.mbar[i - 1] + bn.nprod(1, i - 1)
+    eps2 = -1 + Fraction(top, bn.mbar[i])
+    return eps1, eps2
+
+
+def candidate_pole(bn, i, nu):
+    """(i, nu, sigma, eps1, eps2, eps3, status)."""
+    r = bn.mm[i] + bn.nprod(1, i)
+    sigma = Fraction(-(r + nu), bn.nn[i] * bn.gens[i])
+    eps1, eps2 = residue_numbers(bn, i, nu)
+    eps3 = bn.e[i] * sigma
+    assert eps1 + eps2 + eps3 + nu + 2 == 0
+    dead = (bn.gens[i] * sigma).denominator == 1
+    prev = (bn.e[i - 1] * sigma).denominator == 1
+    return i, nu, sigma, eps1, eps2, eps3, STATUS[dead, prev]
+
+
+def candidates(bn, nu_max=None):
+    out = []
+    for i in range(1, bn.g + 1):
+        hi = bn.nn[i] * bn.gens[i]
+        if nu_max is not None:
+            hi = max(hi, nu_max + 1)
+        out += [candidate_pole(bn, i, nu) for nu in range(hi)]
+    return out
+
+
+def pi_multisets(bn):
+    """Per-level dicts {-sigma: 1} over one period, and their merged dict."""
+    sets, merged = [], {}
+    for i in range(1, bn.g + 1):
+        level = {}
+        for nu in range(bn.nn[i] * bn.gens[i]):
+            _, _, sigma, _, _, _, status = candidate_pole(bn, i, nu)
+            if status == "PoleCandidate":
+                level[-sigma] = level.get(-sigma, 0) + 1
+                merged[-sigma] = merged.get(-sigma, 0) + 1
+        sets.append(level)
+    return sets, merged
+
+
+def eigenvalue_analysis(pi):
+    """(distinct, classes) of an {exponent: multiplicity} dict."""
+    groups = {}
+    for exp, mult in sorted(pi.items()):
+        frac = exp - (exp.numerator // exp.denominator)
+        groups.setdefault(frac, []).append((exp, mult))
+    classes = tuple((frac, tuple(items)) for frac, items in sorted(groups.items()))
+    distinct = all(len(items) == 1 and items[0][1] == 1 for _, items in classes)
+    return distinct, classes
+
+
+def resonances(cands):
+    """[(sigma, ((i, nu, status), ...))] for values shared by two or more
+    ladders, largest sigma first."""
+    by_sigma = {}
+    for i, nu, sigma, _, _, _, status in cands:
+        by_sigma.setdefault(sigma, []).append((i, nu, status))
+    return [
+        (sigma, tuple(group))
+        for sigma, group in sorted(by_sigma.items(), reverse=True)
+        if len({i for i, _, _ in group}) >= 2
+    ]

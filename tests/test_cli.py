@@ -126,6 +126,30 @@ class TestResidue:
         assert rc == 2
         assert json.loads(out)["error"] == "domain"
 
+    def test_pair_overflow_gives_value(self, capsys):
+        rc, out, _ = run(capsys, "residue", "--alpha", "-1/4", "--n", "300",
+                         "--beta", "-1/3", "--m", "0", "--format", "json")
+        assert rc == 0
+        d = json.loads(out)
+        assert d["order"] == 0
+        assert abs(complex(d["value"]["re"], d["value"]["im"]) - 0.0716229136160359j) <= 1e-9 * 0.0717
+
+    def test_pair_underflow_gives_nonzero_value(self, capsys):
+        rc, out, _ = run(capsys, "residue", "--alpha", "-1/20", "--n", "-196",
+                         "--beta", "-5/6", "--m", "152")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "order 0"
+        value = complex(lines[1].split()[1].replace("i", "j"))
+        assert abs(value - -1.39588235825556e-45j) <= 1e-9 * 1.396e-45
+
+    def test_value_outside_double_range_exit_2(self, capsys):
+        rc, out, err = run(capsys, "residue", "--alpha", "-1/4", "--n", "-1000",
+                           "--beta", "-1/3", "--m", "-1000")
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "double range" in json.loads(out)["reason"]
+
     def test_bad_rational_exit_1(self, capsys):
         rc, _, err = run(capsys, "residue", "--alpha", "x", "--n", "0",
                          "--beta", "-1", "--m", "0")

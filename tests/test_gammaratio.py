@@ -4,6 +4,7 @@ branch corpus, and the hypergeometric identity checker."""
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -206,6 +207,57 @@ class TestRnmClosedForm:
         assert p.gamma == -p.alpha - p.beta - p.n - p.m - 2
         assert p.alpha_prime == p.alpha + 2
         assert p.beta_prime == p.beta - 1
+
+
+def mp_kernel(alpha, n, beta, m, lam=1):
+    """The closed form in mpmath at 40 digits."""
+    a = mpmath.mpf(alpha.numerator) / alpha.denominator
+    b = mpmath.mpf(beta.numerator) / beta.denominator
+    g = -a - b - n - m - 2
+    lam = mpmath.mpc(lam)
+    return (
+        -2j * mpmath.pi
+        * lam ** (-a - n - 1) * mpmath.conj(lam) ** (-a - 1)
+        * mpmath.gamma(a + 1) / mpmath.gamma(-a - n)
+        * mpmath.gamma(b + 1) / mpmath.gamma(-b - m)
+        * mpmath.gamma(g + 1) / mpmath.gamma(-g - n - m)
+    )
+
+
+class TestRnmLogSpace:
+    """Pair coefficients far outside double range whose product is not."""
+
+    @pytest.mark.parametrize("alpha,n,beta,m", [
+        (Fraction(-1, 4), 300, Fraction(-1, 3), 0),     # a pair overflows
+        (Fraction(-1, 20), -196, Fraction(-5, 6), 152),  # a pair underflows
+    ])
+    def test_finite_products_match_mpmath(self, alpha, n, beta, m):
+        mv = rnm_closed_form(RnmParams(alpha=alpha, n=n, beta=beta, m=m))
+        want = complex(mp_kernel(alpha, n, beta, m))
+        assert mv.order == 0 and mv.value != 0
+        assert abs(mv.value - want) <= 1e-9 * abs(want)
+
+    def test_sweep_against_mpmath(self):
+        """|n|, |m| up to 10^3: a value within 1e-9 of mpmath exactly when
+        mpmath's lies in the normal double range, DomainError otherwise."""
+        lo, hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+        grid = (-1000, -617, -300, -170, -37, 0, 41, 170, 300, 733, 1000)
+        outside = 0
+        for alpha, beta, lam in ((Fraction(-1, 4), Fraction(-1, 3), 1.0),
+                                 (Fraction(-3, 7), Fraction(-5, 11), 1.5)):
+            for n in grid:
+                for m in grid:
+                    want = mp_kernel(alpha, n, beta, m, lam)
+                    log_want = float(mpmath.log(abs(want)))
+                    p = RnmParams(alpha=alpha, n=n, beta=beta, m=m, lam=lam)
+                    if lo <= log_want <= hi:
+                        got = rnm_closed_form(p).value
+                        assert abs(got - complex(want)) <= 1e-9 * abs(want), (n, m)
+                    else:
+                        outside += 1
+                        with pytest.raises(DomainError, match="double range"):
+                            rnm_closed_form(p)
+        assert outside > 0
 
 
 class TestSymmetry:

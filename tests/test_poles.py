@@ -12,13 +12,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchzeta.branch import CharSeq, derive_numerics, parse_input, random_charseq
+from branchzeta.branch import (
+    CharSeq,
+    PlaneSemigroup,
+    derive_numerics,
+    parse_input,
+    random_charseq,
+)
 from branchzeta.errors import (
     IndexOutOfRange,
     InvalidCharSeq,
+    NegativeCoefficient,
     NotPlaneBranchSemigroup,
 )
 from branchzeta.poles import (
+    ExponentMultiset,
     PoleStatus,
     branch_report,
     candidate_pole,
@@ -169,6 +177,25 @@ class TestPiMultisets:
             assert merged.total == bn.milnor
 
 
+class TestExponentMultiset:
+    def test_add_rescales_and_drops_zeros(self):
+        ms = ExponentMultiset()
+        ms.add(Fraction(1, 2))
+        ms.add(Fraction(1, 3), 2)
+        ms.add(1)
+        ms.add(Fraction(2, 4), -1)
+        assert ms.entries == {Fraction(1, 3): 2, Fraction(1): 1}
+        assert ms.sorted_items() == [(Fraction(1, 3), 2), (Fraction(1), 1)]
+        assert ms.total == 3
+        assert ms == ExponentMultiset(3, {1: 2, 3: 1})
+
+    def test_finalize_rejects_negative(self):
+        ms = ExponentMultiset(6, {5: 1, 7: -1})
+        with pytest.raises(NegativeCoefficient) as info:
+            ms.finalize()
+        assert info.value.exponent == Fraction(7, 6)
+
+
 class TestYano:
     def test_cusp_golden(self):
         ms = yano_multiset(derive_numerics(CharSeq(2, (3,))))
@@ -253,6 +280,12 @@ class TestBranchReport:
             branch_report("4,,9")
         with pytest.raises(ValueError):
             branch_report("4,x")
+
+    def test_input_text_round_trips(self):
+        for spec in (CharSeq(2, (3,)), CharSeq(4, (6, 7)), CharSeq(6, (9, 22)),
+                     PlaneSemigroup((4, 6, 13))):
+            assert parse_input(branch_report(spec).input_text) == spec
+        assert branch_report(CharSeq(2, (3,))).input_text == "2,3"
 
     def test_nu_max_extension(self):
         rep = branch_report("2,3", nu_max=10)
