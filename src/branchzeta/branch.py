@@ -14,6 +14,7 @@ values n_0 = 0, m_0 = 0, mbar_0 = 1, betabar_0 = n, e_0 = n.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,10 +81,7 @@ class ValidationReport:
         return all(c.passed for c in self.conditions)
 
     def first_failure(self) -> ConditionCheck | None:
-        for c in self.conditions:
-            if not c.passed:
-                return c
-        return None
+        return next((c for c in self.conditions if not c.passed), None)
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class PlaneSemigroup:
         report = validate_plane_semigroup(self.gens)
         if not report.ok:
             bad = report.first_failure()
-            raise NotPlaneBranchSemigroup(f"{bad.name}: {bad.detail}")
+            raise NotPlaneBranchSemigroup(f"{bad.name}: {bad.detail}", report.conditions)
 
     @property
     def g(self) -> int:
@@ -116,11 +114,15 @@ class BranchNumerics:
     qq: tuple[int, ...]     # qq[0] = 0, qq[1] = mm[1], qq[i] = mm[i] - nn[i]*mm[i-1]
     mbar: tuple[int, ...]   # mbar[0] = 1, mbar[i] = gens[i] // e[i]
     conductor: int
-    milnor: int
 
     @property
     def g(self) -> int:
         return self.cs.g
+
+    @property
+    def milnor(self) -> int:
+        """Milnor number mu; equal to the conductor for a plane branch."""
+        return self.conductor
 
     @property
     def n(self) -> int:
@@ -153,6 +155,14 @@ class BranchNumerics:
         return tuple(Ladder.of(self, i) for i in range(1, self.g + 1))
 
 
+def _gcd_chain(gens) -> tuple[list[int], list[int]]:
+    """e_0 = gens[0], e_i = gcd(e_{i-1}, gens[i]); nn[0] = 0, nn[i] = e_{i-1}/e_i."""
+    e = [gens[0]]
+    for v in gens[1:]:
+        e.append(math.gcd(e[-1], v))
+    return e, [0] + [a // b for a, b in zip(e, e[1:])]
+
+
 def derive_numerics(cs: CharSeq) -> BranchNumerics:
     """Compute every derived integer of a characteristic sequence.
 
@@ -162,10 +172,7 @@ def derive_numerics(cs: CharSeq) -> BranchNumerics:
     number and with n_g betabar_g - beta_g - (n - 1).
     """
     g = cs.g
-    e = [cs.n]
-    for b in cs.betas:
-        e.append(math.gcd(e[-1], b))
-    nn = [0] + [e[i - 1] // e[i] for i in range(1, g + 1)]
+    e, nn = _gcd_chain((cs.n, *cs.betas))
     mm = [0] + [cs.betas[i - 1] // e[i] for i in range(1, g + 1)]
     gens = [cs.n, cs.betas[0]]
     for i in range(2, g + 1):
@@ -190,7 +197,6 @@ def derive_numerics(cs: CharSeq) -> BranchNumerics:
         qq=tuple(qq),
         mbar=tuple(mbar),
         conductor=conductor,
-        milnor=conductor,
     )
 
 
@@ -199,8 +205,32 @@ def conductor_and_milnor(bn: BranchNumerics) -> tuple[int, int]:
     return bn.conductor, bn.milnor
 
 
+def _apery(gens: tuple[int, ...]) -> tuple[list, list[int]]:
+    """Apery set of gens[0] in <gens> (positive generators): ap[r] is the least
+    element congruent to r mod gens[0] (inf if none), last[r] the index of the
+    generator added last on a shortest sum reaching it.  Shortest paths over
+    the residues: O(gens[0]) memory (Rosales and Garcia-Sanchez, ch. 1)."""
+    n = gens[0]
+    ap: list = [math.inf] * n
+    last = [-1] * n
+    ap[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if w > ap[r]:
+            continue
+        for idx, gv in enumerate(gens):
+            t = (r + gv) % n
+            if w + gv < ap[t]:
+                ap[t] = w + gv
+                last[t] = idx
+                heapq.heappush(heap, (w + gv, t))
+    return ap, last
+
+
 def membership(gens, s: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide s in <gens> by dynamic programming over 0..s.
+    """Decide s in <gens> (positive generators): s is a member iff
+    s >= Ap[s mod gens[0]], the Apery element of its residue class.
 
     Returns (True, representation) with representation k such that
     s = sum k_l * gens[l], or (False, None).
@@ -208,22 +238,16 @@ def membership(gens, s: int) -> tuple[bool, tuple[int, ...] | None]:
     gens = tuple(int(v) for v in gens)
     if s < 0:
         return False, None
-    # choice[v] = index of the generator used to reach v, -1 at v = 0
-    choice = [-2] * (s + 1)
-    choice[0] = -1
-    for v in range(1, s + 1):
-        for idx, gv in enumerate(gens):
-            if gv <= v and choice[v - gv] != -2:
-                choice[v] = idx
-                break
-    if choice[s] == -2:
+    ap, last = _apery(gens)
+    r = s % gens[0]
+    if s < ap[r]:
         return False, None
     rep = [0] * len(gens)
-    v = s
-    while v > 0:
-        idx = choice[v]
+    rep[0] = (s - ap[r]) // gens[0]
+    while r:
+        idx = last[r]
         rep[idx] += 1
-        v -= gens[idx]
+        r = (r - gens[idx]) % gens[0]
     return True, tuple(rep)
 
 
@@ -254,9 +278,7 @@ def validate_plane_semigroup(gens) -> ValidationReport:
         return ValidationReport(gens, tuple(checks))
 
     g = len(gens) - 1
-    e = [gens[0]]
-    for v in gens[1:]:
-        e.append(math.gcd(e[-1], v))
+    e, nn = _gcd_chain(gens)
     ok_gcd = e[-1] == 1
     checks.append(
         ConditionCheck(
@@ -264,7 +286,6 @@ def validate_plane_semigroup(gens) -> ValidationReport:
         )
     )
 
-    nn = [0] + [e[i - 1] // e[i] for i in range(1, g + 1)]
     ok_min = all(nn[i] >= 2 for i in range(1, g + 1))
     detail = "every n_i = e_{i-1}/e_i is >= 2"
     if not ok_min:
@@ -297,10 +318,7 @@ def charseq_from_semigroup(sg: PlaneSemigroup) -> CharSeq:
     """Invert the generator recursion: beta_i = betabar_i - n_{i-1} betabar_{i-1} + beta_{i-1}."""
     gens = sg.gens
     g = len(gens) - 1
-    e = [gens[0]]
-    for v in gens[1:]:
-        e.append(math.gcd(e[-1], v))
-    nn = [0] + [e[i - 1] // e[i] for i in range(1, g + 1)]
+    _, nn = _gcd_chain(gens)
     betas = [gens[1]]
     for i in range(2, g + 1):
         betas.append(gens[i] - nn[i - 1] * gens[i - 1] + betas[-1])
@@ -404,11 +422,7 @@ def random_charseq(rng, max_n: int = 12, max_beta: int = 400) -> CharSeq:
 
 
 def gaps(bn: BranchNumerics) -> tuple[int, ...]:
-    """All positive integers outside the semigroup (there are c/2 of them)."""
-    c = bn.conductor
-    member = [False] * c
-    if c > 0:
-        member[0] = True
-        for v in range(1, c):
-            member[v] = any(gv <= v and member[v - gv] for gv in bn.gens)
-    return tuple(v for v in range(c) if not member[v])
+    """All positive integers outside the semigroup (there are c/2 of them):
+    in each residue class mod n, the ones below its Apery element."""
+    ap, _ = _apery(bn.gens)
+    return tuple(sorted(v for r, w in enumerate(ap) for v in range(r, w, bn.n)))

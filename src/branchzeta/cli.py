@@ -21,7 +21,6 @@ import math
 import sys
 from fractions import Fraction
 
-from .branch import validate_plane_semigroup
 from .curves import deformation_family, monomial_curve_equations, plane_equation
 from .errors import BranchZetaError, InvalidCharSeq, NotPlaneBranchSemigroup
 from .gammaratio import RnmParams, rnm_closed_form, symmetry_check
@@ -213,19 +212,11 @@ def cmd_analyze(ns) -> int:
 
 
 def _emit_validation_failure(text: str, exc: Exception, fmt: str) -> None:
-    conditions = None
-    if text.startswith("semigroup:"):
-        try:
-            gens = tuple(int(v) for v in text[len("semigroup:"):].split(","))
-            rep = validate_plane_semigroup(gens)
-            conditions = [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in rep.conditions
-            ]
-        except ValueError:
-            pass
-    if conditions is None:
-        conditions = [{"name": "charseq", "passed": False, "detail": str(exc)}]
+    # a semigroup failure carries its whole validation report
+    conditions = [
+        {"name": c.name, "passed": c.passed, "detail": c.detail}
+        for c in getattr(exc, "conditions", ())
+    ] or [{"name": "charseq", "passed": False, "detail": str(exc)}]
     payload = {"error": "validation", "input": text, "conditions": conditions}
     if fmt == "json":
         print(canonical_json(payload))
@@ -582,15 +573,16 @@ def main(argv=None) -> int:
     argv = _merge_negative_values(list(argv))
     try:
         ns = parser.parse_args(argv)
-    except _SyntaxError as exc:
+    except (_SyntaxError, ArithmeticError) as exc:
+        # ArithmeticError: a number Fraction or float cannot convert (1/0, 1e400)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         return ns.func(ns)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BranchZetaError as exc:
+    except (BranchZetaError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         print(canonical_json({"error": "domain", "reason": str(exc)}))
         return 2

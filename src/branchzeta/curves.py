@@ -213,8 +213,9 @@ def _plane_recursion(
     bn: BranchNumerics,
     lambdas: Sequence[Fraction],
     level_terms: Mapping[int, Iterable[tuple[tuple[int, ...], Fraction]]] = {},
-) -> SparsePoly:
-    """Run f_{i+1} = f_i^{n_i} - lambda_i * prod(f_l^{rep_l}) + level sums.
+) -> list[SparsePoly]:
+    """Run f_{i+1} = f_i^{n_i} - lambda_i * prod(f_l^{rep_l}) + level sums
+    and return every f_0, .., f_{g+1}; the last is the plane equation.
 
     lambdas has one entry per level 1..g with the first pinned to 1 by the
     callers; level_terms maps a level to (exponent vector, coefficient)
@@ -234,12 +235,12 @@ def _plane_recursion(
                 mono = mono * fs[l] ** k
             nxt = nxt + mono
         fs.append(nxt)
-    return fs[bn.g + 1]
+    return fs
 
 
 def plane_equation(bn: BranchNumerics) -> SparsePoly:
     """Canonical plane equation; lowest-degree part at the origin is y^n."""
-    return _plane_recursion(bn, [Fraction(1)] * bn.g)
+    return _plane_recursion(bn, [Fraction(1)] * bn.g)[-1]
 
 
 def weight_of_monomial(bn: BranchNumerics, ks: Sequence[int]) -> int:
@@ -279,9 +280,6 @@ class DeformationFamily:
     lambdas: tuple[Fraction, ...]
     weight_cutoff: int
 
-    def _all_lambdas(self) -> list[Fraction]:
-        return [Fraction(1), *self.lambdas]
-
     def instantiate(self, values: Mapping = ()) -> SparsePoly:
         """Plane equation of the fiber with the given coefficients.
 
@@ -300,7 +298,7 @@ class DeformationFamily:
                 coeff = Fraction(raw)
             if coeff:
                 by_level.setdefault(t.level, []).append((t.exponents, coeff))
-        return _plane_recursion(self.bn, self._all_lambdas(), by_level)
+        return _plane_recursion(self.bn, [Fraction(1), *self.lambdas], by_level)[-1]
 
 
 def _draw_coefficient(rng: random.Random) -> Fraction:
@@ -352,14 +350,7 @@ def deformation_family(
         raise TypeError("coefficient_source must be None, an int seed, or a mapping")
 
     names = ("x", "y")
-    base_fs = [SparsePoly.variable(names, "x"), SparsePoly.variable(names, "y")]
-    all_lams = [Fraction(1), *lams]
-    for i in range(1, bn.g + 1):
-        rep = _canonical_exponents(bn, i)
-        prod = SparsePoly.monomial(names, (0, 0))
-        for l, k in enumerate(rep):
-            prod = prod * base_fs[l] ** k
-        base_fs.append(base_fs[i] ** bn.nn[i] - all_lams[i - 1] * prod)
+    base_fs = _plane_recursion(bn, [Fraction(1), *lams])
 
     terms: list[DeformationTerm] = []
     for i in range(1, bn.g + 1):
@@ -394,7 +385,7 @@ def deformation_family(
 
     return DeformationFamily(
         bn=bn,
-        base=base_fs[bn.g + 1],
+        base=base_fs[-1],
         terms=tuple(terms),
         lambdas=tuple(lams),
         weight_cutoff=weight_cutoff,

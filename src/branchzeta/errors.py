@@ -16,9 +16,10 @@ class InvalidCharSeq(BranchZetaError):
 class NotPlaneBranchSemigroup(BranchZetaError):
     """Generator list fails the plane-branch semigroup characterization."""
 
-    def __init__(self, failed_condition: str):
+    def __init__(self, failed_condition: str, conditions: tuple = ()):
         super().__init__(failed_condition)
         self.failed_condition = failed_condition
+        self.conditions = conditions  # the validation report's checks, if any
 
 
 class NotInSemigroup(BranchZetaError):

@@ -58,6 +58,17 @@ class TestAnalyze:
         d = json.loads(out)
         assert any(not c["passed"] for c in d["conditions"])
 
+    @pytest.mark.parametrize("text", ["SEMIGROUP:4,6,11", " semigroup:4,6,11"])
+    def test_semigroup_failure_conditions_ignore_case_and_spaces(self, capsys, text):
+        _, want, _ = run(capsys, "analyze", "semigroup:4,6,11", "--format", "json")
+        rc, got, _ = run(capsys, "analyze", text, "--format", "json")
+        assert rc == 2
+        assert json.loads(got)["conditions"] == json.loads(want)["conditions"]
+        assert len(json.loads(got)["conditions"]) == 6
+        _, want, _ = run(capsys, "analyze", "semigroup:4,6,11", "--format", "text")
+        rc, got, _ = run(capsys, "analyze", text, "--format", "text")
+        assert rc == 2 and got == want
+
     def test_syntax_failure_exit_1(self, capsys):
         rc, _, err = run(capsys, "analyze", "not-an-input")
         assert rc == 1
@@ -154,6 +165,42 @@ class TestResidue:
         rc, _, err = run(capsys, "residue", "--alpha", "x", "--n", "0",
                          "--beta", "-1", "--m", "0")
         assert rc == 1
+
+
+RESIDUE = "--alpha -1/4 --n 0 --beta -1/3 --m 0"
+
+
+class TestNumberFlags:
+    """Number flags end in exit 1 (value cannot be converted) or exit 2
+    (computation leaves double range), never in a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        "residue --alpha 1/0 --n 0 --beta -1/3 --m 0",
+        "residue --alpha 1/0 --n 0 --beta 1/0 --m 0",
+        "residue --alpha -1/4 --n 0 --beta 1/0 --m 0",
+        "residue " + RESIDUE + " --lambda 1/0",
+        "residue " + RESIDUE + " --lambda 1e400",
+        "generate 4,6,7 --deform --lambdas 1/0",
+    ])
+    def test_unconvertible_value_exit_1(self, capsys, argv):
+        rc, out, err = run(capsys, *argv.split())
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        "residue --alpha 1e308 --n 0 --beta -1/3 --m 0",
+        "residue --alpha 1e309 --n 0 --beta -1/3 --m 0",
+        "residue --alpha -1/4 --n 0 --beta 1e400 --m 0",
+        "residue --alpha -1/4 --n " + str(10**400) + " --beta -1/3 --m 0",
+    ])
+    def test_value_beyond_double_range_exit_2(self, capsys, argv):
+        rc, out, err = run(capsys, *argv.split())
+        assert rc == 2
+        assert err.startswith("domain error: ")
+        assert "Traceback" not in err
+        assert json.loads(out)["error"] == "domain"
 
 
 class TestVerify:
