@@ -11,6 +11,7 @@ from .branch import (
     derive_numerics,
     gaps,
     membership,
+    resolve_input,
     validate_plane_semigroup,
 )
 from .branch import parse_input
@@ -60,6 +61,7 @@ from .gammaratio import (
     log_gamma,
     rnm_closed_form,
     symmetry_check,
+    symmetry_pair,
 )
 from .quadrature import (
     QuadConfig,

@@ -385,6 +385,18 @@ def parse_input(text: str):
     return CharSeq(values[0], tuple(values[1:]))
 
 
+def resolve_input(input_spec) -> tuple[str, str, CharSeq]:
+    """(text in CLI syntax, kind "charseq" | "semigroup", CharSeq) of a
+    CharSeq, a PlaneSemigroup or an input string in either CLI syntax; a
+    string keeps its own text."""
+    text = None if isinstance(input_spec, (CharSeq, PlaneSemigroup)) else str(input_spec)
+    spec = input_spec if text is None else parse_input(text)
+    if isinstance(spec, PlaneSemigroup):
+        text = text or "semigroup:" + ",".join(map(str, spec.gens))
+        return text, "semigroup", charseq_from_semigroup(spec)
+    return text or ",".join(map(str, (spec.n, *spec.betas))), "charseq", spec
+
+
 def random_charseq(rng, max_n: int = 12, max_beta: int = 400) -> CharSeq:
     """Draw a uniformly-scattered valid characteristic sequence.
 

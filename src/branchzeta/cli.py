@@ -8,8 +8,8 @@ Output conventions, kept byte-stable for golden tests:
 * JSON is canonical: sorted keys, two-space indent, rationals as "p/q"
   strings in lowest terms, complex numbers as {"re":, "im":} objects;
   parsing emitted JSON and re-serializing it reproduces the bytes.
-* Exit codes: 0 success, 1 input syntax error, 2 domain validation
-  failure, 3 verification failure.
+* Exit codes: 0 success (also when the reader closes stdout early), 1
+  input syntax error, 2 domain validation failure, 3 verification failure.
 * Results go to stdout, diagnostics to stderr.
 """
 
@@ -18,12 +18,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
+from .branch import derive_numerics, gaps, resolve_input
 from .curves import deformation_family, monomial_curve_equations, plane_equation
 from .errors import BranchZetaError, InvalidCharSeq, NotPlaneBranchSemigroup
-from .gammaratio import RnmParams, rnm_closed_form, symmetry_check
+from .gammaratio import RnmParams, rnm_closed_form, symmetry_pair
 from .poles import PoleStatus, branch_report
 from .quadrature import (
     QuadConfig,
@@ -76,11 +79,13 @@ def _poly_dict(p) -> dict:
     }
 
 
+def _exponent_list(items, den: int) -> list:
+    """(numerator over den, multiplicity) pairs as exponent records."""
+    return [{"exponent": _ratio(k, den), "multiplicity": m} for k, m in items]
+
+
 def _multiset_list(ms) -> list:
-    return [
-        {"exponent": _ratio(k, ms.den), "multiplicity": mult}
-        for k, mult in ms.sorted_counts()
-    ]
+    return _exponent_list(ms.sorted_counts(), ms.den)
 
 
 def _candidate_rows(rep):
@@ -113,20 +118,8 @@ def report_to_dict(rep) -> dict:
         },
         "mu": bn.milnor,
         "lct": _frac(rep.lct),
-        "toric_steps": [
-            {"i": s.i, "n": s.n, "q": s.q, "a": s.a, "b": s.b, "c": s.c, "d": s.d}
-            for s in rep.steps
-        ],
-        "divisors": [
-            {
-                "i": d.i,
-                "N_rupture": d.N_rupture,
-                "k_rupture_plus1": d.k_rupture_plus1,
-                "N_deadend": d.N_deadend,
-                "k_deadend_plus1": d.k_deadend_plus1,
-            }
-            for d in rep.divisors
-        ],
+        "toric_steps": [asdict(s) for s in rep.steps],
+        "divisors": [asdict(d) for d in rep.divisors],
         "candidates": [
             dict(zip(("i", "nu", "sigma", "eps1", "eps2", "eps3", "status"), row))
             for row in _candidate_rows(rep)
@@ -137,12 +130,7 @@ def report_to_dict(rep) -> dict:
         "eigenvalues": {
             "distinct": rep.eigenvalues.distinct,
             "classes": [
-                {
-                    "fraction": _ratio(frac, den),
-                    "members": [
-                        {"exponent": _ratio(k, den), "multiplicity": m} for k, m in items
-                    ],
-                }
+                {"fraction": _ratio(frac, den), "members": _exponent_list(items, den)}
                 for frac, items in rep.eigenvalues.groups
             ],
         },
@@ -181,12 +169,11 @@ def _print_analyze_text(rep) -> None:
     print("candidates (i, nu, sigma, eps1, eps2, eps3, status):")
     for row in _candidate_rows(rep):
         print("  " + " ".join(f"{v:>12}" for v in row[:6]) + f"  {row[6]}")
-    print(f"pi ({rep.pi_merged.total} exponents with multiplicity):")
-    for k, mult in rep.pi_merged.sorted_counts():
-        print(f"  {_ratio(k, rep.pi_merged.den):>12} x{mult}")
-    print("yano:")
-    for k, mult in rep.yano.sorted_counts():
-        print(f"  {_ratio(k, rep.yano.den):>12} x{mult}")
+    for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
+                     ("yano:", rep.yano)):
+        print(head)
+        for k, mult in ms.sorted_counts():
+            print(f"  {_ratio(k, ms.den):>12} x{mult}")
     print(f"eigenvalues distinct: {str(rep.eigenvalues.distinct).lower()}")
     for r in rep.resonances:
         where = ", ".join(f"(i={i}, nu={nu})" for i, nu, _ in r.occurrences)
@@ -195,11 +182,7 @@ def _print_analyze_text(rep) -> None:
 
 
 def cmd_analyze(ns) -> int:
-    try:
-        rep = branch_report(ns.input, nu_max=ns.nu_max)
-    except (InvalidCharSeq, NotPlaneBranchSemigroup) as exc:
-        _emit_validation_failure(ns.input, exc, ns.format)
-        return 2
+    rep = branch_report(ns.input, nu_max=ns.nu_max)
     if ns.format == "json":
         print(canonical_json(report_to_dict(rep)))
     elif ns.format == "tsv":
@@ -285,13 +268,7 @@ def _suite_rnm(tol: float, rel_tol: float) -> list[tuple[str, str, str, float, b
             case = f"rnm(alpha={a},n=0,beta={b},m=0,lambda={lam:g})"
             rows.append((case, _fmt_cx(want), _fmt_cx(got), rel, rel <= tol))
     for p in SYMMETRY_CASES:
-        a = rnm_closed_form(p)
-        swapped = RnmParams(
-            alpha=p.alpha_prime, n=-p.n, beta=p.beta_prime, m=-p.m,
-            lam=complex(p.lam).conjugate(),
-        )
-        b = rnm_closed_form(swapped)
-        ok = symmetry_check(p, rel_tol=1e-10)
+        a, b = symmetry_pair(p)
         if a.order == 0 and b.order == 0:
             rel = abs(a.value - b.value) / max(abs(a.value), abs(b.value))
             exp_s, got_s = _fmt_cx(a.value), _fmt_cx(b.value)
@@ -302,7 +279,7 @@ def _suite_rnm(tol: float, rel_tol: float) -> list[tuple[str, str, str, float, b
             f"symmetry(alpha={p.alpha},n={p.n},beta={p.beta},m={p.m},"
             f"lambda={complex(p.lam).real:g})"
         )
-        rows.append((case, exp_s, got_s, rel, ok))
+        rows.append((case, exp_s, got_s, rel, rel <= 1e-10))
     return rows
 
 
@@ -330,19 +307,15 @@ def _suite_combinatorics() -> list[tuple[str, str, str, float, bool]]:
             abs(c.eps1 + c.eps2 + c.eps3 + c.nu + 2) for c in rep.candidates
         )
         exact(f"sigma-relation({text})", Fraction(0), worst)
-        dead_ok = all(
-            (c.eps1.denominator == 1)
-            == (c.status in (PoleStatus.EXCLUDED_DEADEND, PoleStatus.EXCLUDED_BOTH))
-            for c in rep.candidates
-        )
-        exact(f"integrality-deadend({text})", True, dead_ok)
-        prev_ok = all(
-            (c.eps2.denominator == 1)
-            == (c.status in (PoleStatus.EXCLUDED_PREVIOUS, PoleStatus.EXCLUDED_BOTH))
-            for c in rep.candidates
-        )
-        exact(f"integrality-previous({text})", True, prev_ok)
-        exact(f"conductor-eq-milnor({text})", bn.conductor, bn.milnor)
+        # eps1 (eps2) is an integer exactly where the dead end (previous level) excludes
+        for name, eps, own in (("deadend", "eps1", PoleStatus.EXCLUDED_DEADEND),
+                               ("previous", "eps2", PoleStatus.EXCLUDED_PREVIOUS)):
+            excluded = (own, PoleStatus.EXCLUDED_BOTH)
+            ok = all((getattr(c, eps).denominator == 1) == (c.status in excluded)
+                     for c in rep.candidates)
+            exact(f"integrality-{name}({text})", True, ok)
+        # mu = 2 delta for a branch, delta counted as the semigroup's gaps
+        exact(f"conductor-eq-milnor({text})", bn.conductor, 2 * len(gaps(bn)))
         class_total = sum(
             m for _, items in rep.eigenvalues.classes for _, m in items
         )
@@ -403,12 +376,8 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_generate(ns) -> int:
-    try:
-        rep = branch_report(ns.input)
-    except (InvalidCharSeq, NotPlaneBranchSemigroup) as exc:
-        _emit_validation_failure(ns.input, exc, ns.format)
-        return 2
-    bn = rep.bn
+    text, kind, cs = resolve_input(ns.input)
+    bn = derive_numerics(cs)
     plane = plane_equation(bn)
     hs = monomial_curve_equations(bn)
     fam = None
@@ -428,7 +397,7 @@ def cmd_generate(ns) -> int:
 
     if ns.format == "json":
         payload = {
-            "input": {"text": rep.input_text, "kind": rep.kind},
+            "input": {"text": text, "kind": kind},
             "plane": _poly_dict(plane),
             "monomial_curve": [_poly_dict(h) for h in hs],
             "deformation": None,
@@ -578,7 +547,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return ns.func(ns)
+        rc = ns.func(ns)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return rc
+    except (InvalidCharSeq, NotPlaneBranchSemigroup) as exc:
+        _emit_validation_failure(ns.input, exc, ns.format)
+        return 2
+    except BrokenPipeError:
+        # the reader stopped reading: send what is still buffered to devnull
+        # so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

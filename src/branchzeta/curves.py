@@ -20,10 +20,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .branch import BranchNumerics, canonical_representation
 from .errors import InvalidCutoff, ZeroLambda
+
+
+def _accumulate(pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
+    """Sum (exponents, coefficient) pairs per exponent vector, dropping zeros."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e, c in pairs:
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
 
 
 class SparsePoly:
@@ -38,18 +51,17 @@ class SparsePoly:
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], object] = ()):
         self.variables = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
-            assert len(exps) == len(self.variables)
-            assert all(e >= 0 for e in exps)
-            c = clean.get(exps, Fraction(0)) + Fraction(coeff)
-            if c:
-                clean[exps] = c
-            else:
-                clean.pop(exps, None)
-        self.terms = clean
+        pairs = [(tuple(int(e) for e in exps), Fraction(c)) for exps, c in items]
+        assert all(len(e) == len(self.variables) and min(e, default=0) >= 0 for e, _ in pairs)
+        self.terms = _accumulate(pairs)
+
+    @classmethod
+    def _from_clean(cls, variables: tuple[str, ...], terms: dict) -> "SparsePoly":
+        # terms already well formed (exponent tuples, nonzero Fractions)
+        p = cls.__new__(cls)
+        p.variables, p.terms = variables, terms
+        return p
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "SparsePoly":
@@ -82,20 +94,14 @@ class SparsePoly:
     __hash__ = None
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._from_clean(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "SparsePoly":
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_same(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SparsePoly(self.variables, out)
+        return SparsePoly._from_clean(
+            self.variables, _accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other) -> "SparsePoly":
         return self + (-other)
@@ -104,22 +110,15 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return SparsePoly.zero(self.variables)
-            return SparsePoly(
+            return SparsePoly._from_clean(
                 self.variables, {e: c * other for e, c in self.terms.items()}
             )
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_same(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SparsePoly(self.variables, out)
+        return SparsePoly._from_clean(self.variables, _accumulate(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -144,15 +143,9 @@ class SparsePoly:
     def substitute_powers(self, powers: Sequence[int]) -> "SparsePoly":
         """Substitute variable j by t^powers[j]; result lives in C[t]."""
         assert len(powers) == len(self.variables)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = (sum(p * k for p, k in zip(powers, exps)),)
-            s = out.get(e, Fraction(0)) + coeff
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SparsePoly(("t",), out)
+        return SparsePoly._from_clean(("t",), _accumulate(
+            ((sum(p * k for p, k in zip(powers, exps)),), coeff)
+            for exps, coeff in self.terms.items()))
 
     def _monomial_str(self, exps: tuple[int, ...]) -> str:
         parts = []
@@ -209,6 +202,14 @@ def monomial_curve_equations(bn: BranchNumerics) -> list[SparsePoly]:
     return out
 
 
+def _product(fs: Sequence[SparsePoly], exps: Sequence[int], coeff=1) -> SparsePoly:
+    """coeff * prod f_l^{k_l} in C[x, y] for the exponent vector k."""
+    out = SparsePoly.monomial(("x", "y"), (0, 0), coeff)
+    for f, k in zip(fs, exps):
+        out = out * f**k
+    return out
+
+
 def _plane_recursion(
     bn: BranchNumerics,
     lambdas: Sequence[Fraction],
@@ -224,16 +225,9 @@ def _plane_recursion(
     names = ("x", "y")
     fs = [SparsePoly.variable(names, "x"), SparsePoly.variable(names, "y")]
     for i in range(1, bn.g + 1):
-        rep = _canonical_exponents(bn, i)
-        prod = SparsePoly.monomial(names, (0, 0))
-        for l, k in enumerate(rep):
-            prod = prod * fs[l] ** k
-        nxt = fs[i] ** bn.nn[i] - lambdas[i - 1] * prod
+        nxt = fs[i] ** bn.nn[i] - lambdas[i - 1] * _product(fs, _canonical_exponents(bn, i))
         for exps, coeff in level_terms.get(i, ()):
-            mono = SparsePoly.monomial(names, (0, 0), coeff)
-            for l, k in enumerate(exps):
-                mono = mono * fs[l] ** k
-            nxt = nxt + mono
+            nxt = nxt + _product(fs, exps, coeff)
         fs.append(nxt)
     return fs
 
@@ -349,7 +343,6 @@ def deformation_family(
     elif coefficient_source is not None:
         raise TypeError("coefficient_source must be None, an int seed, or a mapping")
 
-    names = ("x", "y")
     base_fs = _plane_recursion(bn, [Fraction(1), *lams])
 
     terms: list[DeformationTerm] = []
@@ -371,9 +364,7 @@ def deformation_family(
         walk(0, (), 0)
         found.sort()
         for weight, exps in found:
-            mono = SparsePoly.monomial(names, (0, 0))
-            for l, k in enumerate(exps):
-                mono = mono * base_fs[l] ** k
+            mono = _product(base_fs, exps)
             if rng is not None:
                 coeff = _draw_coefficient(rng)
             elif explicit is not None:

@@ -278,17 +278,19 @@ def rnm_closed_form(p: RnmParams) -> MeromorphicValue:
     return MeromorphicValue(order=0, value=value, reason=reason)
 
 
-def symmetry_check(p: RnmParams, rel_tol: float = 1e-10) -> bool:
-    """Verify R_{n,m}(alpha, beta; lambda) = R_{-n,-m}(alpha', beta'; conj lambda).
-
-    Both sides are evaluated through the closed form; orders must agree and
-    finite values must match to rel_tol relative.
-    """
+def symmetry_pair(p: RnmParams) -> tuple[MeromorphicValue, MeromorphicValue]:
+    """Closed forms of both sides of the symmetry
+    R_{n,m}(alpha, beta; lambda) = R_{-n,-m}(alpha', beta'; conj lambda)."""
     swapped = RnmParams(
         alpha=p.alpha_prime, n=-p.n, beta=p.beta_prime, m=-p.m, lam=complex(p.lam).conjugate()
     )
-    a = rnm_closed_form(p)
-    b = rnm_closed_form(swapped)
+    return rnm_closed_form(p), rnm_closed_form(swapped)
+
+
+def symmetry_check(p: RnmParams, rel_tol: float = 1e-10) -> bool:
+    """Verify the symmetry of symmetry_pair: orders must agree and finite
+    values must match to rel_tol relative."""
+    a, b = symmetry_pair(p)
     if a.order != b.order:
         return False
     if a.order != 0:

@@ -20,8 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .branch import (BranchNumerics, CharSeq, PlaneSemigroup, charseq_from_semigroup,
-                     derive_numerics, parse_input)
+from .branch import BranchNumerics, derive_numerics, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient
 from .toric import DivisorNumerics, ToricStep, divisor_numerics
 
@@ -232,8 +231,10 @@ def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
 
 
 def log_canonical_threshold(bn: BranchNumerics) -> Fraction:
-    """lct = (m_1 + n_1)/(n_1 betabar_1), the opposite of the largest pole."""
-    return Fraction(bn.mm[1] + bn.nn[1], bn.nn[1] * bn.gens[1])
+    """lct = r_1/N_1 = (m_1 + n_1)/(n_1 betabar_1), the opposite of the largest
+    pole: the first candidate (nu = 0) of the first ladder."""
+    first = bn.ladders[0]
+    return Fraction(first.r, first.N)
 
 
 @dataclass(frozen=True)
@@ -284,14 +285,7 @@ def branch_report(input_spec, nu_max: int | None = None) -> BranchReport:
     PlaneSemigroup or an input string in either CLI syntax; input_text is in
     CLI syntax.  The candidates cover one full period 0 <= nu < n_i betabar_i
     per rupture index; nu_max extends it."""
-    text = None if isinstance(input_spec, (CharSeq, PlaneSemigroup)) else str(input_spec)
-    spec = input_spec if text is None else parse_input(text)
-    if isinstance(spec, PlaneSemigroup):
-        kind, cs = "semigroup", charseq_from_semigroup(spec)
-        text = text or "semigroup:" + ",".join(map(str, spec.gens))
-    else:
-        kind, cs = "charseq", spec
-        text = text or ",".join(map(str, (cs.n, *cs.betas)))
+    text, kind, cs = resolve_input(input_spec)
     bn = derive_numerics(cs)
 
     ends = tuple(lad.N if nu_max is None else max(lad.N, nu_max + 1) for lad in bn.ladders)
@@ -299,7 +293,6 @@ def branch_report(input_spec, nu_max: int | None = None) -> BranchReport:
     yano = yano_multiset(bn)
     eigen = eigenvalue_analysis(pi_merged)
     lct = log_canonical_threshold(bn)
-    assert lct == Fraction(bn.ladders[0].r, bn.ladders[0].N)  # nu = 0 at i = 1 comes first
     # the smallest kept pole value: every ladder's lies in its first period
     assert lct == Fraction(min(pi_merged.counts), pi_merged.den)
 

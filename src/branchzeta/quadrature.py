@@ -90,41 +90,24 @@ def _panel(f, a, b, c, d, order=24, sub=2):
     return total
 
 
-def _integrand(p0: float, beta: float, n: int, m: int):
+def _integrand(p0: float, beta: float, n: int, m: int, r0: float):
     """Folded integrand on theta in [0, pi] (the x2 fold factor is applied
     by the caller): r^{p0} s^beta Re[e^{i n theta} (1 - r e^{i theta})^m],
-    s = (1-r)^2 + 4 r sin^2(theta/2)."""
-
-    def f(r, t):
-        sh = np.sin(0.5 * t)
-        s = (1.0 - r) ** 2 + 4.0 * r * sh * sh
-        acc = np.power(r, p0) * np.power(s, beta)
-        if n == 0 and m == 0:
-            return acc
-        phase = np.exp(1j * n * t)
-        if m != 0:
-            lin = (1.0 - r) + 2.0 * r * sh * (sh - 1j * np.cos(0.5 * t))
-            phase = phase * lin**m
-        return acc * np.real(phase)
-
-    return f
-
-
-def _integrand_local(p0: float, beta: float, n: int, m: int):
-    """Same integrand near the singular point, parametrized by u = r - 1 so
-    that (1 - r) = -u stays exact for subdivision depths far below the
-    floating-point spacing around r = 1."""
+    s = (1-r)^2 + 4 r sin^2(theta/2), in the coordinate u = r - r0.  With
+    1 - r computed as (1 - r0) - u, r0 = 1 keeps it exact near the singular
+    point for subdivision depths far below the spacing of doubles at r = 1."""
 
     def f(u, t):
-        r = 1.0 + u
+        r = r0 + u
+        d = (1.0 - r0) - u
         sh = np.sin(0.5 * t)
-        s = u * u + 4.0 * r * sh * sh
+        s = d * d + 4.0 * r * sh * sh
         acc = np.power(r, p0) * np.power(s, beta)
         if n == 0 and m == 0:
             return acc
         phase = np.exp(1j * n * t)
         if m != 0:
-            lin = -u + 2.0 * r * sh * (sh - 1j * np.cos(0.5 * t))
+            lin = d + 2.0 * r * sh * (sh - 1j * np.cos(0.5 * t))
             phase = phase * lin**m
         return acc * np.real(phase)
 
@@ -162,8 +145,8 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
     p0 = two_a + 1.0  # radial power at r = 0, > -1
     w = two_b  # local exponent at (r, theta) = (1, 0), > -2
     pt = two_a + two_b + 1.0  # radial power at infinity, < -1
-    f = _integrand(p0, beta, n, m)
-    floc = _integrand_local(p0, beta, n, m)
+    f = _integrand(p0, beta, n, m, 0.0)
+    floc = _integrand(p0, beta, n, m, 1.0)  # u = r - 1 around the singular point
     eps_frac = cfg.rel_tol / 10.0
     d0 = cfg.zero_split
     d1 = cfg.one_split

@@ -3,9 +3,13 @@ strict-transform linear forms, and the Bell-polynomial utility.
 
 Each characteristic exponent contributes one toric step (n_i, q_i) together
 with the unique non-negative Bezout data (a_i, b_i, c_i, d_i) normalized by
-0 <= a_i < n_i.  The steps drive the multiplicities (N, k+1) of the rupture
-and dead-end divisors and the three linear forms rho/A/C that measure the
-orders of a deformation monomial along the exceptional divisors.
+0 <= a_i < n_i.  The steps drive the three linear forms rho/A/C that measure
+the orders of a deformation monomial along the exceptional divisors.
+
+The multiplicities (N, k+1) of the rupture and dead-end divisors, and the
+k_i coefficient D_i of the C form, are not derived here: they are read off
+the integer candidate ladders (BranchNumerics.ladders, built once per branch
+by poles.Ladder.of), the one place that computes them.
 """
 
 from __future__ import annotations
@@ -69,20 +73,11 @@ def toric_steps(bn: BranchNumerics) -> list[ToricStep]:
 
 
 def divisor_numerics(bn: BranchNumerics) -> list[DivisorNumerics]:
-    """Multiplicity data (N, k+1) for the rupture and dead-end divisors."""
-    out = []
-    for i in range(1, bn.g + 1):
-        r = bn.mm[i] + bn.nprod(1, i)
-        out.append(
-            DivisorNumerics(
-                i=i,
-                N_rupture=bn.nn[i] * bn.gens[i],
-                k_rupture_plus1=r,
-                N_deadend=bn.gens[i],
-                k_deadend_plus1=-(-r // bn.nn[i]),
-            )
-        )
-    return out
+    """Multiplicity data (N, k+1) for the rupture and dead-end divisors, read
+    off the candidate ladders: (N_i, r_i) at the rupture divisor and
+    (N_i/n_i = betabar_i, ceil(r_i/n_i)) at the dead end."""
+    return [DivisorNumerics(lad.i, lad.N, lad.r, lad.N // lad.n, -(-lad.r // lad.n))
+            for lad in bn.ladders]
 
 
 def linear_forms(bn: BranchNumerics, i: int, j: int, ks) -> tuple[int, int, int]:
@@ -103,8 +98,7 @@ def linear_forms(bn: BranchNumerics, i: int, j: int, ks) -> tuple[int, int, int]
 
     step = bn.steps[i - 1]
     mbar_i = bn.mbar[i]
-    # D = c_i n_{i-1} mbar_{i-1} + d_i, the k_i coefficient shared by C
-    dd = step.c * bn.nn[i - 1] * bn.mbar[i - 1] + step.d
+    dd = bn.ladders[i - 1].D  # c_i n_{i-1} mbar_{i-1} + d_i, the k_i coefficient shared by C
     aa = step.a * bn.nn[i - 1] * bn.mbar[i - 1] + step.b
 
     rho = -mbar_i * bn.nprod(i, j)

@@ -8,6 +8,12 @@ eps2 + 1 = (-(c_i n_{i-1} mbar_{i-1} + d_i) nu + m_{i-1} - n_{i-1} mbar_{i-1}
 + n_1...n_{i-1})/mbar_i, eps3 = e_i sigma, and the exclusion tests are the
 integrality of betabar_i sigma (dead end) and e_{i-1} sigma (previous
 level).  Statuses are the PoleStatus value strings.
+
+The divisor data and the log canonical threshold are here too, in the
+closed forms that branchzeta.toric and branchzeta.poles used before they
+read them off the ladders: N = n_i betabar_i and k + 1 = m_i + n_1...n_i at
+the rupture divisor, betabar_i and ceil((k + 1)/n_i) at the dead end, and
+lct = (m_1 + n_1)/(n_1 betabar_1).
 """
 
 from fractions import Fraction
@@ -41,6 +47,19 @@ def candidate_pole(bn, i, nu):
     dead = (bn.gens[i] * sigma).denominator == 1
     prev = (bn.e[i - 1] * sigma).denominator == 1
     return i, nu, sigma, eps1, eps2, eps3, STATUS[dead, prev]
+
+
+def divisor_numerics(bn):
+    """(i, N_rupture, k_rupture_plus1, N_deadend, k_deadend_plus1) per step."""
+    out = []
+    for i in range(1, bn.g + 1):
+        r = bn.mm[i] + bn.nprod(1, i)
+        out.append((i, bn.nn[i] * bn.gens[i], r, bn.gens[i], -(-r // bn.nn[i])))
+    return out
+
+
+def log_canonical_threshold(bn):
+    return Fraction(bn.mm[1] + bn.nn[1], bn.nn[1] * bn.gens[1])
 
 
 def candidates(bn, nu_max=None):

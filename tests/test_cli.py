@@ -2,12 +2,20 @@
 round-trips, and the verify suites."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import branchzeta.cli
+import branchzeta.poles
+from branchzeta.branch import gaps
 from branchzeta.cli import _merge_negative_values, canonical_json, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *args):
@@ -241,6 +249,15 @@ class TestVerify:
         assert rc == 0
         assert all(l.startswith("ok") for l in out.splitlines())
 
+    def test_conductor_row_fails_on_a_missing_gap(self, capsys, monkeypatch):
+        # mu = 2 delta: one gap fewer must fail the row, whatever the conductor
+        monkeypatch.setattr(branchzeta.cli, "gaps", lambda bn: gaps(bn)[1:])
+        rc, out, err = run(capsys, "verify", "--suite", "combinatorics", "--format", "json")
+        assert rc == 3
+        failed = [r["case"] for r in json.loads(out)["rows"] if not r["pass"]]
+        assert failed == [f"conductor-eq-milnor({t})" for t in ("2,3", "4,9", "4,6,7", "6,9,22")]
+        assert "FAILED conductor-eq-milnor(2,3)" in err
+
 
 class TestGenerate:
     def test_plane_goldens(self, capsys):
@@ -298,6 +315,17 @@ class TestGenerate:
         rc, _, _ = run(capsys, "generate", "4,8")
         assert rc == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+    def test_needs_no_pole_report(self, capsys, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate built the pole report")
+
+        monkeypatch.setattr(branchzeta.cli, "branch_report", refuse)
+        monkeypatch.setattr(branchzeta.poles, "branch_report", refuse)
+        rc, out, _ = run(capsys, "generate", "semigroup:4,6,13", "--format", fmt)
+        assert rc == 0
+        assert out.encode() == (GOLDEN / f"generate_semigroup_4_6_13.{fmt}").read_bytes()
+
 
 class TestPlumbing:
     def test_merge_negative_values(self):
@@ -318,3 +346,18 @@ class TestPlumbing:
         )
         assert r.returncode == 0
         assert json.loads(r.stdout)["mu"] == 24
+
+    def test_closed_stdout_exits_0_without_traceback(self):
+        # the reader takes the header line and closes the pipe while the
+        # command still has about 2 MB of rows to write
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "branchzeta.cli", "analyze", "2,20001", "--format", "tsv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline() == b"i\tnu\tsigma\teps1\teps2\teps3\tstatus\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert b"Traceback" not in err
+        assert err == b""

@@ -1,5 +1,6 @@
-"""Byte goldens of `analyze`: the JSON, TSV and text outputs stored in
-tests/golden/ must be reproduced exactly, byte for byte."""
+"""Byte goldens of `analyze`, `generate` and `verify --suite combinatorics`:
+the JSON, TSV and text outputs stored in tests/golden/ must be reproduced
+exactly, byte for byte, with the same exit code."""
 
 from pathlib import Path
 
@@ -29,3 +30,24 @@ def test_analyze_bytes(capsys, name, args):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.encode() == (GOLDEN / f"analyze_{name}").read_bytes()
+
+
+COMMANDS = {
+    "generate_4_9_deform_c38_s7": (["generate", "4,9", "--deform", "--cutoff", "38",
+                                    "--seed", "7"], 0),
+    "generate_4_6_7_deform_l2_3": (["generate", "4,6,7", "--deform", "--lambdas", "2/3"], 0),
+    "generate_semigroup_4_6_13": (["generate", "semigroup:4,6,13"], 0),
+    "generate_4_8": (["generate", "4,8"], 2),
+    "verify_combinatorics": (["verify", "--suite", "combinatorics"], 0),
+}
+
+COMMAND_CASES = [(f"{stem}.{fmt}", [*argv, "--format", fmt], rc)
+                 for stem, (argv, rc) in COMMANDS.items() for fmt in ("json", "tsv", "text")]
+
+
+@pytest.mark.parametrize("name,argv,code", COMMAND_CASES, ids=[c[0] for c in COMMAND_CASES])
+def test_command_bytes(capsys, name, argv, code):
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == code
+    assert out.encode() == (GOLDEN / name).read_bytes()

@@ -1,15 +1,19 @@
 """The integer ladder core against the Fraction oracle (fraction_oracle.py):
 every candidate field and status, the Pi multisets, Yano's multiset, the
 eigenvalue classes and the resonances, over random characteristic
-sequences, some with an extended ladder."""
+sequences, some with an extended ladder; and the divisor data and lct read
+off the ladders against their closed forms."""
 
 import random
+from dataclasses import astuple
 
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracle as oracle
 from branchzeta.branch import parse_input, random_charseq
-from branchzeta.poles import branch_report, candidate_pole, residue_numbers
+from branchzeta.poles import (branch_report, candidate_pole, log_canonical_threshold,
+                              residue_numbers)
+from branchzeta.toric import divisor_numerics
 
 
 @st.composite
@@ -62,3 +66,15 @@ def test_single_candidates_far_out(draw, nus):
         for nu in nus:
             assert as_tuple(candidate_pole(bn, i, nu)) == oracle.candidate_pole(bn, i, nu)
             assert residue_numbers(bn, bn.steps, i, nu) == oracle.residue_numbers(bn, i, nu)
+
+
+@given(draws())
+@settings(max_examples=60, deadline=None)
+def test_divisor_data_and_lct_match_closed_forms(draw):
+    cs, _ = draw
+    rep = branch_report(cs)
+    bn = rep.bn
+    want = oracle.divisor_numerics(bn)
+    assert [astuple(d) for d in divisor_numerics(bn)] == want
+    assert [astuple(d) for d in rep.divisors] == want
+    assert log_canonical_threshold(bn) == rep.lct == oracle.log_canonical_threshold(bn)
