@@ -43,15 +43,14 @@ class CharSeq:
                     f"entries must increase strictly: beta_{i} = {b} <= {prev}"
                 )
             prev = b
-        e = self.n
+        e, nn = _gcd_chain((self.n, *self.betas))
         for i, b in enumerate(self.betas, start=1):
-            if b % e == 0:
+            if nn[i] == 1:
                 raise InvalidCharSeq(
-                    f"gcd chain stalls: e_{i - 1} = {e} divides beta_{i} = {b}"
+                    f"gcd chain stalls: e_{i - 1} = {e[i - 1]} divides beta_{i} = {b}"
                 )
-            e = math.gcd(e, b)
-        if e != 1:
-            raise InvalidCharSeq(f"gcd chain must end at 1, got e_g = {e}")
+        if e[-1] != 1:
+            raise InvalidCharSeq(f"gcd chain must end at 1, got e_g = {e[-1]}")
 
     @property
     def g(self) -> int:

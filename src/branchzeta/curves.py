@@ -124,6 +124,10 @@ class SparsePoly:
 
     def __pow__(self, k: int) -> "SparsePoly":
         assert isinstance(k, int) and k >= 0
+        if len(self.terms) == 1:
+            # a monomial power is one term: no k-fold product needed
+            ((e, c),) = self.terms.items()
+            return SparsePoly._from_clean(self.variables, {tuple(a * k for a in e): c**k})
         out = SparsePoly.monomial(self.variables, (0,) * len(self.variables))
         for _ in range(k):
             out = out * self

@@ -52,9 +52,13 @@ _LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 def log_gamma(z) -> complex:
     """Complex log-Gamma (Lanczos on the right half-plane, reflection on the
     left).  The imaginary part is not branch-normalized; only differences are
-    ever exponentiated here, so any 2 pi i ambiguity cancels."""
-    z = complex(z)
+    ever exponentiated here, so any 2 pi i ambiguity cancels.  A non-integer
+    Fraction whose double is a pole raises DomainError naming the rounding."""
+    exact, z = z, complex(z)
     if z.imag == 0 and z.real <= 0 and z.real == round(z.real):
+        if isinstance(exact, Fraction) and exact.denominator != 1:
+            msg = f"log_gamma argument rounds onto the pole {z.real:g} in double precision"
+            raise DomainError(msg)
         raise DomainError(f"log_gamma pole at non-positive integer {z}")
     if z.real < 0.5:
         # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
@@ -92,25 +96,8 @@ class MeromorphicValue:
             assert self.value == 0
 
 
-def _as_exact(x):
-    """Normalize a rational-like input to Fraction; pass complex through."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        # exact binary value; pass Fraction directly when an exact decimal
-        # rational is intended
-        return Fraction(x)
-    if isinstance(x, complex):
-        if x.imag == 0:
-            return _as_exact(x.real)
-        return x
-    return Fraction(x)
-
-
-def _nonpos_int(x) -> bool:
-    return isinstance(x, Fraction) and x.denominator == 1 and x <= 0
+def _nonpos_int(x: Fraction) -> bool:
+    return x.denominator == 1 and x <= 0
 
 
 def _polar(log_c: complex, sign: float = 1.0) -> tuple[float, complex]:
@@ -125,17 +112,15 @@ def _log_factorial_ratio(l: int, k: int) -> float:
     return math.lgamma(l + 1) - math.lgamma(k + 1)
 
 
-def _pair_ladder(u, v) -> tuple[int, float, complex]:
+def _pair_ladder(u: Fraction, v: Fraction) -> tuple[int, float, complex]:
     """Order, log-magnitude and phase of the Laurent leading coefficient of
-    lim Gamma(u+eps)/Gamma(v+eps).
+    lim Gamma(u+eps)/Gamma(v+eps), for u + v integral.
 
     Near a non-positive integer -k, Gamma(-k+eps) = (-1)^k/(k! eps) + O(1).
     The leading coefficient is the value when order = 0, the residue-ratio
     coefficient otherwise; it is finite and nonzero in every case, but may
     lie far outside double range, so it is returned as log|c| and c/|c|.
     """
-    u = _as_exact(u)
-    v = _as_exact(v)
     u_sing = _nonpos_int(u)
     v_sing = _nonpos_int(v)
     if u_sing and v_sing:
@@ -147,15 +132,10 @@ def _pair_ladder(u, v) -> tuple[int, float, complex]:
     if v_sing:
         l = int(-v)
         return (-1, *_polar(math.lgamma(l + 1) + log_gamma(u), (-1.0) ** (l % 2)))
-    if (
-        isinstance(u, Fraction)
-        and isinstance(v, Fraction)
-        and u.denominator == 1
-        and v.denominator == 1
-    ):
-        # both positive integers: (u-1)!/(v-1)!
+    if u.denominator == 1:
+        # both positive integers (u + v is integral): (u-1)!/(v-1)!
         return 0, _log_factorial_ratio(int(u) - 1, int(v) - 1), complex(1.0)
-    return (0, *_polar(log_gamma(complex(u)) - log_gamma(complex(v))))
+    return (0, *_polar(log_gamma(u) - log_gamma(v)))
 
 
 def _from_polar(log_mag: float, phase: complex) -> complex:
@@ -169,27 +149,9 @@ def _from_polar(log_mag: float, phase: complex) -> complex:
     return math.exp(log_mag) * phase
 
 
-def gamma_pair(u, v) -> MeromorphicValue:
-    """One Gamma ratio Gamma(u)/Gamma(v) with exact order bookkeeping.
-
-    Requires u + v integral (true of all three kernel pairs); that makes
-    "u integral" and "v integral" equivalent, so mixed integer/non-integer
-    pairs cannot occur.
-    """
-    ue = _as_exact(u)
-    ve = _as_exact(v)
-    total = (ue + ve) if not isinstance(ue, complex) and not isinstance(ve, complex) else None
-    if total is None:
-        s = complex(u) + complex(v)
-        if s.imag != 0 or s.real != round(s.real):
-            raise PreconditionViolated(f"u + v = {s} is not an integer")
-    elif total.denominator != 1:
-        raise PreconditionViolated(f"u + v = {total} is not an integer")
-    order, log_mag, phase = _pair_ladder(ue, ve)
-    reason = (
-        (f"Gamma({ue})", 1 if _nonpos_int(ue) else 0),
-        (f"1/Gamma({ve})", -1 if _nonpos_int(ve) else 0),
-    )
+def _meromorphic(order: int, log_mag: float, phase: complex, reason) -> MeromorphicValue:
+    """The MeromorphicValue of a product with total order `order` whose
+    leading coefficient is exp(log_mag) * phase."""
     if order > 0:
         return MeromorphicValue(order=order, value=None, reason=reason)
     if order < 0:
@@ -197,26 +159,44 @@ def gamma_pair(u, v) -> MeromorphicValue:
     return MeromorphicValue(order=0, value=_from_polar(log_mag, phase), reason=reason)
 
 
+def gamma_pair(u, v) -> MeromorphicValue:
+    """One Gamma ratio Gamma(u)/Gamma(v) with exact order bookkeeping.
+
+    Requires u + v integral (true of all three kernel pairs); that makes
+    "u integral" and "v integral" equivalent, so mixed integer/non-integer
+    pairs cannot occur.  u and v are converted exactly with Fraction.
+    """
+    u, v = Fraction(u), Fraction(v)
+    if (u + v).denominator != 1:
+        raise PreconditionViolated(f"u + v = {u + v} is not an integer")
+    reason = (
+        (f"Gamma({u})", 1 if _nonpos_int(u) else 0),
+        (f"1/Gamma({v})", -1 if _nonpos_int(v) else 0),
+    )
+    return _meromorphic(*_pair_ladder(u, v), reason)
+
+
 @dataclass(frozen=True)
 class RnmParams:
     """Parameters of the kernel; alpha' = alpha + n, beta' = beta + m.
 
-    alpha and beta should be exact rationals (Fraction/int) for exact
-    order bookkeeping; complex values are accepted and simply never hit the
-    integer lattice.  lam is the lambda scale, nonzero.
+    alpha and beta are rationals, stored as Fraction: a float, int or str
+    converts exactly (a float by its binary value), and a complex value
+    raises TypeError.  lam is the lambda scale, nonzero and possibly
+    complex.
     """
 
-    alpha: object
+    alpha: Fraction
     n: int
-    beta: object
+    beta: Fraction
     m: int
     lam: complex = 1.0
 
     def __post_init__(self):
         if complex(self.lam) == 0:
             raise DomainError("lambda must be nonzero")
-        object.__setattr__(self, "alpha", _as_exact(self.alpha))
-        object.__setattr__(self, "beta", _as_exact(self.beta))
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "beta", Fraction(self.beta))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "m", int(self.m))
 
@@ -262,20 +242,17 @@ def rnm_closed_form(p: RnmParams) -> MeromorphicValue:
         log_mag += pair_log
         phase *= pair_phase
         reason.append((label, order))
-    reason = tuple(reason)
-    if total > 0:
-        return MeromorphicValue(order=total, value=None, reason=reason)
-    if total < 0:
-        return MeromorphicValue(order=total, value=0j, reason=reason)
-    lam = complex(p.lam)
-    a_exp = -complex(p.alpha_prime) - 1
-    b_exp = -complex(p.alpha) - 1
-    pre_log, pre_phase = _polar(
-        math.log(2.0 * math.pi) + a_exp * cmath.log(lam) + b_exp * cmath.log(lam.conjugate()),
-        -1j,
-    )
-    value = _from_polar(log_mag + pre_log, phase * pre_phase)
-    return MeromorphicValue(order=0, value=value, reason=reason)
+    if total == 0:
+        lam = complex(p.lam)
+        a_exp = -complex(p.alpha_prime) - 1
+        b_exp = -complex(p.alpha) - 1
+        pre_log, pre_phase = _polar(
+            math.log(2.0 * math.pi) + a_exp * cmath.log(lam) + b_exp * cmath.log(lam.conjugate()),
+            -1j,
+        )
+        log_mag += pre_log
+        phase *= pre_phase
+    return _meromorphic(total, log_mag, phase, tuple(reason))
 
 
 def symmetry_pair(p: RnmParams) -> tuple[MeromorphicValue, MeromorphicValue]:

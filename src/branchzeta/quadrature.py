@@ -13,7 +13,7 @@ which is branch-free.  Conjugate symmetry in theta folds the angular range
 to [0, pi] with twice the real part.  The plan is deterministic: dyadic
 panels graded toward r = 0, L-infinity dyadic shells around the integrable
 singularity at (r, theta) = (1, 0), smooth mid-range rectangles, and dyadic
-radial panels outward from cfg.r_max until an analytic power-law remainder
+radial panels outward from _R_MAX until an analytic power-law remainder
 bound certifies the neglected tail below tolerance.  All omitted regions
 (shell core, innermost disk, far tail) are controlled by explicit bounds,
 so tightening rel_tol only ever adds panels.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,48 +31,36 @@ from .errors import ConvergenceFailure, DomainError
 from .gammaratio import RnmParams
 
 
+# Fixed mesh geometry in the scaled variable r = |lambda z|: the fine mesh
+# ends at _R_MAX > 2 (extension panels continue until the tail bound holds),
+# each refinement loop (inner grading, singular shells) stops after
+# _MAX_SUBDIVISIONS steps with ConvergenceFailure, the graded region around
+# r = 0 ends at _ZERO_SPLIT, and the singular box around (r, theta) = (1, 0)
+# has half-width _ONE_SPLIT; both splits lie in (0, 1/2].  All panels use
+# the 24-point Gauss-Legendre rule _GAUSS (nodes, weights on [-1, 1]).
+_R_MAX = 1e3
+_MAX_SUBDIVISIONS = 512
+_ZERO_SPLIT = 0.5
+_ONE_SPLIT = 0.5
+_GAUSS = np.polynomial.legendre.leggauss(24)
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and mesh geometry for the quadrature oracle.
-
-    rel_tol: target relative accuracy; each neglected-region bound is pushed
-        below rel_tol/10 of the accumulated integral.
-    r_max: radius (in the scaled variable r = |lambda z|) where the finely
-        subdivided region ends; dyadic extension panels continue past it
-        until the analytic tail bound is satisfied.  The z-plane requirement
-        r_max > 2/|lambda| is exactly r_max > 2 in this variable.
-    max_subdivisions: cap on each refinement loop (inner grading, singular
-        shells, tail doublings) before ConvergenceFailure.
-    zero_split: outer radius of the graded region around r = 0.
-    one_split: half-width of the singular box around (r, theta) = (1, 0).
-    """
+    """Target relative accuracy of the quadrature oracle: each
+    neglected-region bound is pushed below rel_tol/10 of the accumulated
+    integral."""
 
     rel_tol: float = 1e-5
-    r_max: float = 1e3
-    max_subdivisions: int = 512
-    zero_split: float = 0.5
-    one_split: float = 0.5
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if not self.r_max > 2:
-            raise DomainError("r_max must exceed 2 (i.e. 2/|lambda| in z units)")
-        if not (0 < self.zero_split <= 0.5 and 0 < self.one_split <= 0.5):
-            raise DomainError("split radii must lie in (0, 1/2]")
-        if self.max_subdivisions < 8:
-            raise DomainError("max_subdivisions too small")
 
 
-@lru_cache(maxsize=None)
-def _gauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _panel(f, a, b, c, d, order=24, sub=2):
+def _panel(f, a, b, c, d, sub=2):
     """Tensor Gauss-Legendre of f over [a,b] x [c,d], split sub x sub."""
-    x, w = _gauss(order)
+    x, w = _GAUSS
     total = 0.0
     rs = np.linspace(a, b, sub + 1)
     ts = np.linspace(c, d, sub + 1)
@@ -114,13 +101,6 @@ def _integrand(p0: float, beta: float, n: int, m: int, r0: float):
     return f
 
 
-def _require_real_positive_lambda(p: RnmParams) -> float:
-    lam = complex(p.lam)
-    if lam.imag != 0 or lam.real <= 0:
-        raise DomainError("quadrature oracle requires real lambda > 0")
-    return lam.real
-
-
 def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
     """Numerically integrate the kernel in its absolute-convergence region.
 
@@ -129,7 +109,10 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
     Raises ConvergenceFailure when a refinement loop exhausts its budget.
     Deterministic: fixed mesh construction and summation order.
     """
-    lam = _require_real_positive_lambda(p)
+    lam = complex(p.lam)
+    if lam.imag != 0 or lam.real <= 0:
+        raise DomainError("quadrature oracle requires real lambda > 0")
+    lam = lam.real
     alpha = float(p.alpha)
     beta = float(p.beta)
     n, m = p.n, p.m
@@ -148,8 +131,8 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
     f = _integrand(p0, beta, n, m, 0.0)
     floc = _integrand(p0, beta, n, m, 1.0)  # u = r - 1 around the singular point
     eps_frac = cfg.rel_tol / 10.0
-    d0 = cfg.zero_split
-    d1 = cfg.one_split
+    d0 = _ZERO_SPLIT
+    d1 = _ONE_SPLIT
     pieces: list[float] = []
 
     # fixed smooth mid-range rectangles
@@ -160,8 +143,8 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
 
     # dyadic radial panels from 2 out to r_max
     r_lo = 2.0
-    while r_lo < cfg.r_max:
-        r_hi = min(2.0 * r_lo, cfg.r_max)
+    while r_lo < _R_MAX:
+        r_hi = min(2.0 * r_lo, _R_MAX)
         pieces.append(_panel(f, r_lo, r_hi, 0.0, math.pi, sub=2))
         r_lo = r_hi
 
@@ -218,12 +201,12 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
         while inner_bound(inner_lo) >= tol:
             add_inner()
             refined = True
-            if d0 / inner_lo > 2.0**cfg.max_subdivisions:
+            if d0 / inner_lo > 2.0**_MAX_SUBDIVISIONS:
                 raise ConvergenceFailure("inner grading budget exhausted")
         while core_bound(d1 * 2.0**-shells) >= tol:
             add_shell()
             refined = True
-            if shells > cfg.max_subdivisions:
+            if shells > _MAX_SUBDIVISIONS:
                 raise ConvergenceFailure("singular-shell budget exhausted")
         while tail_bound(tail_hi) >= tol:
             add_tail()
@@ -239,7 +222,7 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
     return -2j * lam ** (-(two_a + 2.0)) * total
 
 
-def vanishing_integral_check(n: int, alpha, R: float, cfg: QuadConfig = QuadConfig()) -> complex:
+def vanishing_integral_check(n: int, alpha, R: float) -> complex:
     """Integrate z^{alpha+n} conj(z)^alpha over |z| <= R numerically.
 
     The angular factor integrates to exactly zero for n != 0; the returned
@@ -257,21 +240,16 @@ def vanishing_integral_check(n: int, alpha, R: float, cfg: QuadConfig = QuadConf
     if not R > 0:
         raise DomainError("R must be positive")
 
-    x, wts = _gauss(24)
-
-    def radial(g):
-        total = []
-        lo_edge = R / 2.0**40
-        edges = [0.0, lo_edge]
-        while edges[-1] < R:
-            edges.append(min(2.0 * edges[-1], R))
-        for a_, b_ in zip(edges[:-1], edges[1:]):
-            half, mid = 0.5 * (b_ - a_), 0.5 * (b_ + a_)
-            rn = mid + half * x
-            total.append(half * float(wts @ g(rn)))
-        return math.fsum(total)
-
-    rad = radial(lambda r: np.power(r, power))
+    x, wts = _GAUSS
+    # radial factor on dyadic panels, the innermost ending at R / 2^40
+    edges = [0.0, R / 2.0**40]
+    while edges[-1] < R:
+        edges.append(min(2.0 * edges[-1], R))
+    rad_parts = []
+    for a_, b_ in zip(edges[:-1], edges[1:]):
+        half, mid = 0.5 * (b_ - a_), 0.5 * (b_ + a_)
+        rad_parts.append(half * float(wts @ np.power(mid + half * x, power)))
+    rad = math.fsum(rad_parts)
     panels = max(8, 4 * abs(n))
     ang_parts = []
     for k in range(panels):

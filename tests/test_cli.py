@@ -1,6 +1,8 @@
 """CLI contract tests: exit codes, golden outputs, canonical JSON
 round-trips, and the verify suites."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import branchzeta.cli
 import branchzeta.poles
@@ -168,6 +171,18 @@ class TestResidue:
         assert rc == 2
         assert "Traceback" not in err
         assert "double range" in json.loads(out)["reason"]
+
+    @pytest.mark.parametrize("alpha,shown", [
+        ("--alpha=1e-400", "-0"),
+        ("--alpha=-1000000000000000001/2", "-5e+17"),
+    ])
+    def test_argument_rounding_onto_pole_exit_2(self, capsys, alpha, shown):
+        # -alpha and alpha + 1 are not poles of Gamma, but their doubles are
+        rc, out, err = run(capsys, "residue", alpha, "--n", "0", "--beta", "-1/3", "--m", "0")
+        assert rc == 2
+        reason = f"log_gamma argument rounds onto the pole {shown} in double precision"
+        assert json.loads(out) == {"error": "domain", "reason": reason}
+        assert err == f"domain error: {reason}\n"
 
     def test_bad_rational_exit_1(self, capsys):
         rc, _, err = run(capsys, "residue", "--alpha", "x", "--n", "0",
@@ -361,3 +376,79 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert b"Traceback" not in err
         assert err == b""
+
+
+# Exit-code contract under fuzzing: generated argv lists of every kind the
+# CLI documents, valid and invalid.  Multiplicities stay at most 16 and the
+# other entries below 200, which keeps each command well under a second
+# (ladders and deformation cutoffs are not yet budgeted).
+NUMBER_TEXTS = ("1/0", "1e400", "10**400", str(10**400), "1e-400", "nan", "-3/5", "0", "-1", "7/4")
+FORMATS = st.sampled_from([[], ["--format", "json"], ["--format", "tsv"], ["--format", "text"]])
+
+
+def _variants(text: str) -> list[str]:
+    return [text, text.upper(), f" {text}", f"{text} ", f"\t{text}\t"]
+
+
+number_texts = st.sampled_from(NUMBER_TEXTS).flatmap(lambda t: st.sampled_from(_variants(t)))
+small_ints = st.integers(-3, 60).map(str)
+# work-bounding flags (--nu-max, --cutoff) get small or unparseable values only
+bound_texts = st.one_of(small_ints, st.sampled_from(["10**400", "1e400", "nan", "-3/5", " 7 "]))
+specs = st.one_of(
+    st.sampled_from(["2,3", "4,9", "4,6,7", "6,9,22", "4,8", "semigroup:4,6,13"]),
+    st.builds(
+        lambda prefix, first, rest, sep: prefix + sep.join(map(str, [first, *rest])),
+        st.sampled_from(["", "semigroup:", "SemiGroup:", " semigroup: "]),
+        st.integers(-3, 16),
+        st.lists(st.integers(-3, 199), max_size=3),
+        st.sampled_from([",", ", ", " ,"]),
+    ),
+    st.sampled_from(["", "x", "4,,9", "semigroup:", "4;9"]),
+)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+argvs = st.one_of(
+    st.tuples(st.just(["analyze"]), specs.map(lambda s: [s]), _opt("--nu-max", bound_texts), FORMATS),
+    st.tuples(
+        st.just(["generate"]),
+        specs.map(lambda s: [s]),
+        st.sampled_from([[], ["--deform"]]),
+        _opt("--cutoff", bound_texts),
+        _opt("--seed", st.one_of(small_ints, number_texts)),
+        _opt("--lambdas", st.lists(number_texts, min_size=1, max_size=3).map(",".join)),
+        FORMATS,
+    ),
+    st.tuples(
+        st.just(["residue"]),
+        st.one_of(number_texts, small_ints).map(lambda v: ["--alpha", v]),
+        st.one_of(small_ints, number_texts).map(lambda v: ["--n", v]),
+        st.one_of(number_texts, small_ints).map(lambda v: ["--beta", v]),
+        st.one_of(small_ints, number_texts).map(lambda v: ["--m", v]),
+        _opt("--lambda", st.one_of(number_texts, st.sampled_from(["1+1j", "2", "-1j"]))),
+        FORMATS,
+    ),
+    st.tuples(
+        st.just(["verify", "--suite"]),
+        st.sampled_from([["combinatorics"], ["vanishing"]]),
+        _opt("--tol", st.one_of(number_texts, st.sampled_from(["1e-4", "1e-30"]))),
+        FORMATS,
+    ),
+).map(lambda parts: [tok for part in parts for tok in part])
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs)
+def test_exit_code_contract_under_fuzzing(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if "--format" in argv and argv[argv.index("--format") + 1] == "json" and rc != 1:
+        assert canonical_json(json.loads(text)) + "\n" == text, argv
+

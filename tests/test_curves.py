@@ -73,6 +73,14 @@ class TestSparsePoly:
         assert (y ** 0).terms == {(0, 0): Fraction(1)}
         assert SparsePoly.zero(("x",)).min_total_degree() is None
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_monomial_power_matches_repeated_product(self, k):
+        p = SparsePoly.monomial(("x", "y"), (3, 1), Fraction(-2, 3))
+        want = SparsePoly.monomial(("x", "y"), (0, 0))
+        for _ in range(k):
+            want = want * p
+        assert p**k == want
+
 
 class TestMonomialCurve:
     def test_4_9(self):
@@ -101,6 +109,20 @@ class TestPlaneEquation:
     def test_4_6_13_is_nested_form(self):
         x, y = sp.symbols("x y")
         assert to_sympy(plane_equation(B4613)) == sp.expand((y**2 - x**3) ** 2 - x**5 * y)
+
+    def test_long_ladder_is_not_built_by_repeated_products(self, monkeypatch):
+        # x^200001 of f = y^2 - x^200001 is one term, not 200001 products
+        calls = []
+        mul = SparsePoly.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(SparsePoly, "__mul__", counting_mul)
+        f = plane_equation(derive_numerics(CharSeq(2, (200001,))))
+        assert str(f) == "y^2 - x^200001"
+        assert len(calls) < 100
 
     def test_multiplicity_corpus(self, small_corpus_numerics):
         for bn in small_corpus_numerics:

@@ -75,6 +75,19 @@ class TestLogGamma:
             with pytest.raises(DomainError):
                 log_gamma(z)
 
+    @pytest.mark.parametrize(
+        "z,shown",
+        [(Fraction(-1000000000000000001, 2), "-5e+17"), (Fraction(-1, 10**400), "-0")],
+        ids=["large-half-integer", "tiny-negative"],
+    )
+    def test_exact_argument_rounding_onto_pole(self, z, shown):
+        # not a pole of Gamma, but its double is a non-positive integer
+        with pytest.raises(DomainError) as info:
+            log_gamma(z)
+        assert str(info.value) == (
+            f"log_gamma argument rounds onto the pole {shown} in double precision"
+        )
+
     def test_gamma_ratio_matches_mpmath(self):
         got = gamma_ratio(Fraction(3, 4), Fraction(1, 4))
         want = mp_gamma(0.75) / mp_gamma(0.25)
@@ -197,6 +210,20 @@ class TestRnmClosedForm:
         # prefactor scales by lam^(-alpha'-1) * lam^(-alpha-1) for real lam
         scale = 2.0 ** (-(-3 / 5 + 1) - 1) * 2.0 ** (-(-3 / 5) - 1)
         assert abs(a.value - b.value * scale) <= 1e-12 * abs(a.value)
+
+    def test_exact_conversion_of_alpha_and_beta(self):
+        p = RnmParams(alpha=0.1, n=0, beta="-1/3", m=0)
+        assert p.alpha == Fraction(0.1) and p.beta == Fraction(-1, 3)
+        assert RnmParams(alpha=-2, n=0, beta=Fraction(1, 2), m=0).alpha == Fraction(-2)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(alpha=0.5 + 1j, beta=Fraction(-1, 3)), dict(alpha=Fraction(-1, 3), beta=0.5 + 0j)],
+        ids=["alpha", "beta"],
+    )
+    def test_complex_alpha_or_beta_rejected(self, kw):
+        with pytest.raises(TypeError):
+            RnmParams(n=0, m=0, **kw)
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(DomainError):

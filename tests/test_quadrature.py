@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from branchzeta import quadrature
 from branchzeta.errors import ConvergenceFailure, DomainError
 from branchzeta.gammaratio import RnmParams, rnm_closed_form
 from branchzeta.quadrature import (
@@ -36,22 +37,21 @@ class TestConfig:
     def test_defaults(self):
         cfg = QuadConfig()
         assert cfg.rel_tol == 1e-5
-        assert cfg.r_max == 1e3
 
     @pytest.mark.parametrize(
         "bad",
         [
             dict(rel_tol=0.0),
             dict(rel_tol=-1e-3),
-            dict(r_max=1.5),
-            dict(zero_split=0.7),
-            dict(one_split=0.0),
-            dict(max_subdivisions=2),
         ],
     )
     def test_invalid(self, bad):
         with pytest.raises(DomainError):
             QuadConfig(**bad)
+
+    def test_mesh_geometry_is_not_configurable(self):
+        with pytest.raises(TypeError):
+            QuadConfig(r_max=4.0)
 
 
 class TestGates:
@@ -85,12 +85,13 @@ class TestGates:
             with pytest.raises(DomainError):
                 rnm_quadrature(p)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # (2 beta + m) + 2 = 0.1 needs hundreds of shells; an 8-shell budget
         # cannot certify the singular core
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 8)
         p = RnmParams(alpha=Fraction(-11, 20), n=0, beta=Fraction(-19, 20), m=0, lam=1.0)
         with pytest.raises(ConvergenceFailure):
-            rnm_quadrature(p, QuadConfig(max_subdivisions=8))
+            rnm_quadrature(p)
 
 
 class TestOracleAgreement:
@@ -140,11 +141,41 @@ class TestOracleAgreement:
         scale = 2.0 ** -(2 * float(a) + 0 + 2)
         assert abs(q2 - q1 * scale) <= 1e-14 * abs(q1)
 
-    def test_smaller_r_max_still_converges(self):
+    def test_smaller_r_max_still_converges(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_R_MAX", 4.0)
         p = RnmParams(alpha=Fraction(-2, 3), n=0, beta=Fraction(-2, 3), m=0, lam=1.0)
         closed = rnm_closed_form(p).value
-        quad = rnm_quadrature(p, QuadConfig(r_max=4.0))
+        quad = rnm_quadrature(p)
         assert abs(quad - closed) / abs(closed) <= 1e-4
+
+
+# Seeded kernel points inside the convergence region (alpha, n, beta, m,
+# lambda) with float.hex of the closed form and of the quadrature at the
+# default rel_tol, as computed before the mesh geometry became fixed.
+FROZEN_VALUES = [
+    (Fraction(-9, 11), 0, Fraction(-5, 6), 0, Fraction(2, 1),
+     ("0x0.0p+0", "-0x1.cdd3d6f74e094p+5"), ("0x0.0p+0", "-0x1.cdd3b86b86d41p+5")),
+    (Fraction(-53, 42), 1, Fraction(-21, 46), 0, Fraction(1, 1),
+     ("0x1.69f39c828ad1ap-49", "-0x1.48220b32c6ecdp+3"), ("0x0.0p+0", "-0x1.4822078027f15p+3")),
+    (Fraction(-2, 3), 0, Fraction(-27, 23), 1, Fraction(1, 1),
+     ("0x1.44ccef5cbdb60p-48", "-0x1.2673fd28375ccp+4"), ("0x0.0p+0", "-0x1.2673ea4ebadd2p+4")),
+    (Fraction(-11, 46), -1, Fraction(-29, 26), 1, Fraction(1, 2),
+     ("-0x1.b5ade3c899415p-49", "0x1.8cc8fb8dce2b9p+4"), ("0x0.0p+0", "0x1.8cc8f91962e47p+4")),
+    (Fraction(-29, 30), 1, Fraction(-22, 17), 1, Fraction(1, 2),
+     ("-0x1.3c4b5375be846p-48", "-0x1.1ebdd7c49363dp+4"), ("0x0.0p+0", "-0x1.1ebdd7c492fb8p+4")),
+    (Fraction(-25, 38), 0, Fraction(-1, 6), -1, Fraction(2, 1),
+     ("0x0.0p+0", "-0x1.645cf1e63361dp+3"), ("0x0.0p+0", "-0x1.645ce206d71f7p+3")),
+]
+
+
+@pytest.mark.parametrize("alpha,n,beta,m,lam,closed_hex,quad_hex", FROZEN_VALUES)
+def test_frozen_values_bit_for_bit(alpha, n, beta, m, lam, closed_hex, quad_hex):
+    p = RnmParams(alpha=alpha, n=n, beta=beta, m=m, lam=lam)
+    closed = rnm_closed_form(p)
+    quad = rnm_quadrature(p)
+    assert closed.order == 0
+    assert (closed.value.real.hex(), closed.value.imag.hex()) == closed_hex
+    assert (quad.real.hex(), quad.imag.hex()) == quad_hex
 
 
 class TestRefinement:
