@@ -16,16 +16,18 @@ Output conventions, kept byte-stable for golden tests:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .branch import derive_numerics, gaps, resolve_input
 from .curves import deformation_family, monomial_curve_equations, plane_equation
-from .errors import BranchZetaError, InvalidCharSeq, NotPlaneBranchSemigroup
+from .errors import BranchZetaError, DomainError, InvalidCharSeq, NotPlaneBranchSemigroup
 from .gammaratio import RnmParams, rnm_closed_form, symmetry_pair
 from .poles import PoleStatus, branch_report
 from .quadrature import (
@@ -64,8 +66,79 @@ def _fmt_cx(z: complex) -> str:
     return f"{z.real:.12e}{z.imag:+.12e}i"
 
 
+def _float_text(x: float) -> str:
+    s = float.__repr__(x)
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(s, s)
+
+
+# JSON text of each scalar type, keyed by exact type as json.dumps writes it
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _dict_template(keys: tuple, ind: str):
+    """(%-template, sorted keys) of a dict with these keys whose lines after
+    the first start with ind; None when a key is not a str."""
+    if not all(type(k) is str for k in keys):
+        return None
+    order = sorted(keys)
+    inner = ind + "  "
+    fields = (inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order)
+    return "{" + ",".join(fields) + ind + "}", order
+
+
+def _write(obj, ind: str, out: list) -> None:
+    """Append the JSON text of obj to out, its lines after the first
+    starting with ind (a newline and the indentation)."""
+    t = type(obj)
+    tpl = _dict_template(tuple(obj), ind) if t is dict and obj else None
+    if tpl is not None:
+        fmt, order = tpl
+        try:
+            out.append(fmt % tuple([_SCALAR_TEXT[type(v)](v) for v in map(obj.__getitem__, order)]))
+        except KeyError:  # a nested value: write key by key
+            inner = ind + "  "
+            sep = "{"
+            for k in order:
+                out.append(sep + inner + encode_basestring_ascii(k) + ": ")
+                _write(obj[k], inner, out)
+                sep = ","
+            out.append(ind + "}")
+    elif (t is list or t is tuple) and obj:
+        inner = ind + "  "
+        try:
+            texts = [_SCALAR_TEXT[type(v)](v) for v in obj]
+        except KeyError:
+            sep = "["
+            for v in obj:
+                out.append(sep + inner)
+                _write(v, inner, out)
+                sep = ","
+            out.append(ind + "]")
+        else:
+            out.append("[" + inner + ("," + inner).join(texts) + ind + "]")
+    elif t in _SCALAR_TEXT:
+        out.append(_SCALAR_TEXT[t](obj))
+    else:
+        # empty containers, non-str keys, subclasses of scalar types, anything
+        # else: json.dumps decides; JSON text never holds a raw newline inside
+        # a string
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", ind))
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2), written
+    without its pure-Python encoder: a dict of scalars is one %-format of
+    its shape's cached template."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
 
 
 def _poly_dict(p) -> dict:
@@ -339,6 +412,8 @@ def _suite_vanishing() -> list[tuple[str, str, str, float, bool]]:
 
 
 def cmd_verify(ns) -> int:
+    if not ns.tol > 0:
+        raise DomainError("tol must be positive")
     rows: list[tuple[str, str, str, float, bool]] = []
     if ns.suite in ("rnm", "all"):
         rows += _suite_rnm(ns.tol, ns.rel_tol)

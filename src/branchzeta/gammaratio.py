@@ -182,8 +182,8 @@ class RnmParams:
 
     alpha and beta are rationals, stored as Fraction: a float, int or str
     converts exactly (a float by its binary value), and a complex value
-    raises TypeError.  lam is the lambda scale, nonzero and possibly
-    complex.
+    raises TypeError.  lam is the lambda scale, finite, nonzero and
+    possibly complex.
     """
 
     alpha: Fraction
@@ -193,8 +193,9 @@ class RnmParams:
     lam: complex = 1.0
 
     def __post_init__(self):
-        if complex(self.lam) == 0:
-            raise DomainError("lambda must be nonzero")
+        lam = complex(self.lam)
+        if lam == 0 or not cmath.isfinite(lam):
+            raise DomainError("lambda must be finite and nonzero")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
         object.__setattr__(self, "n", int(self.n))

@@ -2,6 +2,7 @@
 round-trips, and the verify suites."""
 
 import contextlib
+import enum
 import io
 import json
 import os
@@ -148,6 +149,15 @@ class TestResidue:
         assert rc == 2
         assert json.loads(out)["error"] == "domain"
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf+1j"])
+    def test_non_finite_lambda_exit_2(self, capsys, lam):
+        rc, out, err = run(capsys, "residue", "--alpha", "-1/3", "--n", "0",
+                           "--beta", "-1/3", "--m", "0", f"--lambda={lam}")
+        assert rc == 2
+        reason = "lambda must be finite and nonzero"
+        assert json.loads(out) == {"error": "domain", "reason": reason}
+        assert err == f"domain error: {reason}\n"
+
     def test_pair_overflow_gives_value(self, capsys):
         rc, out, _ = run(capsys, "residue", "--alpha", "-1/4", "--n", "300",
                          "--beta", "-1/3", "--m", "0", "--format", "json")
@@ -259,6 +269,14 @@ class TestVerify:
         assert rc == 3
         assert "FAILED" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_invalid_tolerance_exit_2(self, capsys, tol):
+        # an invalid tolerance is a domain error, not a missed one
+        rc, out, err = run(capsys, "verify", "--suite", "rnm", f"--tol={tol}", "--format", "json")
+        assert rc == 2
+        assert json.loads(out) == {"error": "domain", "reason": "tol must be positive"}
+        assert "FAILED" not in err
+
     def test_text_format(self, capsys):
         rc, out, _ = run(capsys, "verify", "--suite", "vanishing", "--format", "text")
         assert rc == 0
@@ -272,6 +290,57 @@ class TestVerify:
         failed = [r["case"] for r in json.loads(out)["rows"] if not r["pass"]]
         assert failed == [f"conductor-eq-milnor({t})" for t in ("2,3", "4,9", "4,6,7", "6,9,22")]
         assert "FAILED conductor-eq-milnor(2,3)" in err
+
+
+# JSON values for the canonical writer; json.dumps(sort_keys=True, indent=2)
+# is its oracle.  Text carries quotes, backslashes, "%", control characters
+# and non-ASCII; floats carry NaN, infinities and -0.0.
+json_text = st.text(st.one_of(st.sampled_from('"\\%\n\t\x00\x1f\x7f'), st.characters()),
+                    max_size=6)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), json_text,
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class _Level(enum.IntEnum):
+    TWO = 2
+
+
+class TestCanonicalJson:
+    @settings(max_examples=500, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {1: "a", 2: [None, {"b": 1}]},
+        {"outer": {3: 1.5, 1: True}},
+        [{"level": _Level.TWO}, _Level.TWO],
+        {"level": _Level.TWO, "rows": [{"%s": "%d"}]},
+    ], ids=["int-keys", "nested-int-keys", "intenum-in-list", "intenum-with-percent-keys"])
+    def test_fallback_matches_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_analyze_calls_it_once(self, capsys, monkeypatch):
+        # the benchmark's tracer counts output bytes per canonical_json call
+        calls = []
+        write = branchzeta.cli.canonical_json
+        monkeypatch.setattr(branchzeta.cli, "canonical_json",
+                            lambda obj: calls.append(obj) or write(obj))
+        rc, out, _ = run(capsys, "analyze", "6,9,22", "--format", "json")
+        assert rc == 0
+        assert len(calls) == 1
+        assert out == write(json.loads(out)) + "\n"
 
 
 class TestGenerate:
