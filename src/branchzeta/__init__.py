@@ -63,13 +63,6 @@ from .gammaratio import (
     symmetry_check,
     symmetry_pair,
 )
-from .quadrature import (
-    QuadConfig,
-    radial_mass,
-    rnm_quadrature,
-    vanishing_integral_check,
-    vanishing_symbolic_cancellation,
-)
 from .curves import (
     DeformationFamily,
     DeformationTerm,
@@ -81,3 +74,14 @@ from .curves import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the quadrature needs numpy, which costs more to import than all the
+    # rest: its names resolve from branchzeta.quadrature when used
+    if name in ("QuadConfig", "radial_mass", "rnm_quadrature",
+                "vanishing_integral_check", "vanishing_symbolic_cancellation"):
+        from . import quadrature
+
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

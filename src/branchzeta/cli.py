@@ -8,8 +8,9 @@ Output conventions, kept byte-stable for golden tests:
 * JSON is canonical: sorted keys, two-space indent, rationals as "p/q"
   strings in lowest terms, complex numbers as {"re":, "im":} objects;
   parsing emitted JSON and re-serializing it reproduces the bytes.
-* Exit codes: 0 success (also when the reader closes stdout early), 1
-  input syntax error, 2 domain validation failure, 3 verification failure.
+* Exit codes: 0 success, 1 input syntax error, 2 domain validation
+  failure, 3 verification failure. A reader that closes stdout early
+  changes neither the exit code nor stderr, and gets no traceback.
 * Results go to stdout, diagnostics to stderr.
 """
 
@@ -30,13 +31,6 @@ from .curves import deformation_family, monomial_curve_equations, plane_equation
 from .errors import BranchZetaError, DomainError, InvalidCharSeq, NotPlaneBranchSemigroup
 from .gammaratio import RnmParams, rnm_closed_form, symmetry_pair
 from .poles import PoleStatus, branch_report
-from .quadrature import (
-    QuadConfig,
-    radial_mass,
-    rnm_quadrature,
-    vanishing_integral_check,
-    vanishing_symbolic_cancellation,
-)
 
 
 class _SyntaxError(Exception):
@@ -254,17 +248,36 @@ def _print_analyze_text(rep) -> None:
     print(f"strict transform poles: {rep.strict_transform_poles}")
 
 
+def _write_stdout(rc: int, write, *args) -> int:
+    """Call write(*args), which prints to stdout, flush stdout and return rc.
+    A reader that closes stdout early changes neither rc nor stderr, so each
+    command decides rc and writes its stderr lines before calling this."""
+    try:
+        write(*args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader stopped reading: send what is still buffered to devnull
+        # so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return rc
+
+
 def cmd_analyze(ns) -> int:
     rep = branch_report(ns.input, nu_max=ns.nu_max)
-    if ns.format == "json":
-        print(canonical_json(report_to_dict(rep)))
-    elif ns.format == "tsv":
-        print("\t".join(["i", "nu", "sigma", "eps1", "eps2", "eps3", "status"]))
-        for row in _candidate_rows(rep):
-            print("\t".join(map(str, row)))
-    else:
-        _print_analyze_text(rep)
-    return 0
+
+    def write():
+        if ns.format == "json":
+            print(canonical_json(report_to_dict(rep)))
+        elif ns.format == "tsv":
+            print("\t".join(["i", "nu", "sigma", "eps1", "eps2", "eps3", "status"]))
+            for row in _candidate_rows(rep):
+                print("\t".join(map(str, row)))
+        else:
+            _print_analyze_text(rep)
+
+    return _write_stdout(0, write)
 
 
 def _emit_validation_failure(text: str, exc: Exception, fmt: str) -> None:
@@ -286,26 +299,29 @@ def _emit_validation_failure(text: str, exc: Exception, fmt: str) -> None:
 def cmd_residue(ns) -> int:
     p = RnmParams(alpha=ns.alpha, n=ns.n, beta=ns.beta, m=ns.m, lam=ns.lam)
     out = rnm_closed_form(p)
-    if ns.format == "json":
-        print(
-            canonical_json(
-                {
-                    "order": out.order,
-                    "value": None if out.value is None else _cx(out.value),
-                    "reason": [{"factor": lbl, "order": k} for lbl, k in out.reason],
-                }
+
+    def write():
+        if ns.format == "json":
+            print(
+                canonical_json(
+                    {
+                        "order": out.order,
+                        "value": None if out.value is None else _cx(out.value),
+                        "reason": [{"factor": lbl, "order": k} for lbl, k in out.reason],
+                    }
+                )
             )
-        )
-    elif ns.format == "tsv":
-        val = "none" if out.value is None else _fmt_cx(out.value)
-        reason = ",".join(f"{lbl}:{k}" for lbl, k in out.reason)
-        print("\t".join(["order", "value", "reason"]))
-        print("\t".join([str(out.order), val, reason]))
-    else:
-        print(f"order {out.order}")
-        print("value " + ("none (pole)" if out.value is None else _fmt_cx(out.value)))
-        print("reason " + " ".join(f"{lbl}:{k:+d}" for lbl, k in out.reason))
-    return 0
+        elif ns.format == "tsv":
+            val = "none" if out.value is None else _fmt_cx(out.value)
+            reason = ",".join(f"{lbl}:{k}" for lbl, k in out.reason)
+            print("\t".join(["order", "value", "reason"]))
+            print("\t".join([str(out.order), val, reason]))
+        else:
+            print(f"order {out.order}")
+            print("value " + ("none (pole)" if out.value is None else _fmt_cx(out.value)))
+            print("reason " + " ".join(f"{lbl}:{k:+d}" for lbl, k in out.reason))
+
+    return _write_stdout(0, write)
 
 
 GRID_PAIRS = (
@@ -330,6 +346,8 @@ COMBINATORIC_CASES = ("2,3", "4,9", "4,6,7", "6,9,22")
 
 
 def _suite_rnm(tol: float, rel_tol: float) -> list[tuple[str, str, str, float, bool]]:
+    from .quadrature import QuadConfig, rnm_quadrature  # imported here: quadrature loads numpy
+
     rows = []
     cfg = QuadConfig(rel_tol=rel_tol)
     for (a, b) in GRID_PAIRS:
@@ -397,6 +415,12 @@ def _suite_combinatorics() -> list[tuple[str, str, str, float, bool]]:
 
 
 def _suite_vanishing() -> list[tuple[str, str, str, float, bool]]:
+    from .quadrature import (  # imported here: quadrature loads numpy
+        radial_mass,
+        vanishing_integral_check,
+        vanishing_symbolic_cancellation,
+    )
+
     rows = []
     for n, alpha, R in VANISHING_CASES:
         res = vanishing_integral_check(n, alpha, R)
@@ -421,33 +445,32 @@ def cmd_verify(ns) -> int:
         rows += _suite_combinatorics()
     if ns.suite in ("vanishing", "all"):
         rows += _suite_vanishing()
-
-    if ns.format == "json":
-        payload = {
-            "suite": ns.suite,
-            "passed": all(ok for *_, ok in rows),
-            "rows": [
-                {"case": c, "expected": e, "got": g, "relerr": r, "pass": ok}
-                for c, e, g, r, ok in rows
-            ],
-        }
-        print(canonical_json(payload))
-    elif ns.format == "text":
-        width = max(len(c) for c, *_ in rows)
-        for c, e, g, r, ok in rows:
-            flag = "ok  " if ok else "FAIL"
-            print(f"{flag} {c:<{width}}  expected {e}  got {g}  relerr {r:.6e}")
-    else:
-        print("\t".join(["case", "expected", "got", "relerr"]))
-        for c, e, g, r, _ in rows:
-            print("\t".join([c, e, g, f"{r:.6e}"]))
-
     failures = [c for c, *_, ok in rows if not ok]
-    if failures:
-        for c in failures:
-            print(f"FAILED {c}", file=sys.stderr)
-        return 3
-    return 0
+    for c in failures:
+        print(f"FAILED {c}", file=sys.stderr)
+
+    def write():
+        if ns.format == "json":
+            payload = {
+                "suite": ns.suite,
+                "passed": all(ok for *_, ok in rows),
+                "rows": [
+                    {"case": c, "expected": e, "got": g, "relerr": r, "pass": ok}
+                    for c, e, g, r, ok in rows
+                ],
+            }
+            print(canonical_json(payload))
+        elif ns.format == "text":
+            width = max(len(c) for c, *_ in rows)
+            for c, e, g, r, ok in rows:
+                flag = "ok  " if ok else "FAIL"
+                print(f"{flag} {c:<{width}}  expected {e}  got {g}  relerr {r:.6e}")
+        else:
+            print("\t".join(["case", "expected", "got", "relerr"]))
+            for c, e, g, r, _ in rows:
+                print("\t".join([c, e, g, f"{r:.6e}"]))
+
+    return _write_stdout(3 if failures else 0, write)
 
 
 def cmd_generate(ns) -> int:
@@ -470,64 +493,66 @@ def cmd_generate(ns) -> int:
         if ns.seed is not None:
             fiber = fam.instantiate()
 
-    if ns.format == "json":
-        payload = {
-            "input": {"text": text, "kind": kind},
-            "plane": _poly_dict(plane),
-            "monomial_curve": [_poly_dict(h) for h in hs],
-            "deformation": None,
-        }
-        if fam is not None:
-            payload["deformation"] = {
-                "cutoff": fam.weight_cutoff,
-                "lambdas": [_frac(v) for v in fam.lambdas],
-                "base": _poly_dict(fam.base),
-                "terms": [
-                    {
-                        "parameter": t.parameter,
-                        "level": t.level,
-                        "exponents": list(t.exponents),
-                        "weight": t.weight,
-                        "monomial": _poly_dict(t.monomial),
-                        "coefficient": None if t.coefficient is None else _frac(t.coefficient),
-                    }
-                    for t in fam.terms
-                ],
-                "fiber": None if fiber is None else _poly_dict(fiber),
+    def write():
+        if ns.format == "json":
+            payload = {
+                "input": {"text": text, "kind": kind},
+                "plane": _poly_dict(plane),
+                "monomial_curve": [_poly_dict(h) for h in hs],
+                "deformation": None,
             }
-        print(canonical_json(payload))
-    elif ns.format == "tsv":
-        print("\t".join(["object", "exponents", "coefficient"]))
+            if fam is not None:
+                payload["deformation"] = {
+                    "cutoff": fam.weight_cutoff,
+                    "lambdas": [_frac(v) for v in fam.lambdas],
+                    "base": _poly_dict(fam.base),
+                    "terms": [
+                        {
+                            "parameter": t.parameter,
+                            "level": t.level,
+                            "exponents": list(t.exponents),
+                            "weight": t.weight,
+                            "monomial": _poly_dict(t.monomial),
+                            "coefficient": None if t.coefficient is None else _frac(t.coefficient),
+                        }
+                        for t in fam.terms
+                    ],
+                    "fiber": None if fiber is None else _poly_dict(fiber),
+                }
+            print(canonical_json(payload))
+        elif ns.format == "tsv":
+            print("\t".join(["object", "exponents", "coefficient"]))
 
-        def poly_rows(name, p):
-            for e, c in p.canonical_terms():
-                print("\t".join([name, ",".join(map(str, e)), _frac(c)]))
+            def poly_rows(name, p):
+                for e, c in p.canonical_terms():
+                    print("\t".join([name, ",".join(map(str, e)), _frac(c)]))
 
-        poly_rows("plane", plane)
-        for i, h in enumerate(hs, start=1):
-            poly_rows(f"h{i}", h)
-        if fam is not None:
-            for t in fam.terms:
-                coeff = t.parameter if t.coefficient is None else _frac(t.coefficient)
-                print("\t".join([t.parameter, ",".join(map(str, t.exponents)), coeff]))
-            if fiber is not None:
-                poly_rows("fiber", fiber)
-    else:
-        print(plane)
-        for i, h in enumerate(hs, start=1):
-            print(f"h{i} = {h}")
-        if fam is not None:
-            lam_s = ",".join(str(v) for v in fam.lambdas) or "-"
-            print(f"deformation cutoff={fam.weight_cutoff} lambdas={lam_s}")
-            for t in fam.terms:
-                coeff = "symbolic" if t.coefficient is None else str(t.coefficient)
-                print(
-                    f"  {t.parameter} level={t.level} weight={t.weight}"
-                    f" monomial={t.monomial} coeff={coeff}"
-                )
-            if fiber is not None:
-                print(f"fiber = {fiber}")
-    return 0
+            poly_rows("plane", plane)
+            for i, h in enumerate(hs, start=1):
+                poly_rows(f"h{i}", h)
+            if fam is not None:
+                for t in fam.terms:
+                    coeff = t.parameter if t.coefficient is None else _frac(t.coefficient)
+                    print("\t".join([t.parameter, ",".join(map(str, t.exponents)), coeff]))
+                if fiber is not None:
+                    poly_rows("fiber", fiber)
+        else:
+            print(plane)
+            for i, h in enumerate(hs, start=1):
+                print(f"h{i} = {h}")
+            if fam is not None:
+                lam_s = ",".join(str(v) for v in fam.lambdas) or "-"
+                print(f"deformation cutoff={fam.weight_cutoff} lambdas={lam_s}")
+                for t in fam.terms:
+                    coeff = "symbolic" if t.coefficient is None else str(t.coefficient)
+                    print(
+                        f"  {t.parameter} level={t.level} weight={t.weight}"
+                        f" monomial={t.monomial} coeff={coeff}"
+                    )
+                if fiber is not None:
+                    print(f"fiber = {fiber}")
+
+    return _write_stdout(0, write)
 
 
 def _scalar(text: str):
@@ -622,24 +647,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        rc = ns.func(ns)
-        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
-        return rc
+        return ns.func(ns)
     except (InvalidCharSeq, NotPlaneBranchSemigroup) as exc:
-        _emit_validation_failure(ns.input, exc, ns.format)
-        return 2
-    except BrokenPipeError:
-        # the reader stopped reading: send what is still buffered to devnull
-        # so that the flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return _write_stdout(2, _emit_validation_failure, ns.input, exc, ns.format)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BranchZetaError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
-        print(canonical_json({"error": "domain", "reason": str(exc)}))
-        return 2
+        return _write_stdout(2, print, canonical_json({"error": "domain", "reason": str(exc)}))
 
 
 if __name__ == "__main__":

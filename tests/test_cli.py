@@ -22,6 +22,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a cli subprocess that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def run(capsys, *args):
     rc = main(list(args))
     captured = capsys.readouterr()
@@ -445,6 +451,81 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert b"Traceback" not in err
         assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["print-fails", "flush-fails"])
+    @pytest.mark.parametrize("argv, code", [
+        (["residue", "--alpha", "-1/4", "--n", "0", "--beta", "-1/3", "--m", "0", "--lambda", "0"], 2),
+        (["generate", "4,6,7", "--deform", "--lambdas", "0", "--format", "json"], 2),
+        (["analyze", "semigroup:4,6,13,27", "--format", "json"], 2),
+        (["analyze", "semigroup:4,6,13,27"], 2),
+        (["verify", "--suite", "rnm", "--tol", "1e-9"], 3),
+        (["analyze", "4,9", "--format", "tsv"], 0),
+    ], ids=["residue-domain", "generate-domain", "validation-json", "validation-text",
+            "verify-failure", "analyze-success"])
+    def test_closed_stdout_keeps_exit_code_and_stderr(self, argv, code, unbuffered):
+        # stdout is a pipe whose read end is closed before the process starts;
+        # with PYTHONUNBUFFERED the first print fails, without it the flush
+        env = _child_env(PYTHONUNBUFFERED=unbuffered)
+        cmd = [sys.executable, "-m", "branchzeta.cli", *argv]
+        open_run = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            closed_run = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                        timeout=120)
+        finally:
+            os.close(write_end)
+        assert open_run.returncode == closed_run.returncode == code
+        assert b"Traceback" not in closed_run.stderr
+        assert closed_run.stderr == open_run.stderr
+
+
+# Start-up contract: numpy is loaded only by the quadrature.  The probe runs
+# in a fresh interpreter, since the test process has numpy loaded already; it
+# prints whether numpy is loaded after `import branchzeta, branchzeta.cli`
+# and after each cli.main(argv) of the argv lists given as JSON.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import branchzeta, branchzeta.cli
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert branchzeta.cli.main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _numpy_loaded_after(*argvs) -> list:
+    r = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+                       capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+class TestStartup:
+    def test_exact_commands_do_not_load_numpy(self):
+        assert _numpy_loaded_after(
+            ["analyze", "2,3", "--format", "json"],
+            ["residue", "--alpha", "-3/5", "--n", "0", "--beta", "-7/10", "--m", "0"],
+            ["generate", "4,9", "--deform", "--cutoff", "38", "--seed", "1", "--format", "json"],
+            ["verify", "--suite", "combinatorics"],
+        ) == [False] * 5
+
+    def test_vanishing_suite_loads_numpy(self):
+        assert _numpy_loaded_after(["verify", "--suite", "vanishing"]) == [False, True]
+
+    @pytest.mark.parametrize("name", ["QuadConfig", "radial_mass", "rnm_quadrature",
+                                      "vanishing_integral_check", "vanishing_symbolic_cancellation"])
+    def test_quadrature_names_resolve_from_the_module(self, name):
+        import branchzeta.quadrature
+
+        assert getattr(branchzeta, name) is getattr(branchzeta.quadrature, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="nope"):
+            getattr(branchzeta, "nope")
+        assert not hasattr(branchzeta, "nope")
 
 
 # Exit-code contract under fuzzing: generated argv lists of every kind the

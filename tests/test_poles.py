@@ -6,6 +6,7 @@ divisibility shortcuts), and hand-expanded golden multisets for the smallest
 branches.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -244,6 +245,54 @@ class TestEigenvaluesAndLct:
             assert 0 <= frac < 1
             for exp, _ in items:
                 assert (exp - frac).denominator == 1
+
+
+# Two oracles from closed forms.  The Alexander polynomial of a branch is
+# (t-1) prod_{i=1..g} (t^{n_i betabar_i} - 1) / prod_{i=0..g} (t^{betabar_i} - 1),
+# whose roots are the monodromy eigenvalues; the lct is the least (k+1)/N over
+# the rupture and dead-end divisors of the resolution.
+NON_DISTINCT = [CharSeq(6, (21, 35)), CharSeq(6, (33, 55))]
+
+
+@pytest.fixture(scope="module")
+def corpus_reports(corpus):
+    return [branch_report(cs) for cs in corpus + NON_DISTINCT]
+
+
+def alexander_multiplicity(bn, d):
+    """Multiplicity of a primitive d-th root of unity as a root of the
+    Alexander polynomial."""
+    return ((d == 1) + sum(bn.nn[i] * bn.gens[i] % d == 0 for i in range(1, bn.g + 1))
+            - sum(b % d == 0 for b in bn.gens))
+
+
+def divisors_of(k):
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return set(small) | {k // d for d in small}
+
+
+class TestClosedFormOracles:
+    def test_eigenvalue_class_multiplicity(self, corpus_reports):
+        for rep in corpus_reports:
+            den = rep.eigenvalues.den
+            for f, items in rep.eigenvalues.groups:
+                d = den // math.gcd(f, den)
+                assert sum(m for _, m in items) == alexander_multiplicity(rep.bn, d), rep.input_text
+
+    def test_distinct_iff_alexander_roots_simple(self, corpus_reports):
+        for rep in corpus_reports:
+            bn = rep.bn
+            orders = set().union(*(divisors_of(bn.nn[i] * bn.gens[i]) for i in range(1, bn.g + 1)))
+            simple = all(alexander_multiplicity(bn, d) <= 1 for d in orders)
+            assert rep.eigenvalues.distinct == simple, rep.input_text
+        assert sum(not rep.eigenvalues.distinct for rep in corpus_reports) >= 3
+
+    def test_lct_is_least_divisor_ratio(self, corpus_reports):
+        for rep in corpus_reports:
+            assert rep.lct == min(
+                min(Fraction(d.k_rupture_plus1, d.N_rupture), Fraction(d.k_deadend_plus1, d.N_deadend))
+                for d in rep.divisors
+            ), rep.input_text
 
 
 class TestBranchReport:
