@@ -11,7 +11,9 @@ Output conventions, kept byte-stable for golden tests:
 * Exit codes: 0 success, 1 input syntax error, 2 domain validation
   failure, 3 verification failure. A reader that closes stdout early
   changes neither the exit code nor stderr, and gets no traceback.
-* Results go to stdout, diagnostics to stderr.
+* Results go to stdout, diagnostics to stderr. Each command writes its
+  stderr lines, then returns its exit code and stdout lines for main to
+  write; TSV and text lines are generated as they are written.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from .branch import derive_numerics, gaps, resolve_input
 from .curves import deformation_family, monomial_curve_equations, plane_equation
@@ -40,10 +44,6 @@ class _SyntaxError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _SyntaxError(message)
-
-
-def _frac(x) -> str:
-    return str(Fraction(x))
 
 
 def _ratio(num: int, den: int) -> str:
@@ -140,7 +140,7 @@ def _poly_dict(p) -> dict:
         "text": str(p),
         "variables": list(p.variables),
         "terms": [
-            {"exponents": list(e), "coefficient": _frac(c)}
+            {"exponents": list(e), "coefficient": str(c)}
             for e, c in p.canonical_terms()
         ],
     }
@@ -184,7 +184,7 @@ def report_to_dict(rep) -> dict:
             "conductor": bn.conductor,
         },
         "mu": bn.milnor,
-        "lct": _frac(rep.lct),
+        "lct": str(rep.lct),
         "toric_steps": [asdict(s) for s in rep.steps],
         "divisors": [asdict(d) for d in rep.divisors],
         "candidates": [
@@ -203,7 +203,7 @@ def report_to_dict(rep) -> dict:
         },
         "resonances": [
             {
-                "sigma": _frac(r.sigma),
+                "sigma": str(r.sigma),
                 "occurrences": [
                     {"i": i, "nu": nu, "status": st.value} for i, nu, st in r.occurrences
                 ],
@@ -215,45 +215,45 @@ def report_to_dict(rep) -> dict:
     }
 
 
-def _print_analyze_text(rep) -> None:
+def _analyze_text(rep) -> Iterator[str]:
     bn = rep.bn
-    print(f"input {rep.input_text} kind {rep.kind}")
-    print(
+    yield f"input {rep.input_text} kind {rep.kind}"
+    yield (
         f"n {bn.n}  g {bn.g}  betabar {','.join(map(str, bn.gens))}"
         f"  conductor {bn.conductor}  mu {bn.milnor}"
     )
-    print(f"lct {rep.lct}")
-    print(f"verdict {rep.verdict}")
-    print("toric steps:")
+    yield f"lct {rep.lct}"
+    yield f"verdict {rep.verdict}"
+    yield "toric steps:"
     for s in rep.steps:
-        print(f"  i={s.i} n={s.n} q={s.q} a={s.a} b={s.b} c={s.c} d={s.d}")
-    print("divisors:")
+        yield f"  i={s.i} n={s.n} q={s.q} a={s.a} b={s.b} c={s.c} d={s.d}"
+    yield "divisors:"
     for d in rep.divisors:
-        print(
+        yield (
             f"  i={d.i} rupture N={d.N_rupture} k+1={d.k_rupture_plus1}"
             f" deadend N={d.N_deadend} k+1={d.k_deadend_plus1}"
         )
-    print("candidates (i, nu, sigma, eps1, eps2, eps3, status):")
+    yield "candidates (i, nu, sigma, eps1, eps2, eps3, status):"
     for row in _candidate_rows(rep):
-        print("  " + " ".join(f"{v:>12}" for v in row[:6]) + f"  {row[6]}")
+        yield "  " + " ".join(f"{v:>12}" for v in row[:6]) + f"  {row[6]}"
     for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
                      ("yano:", rep.yano)):
-        print(head)
+        yield head
         for k, mult in ms.sorted_counts():
-            print(f"  {_ratio(k, ms.den):>12} x{mult}")
-    print(f"eigenvalues distinct: {str(rep.eigenvalues.distinct).lower()}")
+            yield f"  {_ratio(k, ms.den):>12} x{mult}"
+    yield f"eigenvalues distinct: {str(rep.eigenvalues.distinct).lower()}"
     for r in rep.resonances:
         where = ", ".join(f"(i={i}, nu={nu})" for i, nu, _ in r.occurrences)
-        print(f"resonance sigma={r.sigma} at {where}")
-    print(f"strict transform poles: {rep.strict_transform_poles}")
+        yield f"resonance sigma={r.sigma} at {where}"
+    yield f"strict transform poles: {rep.strict_transform_poles}"
 
 
-def _write_stdout(rc: int, write, *args) -> int:
-    """Call write(*args), which prints to stdout, flush stdout and return rc.
-    A reader that closes stdout early changes neither rc nor stderr, so each
-    command decides rc and writes its stderr lines before calling this."""
+def _write_stdout(rc: int, lines: Iterable[str]) -> int:
+    """Write each of lines and a newline to stdout, flush it and return rc;
+    nothing else writes stdout.  A reader that closes stdout early changes
+    neither rc nor stderr, which each command fixes before it returns."""
     try:
-        write(*args)
+        sys.stdout.writelines(line + "\n" for line in lines)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
     except BrokenPipeError:
         # the reader stopped reading: send what is still buffered to devnull
@@ -264,64 +264,47 @@ def _write_stdout(rc: int, write, *args) -> int:
     return rc
 
 
-def cmd_analyze(ns) -> int:
+def cmd_analyze(ns) -> tuple[int, Iterable[str]]:
     rep = branch_report(ns.input, nu_max=ns.nu_max)
-
-    def write():
-        if ns.format == "json":
-            print(canonical_json(report_to_dict(rep)))
-        elif ns.format == "tsv":
-            print("\t".join(["i", "nu", "sigma", "eps1", "eps2", "eps3", "status"]))
-            for row in _candidate_rows(rep):
-                print("\t".join(map(str, row)))
-        else:
-            _print_analyze_text(rep)
-
-    return _write_stdout(0, write)
+    if ns.format == "json":
+        return 0, [canonical_json(report_to_dict(rep))]
+    if ns.format == "tsv":
+        head = "\t".join(["i", "nu", "sigma", "eps1", "eps2", "eps3", "status"])
+        return 0, chain([head], ("\t".join(map(str, row)) for row in _candidate_rows(rep)))
+    return 0, _analyze_text(rep)
 
 
-def _emit_validation_failure(text: str, exc: Exception, fmt: str) -> None:
+def _validation_failure(text: str, exc: Exception, fmt: str) -> list[str]:
+    """The stdout lines of a failed validation; text and tsv write their
+    heading to stderr first."""
     # a semigroup failure carries its whole validation report
     conditions = [
         {"name": c.name, "passed": c.passed, "detail": c.detail}
         for c in getattr(exc, "conditions", ())
     ] or [{"name": "charseq", "passed": False, "detail": str(exc)}]
-    payload = {"error": "validation", "input": text, "conditions": conditions}
     if fmt == "json":
-        print(canonical_json(payload))
-    else:
-        print(f"invalid input {text}", file=sys.stderr)
-        for c in conditions:
-            flag = "ok" if c["passed"] else "FAIL"
-            print(f"{c['name']}\t{flag}\t{c['detail']}")
+        return [canonical_json({"error": "validation", "input": text, "conditions": conditions})]
+    print(f"invalid input {text}", file=sys.stderr)
+    return [f"{c['name']}\t{'ok' if c['passed'] else 'FAIL'}\t{c['detail']}" for c in conditions]
 
 
-def cmd_residue(ns) -> int:
+def cmd_residue(ns) -> tuple[int, Iterable[str]]:
     p = RnmParams(alpha=ns.alpha, n=ns.n, beta=ns.beta, m=ns.m, lam=ns.lam)
     out = rnm_closed_form(p)
-
-    def write():
-        if ns.format == "json":
-            print(
-                canonical_json(
-                    {
-                        "order": out.order,
-                        "value": None if out.value is None else _cx(out.value),
-                        "reason": [{"factor": lbl, "order": k} for lbl, k in out.reason],
-                    }
-                )
-            )
-        elif ns.format == "tsv":
-            val = "none" if out.value is None else _fmt_cx(out.value)
-            reason = ",".join(f"{lbl}:{k}" for lbl, k in out.reason)
-            print("\t".join(["order", "value", "reason"]))
-            print("\t".join([str(out.order), val, reason]))
-        else:
-            print(f"order {out.order}")
-            print("value " + ("none (pole)" if out.value is None else _fmt_cx(out.value)))
-            print("reason " + " ".join(f"{lbl}:{k:+d}" for lbl, k in out.reason))
-
-    return _write_stdout(0, write)
+    if ns.format == "json":
+        value = None if out.value is None else _cx(out.value)
+        reason = [{"factor": lbl, "order": k} for lbl, k in out.reason]
+        return 0, [canonical_json({"order": out.order, "value": value, "reason": reason})]
+    if ns.format == "tsv":
+        val = "none" if out.value is None else _fmt_cx(out.value)
+        reason = ",".join(f"{lbl}:{k}" for lbl, k in out.reason)
+        return 0, ["\t".join(["order", "value", "reason"]),
+                   "\t".join([str(out.order), val, reason])]
+    return 0, [
+        f"order {out.order}",
+        "value " + ("none (pole)" if out.value is None else _fmt_cx(out.value)),
+        "reason " + " ".join(f"{lbl}:{k:+d}" for lbl, k in out.reason),
+    ]
 
 
 GRID_PAIRS = (
@@ -345,10 +328,9 @@ VANISHING_CASES = (
 COMBINATORIC_CASES = ("2,3", "4,9", "4,6,7", "6,9,22")
 
 
-def _suite_rnm(tol: float, rel_tol: float) -> list[tuple[str, str, str, float, bool]]:
+def _suite_rnm(tol: float, rel_tol: float) -> Iterator[tuple[str, str, str, float, bool]]:
     from .quadrature import QuadConfig, rnm_quadrature  # imported here: quadrature loads numpy
 
-    rows = []
     cfg = QuadConfig(rel_tol=rel_tol)
     for (a, b) in GRID_PAIRS:
         for lam in (1.0, 2.0):
@@ -357,7 +339,7 @@ def _suite_rnm(tol: float, rel_tol: float) -> list[tuple[str, str, str, float, b
             got = rnm_quadrature(p, cfg)
             rel = abs(got - want) / abs(want)
             case = f"rnm(alpha={a},n=0,beta={b},m=0,lambda={lam:g})"
-            rows.append((case, _fmt_cx(want), _fmt_cx(got), rel, rel <= tol))
+            yield case, _fmt_cx(want), _fmt_cx(got), rel, rel <= tol
     for p in SYMMETRY_CASES:
         a, b = symmetry_pair(p)
         if a.order == 0 and b.order == 0:
@@ -370,22 +352,21 @@ def _suite_rnm(tol: float, rel_tol: float) -> list[tuple[str, str, str, float, b
             f"symmetry(alpha={p.alpha},n={p.n},beta={p.beta},m={p.m},"
             f"lambda={complex(p.lam).real:g})"
         )
-        rows.append((case, exp_s, got_s, rel, rel <= 1e-10))
-    return rows
+        yield case, exp_s, got_s, rel, rel <= 1e-10
 
 
-def _suite_combinatorics() -> list[tuple[str, str, str, float, bool]]:
-    rows = []
+def _exact(case: str, expected, got) -> tuple[str, str, str, float, bool]:
+    """The row of an exact check: relative error 0 when it passes, else inf."""
+    ok = expected == got
+    return case, str(expected), str(got), 0.0 if ok else float("inf"), ok
 
-    def exact(case: str, expected, got) -> None:
-        ok = expected == got
-        rows.append((case, str(expected), str(got), 0.0 if ok else float("inf"), ok))
 
+def _suite_combinatorics() -> Iterator[tuple[str, str, str, float, bool]]:
     for text in COMBINATORIC_CASES:
         rep = branch_report(text)
         bn = rep.bn
-        exact(f"pi-total({text})", bn.milnor, rep.pi_merged.total)
-        exact(
+        yield _exact(f"pi-total({text})", bn.milnor, rep.pi_merged.total)
+        yield _exact(
             f"pi-vs-yano({text})",
             "equal",
             "equal" if rep.pi_merged.entries == rep.yano.entries else "differ",
@@ -393,49 +374,44 @@ def _suite_combinatorics() -> list[tuple[str, str, str, float, bool]]:
         poles = [
             -c.sigma for c in rep.candidates if c.status is PoleStatus.POLE_CANDIDATE
         ]
-        exact(f"lct-min-pole({text})", rep.lct, min(poles))
+        yield _exact(f"lct-min-pole({text})", rep.lct, min(poles))
         worst = max(
             abs(c.eps1 + c.eps2 + c.eps3 + c.nu + 2) for c in rep.candidates
         )
-        exact(f"sigma-relation({text})", Fraction(0), worst)
+        yield _exact(f"sigma-relation({text})", Fraction(0), worst)
         # eps1 (eps2) is an integer exactly where the dead end (previous level) excludes
         for name, eps, own in (("deadend", "eps1", PoleStatus.EXCLUDED_DEADEND),
                                ("previous", "eps2", PoleStatus.EXCLUDED_PREVIOUS)):
             excluded = (own, PoleStatus.EXCLUDED_BOTH)
             ok = all((getattr(c, eps).denominator == 1) == (c.status in excluded)
                      for c in rep.candidates)
-            exact(f"integrality-{name}({text})", True, ok)
+            yield _exact(f"integrality-{name}({text})", True, ok)
         # mu = 2 delta for a branch, delta counted as the semigroup's gaps
-        exact(f"conductor-eq-milnor({text})", bn.conductor, 2 * len(gaps(bn)))
+        yield _exact(f"conductor-eq-milnor({text})", bn.conductor, 2 * len(gaps(bn)))
         class_total = sum(
             m for _, items in rep.eigenvalues.classes for _, m in items
         )
-        exact(f"eigenvalue-count({text})", bn.milnor, class_total)
-    return rows
+        yield _exact(f"eigenvalue-count({text})", bn.milnor, class_total)
 
 
-def _suite_vanishing() -> list[tuple[str, str, str, float, bool]]:
+def _suite_vanishing() -> Iterator[tuple[str, str, str, float, bool]]:
     from .quadrature import (  # imported here: quadrature loads numpy
         radial_mass,
         vanishing_integral_check,
         vanishing_symbolic_cancellation,
     )
 
-    rows = []
     for n, alpha, R in VANISHING_CASES:
         res = vanishing_integral_check(n, alpha, R)
         mass = radial_mass(n, alpha, R)
         rel = abs(res) / mass
         case = f"vanishing(n={n},alpha={alpha},R={R:g})"
-        rows.append((case, "0", f"{abs(res):.6e}", rel, rel <= 1e-8))
+        yield case, "0", f"{abs(res):.6e}", rel, rel <= 1e-8
     out = vanishing_symbolic_cancellation(Fraction(-1, 4))
-    rows.append(
-        ("vanishing-symbolic(alpha=-1/4)", "0", str(out), 0.0 if out == 0 else float("inf"), out == 0)
-    )
-    return rows
+    yield _exact("vanishing-symbolic(alpha=-1/4)", 0, out)
 
 
-def cmd_verify(ns) -> int:
+def cmd_verify(ns) -> tuple[int, Iterable[str]]:
     if not ns.tol > 0:
         raise DomainError("tol must be positive")
     rows: list[tuple[str, str, str, float, bool]] = []
@@ -448,32 +424,28 @@ def cmd_verify(ns) -> int:
     failures = [c for c, *_, ok in rows if not ok]
     for c in failures:
         print(f"FAILED {c}", file=sys.stderr)
-
-    def write():
-        if ns.format == "json":
-            payload = {
-                "suite": ns.suite,
-                "passed": all(ok for *_, ok in rows),
-                "rows": [
-                    {"case": c, "expected": e, "got": g, "relerr": r, "pass": ok}
-                    for c, e, g, r, ok in rows
-                ],
-            }
-            print(canonical_json(payload))
-        elif ns.format == "text":
-            width = max(len(c) for c, *_ in rows)
-            for c, e, g, r, ok in rows:
-                flag = "ok  " if ok else "FAIL"
-                print(f"{flag} {c:<{width}}  expected {e}  got {g}  relerr {r:.6e}")
-        else:
-            print("\t".join(["case", "expected", "got", "relerr"]))
-            for c, e, g, r, _ in rows:
-                print("\t".join([c, e, g, f"{r:.6e}"]))
-
-    return _write_stdout(3 if failures else 0, write)
+    rc = 3 if failures else 0
+    if ns.format == "json":
+        payload = {
+            "suite": ns.suite,
+            "passed": not failures,
+            "rows": [
+                {"case": c, "expected": e, "got": g, "relerr": r, "pass": ok}
+                for c, e, g, r, ok in rows
+            ],
+        }
+        return rc, [canonical_json(payload)]
+    if ns.format == "text":
+        width = max(len(c) for c, *_ in rows)
+        return rc, [
+            f"{'ok  ' if ok else 'FAIL'} {c:<{width}}  expected {e}  got {g}  relerr {r:.6e}"
+            for c, e, g, r, ok in rows
+        ]
+    return rc, ["\t".join(["case", "expected", "got", "relerr"]),
+                *("\t".join([c, e, g, f"{r:.6e}"]) for c, e, g, r, _ in rows)]
 
 
-def cmd_generate(ns) -> int:
+def cmd_generate(ns) -> tuple[int, Iterable[str]]:
     text, kind, cs = resolve_input(ns.input)
     bn = derive_numerics(cs)
     plane = plane_equation(bn)
@@ -493,66 +465,70 @@ def cmd_generate(ns) -> int:
         if ns.seed is not None:
             fiber = fam.instantiate()
 
-    def write():
-        if ns.format == "json":
-            payload = {
-                "input": {"text": text, "kind": kind},
-                "plane": _poly_dict(plane),
-                "monomial_curve": [_poly_dict(h) for h in hs],
-                "deformation": None,
+    if ns.format == "json":
+        payload = {
+            "input": {"text": text, "kind": kind},
+            "plane": _poly_dict(plane),
+            "monomial_curve": [_poly_dict(h) for h in hs],
+            "deformation": None,
+        }
+        if fam is not None:
+            payload["deformation"] = {
+                "cutoff": fam.weight_cutoff,
+                "lambdas": [str(v) for v in fam.lambdas],
+                "base": _poly_dict(fam.base),
+                "terms": [
+                    {
+                        "parameter": t.parameter,
+                        "level": t.level,
+                        "exponents": list(t.exponents),
+                        "weight": t.weight,
+                        "monomial": _poly_dict(t.monomial),
+                        "coefficient": None if t.coefficient is None else str(t.coefficient),
+                    }
+                    for t in fam.terms
+                ],
+                "fiber": None if fiber is None else _poly_dict(fiber),
             }
-            if fam is not None:
-                payload["deformation"] = {
-                    "cutoff": fam.weight_cutoff,
-                    "lambdas": [_frac(v) for v in fam.lambdas],
-                    "base": _poly_dict(fam.base),
-                    "terms": [
-                        {
-                            "parameter": t.parameter,
-                            "level": t.level,
-                            "exponents": list(t.exponents),
-                            "weight": t.weight,
-                            "monomial": _poly_dict(t.monomial),
-                            "coefficient": None if t.coefficient is None else _frac(t.coefficient),
-                        }
-                        for t in fam.terms
-                    ],
-                    "fiber": None if fiber is None else _poly_dict(fiber),
-                }
-            print(canonical_json(payload))
-        elif ns.format == "tsv":
-            print("\t".join(["object", "exponents", "coefficient"]))
+        return 0, [canonical_json(payload)]
+    if ns.format == "tsv":
+        return 0, _generate_tsv(plane, hs, fam, fiber)
+    return 0, _generate_text(plane, hs, fam, fiber)
 
-            def poly_rows(name, p):
-                for e, c in p.canonical_terms():
-                    print("\t".join([name, ",".join(map(str, e)), _frac(c)]))
 
-            poly_rows("plane", plane)
-            for i, h in enumerate(hs, start=1):
-                poly_rows(f"h{i}", h)
-            if fam is not None:
-                for t in fam.terms:
-                    coeff = t.parameter if t.coefficient is None else _frac(t.coefficient)
-                    print("\t".join([t.parameter, ",".join(map(str, t.exponents)), coeff]))
-                if fiber is not None:
-                    poly_rows("fiber", fiber)
-        else:
-            print(plane)
-            for i, h in enumerate(hs, start=1):
-                print(f"h{i} = {h}")
-            if fam is not None:
-                lam_s = ",".join(str(v) for v in fam.lambdas) or "-"
-                print(f"deformation cutoff={fam.weight_cutoff} lambdas={lam_s}")
-                for t in fam.terms:
-                    coeff = "symbolic" if t.coefficient is None else str(t.coefficient)
-                    print(
-                        f"  {t.parameter} level={t.level} weight={t.weight}"
-                        f" monomial={t.monomial} coeff={coeff}"
-                    )
-                if fiber is not None:
-                    print(f"fiber = {fiber}")
+def _poly_rows(name: str, p) -> Iterator[str]:
+    for e, c in p.canonical_terms():
+        yield "\t".join([name, ",".join(map(str, e)), str(c)])
 
-    return _write_stdout(0, write)
+
+def _generate_tsv(plane, hs, fam, fiber) -> Iterator[str]:
+    yield "\t".join(["object", "exponents", "coefficient"])
+    yield from _poly_rows("plane", plane)
+    for i, h in enumerate(hs, start=1):
+        yield from _poly_rows(f"h{i}", h)
+    if fam is not None:
+        for t in fam.terms:
+            coeff = t.parameter if t.coefficient is None else str(t.coefficient)
+            yield "\t".join([t.parameter, ",".join(map(str, t.exponents)), coeff])
+        if fiber is not None:
+            yield from _poly_rows("fiber", fiber)
+
+
+def _generate_text(plane, hs, fam, fiber) -> Iterator[str]:
+    yield str(plane)
+    for i, h in enumerate(hs, start=1):
+        yield f"h{i} = {h}"
+    if fam is not None:
+        lam_s = ",".join(str(v) for v in fam.lambdas) or "-"
+        yield f"deformation cutoff={fam.weight_cutoff} lambdas={lam_s}"
+        for t in fam.terms:
+            coeff = "symbolic" if t.coefficient is None else str(t.coefficient)
+            yield (
+                f"  {t.parameter} level={t.level} weight={t.weight}"
+                f" monomial={t.monomial} coeff={coeff}"
+            )
+        if fiber is not None:
+            yield f"fiber = {fiber}"
 
 
 def _scalar(text: str):
@@ -564,7 +540,7 @@ def _scalar(text: str):
 
 
 _VALUE_FLAGS = {"--alpha", "--beta", "--lambda", "--n", "--m", "--nu-max",
-                "--cutoff", "--seed", "--tol", "--rel-tol"}
+                "--cutoff", "--seed", "--tol", "--rel-tol", "--lambdas"}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -647,15 +623,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return ns.func(ns)
+        return _write_stdout(*ns.func(ns))
     except (InvalidCharSeq, NotPlaneBranchSemigroup) as exc:
-        return _write_stdout(2, _emit_validation_failure, ns.input, exc, ns.format)
+        return _write_stdout(2, _validation_failure(ns.input, exc, ns.format))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BranchZetaError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
-        return _write_stdout(2, print, canonical_json({"error": "domain", "reason": str(exc)}))
+        return _write_stdout(2, [canonical_json({"error": "domain", "reason": str(exc)})])
 
 
 if __name__ == "__main__":

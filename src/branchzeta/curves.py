@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Mapping, Sequence
 
 from .branch import BranchNumerics, canonical_representation
@@ -353,19 +353,12 @@ def deformation_family(
     for i in range(1, bn.g + 1):
         level_weight = bn.nn[i] * bn.gens[i]
         found: list[tuple[int, tuple[int, ...]]] = []
-
-        def walk(l: int, prefix: tuple[int, ...], weight: int) -> None:
-            if weight > weight_cutoff:
-                return
-            if l > i:
-                if weight > level_weight:
-                    found.append((weight, prefix))
-                return
-            bound = (weight_cutoff - weight) // bn.gens[l] if l == 0 else bn.nn[l] - 1
-            for k in range(bound + 1):
-                walk(l + 1, prefix + (k,), weight + bn.gens[l] * k)
-
-        walk(0, (), 0)
+        for rest in product(*(range(bn.nn[l]) for l in range(1, i + 1))):
+            w = sum(g * k for g, k in zip(bn.gens[1:], rest))
+            # k_0 runs over level_weight < w + n k_0 <= weight_cutoff
+            lo = max(0, (level_weight - w) // bn.n + 1)
+            for k0 in range(lo, (weight_cutoff - w) // bn.n + 1):
+                found.append((w + bn.n * k0, (k0, *rest)))
         found.sort()
         for weight, exps in found:
             mono = _product(base_fs, exps)

@@ -12,7 +12,7 @@ m = beta' - beta the integrand reduces to
 which is branch-free.  Conjugate symmetry in theta folds the angular range
 to [0, pi] with twice the real part.  The plan is deterministic: dyadic
 panels graded toward r = 0, L-infinity dyadic shells around the integrable
-singularity at (r, theta) = (1, 0), smooth mid-range rectangles, and dyadic
+singularity at (r, theta) = (1, 0), smooth rectangles beside it, and dyadic
 radial panels outward from _R_MAX until an analytic power-law remainder
 bound certifies the neglected tail below tolerance.  All omitted regions
 (shell core, innermost disk, far tail) are controlled by explicit bounds,
@@ -31,17 +31,17 @@ from .errors import ConvergenceFailure, DomainError
 from .gammaratio import RnmParams
 
 
-# Fixed mesh geometry in the scaled variable r = |lambda z|: the fine mesh
-# ends at _R_MAX > 2 (extension panels continue until the tail bound holds),
-# each refinement loop (inner grading, singular shells) stops after
-# _MAX_SUBDIVISIONS steps with ConvergenceFailure, the graded region around
-# r = 0 ends at _ZERO_SPLIT, and the singular box around (r, theta) = (1, 0)
-# has half-width _ONE_SPLIT; both splits lie in (0, 1/2].  All panels use
+# Fixed mesh geometry in the scaled variable r = |lambda z|: the graded
+# region around r = 0 ends at _SPLIT, the singular box around (r, theta) =
+# (1, 0) has half-width _SPLIT, and the fine mesh ends at _R_MAX > 2.  Three
+# regions then refine level by level: at level k the inner disk has radius
+# and the singular core half-width _SPLIT 2^-k, and the tail starts at radius
+# _R_MAX 2^k.  Inner grading and singular shells stop with ConvergenceFailure
+# past level _MAX_SUBDIVISIONS, the tail past radius 1e60.  All panels use
 # the 24-point Gauss-Legendre rule _GAUSS (nodes, weights on [-1, 1]).
 _R_MAX = 1e3
 _MAX_SUBDIVISIONS = 512
-_ZERO_SPLIT = 0.5
-_ONE_SPLIT = 0.5
+_SPLIT = 0.5
 _GAUSS = np.polynomial.legendre.leggauss(24)
 
 
@@ -131,89 +131,74 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
     f = _integrand(p0, beta, n, m, 0.0)
     floc = _integrand(p0, beta, n, m, 1.0)  # u = r - 1 around the singular point
     eps_frac = cfg.rel_tol / 10.0
-    d0 = _ZERO_SPLIT
-    d1 = _ONE_SPLIT
-    pieces: list[float] = []
+    d = _SPLIT
 
-    # fixed smooth mid-range rectangles
-    if d0 < 1.0 - d1:
-        pieces.append(_panel(f, d0, 1.0 - d1, 0.0, math.pi, sub=4))
-    pieces.append(_panel(floc, -d1, d1, d1, math.pi, sub=4))
-    pieces.append(_panel(f, 1.0 + d1, 2.0, 0.0, math.pi, sub=4))
-
-    # dyadic radial panels from 2 out to r_max
+    # fixed smooth rectangles beside the singular box, then dyadic radial
+    # panels from 2 out to r_max
+    pieces = [_panel(floc, -d, d, d, math.pi, sub=4), _panel(f, 1.0 + d, 2.0, 0.0, math.pi, sub=4)]
     r_lo = 2.0
     while r_lo < _R_MAX:
         r_hi = min(2.0 * r_lo, _R_MAX)
-        pieces.append(_panel(f, r_lo, r_hi, 0.0, math.pi, sub=2))
+        pieces.append(_panel(f, r_lo, r_hi, 0.0, math.pi))
         r_lo = r_hi
 
-    # neglected-region bounds; all constants are crude upper envelopes
-    def inner_bound(r_in: float) -> float:
+    # each refinement region at level k: a bound on the part it still
+    # neglects (all constants are crude upper envelopes) and the panels that
+    # take it to level k + 1
+    def inner_bound(k: int) -> float:
         # |s^beta (1-re^{it})^m| <= cw on r <= 1/2
+        r_in = d * 2.0**-k
         cw = (1.0 - r_in) ** w if w < 0 else (1.0 + r_in) ** w
         return math.pi * cw * r_in ** (p0 + 1.0) / (p0 + 1.0)
 
-    def core_bound(h: float) -> float:
-        cr = max((1.0 - d1) ** p0, (1.0 + d1) ** p0)
+    def inner_panels(k: int) -> list[float]:
+        r_in = d * 2.0**-k
+        return [_panel(f, r_in / 2.0, r_in, 0.0, math.pi)]
+
+    def core_bound(k: int) -> float:
+        h = d * 2.0**-k
+        cr = max((1.0 - d) ** p0, (1.0 + d) ** p0)
         cw = math.sqrt(2.0 / math.pi**2) if w < 0 else 2.0
         return cr * cw**w * 4.0 * h ** (w + 2.0) / (w + 2.0)
 
-    def tail_bound(r_out: float) -> float:
-        c = 2.0 ** (2.0 * abs(beta)) * 2.0 ** abs(m)
-        return math.pi * c * r_out ** (pt + 1.0) / (-(pt + 1.0))
-
-    # refinement state
-    inner_lo = d0  # inner graded panels cover [inner_lo, d0]
-    shells = 0  # shells cover max(|r-1|, theta) in [h_shells, d1]
-    tail_hi = r_lo  # integrated out to tail_hi
-
-    def add_inner():
-        nonlocal inner_lo
-        nxt = inner_lo / 2.0
-        pieces.append(_panel(f, nxt, inner_lo, 0.0, math.pi, sub=2))
-        inner_lo = nxt
-
-    def add_shell():
+    def shell_panels(k: int) -> list[float]:
         # one L-infinity dyadic shell around (1, 0), in local coordinates
-        nonlocal shells
-        h = d1 * 2.0**-shells
+        h = d * 2.0**-k
         hh = h / 2.0
-        pieces.append(_panel(floc, -h, -hh, 0.0, h, sub=2))
-        pieces.append(_panel(floc, hh, h, 0.0, h, sub=2))
-        pieces.append(_panel(floc, -hh, hh, hh, h, sub=2))
-        shells += 1
+        return [_panel(floc, -h, -hh, 0.0, h), _panel(floc, hh, h, 0.0, h),
+                _panel(floc, -hh, hh, hh, h)]
 
-    def add_tail():
-        nonlocal tail_hi
-        nxt = 2.0 * tail_hi
-        pieces.append(_panel(f, tail_hi, nxt, 0.0, math.pi, sub=2))
-        tail_hi = nxt
+    def tail_bound(k: int) -> float:
+        c = 2.0 ** (2.0 * abs(beta)) * 2.0 ** abs(m)
+        return math.pi * c * (r_lo * 2.0**k) ** (pt + 1.0) / (-(pt + 1.0))
 
-    for _ in range(8):
-        add_inner()
-        add_shell()
+    def tail_panels(k: int) -> list[float]:
+        r = r_lo * 2.0**k
+        return [_panel(f, r, 2.0 * r, 0.0, math.pi)]
+
+    regions = (  # (bound, panels, budget spent at level k, message)
+        (inner_bound, inner_panels, lambda k: k > _MAX_SUBDIVISIONS,
+         "inner grading budget exhausted"),
+        (core_bound, shell_panels, lambda k: k > _MAX_SUBDIVISIONS,
+         "singular-shell budget exhausted"),
+        (tail_bound, tail_panels, lambda k: r_lo * 2.0**k > 1e60,
+         "tail decays too slowly to certify"),
+    )
+    for k in range(8):
+        pieces += inner_panels(k) + shell_panels(k)
+    levels = [8, 8, 0]  # inner disk, singular shells, tail
 
     for _ in range(16):
         scale = max(abs(math.fsum(pieces)), 1e-300)
         tol = eps_frac * scale
-        refined = False
-        while inner_bound(inner_lo) >= tol:
-            add_inner()
-            refined = True
-            if d0 / inner_lo > 2.0**_MAX_SUBDIVISIONS:
-                raise ConvergenceFailure("inner grading budget exhausted")
-        while core_bound(d1 * 2.0**-shells) >= tol:
-            add_shell()
-            refined = True
-            if shells > _MAX_SUBDIVISIONS:
-                raise ConvergenceFailure("singular-shell budget exhausted")
-        while tail_bound(tail_hi) >= tol:
-            add_tail()
-            refined = True
-            if tail_hi > 1e60:
-                raise ConvergenceFailure("tail decays too slowly to certify")
-        if not refined:
+        before = list(levels)
+        for j, (bound, panels, exhausted, message) in enumerate(regions):
+            while bound(levels[j]) >= tol:
+                pieces += panels(levels[j])
+                levels[j] += 1
+                if exhausted(levels[j]):
+                    raise ConvergenceFailure(message)
+        if levels == before:
             break
     else:
         raise ConvergenceFailure("refinement did not stabilize")

@@ -135,18 +135,14 @@ def bell_polynomial(nu: int, k: int, xs) -> Fraction:
     if len(xs) != width:
         raise InvalidIndices(f"expected {width} arguments, got {len(xs)}")
 
-    total = Fraction(0)
-
-    def rec(l: int, jsum: int, lsum: int, term: Fraction):
+    def rec(l: int, jsum: int, lsum: int, term: Fraction) -> Fraction:
+        # the sum of the terms whose j_1, .., j_{l-1} made term
         if l > width:
-            if jsum == k and lsum == nu:
-                nonlocal total
-                total += term
-            return
-        max_j = min(k - jsum, (nu - lsum) // l)
-        for j in range(max_j + 1):
+            return term if jsum == k and lsum == nu else Fraction(0)
+        total = Fraction(0)
+        for j in range(min(k - jsum, (nu - lsum) // l) + 1):
             piece = term * (xs[l - 1] / factorial(l)) ** j / factorial(j)
-            rec(l + 1, jsum + j, lsum + l * j, piece)
+            total += rec(l + 1, jsum + j, lsum + l * j, piece)
+        return total
 
-    rec(1, 0, 0, Fraction(1))
-    return total * factorial(nu)
+    return rec(1, 0, 0, Fraction(1)) * factorial(nu)

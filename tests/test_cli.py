@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import branchzeta.cli
 import branchzeta.poles
 from branchzeta.branch import gaps
-from branchzeta.cli import _merge_negative_values, canonical_json, main
+from branchzeta.cli import _merge_negative_values, build_parser, canonical_json, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
@@ -405,6 +405,13 @@ class TestGenerate:
         rc, _, _ = run(capsys, "generate", "4,8")
         assert rc == 2
 
+    def test_negative_lambda_spaced_or_joined(self, capsys):
+        spaced = run(capsys, "generate", "4,6,7", "--deform", "--lambdas", "-2/3", "--format", "json")
+        joined = run(capsys, "generate", "4,6,7", "--deform", "--lambdas=-2/3", "--format", "json")
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1] == joined[1]
+        assert json.loads(spaced[1])["deformation"]["lambdas"] == ["-2/3"]
+
     @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
     def test_needs_no_pole_report(self, capsys, monkeypatch, fmt):
         def refuse(*args, **kwargs):
@@ -424,6 +431,24 @@ class TestPlumbing:
         ]
         assert _merge_negative_values(["--alpha", "--n"]) == ["--alpha", "--n"]
         assert _merge_negative_values(["analyze", "4,9"]) == ["analyze", "4,9"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "4,9", "--format", "json"],
+        ["analyze", "4,9", "--format", "tsv"],
+        ["analyze", "4,9", "--format", "text"],
+        ["residue", "--alpha=-3/5", "--n", "0", "--beta=-7/10", "--m", "0"],
+        ["verify", "--suite", "combinatorics"],
+        ["generate", "4,9", "--deform", "--cutoff", "38", "--seed", "7"],
+    ], ids=" ".join)
+    def test_commands_return_lines_and_main_writes_them(self, capsys, argv):
+        ns = build_parser().parse_args(argv)
+        result = ns.func(ns)
+        assert isinstance(result, tuple) and len(result) == 2
+        rc, lines = result
+        lines = list(lines)
+        assert capsys.readouterr().out == ""
+        assert main(argv) == rc == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
     def test_missing_subcommand_exit_1(self, capsys):
         rc, _, err = run(capsys)

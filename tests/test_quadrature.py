@@ -85,12 +85,22 @@ class TestGates:
             with pytest.raises(DomainError):
                 rnm_quadrature(p)
 
-    def test_budget_exhaustion(self, monkeypatch):
-        # (2 beta + m) + 2 = 0.1 needs hundreds of shells; an 8-shell budget
+    @pytest.mark.parametrize("alpha, beta, budget, message", [
+        # radial power 2 alpha + n + 1 = -0.1 at r = 0: the inner bound
+        # falls as r^0.9 and 8 levels of inner grading cannot certify it
+        (Fraction(-11, 20), Fraction(-19, 20), 8, "inner grading budget exhausted"),
+        # (2 beta + m) + 2 = 0.04 needs hundreds of shells; an 8-shell budget
         # cannot certify the singular core
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 8)
-        p = RnmParams(alpha=Fraction(-11, 20), n=0, beta=Fraction(-19, 20), m=0, lam=1.0)
-        with pytest.raises(ConvergenceFailure):
+        (Fraction(-1, 40), Fraction(-49, 50), 8, "singular-shell budget exhausted"),
+        # radial power -1.01 at infinity: the tail bound falls as r^-0.01 and
+        # is still above tolerance at radius 1e60
+        (Fraction(-1, 2), Fraction(-101, 200), None, "tail decays too slowly to certify"),
+    ], ids=["inner", "shell", "tail"])
+    def test_budget_exhaustion(self, monkeypatch, alpha, beta, budget, message):
+        if budget is not None:
+            monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+        p = RnmParams(alpha=alpha, n=0, beta=beta, m=0, lam=1.0)
+        with pytest.raises(ConvergenceFailure, match=message):
             rnm_quadrature(p)
 
 
