@@ -7,7 +7,6 @@ from .branch import (
     ValidationReport,
     canonical_representation,
     charseq_from_semigroup,
-    conductor_and_milnor,
     derive_numerics,
     gaps,
     membership,

@@ -199,11 +199,6 @@ def derive_numerics(cs: CharSeq) -> BranchNumerics:
     )
 
 
-def conductor_and_milnor(bn: BranchNumerics) -> tuple[int, int]:
-    """Conductor and Milnor number (equal for a plane branch)."""
-    return bn.conductor, bn.milnor
-
-
 def _apery(gens: tuple[int, ...]) -> tuple[list, list[int]]:
     """Apery set of gens[0] in <gens> (positive generators): ap[r] is the least
     element congruent to r mod gens[0] (inf if none), last[r] the index of the

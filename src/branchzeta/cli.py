@@ -185,7 +185,7 @@ def report_to_dict(rep) -> dict:
         },
         "mu": bn.milnor,
         "lct": str(rep.lct),
-        "toric_steps": [asdict(s) for s in rep.steps],
+        "toric_steps": [asdict(s) for s in rep.bn.steps],
         "divisors": [asdict(d) for d in rep.divisors],
         "candidates": [
             dict(zip(("i", "nu", "sigma", "eps1", "eps2", "eps3", "status"), row))
@@ -225,7 +225,7 @@ def _analyze_text(rep) -> Iterator[str]:
     yield f"lct {rep.lct}"
     yield f"verdict {rep.verdict}"
     yield "toric steps:"
-    for s in rep.steps:
+    for s in rep.bn.steps:
         yield f"  i={s.i} n={s.n} q={s.q} a={s.a} b={s.b} c={s.c} d={s.d}"
     yield "divisors:"
     for d in rep.divisors:

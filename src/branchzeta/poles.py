@@ -1,6 +1,7 @@
 """Candidate poles of the complex zeta function and everything built on them:
 residue numbers, generic pole sets (b-exponents), the Yano exponent multiset,
-monodromy-eigenvalue distinctness, and the aggregated branch report.
+monodromy-eigenvalue distinctness, and the branch report, whose sections
+are built on first read.
 
 The candidate attached to rupture divisor i and shift nu is
 sigma_{i,nu} = -(r_i + nu) / N_i, excluded when the dead-end divisor or the
@@ -22,7 +23,7 @@ from functools import cached_property
 
 from .branch import BranchNumerics, derive_numerics, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient
-from .toric import DivisorNumerics, ToricStep, divisor_numerics
+from .toric import divisor_numerics
 
 
 class PoleStatus(Enum):
@@ -79,12 +80,13 @@ class CandidatePole:
     ladder: Ladder
     nu: int
 
+    _row = cached_property(lambda self: self.ladder.row(self.nu))  # read once per candidate
     i = property(lambda self: self.ladder.i)
     sigma = property(lambda self: Fraction(-self.ladder.r - self.nu, self.ladder.N))
-    eps1 = property(lambda self: Fraction(self.ladder.row(self.nu)[1], self.ladder.n))
-    eps2 = property(lambda self: Fraction(self.ladder.row(self.nu)[2], self.ladder.mbar))
+    eps1 = property(lambda self: Fraction(self._row[1], self.ladder.n))
+    eps2 = property(lambda self: Fraction(self._row[2], self.ladder.mbar))
     eps3 = property(lambda self: self.ladder.e * self.sigma)
-    status = property(lambda self: self.ladder.row(self.nu)[3])
+    status = property(lambda self: self._row[3])
 
 
 class ExponentMultiset:
@@ -126,15 +128,12 @@ class ExponentMultiset:
     def sorted_counts(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
 
-    def sorted_items(self) -> list[tuple[Fraction, int]]:
-        return list(self.entries.items())
-
     def __eq__(self, other):
         return isinstance(other, ExponentMultiset) and self.entries == other.entries
 
 
-def residue_numbers(bn: BranchNumerics, steps, i: int, nu: int) -> tuple[Fraction, Fraction]:
-    """The residue numbers (eps_{1,nu}, eps_{2,nu}) at rupture index i (steps is unused)."""
+def residue_numbers(bn: BranchNumerics, i: int, nu: int) -> tuple[Fraction, Fraction]:
+    """The residue numbers (eps_{1,nu}, eps_{2,nu}) at rupture index i."""
     cand = candidate_pole(bn, i, nu)
     return cand.eps1, cand.eps2
 
@@ -243,8 +242,9 @@ class Resonance:
     occurrences: tuple[tuple[int, int, PoleStatus], ...]  # (i, nu, status)
 
 
-def _resonances(bn: BranchNumerics, ends: tuple[int, ...], den: int) -> tuple[Resonance, ...]:
+def _resonances(bn: BranchNumerics, ends: tuple[int, ...]) -> tuple[Resonance, ...]:
     """Candidate values on two or more ladders, largest sigma first."""
+    den = math.lcm(*(lad.N for lad in bn.ladders))
     tops = [_numerators(den, lad.r, hi, lad.N) for lad, hi in zip(bn.ladders, ends)]
     hits = Counter(chain.from_iterable(tops))
     return tuple(
@@ -256,22 +256,31 @@ def _resonances(bn: BranchNumerics, ends: tuple[int, ...], den: int) -> tuple[Re
 
 @dataclass(frozen=True)
 class BranchReport:
+    """Every invariant of one branch.  Only the input is stored; each other
+    section is built from bn and nu_max when first read, and kept."""
+
     input_text: str
     kind: str  # "charseq" | "semigroup"
     bn: BranchNumerics
-    steps: tuple[ToricStep, ...]
-    divisors: tuple[DivisorNumerics, ...]
-    lct: Fraction
-    ladder_lengths: tuple[int, ...]  # ladder i holds the candidates 0 <= nu < length
-    pi_sets: tuple[ExponentMultiset, ...]
-    pi_merged: ExponentMultiset
-    yano: ExponentMultiset
-    eigenvalues: EigenvalueAnalysis
-    resonances: tuple[Resonance, ...]
-    verdict: str  # "proved-distinct" | "conjectural-generic"
+    nu_max: int | None
 
     # The strict transform contributes the pole ladder -1, -2, -3, ...
-    strict_transform_poles: str = "all negative integers"
+    strict_transform_poles = "all negative integers"
+
+    divisors = cached_property(lambda self: tuple(divisor_numerics(self.bn)))
+    lct = cached_property(lambda self: log_canonical_threshold(self.bn))
+    pi_sets = property(lambda self: self._pi[0])
+    pi_merged = property(lambda self: self._pi[1])
+    yano = cached_property(lambda self: yano_multiset(self.bn))
+    eigenvalues = cached_property(lambda self: eigenvalue_analysis(self.pi_merged))
+    verdict = cached_property(lambda self: "proved-distinct" if self.eigenvalues.distinct
+                              else "conjectural-generic")
+
+    @cached_property
+    def ladder_lengths(self) -> tuple[int, ...]:
+        """Ladder i holds the candidates 0 <= nu < length: n_i betabar_i or up to nu_max."""
+        return tuple(lad.N if self.nu_max is None else max(lad.N, self.nu_max + 1)
+                     for lad in self.bn.ladders)
 
     @cached_property
     def candidates(self) -> tuple[CandidatePole, ...]:
@@ -279,27 +288,22 @@ class BranchReport:
         return tuple(CandidatePole(lad, nu)
                      for lad, hi in zip(self.bn.ladders, self.ladder_lengths) for nu in range(hi))
 
+    @cached_property
+    def _pi(self) -> tuple[tuple[ExponentMultiset, ...], ExponentMultiset]:
+        """(pi_sets, pi_merged) from one pi_multisets call."""
+        sets, merged = pi_multisets(self.bn)
+        # the smallest kept pole value: every ladder's lies in its first period
+        assert self.lct == Fraction(min(merged.counts), merged.den)
+        return tuple(sets), merged
+
+    @cached_property
+    def resonances(self) -> tuple[Resonance, ...]:
+        return _resonances(self.bn, self.ladder_lengths) if self.bn.g > 1 else ()
+
 
 def branch_report(input_spec, nu_max: int | None = None) -> BranchReport:
-    """Aggregate every invariant into one report of a CharSeq, a
-    PlaneSemigroup or an input string in either CLI syntax; input_text is in
-    CLI syntax.  The candidates cover one full period 0 <= nu < n_i betabar_i
-    per rupture index; nu_max extends it."""
+    """The report of a CharSeq, a PlaneSemigroup or an input string in either
+    CLI syntax; input_text is in CLI syntax.  The candidates cover one full
+    period 0 <= nu < n_i betabar_i per rupture index; nu_max extends it."""
     text, kind, cs = resolve_input(input_spec)
-    bn = derive_numerics(cs)
-
-    ends = tuple(lad.N if nu_max is None else max(lad.N, nu_max + 1) for lad in bn.ladders)
-    pi_sets, pi_merged = pi_multisets(bn)
-    yano = yano_multiset(bn)
-    eigen = eigenvalue_analysis(pi_merged)
-    lct = log_canonical_threshold(bn)
-    # the smallest kept pole value: every ladder's lies in its first period
-    assert lct == Fraction(min(pi_merged.counts), pi_merged.den)
-
-    return BranchReport(
-        input_text=text, kind=kind, bn=bn, steps=bn.steps,
-        divisors=tuple(divisor_numerics(bn)), lct=lct, ladder_lengths=ends,
-        pi_sets=tuple(pi_sets), pi_merged=pi_merged, yano=yano, eigenvalues=eigen,
-        resonances=_resonances(bn, ends, pi_merged.den) if bn.g > 1 else (),
-        verdict="proved-distinct" if eigen.distinct else "conjectural-generic",
-    )
+    return BranchReport(text, kind, derive_numerics(cs), nu_max)

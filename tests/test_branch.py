@@ -16,7 +16,6 @@ from branchzeta.branch import (
     PlaneSemigroup,
     canonical_representation,
     charseq_from_semigroup,
-    conductor_and_milnor,
     derive_numerics,
     gaps,
     membership,
@@ -61,12 +60,12 @@ class TestDeriveNumerics:
         assert bn.mm == (0, 9)
         assert bn.qq == (0, 9)
         assert bn.mbar == (1, 9)
-        assert conductor_and_milnor(bn) == (24, 24)
+        assert (bn.conductor, bn.milnor) == (24, 24)
 
     def test_example_cusp(self):
         bn = derive_numerics(CharSeq(2, (3,)))
         assert bn.gens == (2, 3)
-        assert conductor_and_milnor(bn) == (2, 2)
+        assert (bn.conductor, bn.milnor) == (2, 2)
 
     def test_example_4_6_7(self):
         bn = derive_numerics(CharSeq(4, (6, 7)))

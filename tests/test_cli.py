@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,38 @@ class TestAnalyze:
     def test_nu_max_extends_period(self, capsys):
         _, out, _ = run(capsys, "analyze", "4,9", "--nu-max", "40", "--format", "tsv")
         assert len(out.splitlines()) == 1 + 41
+
+    @pytest.mark.parametrize("stem", ["2_301", "4_6_7"])
+    def test_tsv_builds_no_section_but_the_candidates(self, capsys, monkeypatch, stem):
+        def refuse(*_):
+            raise RuntimeError("a section that tsv does not print was built")
+
+        for name in ("pi_multisets", "yano_multiset", "eigenvalue_analysis", "_resonances"):
+            monkeypatch.setattr(branchzeta.poles, name, refuse)
+        rc, out, err = run(capsys, "analyze", stem.replace("_", ","), "--format", "tsv")
+        assert (rc, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"analyze_{stem}.tsv").read_bytes()
+
+    BUILDERS = ("divisor_numerics", "log_canonical_threshold", "pi_multisets",
+                "yano_multiset", "eigenvalue_analysis", "_resonances")
+
+    @pytest.mark.parametrize("argv,built", [
+        (["analyze", "6,9,22", "--format", "json"], dict.fromkeys(BUILDERS, 1)),
+        (["analyze", "6,9,22", "--format", "text"], dict.fromkeys(BUILDERS, 1)),
+        (["verify", "--suite", "combinatorics"],
+         dict.fromkeys(("log_canonical_threshold", "pi_multisets", "yano_multiset",
+                        "eigenvalue_analysis"), len(branchzeta.cli.COMBINATORIC_CASES))),
+    ], ids=["json", "text", "verify"])
+    def test_each_section_built_at_most_once_per_report(self, capsys, monkeypatch, argv, built):
+        calls = Counter()
+        for name in self.BUILDERS:
+            def counted(*args, _name=name, _fn=getattr(branchzeta.poles, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(branchzeta.poles, name, counted)
+        assert run(capsys, *argv)[0] == 0
+        assert calls == built
 
 
 class TestResidue:
