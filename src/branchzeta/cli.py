@@ -241,7 +241,7 @@ def _analyze_text(rep) -> Iterator[str]:
         yield head
         for k, mult in ms.sorted_counts():
             yield f"  {_ratio(k, ms.den):>12} x{mult}"
-    yield f"eigenvalues distinct: {str(rep.eigenvalues.distinct).lower()}"
+    yield f"eigenvalues distinct: {str(rep.distinct).lower()}"
     for r in rep.resonances:
         where = ", ".join(f"(i={i}, nu={nu})" for i, nu, _ in r.occurrences)
         yield f"resonance sigma={r.sigma} at {where}"

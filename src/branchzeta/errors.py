@@ -43,7 +43,12 @@ class DomainError(BranchZetaError):
 
 
 class ConvergenceFailure(BranchZetaError):
-    """Quadrature subdivision budget exhausted before reaching tolerance."""
+    """Quadrature subdivision budget exhausted before reaching tolerance;
+    levels holds the refinement levels [inner, shell, tail] at the raise."""
+
+    def __init__(self, message: str, levels: list[int] | None = None):
+        super().__init__(message)
+        self.levels = levels
 
 
 class NegativeCoefficient(BranchZetaError):

@@ -215,18 +215,22 @@ class EigenvalueAnalysis:
                      for f, items in self.groups)
 
 
-def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
-    """Group b-exponents by fractional part (= monodromy eigenvalue class).
+def eigenvalues_distinct(pi: ExponentMultiset) -> bool:
+    """Whether the eigenvalues e^{-2 pi i alpha} over pi are pairwise
+    different: they coincide exactly when the exponents agree mod 1, so every
+    multiplicity must be one and no two exponents may agree mod 1."""
+    return (all(mult == 1 for mult in pi.counts.values())
+            and len({k % pi.den for k in pi.counts}) == len(pi.counts))
 
-    The eigenvalues e^{-2 pi i alpha} coincide exactly when the exponents
-    agree mod 1; they are pairwise different iff every class is a singleton
-    with multiplicity one.
-    """
+
+def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
+    """Group b-exponents by fractional part (= monodromy eigenvalue class);
+    distinct is eigenvalues_distinct(pi)."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for k, mult in pi.sorted_counts():
         groups.setdefault(k % pi.den, []).append((k, mult))
-    distinct = all(len(items) == 1 and items[0][1] == 1 for items in groups.values())
-    return EigenvalueAnalysis(distinct, pi.den, tuple((f, tuple(items)) for f, items in sorted(groups.items())))
+    return EigenvalueAnalysis(eigenvalues_distinct(pi), pi.den,
+                              tuple((f, tuple(items)) for f, items in sorted(groups.items())))
 
 
 def log_canonical_threshold(bn: BranchNumerics) -> Fraction:
@@ -273,7 +277,8 @@ class BranchReport:
     pi_merged = property(lambda self: self._pi[1])
     yano = cached_property(lambda self: yano_multiset(self.bn))
     eigenvalues = cached_property(lambda self: eigenvalue_analysis(self.pi_merged))
-    verdict = cached_property(lambda self: "proved-distinct" if self.eigenvalues.distinct
+    distinct = cached_property(lambda self: eigenvalues_distinct(self.pi_merged))
+    verdict = cached_property(lambda self: "proved-distinct" if self.distinct
                               else "conjectural-generic")
 
     @cached_property

@@ -17,6 +17,16 @@ radial panels outward from _R_MAX until an analytic power-law remainder
 bound certifies the neglected tail below tolerance.  All omitted regions
 (shell core, innermost disk, far tail) are controlled by explicit bounds,
 so tightening rel_tol only ever adds panels.
+
+The bounds read only the refinement levels, so each pass lists its panels
+before it evaluates any.  Each panel is split into tiles of 24 x 24 Gauss
+nodes, and the tiles are evaluated in fixed-size batches, one numpy
+evaluation of the integrand per batch of _TILES tiles: the working arrays
+stay below 0.5 MB however many panels a pass adds.  Each tile is still
+reduced on its own and each panel sums its tiles in order, so the result
+has the same bits as one evaluation per tile.  vanishing_integral_check
+evaluates all its radial panels in one numpy call, and all its angular
+panels in another.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -43,6 +54,7 @@ _R_MAX = 1e3
 _MAX_SUBDIVISIONS = 512
 _SPLIT = 0.5
 _GAUSS = np.polynomial.legendre.leggauss(24)
+_TILES = 8  # tiles per numpy evaluation; its working arrays stay below 0.5 MB
 
 
 @dataclass(frozen=True)
@@ -58,45 +70,60 @@ class QuadConfig:
             raise DomainError("rel_tol must be positive")
 
 
-def _panel(f, a, b, c, d, sub=2):
-    """Tensor Gauss-Legendre of f over [a,b] x [c,d], split sub x sub."""
+def _edges(a: float, b: float, sub: int) -> list[float]:
+    """sub + 1 equally spaced points from a to b: k (b - a)/sub + a, then b
+    itself, the same doubles as numpy's evenly spaced edges."""
+    step = (b - a) / sub
+    return [k * step + a for k in range(sub)] + [b]
+
+
+def _tiles(panels):
+    """(panel index, r0, mid_r, half_r, mid_t, half_t) of every tile of each
+    panel (r0, a, b, c, d, sub): the rectangle u in [a,b], t in [c,d] split
+    sub x sub, in row-major order."""
+    for p, (r0, a, b, c, d, sub) in enumerate(panels):
+        rs, ts = _edges(a, b, sub), _edges(c, d, sub)
+        for i in range(sub):
+            for j in range(sub):
+                yield (p, r0, 0.5 * (rs[i + 1] + rs[i]), 0.5 * (rs[i + 1] - rs[i]),
+                       0.5 * (ts[j + 1] + ts[j]), 0.5 * (ts[j + 1] - ts[j]))
+
+
+def _panels(f, panels) -> list[float]:
+    """Tensor Gauss-Legendre of f(r0, u, t) over each panel, split into the
+    tiles _tiles lists.  The tiles are evaluated _TILES at a time; each tile
+    is reduced on its own (w @ vals, then a dot with w) and each panel's
+    value is the sum of its tiles in order."""
     x, w = _GAUSS
-    total = 0.0
-    rs = np.linspace(a, b, sub + 1)
-    ts = np.linspace(c, d, sub + 1)
-    for i in range(sub):
-        half_r = 0.5 * (rs[i + 1] - rs[i])
-        mid_r = 0.5 * (rs[i + 1] + rs[i])
-        rn = mid_r + half_r * x
-        for j in range(sub):
-            half_t = 0.5 * (ts[j + 1] - ts[j])
-            mid_t = 0.5 * (ts[j + 1] + ts[j])
-            tn = mid_t + half_t * x
-            vals = f(rn[:, None], tn[None, :])
-            total += half_r * half_t * float(w @ vals @ w)
-    return total
+    tiles, sums = _tiles(panels), [0.0] * len(panels)
+    while chunk := list(islice(tiles, _TILES)):
+        _, r0, mid_r, half_r, mid_t, half_t = (col[:, None] for col in np.array(chunk).T)
+        vals = f(r0[:, :, None], (mid_r + half_r * x)[:, :, None], (mid_t + half_t * x)[:, None, :])
+        for (p, _, _, hr, _, ht), row in zip(chunk, w @ vals):
+            sums[p] += hr * ht * float(row @ w)
+    return sums
 
 
-def _integrand(p0: float, beta: float, n: int, m: int, r0: float):
+def _integrand(p0: float, beta: float, n: int, m: int):
     """Folded integrand on theta in [0, pi] (the x2 fold factor is applied
     by the caller): r^{p0} s^beta Re[e^{i n theta} (1 - r e^{i theta})^m],
-    s = (1-r)^2 + 4 r sin^2(theta/2), in the coordinate u = r - r0.  With
-    1 - r computed as (1 - r0) - u, r0 = 1 keeps it exact near the singular
-    point for subdivision depths far below the spacing of doubles at r = 1."""
+    s = (1-r)^2 + 4 r sin^2(theta/2), at r = r0 + u.  With 1 - r computed as
+    (1 - r0) - u, r0 = 1 keeps it exact near the singular point for
+    subdivision depths far below the spacing of doubles at r = 1."""
 
-    def f(u, t):
+    def f(r0, u, t):
         r = r0 + u
         d = (1.0 - r0) - u
         sh = np.sin(0.5 * t)
-        s = d * d + 4.0 * r * sh * sh
-        acc = np.power(r, p0) * np.power(s, beta)
+        # r^{p0} s^beta, with no array of s kept; products in place
+        acc = np.power(d * d + 4.0 * r * sh * sh, beta)
+        np.multiply(np.power(r, p0), acc, out=acc)
         if n == 0 and m == 0:
             return acc
         phase = np.exp(1j * n * t)
         if m != 0:
-            lin = d + 2.0 * r * sh * (sh - 1j * np.cos(0.5 * t))
-            phase = phase * lin**m
-        return acc * np.real(phase)
+            phase = phase * (d + 2.0 * r * sh * (sh - 1j * np.cos(0.5 * t)))**m
+        return np.multiply(acc, np.real(phase), out=acc)
 
     return f
 
@@ -106,8 +133,9 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
 
     Preconditions (DomainError otherwise): Re(alpha'+alpha) > -2,
     Re(beta'+beta) > -2, Re(alpha'+alpha+beta'+beta) < -2, lambda real > 0.
-    Raises ConvergenceFailure when a refinement loop exhausts its budget.
-    Deterministic: fixed mesh construction and summation order.
+    Raises ConvergenceFailure, with the levels reached, when a refinement
+    loop exhausts its budget.  Deterministic: fixed mesh construction and
+    summation order.
     """
     lam = complex(p.lam)
     if lam.imag != 0 or lam.real <= 0:
@@ -128,18 +156,18 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
     p0 = two_a + 1.0  # radial power at r = 0, > -1
     w = two_b  # local exponent at (r, theta) = (1, 0), > -2
     pt = two_a + two_b + 1.0  # radial power at infinity, < -1
-    f = _integrand(p0, beta, n, m, 0.0)
-    floc = _integrand(p0, beta, n, m, 1.0)  # u = r - 1 around the singular point
+    f = _integrand(p0, beta, n, m)
     eps_frac = cfg.rel_tol / 10.0
     d = _SPLIT
 
-    # fixed smooth rectangles beside the singular box, then dyadic radial
-    # panels from 2 out to r_max
-    pieces = [_panel(floc, -d, d, d, math.pi, sub=4), _panel(f, 1.0 + d, 2.0, 0.0, math.pi, sub=4)]
+    # panels are (r0, u from, u to, theta from, theta to, tiles per side) in
+    # u = r - r0; r0 = 1 around the singular point.  Fixed smooth rectangles
+    # beside the singular box, then dyadic radial panels from 2 out to r_max
+    mesh = [(1.0, -d, d, d, math.pi, 4), (0.0, 1.0 + d, 2.0, 0.0, math.pi, 4)]
     r_lo = 2.0
     while r_lo < _R_MAX:
         r_hi = min(2.0 * r_lo, _R_MAX)
-        pieces.append(_panel(f, r_lo, r_hi, 0.0, math.pi))
+        mesh.append((0.0, r_lo, r_hi, 0.0, math.pi, 2))
         r_lo = r_hi
 
     # each refinement region at level k: a bound on the part it still
@@ -151,9 +179,9 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
         cw = (1.0 - r_in) ** w if w < 0 else (1.0 + r_in) ** w
         return math.pi * cw * r_in ** (p0 + 1.0) / (p0 + 1.0)
 
-    def inner_panels(k: int) -> list[float]:
+    def inner_panels(k: int) -> list[tuple]:
         r_in = d * 2.0**-k
-        return [_panel(f, r_in / 2.0, r_in, 0.0, math.pi)]
+        return [(0.0, r_in / 2.0, r_in, 0.0, math.pi, 2)]
 
     def core_bound(k: int) -> float:
         h = d * 2.0**-k
@@ -161,20 +189,19 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
         cw = math.sqrt(2.0 / math.pi**2) if w < 0 else 2.0
         return cr * cw**w * 4.0 * h ** (w + 2.0) / (w + 2.0)
 
-    def shell_panels(k: int) -> list[float]:
+    def shell_panels(k: int) -> list[tuple]:
         # one L-infinity dyadic shell around (1, 0), in local coordinates
         h = d * 2.0**-k
         hh = h / 2.0
-        return [_panel(floc, -h, -hh, 0.0, h), _panel(floc, hh, h, 0.0, h),
-                _panel(floc, -hh, hh, hh, h)]
+        return [(1.0, -h, -hh, 0.0, h, 2), (1.0, hh, h, 0.0, h, 2), (1.0, -hh, hh, hh, h, 2)]
 
     def tail_bound(k: int) -> float:
         c = 2.0 ** (2.0 * abs(beta)) * 2.0 ** abs(m)
         return math.pi * c * (r_lo * 2.0**k) ** (pt + 1.0) / (-(pt + 1.0))
 
-    def tail_panels(k: int) -> list[float]:
+    def tail_panels(k: int) -> list[tuple]:
         r = r_lo * 2.0**k
-        return [_panel(f, r, 2.0 * r, 0.0, math.pi)]
+        return [(0.0, r, 2.0 * r, 0.0, math.pi, 2)]
 
     regions = (  # (bound, panels, budget spent at level k, message)
         (inner_bound, inner_panels, lambda k: k > _MAX_SUBDIVISIONS,
@@ -185,26 +212,39 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
          "tail decays too slowly to certify"),
     )
     for k in range(8):
-        pieces += inner_panels(k) + shell_panels(k)
+        mesh += inner_panels(k) + shell_panels(k)
     levels = [8, 8, 0]  # inner disk, singular shells, tail
+    pieces = _panels(f, mesh)
 
+    # the bounds read only the levels and tol, so each pass lists its panels
+    # (and meets any exhausted budget) before it evaluates them
     for _ in range(16):
         scale = max(abs(math.fsum(pieces)), 1e-300)
         tol = eps_frac * scale
         before = list(levels)
+        mesh = []
         for j, (bound, panels, exhausted, message) in enumerate(regions):
             while bound(levels[j]) >= tol:
-                pieces += panels(levels[j])
+                mesh += panels(levels[j])
                 levels[j] += 1
                 if exhausted(levels[j]):
-                    raise ConvergenceFailure(message)
+                    raise ConvergenceFailure(message, list(levels))
         if levels == before:
             break
+        pieces += _panels(f, mesh)
     else:
-        raise ConvergenceFailure("refinement did not stabilize")
+        raise ConvergenceFailure("refinement did not stabilize", list(levels))
 
     total = 2.0 * math.fsum(pieces)  # theta fold
     return -2j * lam ** (-(two_a + 2.0)) * total
+
+
+def _nodes(edges: list[float]):
+    """Half-widths, and the Gauss nodes one row per panel, of the panels
+    between consecutive edges."""
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = 0.5 * (hi - lo)
+    return half.tolist(), (0.5 * (hi + lo))[:, None] + half[:, None] * _GAUSS[0]
 
 
 def vanishing_integral_check(n: int, alpha, R: float) -> complex:
@@ -225,24 +265,17 @@ def vanishing_integral_check(n: int, alpha, R: float) -> complex:
     if not R > 0:
         raise DomainError("R must be positive")
 
-    x, wts = _GAUSS
+    wts = _GAUSS[1]
     # radial factor on dyadic panels, the innermost ending at R / 2^40
     edges = [0.0, R / 2.0**40]
     while edges[-1] < R:
         edges.append(min(2.0 * edges[-1], R))
-    rad_parts = []
-    for a_, b_ in zip(edges[:-1], edges[1:]):
-        half, mid = 0.5 * (b_ - a_), 0.5 * (b_ + a_)
-        rad_parts.append(half * float(wts @ np.power(mid + half * x, power)))
-    rad = math.fsum(rad_parts)
+    halves, r = _nodes(edges)
+    rad = math.fsum(half * float(wts @ row) for half, row in zip(halves, np.power(r, power)))
+    # angular factor on equal panels; each row is summed on its own
     panels = max(8, 4 * abs(n))
-    ang_parts = []
-    for k in range(panels):
-        a_, b_ = 2.0 * math.pi * k / panels, 2.0 * math.pi * (k + 1) / panels
-        half, mid = 0.5 * (b_ - a_), 0.5 * (b_ + a_)
-        tn = mid + half * x
-        ang_parts.append(half * complex(np.sum(wts * np.exp(1j * n * tn))))
-    angular = sum(ang_parts)
+    halves, t = _nodes([2.0 * math.pi * k / panels for k in range(panels + 1)])
+    angular = sum(half * complex(np.sum(row)) for half, row in zip(halves, wts * np.exp(1j * n * t)))
     return -2j * rad * angular
 
 

@@ -123,12 +123,23 @@ class TestAnalyze:
         assert (rc, err) == (0, "")
         assert out.encode() == (GOLDEN / f"analyze_{stem}.tsv").read_bytes()
 
+    @pytest.mark.parametrize("stem", ["2_3", "4_9", "4_6_7", "6_9_22", "semigroup_4_6_13"])
+    def test_text_builds_no_eigenvalue_classes(self, capsys, monkeypatch, stem):
+        def refuse(*_):
+            raise RuntimeError("text built the eigenvalue classes")
+
+        monkeypatch.setattr(branchzeta.poles, "eigenvalue_analysis", refuse)
+        rc, out, err = run(capsys, "analyze", stem.replace("_", ",").replace("semigroup,", "semigroup:"))
+        assert (rc, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"analyze_{stem}.text").read_bytes()
+
     BUILDERS = ("divisor_numerics", "log_canonical_threshold", "pi_multisets",
                 "yano_multiset", "eigenvalue_analysis", "_resonances")
 
     @pytest.mark.parametrize("argv,built", [
         (["analyze", "6,9,22", "--format", "json"], dict.fromkeys(BUILDERS, 1)),
-        (["analyze", "6,9,22", "--format", "text"], dict.fromkeys(BUILDERS, 1)),
+        (["analyze", "6,9,22", "--format", "text"],
+         {name: 1 for name in BUILDERS if name != "eigenvalue_analysis"}),
         (["verify", "--suite", "combinatorics"],
          dict.fromkeys(("log_canonical_threshold", "pi_multisets", "yano_multiset",
                         "eigenvalue_analysis"), len(branchzeta.cli.COMBINATORIC_CASES))),

@@ -283,6 +283,12 @@ class TestClosedFormOracles:
             assert rep.eigenvalues.distinct == simple, rep.input_text
         assert sum(not rep.eigenvalues.distinct for rep in corpus_reports) >= 3
 
+    def test_distinct_matches_the_class_listing(self, corpus_reports):
+        # every eigenvalue class a singleton of multiplicity one
+        for rep in corpus_reports:
+            listed = all(len(items) == 1 and items[0][1] == 1 for _, items in rep.eigenvalues.groups)
+            assert rep.distinct == rep.eigenvalues.distinct == listed, rep.input_text
+
     def test_lct_is_least_divisor_ratio(self, corpus_reports):
         for rep in corpus_reports:
             assert rep.lct == min(
@@ -338,7 +344,7 @@ class TestBranchReport:
         assert rep.candidates[-1].nu == 10
 
     SECTIONS = ("ladder_lengths", "candidates", "divisors", "lct", "pi_sets", "pi_merged",
-                "yano", "eigenvalues", "verdict", "resonances")
+                "yano", "eigenvalues", "distinct", "verdict", "resonances")
 
     @given(st.integers(min_value=0, max_value=2**31),
            st.none() | st.integers(min_value=0, max_value=60), st.permutations(SECTIONS))

@@ -1,11 +1,16 @@
 """Quadrature oracle tests: convergence-region gates, agreement with the
 closed form on the full admissible grid, mesh-refinement monotonicity,
-determinism, and the vanishing-integral checks."""
+determinism, bit identity with the per-panel oracle (quadrature_oracle.py),
+the memory of one batched evaluation, and the vanishing-integral checks."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import quadrature_oracle as oracle
 
 from branchzeta import quadrature
 from branchzeta.errors import ConvergenceFailure, DomainError
@@ -104,6 +109,22 @@ class TestGates:
             rnm_quadrature(p)
 
 
+    @pytest.mark.parametrize("alpha, beta, budget, levels", [
+        (Fraction(-11, 20), Fraction(-19, 20), 8, [9, 8, 0]),
+        (Fraction(-1, 40), Fraction(-49, 50), 8, [8, 9, 0]),
+        # 1e3 * 2^190 is the first tail radius past 1e60
+        (Fraction(-1, 2), Fraction(-101, 200), None, [16, 18, 190]),
+    ], ids=["inner", "shell", "tail"])
+    def test_budget_exhaustion_levels(self, monkeypatch, alpha, beta, budget, levels):
+        # [inner, shell, tail] at the raise: the exhausted region is one past its budget
+        if budget is not None:
+            monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+        p = RnmParams(alpha=alpha, n=0, beta=beta, m=0, lam=1.0)
+        with pytest.raises(ConvergenceFailure) as info:
+            rnm_quadrature(p)
+        assert info.value.levels == levels
+
+
 class TestOracleAgreement:
     def test_grid_intersection_is_nm_zero(self):
         # the reference grid n, m in {-2..2}^2 meets the convergence region
@@ -188,6 +209,39 @@ def test_frozen_values_bit_for_bit(alpha, n, beta, m, lam, closed_hex, quad_hex)
     assert (quad.real.hex(), quad.imag.hex()) == quad_hex
 
 
+@st.composite
+def region_points(draw):
+    """(alpha, n, beta, m, lambda) with every margin of the convergence region,
+    x = 2 alpha + n + 2, y = 2 beta + m + 2 and 2 - x - y, at least 0.3."""
+    n, m = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    x = Fraction(draw(st.integers(300, 1400)), 1000)
+    y = Fraction(draw(st.integers(300, 1700 - int(1000 * x))), 1000)
+    lam = draw(st.floats(min_value=0.01, max_value=100.0))
+    return (x - n - 2) / 2, n, (y - m - 2) / 2, m, lam
+
+
+class TestBatchedTiles:
+    @given(region_points(), st.sampled_from([1e-3, 1e-5]))
+    @settings(max_examples=40, deadline=None)
+    def test_bits_match_per_panel_oracle(self, point, rel_tol):
+        alpha, n, beta, m, lam = point
+        p = RnmParams(alpha=alpha, n=n, beta=beta, m=m, lam=lam)
+        cfg = QuadConfig(rel_tol=rel_tol)
+        got, want = rnm_quadrature(p, cfg), oracle.rnm_quadrature(p, cfg)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_memory_of_one_call_is_bounded(self):
+        # all the tiles of a pass in one evaluation peak at about 26 MB here
+        p = RnmParams(alpha=Fraction(-11, 6), n=2, beta=Fraction(-1, 3), m=-1, lam=1)
+        tracemalloc.start()
+        try:
+            rnm_quadrature(p, QuadConfig(rel_tol=1e-5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+
 class TestRefinement:
     @pytest.mark.parametrize(
         "kw",
@@ -227,6 +281,17 @@ class TestVanishing:
         mass = radial_mass(n, alpha, R)
         assert mass > 0
         assert abs(res) <= 1e-8 * mass
+
+    @pytest.mark.parametrize("n,alpha,R,hexes", [
+        (1, Fraction(-1, 4), 1.0, ("0x1.9999999999999p-53", "0x1.9999999999999p-54")),
+        (3, Fraction(-3, 4), 2.0, ("0x1.d17a716114ce2p-47", "0x1.02995b6ed2ab6p-48")),
+        (-1, Fraction(1, 4), 1.5, ("-0x1.3988e1409212ep-51", "0x1.3988e1409212ep-52")),
+        (12, Fraction(-5, 4), 10.0, ("0x1.f9c9fca4faa12p-15", "-0x1.234f1182aa462p-14")),
+    ])
+    def test_residual_bit_for_bit(self, n, alpha, R, hexes):
+        # float.hex of the residual as one numpy call per panel computed it
+        res = vanishing_integral_check(n, alpha, R)
+        assert (res.real.hex(), res.imag.hex()) == hexes
 
     def test_radial_mass_closed_form(self):
         # 2 pi R^{2a+n+2} / (2a+n+2) at n=1, a=-1/4, R=1
