@@ -21,13 +21,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Iterable, Iterator
 
 from .branch import derive_numerics, gaps, resolve_input
@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _ratio(num: int, den: int) -> str:
     """num/den (den > 0) in lowest terms, printed as str(Fraction) prints it."""
-    g = math.gcd(num, den)
+    g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
@@ -155,15 +155,29 @@ def _multiset_list(ms) -> list:
     return _exponent_list(ms.sorted_counts(), ms.den)
 
 
+_CANDIDATE_FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
+_STATUS_TEXT = tuple(s.value for s in PoleStatus)  # in the order Ladder.rows indexes
+
+
 def _candidate_rows(rep):
     """(i, nu, sigma, eps1, eps2, eps3, status) of every candidate, the
-    rationals as text made straight from the integer ladders."""
+    rationals as text in lowest terms made straight from the integer
+    ladders: sigma = -t/N and eps3 = -t/(n mbar) share one gcd, since
+    n mbar divides N."""
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
-        nm = lad.n * lad.mbar
-        for nu in range(hi):
-            t, e1, e2, status = lad.row(nu)
-            yield (lad.i, nu, _ratio(-t, lad.N), _ratio(e1, lad.n),
-                   _ratio(e2, lad.mbar), _ratio(-t, nm), status.value)
+        i, N, n, mbar = lad.i, lad.N, lad.n, lad.mbar
+        nm = n * mbar
+        for nu, (t, e1, e2, status) in enumerate(lad.rows(0, hi, _STATUS_TEXT)):
+            g = gcd(t, N)
+            h = gcd(g, nm)
+            g1 = gcd(e1, n)
+            g2 = gcd(e2, mbar)
+            yield (i, nu,
+                   str(-t // g) if g == N else f"{-t // g}/{N // g}",
+                   str(e1 // g1) if g1 == n else f"{e1 // g1}/{n // g1}",
+                   str(e2 // g2) if g2 == mbar else f"{e2 // g2}/{mbar // g2}",
+                   str(-t // h) if h == nm else f"{-t // h}/{nm // h}",
+                   status)
 
 
 def report_to_dict(rep) -> dict:
@@ -187,10 +201,7 @@ def report_to_dict(rep) -> dict:
         "lct": str(rep.lct),
         "toric_steps": [asdict(s) for s in rep.bn.steps],
         "divisors": [asdict(d) for d in rep.divisors],
-        "candidates": [
-            dict(zip(("i", "nu", "sigma", "eps1", "eps2", "eps3", "status"), row))
-            for row in _candidate_rows(rep)
-        ],
+        "candidates": [dict(zip(_CANDIDATE_FIELDS, row)) for row in _candidate_rows(rep)],
         "pi": _multiset_list(rep.pi_merged),
         "pi_levels": [_multiset_list(ms) for ms in rep.pi_sets],
         "yano": _multiset_list(rep.yano),
@@ -234,8 +245,7 @@ def _analyze_text(rep) -> Iterator[str]:
             f" deadend N={d.N_deadend} k+1={d.k_deadend_plus1}"
         )
     yield "candidates (i, nu, sigma, eps1, eps2, eps3, status):"
-    for row in _candidate_rows(rep):
-        yield "  " + " ".join(f"{v:>12}" for v in row[:6]) + f"  {row[6]}"
+    yield from map("  %12s %12s %12s %12s %12s %12s  %s".__mod__, _candidate_rows(rep))
     for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
                      ("yano:", rep.yano)):
         yield head
@@ -269,8 +279,8 @@ def cmd_analyze(ns) -> tuple[int, Iterable[str]]:
     if ns.format == "json":
         return 0, [canonical_json(report_to_dict(rep))]
     if ns.format == "tsv":
-        head = "\t".join(["i", "nu", "sigma", "eps1", "eps2", "eps3", "status"])
-        return 0, chain([head], ("\t".join(map(str, row)) for row in _candidate_rows(rep)))
+        return 0, chain(["\t".join(_CANDIDATE_FIELDS)],
+                        map("%d\t%d\t%s\t%s\t%s\t%s\t%s".__mod__, _candidate_rows(rep)))
     return 0, _analyze_text(rep)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .branch import BranchNumerics, derive_numerics, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient
@@ -63,14 +64,26 @@ class Ladder:
                    bn.mbar[i], bn.e[i], st.a, st.c * prev + st.d,
                    bn.mm[i - 1] - prev + bn.nprod(1, i - 1) - bn.mbar[i])
 
+    def rows(self, start: int, stop: int, statuses: tuple = _STATUS) -> Iterator[tuple]:
+        """(t, eps1 numerator, eps2 numerator, status) for start <= nu < stop,
+        each numerator stepped by its constant increment, after checking
+        eps1 + eps2 + eps3 + nu + 2 = 0 as e1 mbar + e2 n - t + (nu + 2) n mbar = 0
+        on every row.  The status is statuses[dead end excludes + 2 * previous
+        level excludes]; the default gives the PoleStatus."""
+        n, mbar, a, D = self.n, self.mbar, self.a, self.D
+        nm = n * mbar
+        t, e1, e2, w = self.r + start, 1 - n - a * start, self.c2 - D * start, (start + 2) * nm
+        for _ in range(start, stop):
+            assert e1 * mbar + e2 * n - t + w == 0
+            yield t, e1, e2, statuses[(t % n == 0) + 2 * (t % mbar == 0)]
+            t += 1
+            e1 -= a
+            e2 -= D
+            w += nm
+
     def row(self, nu: int) -> tuple[int, int, int, PoleStatus]:
-        """(t, eps1 numerator, eps2 numerator, status) at shift nu, after
-        checking eps1 + eps2 + eps3 + nu + 2 = 0 as
-        e1 mbar + e2 n - t + (nu + 2) n mbar = 0."""
-        n, mbar, t = self.n, self.mbar, self.r + nu
-        e1, e2 = 1 - n - self.a * nu, self.c2 - self.D * nu
-        assert e1 * mbar + e2 * n - t + (nu + 2) * n * mbar == 0
-        return t, e1, e2, _STATUS[(t % n == 0) + 2 * (t % mbar == 0)]
+        """The row of rows() at shift nu."""
+        return next(self.rows(nu, nu + 1))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,18 @@
+"""The candidate rows as text, one Ladder.row call and one _ratio call per
+field, kept as an oracle for branchzeta.cli._candidate_rows, which steps
+each ladder once through Ladder.rows and shares one gcd between sigma and
+eps3.
+"""
+
+from branchzeta.cli import _ratio
+
+
+def candidate_rows(rep):
+    """(i, nu, sigma, eps1, eps2, eps3, status) of every candidate, the
+    rationals as text made straight from the integer ladders."""
+    for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
+        nm = lad.n * lad.mbar
+        for nu in range(hi):
+            t, e1, e2, status = lad.row(nu)
+            yield (lad.i, nu, _ratio(-t, lad.N), _ratio(e1, lad.n),
+                   _ratio(e2, lad.mbar), _ratio(-t, nm), status.value)

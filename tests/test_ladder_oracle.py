@@ -1,16 +1,20 @@
 """The integer ladder core against the Fraction oracle (fraction_oracle.py):
 every candidate field and status, the Pi multisets, Yano's multiset, the
 eigenvalue classes and the resonances, over random characteristic
-sequences, some with an extended ladder; and the divisor data and lct read
-off the ladders against their closed forms."""
+sequences, some with an extended ladder; the divisor data and lct read
+off the ladders against their closed forms; and the stepped candidate rows
+against one row at a time (row_oracle.py)."""
 
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracle as oracle
+import row_oracle
 from branchzeta.branch import parse_input, random_charseq
+from branchzeta.cli import _candidate_rows
 from branchzeta.poles import (branch_report, candidate_pole, log_canonical_threshold,
                               residue_numbers)
 from branchzeta.toric import divisor_numerics
@@ -78,3 +82,38 @@ def test_divisor_data_and_lct_match_closed_forms(draw):
     assert [astuple(d) for d in divisor_numerics(bn)] == want
     assert [astuple(d) for d in rep.divisors] == want
     assert log_canonical_threshold(bn) == rep.lct == oracle.log_canonical_threshold(bn)
+
+
+@given(draws())
+@settings(max_examples=40, deadline=None)
+def test_candidate_rows_match_row_oracle(draw):
+    cs, nu_max = draw
+    rep = branch_report(cs, nu_max=nu_max)
+    got = list(_candidate_rows(rep))
+    assert got == list(row_oracle.candidate_rows(rep))
+    assert got == [(i, nu, *map(str, rest))
+                   for i, nu, *rest in oracle.candidates(rep.bn, nu_max)]
+
+
+@given(draws(), st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_stepped_rows_equal_single_rows(draw, lo, width):
+    cs, _ = draw
+    for lad in branch_report(cs).bn.ladders:
+        assert list(lad.rows(lo, lo + width)) == [lad.row(nu) for nu in range(lo, lo + width)]
+
+
+@pytest.mark.parametrize("text", ["2,3", "4,9", "4,6,7", "6,9,22"])
+@pytest.mark.parametrize("field,first_bad", [("c2", 0), ("D", 1)])
+def test_identity_check_fires_on_every_row(text, field, first_bad):
+    # c2 shifts eps2 on every row; D shifts it from nu = 1 on
+    for lad in branch_report(text).bn.ladders:
+        bad = replace(lad, **{field: getattr(lad, field) + 1})
+        stepped = bad.rows(0, first_bad + 3)
+        assert [next(stepped) for _ in range(first_bad)] == [lad.row(nu) for nu in range(first_bad)]
+        with pytest.raises(AssertionError):
+            next(stepped)
+        with pytest.raises(AssertionError):
+            bad.row(first_bad)
+        with pytest.raises(AssertionError):
+            list(bad.rows(first_bad, first_bad + 1))
