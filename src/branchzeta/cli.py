@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Iterable, Iterator
@@ -87,52 +87,42 @@ def _dict_template(keys: tuple, ind: str):
     return "{" + ",".join(fields) + ind + "}", order
 
 
-def _write(obj, ind: str, out: list) -> None:
-    """Append the JSON text of obj to out, its lines after the first
-    starting with ind (a newline and the indentation)."""
-    t = type(obj)
-    tpl = _dict_template(tuple(obj), ind) if t is dict and obj else None
-    if tpl is not None:
-        fmt, order = tpl
-        try:
-            out.append(fmt % tuple([_SCALAR_TEXT[type(v)](v) for v in map(obj.__getitem__, order)]))
-        except KeyError:  # a nested value: write key by key
-            inner = ind + "  "
-            sep = "{"
-            for k in order:
-                out.append(sep + inner + encode_basestring_ascii(k) + ": ")
-                _write(obj[k], inner, out)
-                sep = ","
-            out.append(ind + "}")
-    elif (t is list or t is tuple) and obj:
-        inner = ind + "  "
-        try:
-            texts = [_SCALAR_TEXT[type(v)](v) for v in obj]
-        except KeyError:
-            sep = "["
-            for v in obj:
-                out.append(sep + inner)
-                _write(v, inner, out)
-                sep = ","
-            out.append(ind + "]")
-        else:
-            out.append("[" + inner + ("," + inner).join(texts) + ind + "]")
-    elif t in _SCALAR_TEXT:
-        out.append(_SCALAR_TEXT[t](obj))
-    else:
-        # empty containers, non-str keys, subclasses of scalar types, anything
-        # else: json.dumps decides; JSON text never holds a raw newline inside
-        # a string
-        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", ind))
+def _column(values: list, ind: str) -> list[str]:
+    """The JSON text of each of values, its lines after the first starting
+    with ind (a newline and the indentation).  A column of one type and
+    shape is converted at once: scalars by one map, dicts with one key set
+    through one template whose fields are the columns of their keys, lists
+    (or tuples) through the column of all their items."""
+    kinds = set(map(type, values))
+    t = kinds.pop() if len(kinds) == 1 else None
+    if t in _SCALAR_TEXT:
+        return list(map(_SCALAR_TEXT[t], values))
+    inner = ind + "  "
+    if t is dict and all(values):
+        shapes = set(map(tuple, values))
+        tpl = _dict_template(shapes.pop(), ind) if len(shapes) == 1 else None
+        if tpl is not None:
+            fmt, order = tpl
+            fields = [_column([v[k] for v in values], inner) for k in order]
+            return list(map(fmt.__mod__, zip(*fields)))
+    elif (t is list or t is tuple) and all(values):
+        items = _column(list(chain.from_iterable(values)), inner)
+        ends = list(accumulate(map(len, values)))
+        sep = "," + inner
+        return ["[" + inner + sep.join(items[a:b]) + ind + "]" for a, b in zip([0, *ends], ends)]
+    if len(values) != 1:  # mixed types or shapes: value by value
+        return [_column([v], ind)[0] for v in values]
+    # an empty container, non-str keys, a subclass of a scalar type, anything
+    # else: json.dumps decides; JSON text never holds a raw newline inside a
+    # string
+    return [json.dumps(values[0], sort_keys=True, indent=2).replace("\n", ind)]
 
 
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2), written
-    without its pure-Python encoder: a dict of scalars is one %-format of
-    its shape's cached template."""
-    out: list[str] = []
-    _write(obj, "\n", out)
-    return "".join(out)
+    without its pure-Python encoder: values of one shape are converted as
+    one column, a dict of each shape through one cached template."""
+    return _column([obj], "\n")[0]
 
 
 def _poly_dict(p) -> dict:
@@ -146,13 +136,23 @@ def _poly_dict(p) -> dict:
     }
 
 
-def _exponent_list(items, den: int) -> list:
-    """(numerator over den, multiplicity) pairs as exponent records."""
-    return [{"exponent": _ratio(k, den), "multiplicity": m} for k, m in items]
+def _exponent_table(rep) -> tuple[int, dict[int, str]]:
+    """(den, texts): the text in lowest terms of each exponent of Pi, keyed
+    by its numerator over den = pi_merged.den.  Pi_i, Yano and the eigenvalue
+    classes hold the same exponents, so each is made once per report."""
+    den = rep.pi_merged.den
+    return den, {k: _ratio(k, den) for k in rep.pi_merged.counts}
 
 
-def _multiset_list(ms) -> list:
-    return _exponent_list(ms.sorted_counts(), ms.den)
+def _exponent_records(items, item_den: int, table) -> Iterator[dict]:
+    """The {exponent, multiplicity} record of each (numerator over item_den,
+    multiplicity) of items, the exponent's text read from the table, or made
+    for a key that is not in it; lazily, so that text streams its lines."""
+    den, texts = table
+    scale, rem = divmod(den, item_den)
+    assert rem == 0, "an exponent denominator that does not divide the table's"
+    return ({"exponent": texts.get(k * scale) or _ratio(k, item_den), "multiplicity": m}
+            for k, m in items)
 
 
 _CANDIDATE_FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
@@ -182,7 +182,12 @@ def _candidate_rows(rep):
 
 def report_to_dict(rep) -> dict:
     bn = rep.bn
-    den = rep.eigenvalues.den
+    table = _exponent_table(rep)
+
+    def records(items, den: int) -> list[dict]:
+        return list(_exponent_records(items, den, table))
+
+    eig = rep.eigenvalues
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
         "numerics": {
@@ -202,14 +207,16 @@ def report_to_dict(rep) -> dict:
         "toric_steps": [asdict(s) for s in rep.bn.steps],
         "divisors": [asdict(d) for d in rep.divisors],
         "candidates": [dict(zip(_CANDIDATE_FIELDS, row)) for row in _candidate_rows(rep)],
-        "pi": _multiset_list(rep.pi_merged),
-        "pi_levels": [_multiset_list(ms) for ms in rep.pi_sets],
-        "yano": _multiset_list(rep.yano),
+        "pi": records(rep.pi_merged.sorted_counts(), rep.pi_merged.den),
+        "pi_levels": [records(ms.sorted_counts(), ms.den) for ms in rep.pi_sets],
+        "yano": records(rep.yano.sorted_counts(), rep.yano.den),
         "eigenvalues": {
-            "distinct": rep.eigenvalues.distinct,
+            "distinct": eig.distinct,
+            # a class's fraction is its exponents' fractional part, often one of them
             "classes": [
-                {"fraction": _ratio(frac, den), "members": _exponent_list(items, den)}
-                for frac, items in rep.eigenvalues.groups
+                {"fraction": table[1].get(frac) or _ratio(frac, eig.den),
+                 "members": records(items, eig.den)}
+                for frac, items in eig.groups
             ],
         },
         "resonances": [
@@ -246,11 +253,12 @@ def _analyze_text(rep) -> Iterator[str]:
         )
     yield "candidates (i, nu, sigma, eps1, eps2, eps3, status):"
     yield from map("  %12s %12s %12s %12s %12s %12s  %s".__mod__, _candidate_rows(rep))
+    table = _exponent_table(rep)
     for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
                      ("yano:", rep.yano)):
         yield head
-        for k, mult in ms.sorted_counts():
-            yield f"  {_ratio(k, ms.den):>12} x{mult}"
+        yield from map("  %(exponent)12s x%(multiplicity)d".__mod__,
+                       _exponent_records(ms.sorted_counts(), ms.den, table))
     yield f"eigenvalues distinct: {str(rep.distinct).lower()}"
     for r in rep.resonances:
         where = ", ".join(f"(i={i}, nu={nu})" for i, nu, _ in r.occurrences)
@@ -398,9 +406,7 @@ def _suite_combinatorics() -> Iterator[tuple[str, str, str, float, bool]]:
             yield _exact(f"integrality-{name}({text})", True, ok)
         # mu = 2 delta for a branch, delta counted as the semigroup's gaps
         yield _exact(f"conductor-eq-milnor({text})", bn.conductor, 2 * len(gaps(bn)))
-        class_total = sum(
-            m for _, items in rep.eigenvalues.classes for _, m in items
-        )
+        class_total = sum(m for _, items in rep.eigenvalues.groups for _, m in items)
         yield _exact(f"eigenvalue-count({text})", bn.milnor, class_total)
 
 

@@ -6,8 +6,10 @@ import enum
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -16,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import branchzeta.cli
 import branchzeta.poles
-from branchzeta.branch import gaps
-from branchzeta.cli import _merge_negative_values, build_parser, canonical_json, main
+from branchzeta.branch import gaps, random_charseq
+from branchzeta.cli import (_merge_negative_values, build_parser, canonical_json, main,
+                            report_to_dict)
+from branchzeta.poles import branch_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
@@ -366,11 +370,92 @@ class _Level(enum.IntEnum):
     TWO = 2
 
 
+# Tables: lists of dicts over one shared key set, the shape the writer
+# converts one column per key, each column drawn from one kind of cell so
+# that whole columns share a type and shape.  Keys hold "%", quotes and
+# non-ASCII; cells nest up to two levels, with empty lists and dicts.
+table_keys = st.text(st.sampled_from('ab%s(d"\\\né€'), max_size=4)
+table_scalar_kinds = [
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), json_text,
+    st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+]
+
+
+def table_cell_kinds(depth: int):
+    """A strategy of cell strategies: a scalar type, or lists, tuples or
+    dicts of one shape whose items are cells of one kind, depth levels deep."""
+    kinds = st.sampled_from(table_scalar_kinds)
+    if depth == 0:
+        return kinds
+    inner = table_cell_kinds(depth - 1)
+    return st.one_of(
+        kinds,
+        inner.map(lambda k: st.lists(k, max_size=3)),
+        inner.map(lambda k: st.lists(k, max_size=3).map(tuple)),
+        st.lists(st.tuples(table_keys, inner), max_size=3, unique_by=lambda kv: kv[0]).map(
+            lambda shape: st.fixed_dictionaries(dict(shape))),
+    )
+
+
+table_cells = table_cell_kinds(2)
+
+
+@st.composite
+def tables(draw):
+    keys = draw(st.lists(table_keys, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 6))
+    columns = {k: draw(st.lists(draw(table_cells), min_size=n, max_size=n))
+               for k in keys}
+    rows = [{k: columns[k][r] for k in keys} for r in range(n)]
+    # rows that break the shape or the column's type
+    for brk in draw(st.lists(st.sampled_from(["key", "extra", "seq", "bool", "enum"]),
+                             max_size=2)):
+        row = rows[draw(st.integers(0, n - 1))]
+        key = draw(st.sampled_from(list(row)))
+        if brk == "key":  # the same key count, another key
+            row[draw(table_keys.filter(lambda k: k not in keys))] = row.pop(key)
+        elif brk == "extra":
+            row[draw(table_keys.filter(lambda k: k not in row))] = draw(json_scalars)
+        elif brk == "seq":  # a list beside a tuple
+            row[key] = [1, "a"]
+            rows[-1][key] = (1, "a")
+        elif brk == "bool":  # True beside 1
+            row[key] = True
+            rows[-1][key] = 1
+        else:
+            row[key] = _Level.TWO
+    return rows
+
+
 class TestCanonicalJson:
     @settings(max_examples=500, deadline=None)
     @given(json_values)
     def test_matches_json_dumps(self, value):
         assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(tables())
+    def test_tables_match_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31), st.none() | st.integers(0, 80))
+    def test_reports_match_json_dumps(self, seed, nu_max):
+        # max_n = 12 reaches g = 3 (12 = 2 * 2 * 3)
+        cs = random_charseq(random.Random(seed), max_n=12, max_beta=150)
+        d = report_to_dict(branch_report(cs, nu_max=nu_max))
+        assert canonical_json(d) == json.dumps(d, sort_keys=True, indent=2)
+
+    def test_peak_memory_below_two_and_a_half_outputs(self):
+        d = report_to_dict(branch_report("2,20001"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            text = canonical_json(d)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
 
     @pytest.mark.parametrize("value", [
         {1: "a", 2: [None, {"b": 1}]},
