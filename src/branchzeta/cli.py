@@ -14,6 +14,13 @@ Output conventions, kept byte-stable for golden tests:
 * Results go to stdout, diagnostics to stderr. Each command writes its
   stderr lines, then returns its exit code and stdout lines for main to
   write; TSV and text lines are generated as they are written.
+
+At module level this file imports only the standard library and `errors`.
+Each command imports the layers it runs in its own body and calls them as
+module attributes: analyze loads `poles` (with `branch` and `toric`),
+residue `gammaratio`, generate `branch` and `curves`, and verify `branch`
+and `poles` for combinatorics, `gammaratio` and `quadrature` (so numpy)
+for rnm, and `quadrature` for vanishing.
 """
 
 from __future__ import annotations
@@ -25,16 +32,12 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, starmap
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Iterable, Iterator
 
-from .branch import derive_numerics, gaps, resolve_input
-from .curves import deformation_family, monomial_curve_equations, plane_equation
 from .errors import BranchZetaError, DomainError, InvalidCharSeq, NotPlaneBranchSemigroup
-from .gammaratio import RnmParams, rnm_closed_form, symmetry_pair
-from .poles import PoleStatus, branch_report
 
 
 class _SyntaxError(Exception):
@@ -155,8 +158,14 @@ def _exponent_records(items, item_den: int, table) -> Iterator[dict]:
             for k, m in items)
 
 
-_CANDIDATE_FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
-_STATUS_TEXT = tuple(s.value for s in PoleStatus)  # in the order Ladder.rows indexes
+def _candidate_record(i, nu, sigma, eps1, eps2, eps3, status) -> dict:
+    """The JSON record of one row of _candidate_rows."""
+    return {"i": i, "nu": nu, "sigma": sigma, "eps1": eps1, "eps2": eps2, "eps3": eps3,
+            "status": status}
+
+
+# the record's keys in row order, which the TSV header and the text heading read
+_CANDIDATE_FIELDS = tuple(_candidate_record(*range(7)))
 
 
 def _candidate_rows(rep):
@@ -164,10 +173,13 @@ def _candidate_rows(rep):
     rationals as text in lowest terms made straight from the integer
     ladders: sigma = -t/N and eps3 = -t/(n mbar) share one gcd, since
     n mbar divides N."""
+    from .poles import PoleStatus
+
+    status_text = tuple(s.value for s in PoleStatus)  # in the order Ladder.rows indexes
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
         i, N, n, mbar = lad.i, lad.N, lad.n, lad.mbar
         nm = n * mbar
-        for nu, (t, e1, e2, status) in enumerate(lad.rows(0, hi, _STATUS_TEXT)):
+        for nu, (t, e1, e2, status) in enumerate(lad.rows(0, hi, status_text)):
             g = gcd(t, N)
             h = gcd(g, nm)
             g1 = gcd(e1, n)
@@ -206,7 +218,7 @@ def report_to_dict(rep) -> dict:
         "lct": str(rep.lct),
         "toric_steps": [asdict(s) for s in rep.bn.steps],
         "divisors": [asdict(d) for d in rep.divisors],
-        "candidates": [dict(zip(_CANDIDATE_FIELDS, row)) for row in _candidate_rows(rep)],
+        "candidates": list(starmap(_candidate_record, _candidate_rows(rep))),
         "pi": records(rep.pi_merged.sorted_counts(), rep.pi_merged.den),
         "pi_levels": [records(ms.sorted_counts(), ms.den) for ms in rep.pi_sets],
         "yano": records(rep.yano.sorted_counts(), rep.yano.den),
@@ -251,7 +263,7 @@ def _analyze_text(rep) -> Iterator[str]:
             f"  i={d.i} rupture N={d.N_rupture} k+1={d.k_rupture_plus1}"
             f" deadend N={d.N_deadend} k+1={d.k_deadend_plus1}"
         )
-    yield "candidates (i, nu, sigma, eps1, eps2, eps3, status):"
+    yield f"candidates ({', '.join(_CANDIDATE_FIELDS)}):"
     yield from map("  %12s %12s %12s %12s %12s %12s  %s".__mod__, _candidate_rows(rep))
     table = _exponent_table(rep)
     for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
@@ -283,7 +295,9 @@ def _write_stdout(rc: int, lines: Iterable[str]) -> int:
 
 
 def cmd_analyze(ns) -> tuple[int, Iterable[str]]:
-    rep = branch_report(ns.input, nu_max=ns.nu_max)
+    from . import poles
+
+    rep = poles.branch_report(ns.input, nu_max=ns.nu_max)
     if ns.format == "json":
         return 0, [canonical_json(report_to_dict(rep))]
     if ns.format == "tsv":
@@ -307,8 +321,10 @@ def _validation_failure(text: str, exc: Exception, fmt: str) -> list[str]:
 
 
 def cmd_residue(ns) -> tuple[int, Iterable[str]]:
-    p = RnmParams(alpha=ns.alpha, n=ns.n, beta=ns.beta, m=ns.m, lam=ns.lam)
-    out = rnm_closed_form(p)
+    from . import gammaratio
+
+    p = gammaratio.RnmParams(alpha=ns.alpha, n=ns.n, beta=ns.beta, m=ns.m, lam=ns.lam)
+    out = gammaratio.rnm_closed_form(p)
     if ns.format == "json":
         value = None if out.value is None else _cx(out.value)
         reason = [{"factor": lbl, "order": k} for lbl, k in out.reason]
@@ -331,10 +347,11 @@ GRID_PAIRS = (
     (Fraction(-11, 20), Fraction(-19, 20)),
 )
 
+# (alpha, n, beta, m, lam) of each symmetry check
 SYMMETRY_CASES = (
-    RnmParams(alpha=Fraction(-3, 5), n=1, beta=Fraction(-7, 10), m=0, lam=1.0),
-    RnmParams(alpha=Fraction(-3, 5), n=0, beta=Fraction(-3, 5), m=0, lam=1.0),
-    RnmParams(alpha=Fraction(-1, 3), n=-2, beta=Fraction(-5, 4), m=1, lam=2.0),
+    (Fraction(-3, 5), 1, Fraction(-7, 10), 0, 1.0),
+    (Fraction(-3, 5), 0, Fraction(-3, 5), 0, 1.0),
+    (Fraction(-1, 3), -2, Fraction(-5, 4), 1, 2.0),
 )
 
 VANISHING_CASES = (
@@ -347,19 +364,20 @@ COMBINATORIC_CASES = ("2,3", "4,9", "4,6,7", "6,9,22")
 
 
 def _suite_rnm(tol: float, rel_tol: float) -> Iterator[tuple[str, str, str, float, bool]]:
-    from .quadrature import QuadConfig, rnm_quadrature  # imported here: quadrature loads numpy
+    from . import gammaratio, quadrature
 
-    cfg = QuadConfig(rel_tol=rel_tol)
+    cfg = quadrature.QuadConfig(rel_tol=rel_tol)
     for (a, b) in GRID_PAIRS:
         for lam in (1.0, 2.0):
-            p = RnmParams(alpha=a, n=0, beta=b, m=0, lam=lam)
-            want = rnm_closed_form(p).value
-            got = rnm_quadrature(p, cfg)
+            p = gammaratio.RnmParams(alpha=a, n=0, beta=b, m=0, lam=lam)
+            want = gammaratio.rnm_closed_form(p).value
+            got = quadrature.rnm_quadrature(p, cfg)
             rel = abs(got - want) / abs(want)
             case = f"rnm(alpha={a},n=0,beta={b},m=0,lambda={lam:g})"
             yield case, _fmt_cx(want), _fmt_cx(got), rel, rel <= tol
-    for p in SYMMETRY_CASES:
-        a, b = symmetry_pair(p)
+    for params in SYMMETRY_CASES:
+        p = gammaratio.RnmParams(*params)
+        a, b = gammaratio.symmetry_pair(p)
         if a.order == 0 and b.order == 0:
             rel = abs(a.value - b.value) / max(abs(a.value), abs(b.value))
             exp_s, got_s = _fmt_cx(a.value), _fmt_cx(b.value)
@@ -380,8 +398,11 @@ def _exact(case: str, expected, got) -> tuple[str, str, str, float, bool]:
 
 
 def _suite_combinatorics() -> Iterator[tuple[str, str, str, float, bool]]:
+    from . import branch, poles
+    from .poles import PoleStatus
+
     for text in COMBINATORIC_CASES:
-        rep = branch_report(text)
+        rep = poles.branch_report(text)
         bn = rep.bn
         yield _exact(f"pi-total({text})", bn.milnor, rep.pi_merged.total)
         yield _exact(
@@ -389,10 +410,10 @@ def _suite_combinatorics() -> Iterator[tuple[str, str, str, float, bool]]:
             "equal",
             "equal" if rep.pi_merged.entries == rep.yano.entries else "differ",
         )
-        poles = [
+        kept = [
             -c.sigma for c in rep.candidates if c.status is PoleStatus.POLE_CANDIDATE
         ]
-        yield _exact(f"lct-min-pole({text})", rep.lct, min(poles))
+        yield _exact(f"lct-min-pole({text})", rep.lct, min(kept))
         worst = max(
             abs(c.eps1 + c.eps2 + c.eps3 + c.nu + 2) for c in rep.candidates
         )
@@ -405,25 +426,21 @@ def _suite_combinatorics() -> Iterator[tuple[str, str, str, float, bool]]:
                      for c in rep.candidates)
             yield _exact(f"integrality-{name}({text})", True, ok)
         # mu = 2 delta for a branch, delta counted as the semigroup's gaps
-        yield _exact(f"conductor-eq-milnor({text})", bn.conductor, 2 * len(gaps(bn)))
+        yield _exact(f"conductor-eq-milnor({text})", bn.conductor, 2 * len(branch.gaps(bn)))
         class_total = sum(m for _, items in rep.eigenvalues.groups for _, m in items)
         yield _exact(f"eigenvalue-count({text})", bn.milnor, class_total)
 
 
 def _suite_vanishing() -> Iterator[tuple[str, str, str, float, bool]]:
-    from .quadrature import (  # imported here: quadrature loads numpy
-        radial_mass,
-        vanishing_integral_check,
-        vanishing_symbolic_cancellation,
-    )
+    from . import quadrature
 
     for n, alpha, R in VANISHING_CASES:
-        res = vanishing_integral_check(n, alpha, R)
-        mass = radial_mass(n, alpha, R)
+        res = quadrature.vanishing_integral_check(n, alpha, R)
+        mass = quadrature.radial_mass(n, alpha, R)
         rel = abs(res) / mass
         case = f"vanishing(n={n},alpha={alpha},R={R:g})"
         yield case, "0", f"{abs(res):.6e}", rel, rel <= 1e-8
-    out = vanishing_symbolic_cancellation(Fraction(-1, 4))
+    out = quadrature.vanishing_symbolic_cancellation(Fraction(-1, 4))
     yield _exact("vanishing-symbolic(alpha=-1/4)", 0, out)
 
 
@@ -462,17 +479,19 @@ def cmd_verify(ns) -> tuple[int, Iterable[str]]:
 
 
 def cmd_generate(ns) -> tuple[int, Iterable[str]]:
-    text, kind, cs = resolve_input(ns.input)
-    bn = derive_numerics(cs)
-    plane = plane_equation(bn)
-    hs = monomial_curve_equations(bn)
+    from . import branch, curves
+
+    text, kind, cs = branch.resolve_input(ns.input)
+    bn = branch.derive_numerics(cs)
+    plane = curves.plane_equation(bn)
+    hs = curves.monomial_curve_equations(bn)
     fam = None
     fiber = None
     if ns.deform:
         lambdas = None
         if ns.lambdas is not None:
             lambdas = [Fraction(v) for v in ns.lambdas.split(",")] if ns.lambdas else []
-        fam = deformation_family(
+        fam = curves.deformation_family(
             bn,
             weight_cutoff=ns.cutoff,
             lambdas=lambdas,

@@ -218,14 +218,8 @@ class EigenvalueAnalysis:
     distinct: bool
     den: int
     # fractional part -> sorted (exponent, multiplicity) pairs in that class,
-    # every rational as its numerator over den; classes holds them as Fractions
+    # every rational as its numerator over den
     groups: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-    @cached_property
-    def classes(self) -> tuple[tuple[Fraction, tuple[tuple[Fraction, int], ...]], ...]:
-        d = self.den
-        return tuple((Fraction(f, d), tuple((Fraction(k, d), m) for k, m in items))
-                     for f, items in self.groups)
 
 
 def eigenvalues_distinct(pi: ExponentMultiset) -> bool:

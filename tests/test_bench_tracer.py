@@ -1,10 +1,13 @@
 """bench/tracer.py wraps package functions by name.  Every name it lists
 must still resolve, so that a change which deletes one fails here and not
-first in a traced benchmark run; and each report section must reach its
-builder through the module global the tracer replaces."""
+first in a traced benchmark run; and each report section, and each layer a
+command runs, must be reached through the module attribute the tracer
+replaces."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 from branchzeta import cli, poles
@@ -38,3 +41,20 @@ def test_sections_are_traced_under_the_reader():
                  "toric.divisor_numerics"):
         assert parent[name] == "cli.report_to_dict", name
     assert parent["poles.branch_report"] == "bench.op"
+
+
+def test_commands_call_their_layers_through_the_traced_attribute():
+    # a command imports its layer when it runs and reads the function off
+    # the module then, so it calls the tracer's wrapper
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            t.run_op(0, cli.main, ["analyze", "4,9", "--format", "json"])
+            t.run_op(1, cli.main, ["generate", "4,9"])
+    finally:
+        t.uninstall()
+    names = [s[0] for s in t.spans]
+    called_under = {(s[0], names[s[3]]) for s in t.spans if s[3] >= 0}
+    assert ("poles.branch_report", "cli.cmd_analyze") in called_under
+    assert ("curves.plane_equation", "cli.cmd_generate") in called_under

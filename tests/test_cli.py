@@ -3,6 +3,7 @@ round-trips, and the verify suites."""
 
 import contextlib
 import enum
+import importlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import branchzeta.branch
 import branchzeta.cli
 import branchzeta.poles
 from branchzeta.branch import gaps, random_charseq
@@ -338,7 +340,7 @@ class TestVerify:
 
     def test_conductor_row_fails_on_a_missing_gap(self, capsys, monkeypatch):
         # mu = 2 delta: one gap fewer must fail the row, whatever the conductor
-        monkeypatch.setattr(branchzeta.cli, "gaps", lambda bn: gaps(bn)[1:])
+        monkeypatch.setattr(branchzeta.branch, "gaps", lambda bn: gaps(bn)[1:])
         rc, out, err = run(capsys, "verify", "--suite", "combinatorics", "--format", "json")
         assert rc == 3
         failed = [r["case"] for r in json.loads(out)["rows"] if not r["pass"]]
@@ -546,7 +548,6 @@ class TestGenerate:
         def refuse(*args, **kwargs):
             raise AssertionError("generate built the pole report")
 
-        monkeypatch.setattr(branchzeta.cli, "branch_report", refuse)
         monkeypatch.setattr(branchzeta.poles, "branch_report", refuse)
         rc, out, _ = run(capsys, "generate", "semigroup:4,6,13", "--format", fmt)
         assert rc == 0
@@ -634,40 +635,93 @@ class TestPlumbing:
         assert closed_run.stderr == open_run.stderr
 
 
-# Start-up contract: numpy is loaded only by the quadrature.  The probe runs
-# in a fresh interpreter, since the test process has numpy loaded already; it
-# prints whether numpy is loaded after `import branchzeta, branchzeta.cli`
-# and after each cli.main(argv) of the argv lists given as JSON.
-NUMPY_PROBE = """
+# Start-up contract: each command loads only the layers it runs, and numpy
+# only through the quadrature.  The probe runs in a fresh interpreter, since
+# the test process has every module loaded already; it prints whether numpy
+# is loaded and which branchzeta submodules are, after `import branchzeta`,
+# after `import branchzeta.cli` and after each cli.main(argv) of the argv
+# lists given as JSON.
+STARTUP_PROBE = """
 import contextlib, io, json, sys
-import branchzeta, branchzeta.cli
-loaded = ["numpy" in sys.modules]
+
+def loaded():
+    return {"numpy": "numpy" in sys.modules,
+            "layers": sorted(m.split(".", 1)[1] for m in sys.modules
+                             if m.startswith("branchzeta."))}
+
+import branchzeta
+states = [loaded()]
+import branchzeta.cli
+states.append(loaded())
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert branchzeta.cli.main(argv) == 0, argv
-    loaded.append("numpy" in sys.modules)
-print(json.dumps(loaded))
+    states.append(loaded())
+print(json.dumps(states))
 """
 
 
-def _numpy_loaded_after(*argvs) -> list:
-    r = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+def _loaded_after(*argvs) -> list[dict]:
+    r = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
                        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout)
 
 
+# one command of each kind and the submodules it loads besides cli and errors
+COMMAND_LAYERS = [
+    (["analyze", "2,3", "--format", "json"], ["branch", "poles", "toric"]),
+    (["analyze", "4,6,7"], ["branch", "poles", "toric"]),
+    (["residue", "--alpha", "-3/5", "--n", "0", "--beta", "-7/10", "--m", "0"], ["gammaratio"]),
+    (["generate", "4,9", "--deform", "--cutoff", "38", "--seed", "1", "--format", "json"],
+     ["branch", "curves"]),
+    (["verify", "--suite", "combinatorics"], ["branch", "poles", "toric"]),
+    (["verify", "--suite", "rnm"], ["gammaratio", "quadrature"]),
+    (["verify", "--suite", "vanishing"], ["gammaratio", "quadrature"]),
+]
+
+
 class TestStartup:
     def test_exact_commands_do_not_load_numpy(self):
-        assert _numpy_loaded_after(
+        assert [s["numpy"] for s in _loaded_after(
             ["analyze", "2,3", "--format", "json"],
             ["residue", "--alpha", "-3/5", "--n", "0", "--beta", "-7/10", "--m", "0"],
             ["generate", "4,9", "--deform", "--cutoff", "38", "--seed", "1", "--format", "json"],
             ["verify", "--suite", "combinatorics"],
-        ) == [False] * 5
+        )] == [False] * 6
 
     def test_vanishing_suite_loads_numpy(self):
-        assert _numpy_loaded_after(["verify", "--suite", "vanishing"]) == [False, True]
+        states = _loaded_after(["verify", "--suite", "vanishing"])
+        assert [s["numpy"] for s in states] == [False, False, True]
+
+    def test_imports_load_no_layer(self):
+        package, cli = _loaded_after()
+        assert package["layers"] == []
+        assert cli["layers"] == ["cli", "errors"]
+
+    # one probe per command, since a module stays loaded once imported
+    @pytest.mark.parametrize("argv, layers", COMMAND_LAYERS, ids=lambda v: " ".join(v))
+    def test_each_command_loads_only_its_layers(self, argv, layers):
+        *_, after = _loaded_after(argv)
+        assert after["layers"] == sorted(["cli", "errors", *layers])
+
+    def test_public_names_are_their_modules_objects(self):
+        for name, home in branchzeta._HOME.items():
+            module = importlib.import_module(f"branchzeta.{home}")
+            assert getattr(branchzeta, name) is getattr(module, name), name
+            assert getattr(module, name).__module__ == module.__name__, name  # defined there
+        for home in branchzeta._PUBLIC:
+            assert branchzeta.__getattr__(home) is importlib.import_module(f"branchzeta.{home}")
+
+    def test_names_read_the_current_module_attribute(self, monkeypatch):
+        monkeypatch.setattr(branchzeta.poles, "branch_report", "patched")
+        assert branchzeta.branch_report == "patched"
+        from branchzeta import branch_report as late
+
+        assert late == "patched"
+
+    def test_dir_lists_the_names_and_submodules(self):
+        assert {*branchzeta.__all__, *branchzeta._PUBLIC, "__version__"} <= set(dir(branchzeta))
 
     @pytest.mark.parametrize("name", ["QuadConfig", "radial_mass", "rnm_quadrature",
                                       "vanishing_integral_check", "vanishing_symbolic_cancellation"])

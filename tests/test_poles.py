@@ -230,17 +230,18 @@ class TestEigenvaluesAndLct:
         _, merged = pi_multisets(bn)
         analysis = eigenvalue_analysis(merged)
         # internal consistency: class totals account for every exponent
-        assert sum(m for _, items in analysis.classes for _, m in items) == bn.milnor
+        assert sum(m for _, items in analysis.groups for _, m in items) == bn.milnor
         if analysis.distinct:
-            assert all(len(items) == 1 for _, items in analysis.classes)
+            assert all(len(items) == 1 for _, items in analysis.groups)
 
     def test_classes_group_by_fractional_part(self):
         _, merged = pi_multisets(derive_numerics(CharSeq(4, (6, 7))))
         analysis = eigenvalue_analysis(merged)
-        for frac, items in analysis.classes:
-            assert 0 <= frac < 1
-            for exp, _ in items:
-                assert (exp - frac).denominator == 1
+        # each class is a fractional part and its exponents, numerators over den
+        for frac, items in analysis.groups:
+            assert 0 <= frac < analysis.den
+            for k, _ in items:
+                assert (k - frac) % analysis.den == 0
 
 
 # Two oracles from closed forms.  The Alexander polynomial of a branch is
