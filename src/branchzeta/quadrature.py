@@ -20,13 +20,14 @@ so tightening rel_tol only ever adds panels.
 
 The bounds read only the refinement levels, so each pass lists its panels
 before it evaluates any.  Each panel is split into tiles of 24 x 24 Gauss
-nodes, and the tiles are evaluated in fixed-size batches, one numpy
-evaluation of the integrand per batch of _TILES tiles: the working arrays
-stay below 0.5 MB however many panels a pass adds.  Each tile is still
-reduced on its own and each panel sums its tiles in order, so the result
-has the same bits as one evaluation per tile.  vanishing_integral_check
-evaluates all its radial panels in one numpy call, and all its angular
-panels in another.
+nodes, taken in blocks of _BLOCK tiles whose node geometry is computed at
+once, then in batches of _TILES tiles with one numpy evaluation of the
+integrand and one np.vecdot reduction each: the working arrays stay below
+0.5 MB however many panels a pass adds.  np.vecdot reduces each tile with
+the same ddot as one dot per tile and each panel sums its tiles in order,
+so the result has the same bits as one evaluation per tile.
+vanishing_integral_check evaluates all its radial panels in one numpy call,
+and all its angular panels in another.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ _MAX_SUBDIVISIONS = 512
 _SPLIT = 0.5
 _GAUSS = np.polynomial.legendre.leggauss(24)
 _TILES = 8  # tiles per numpy evaluation; its working arrays stay below 0.5 MB
+_BLOCK = 256  # tiles whose node geometry is computed at once, about 0.25 MB
 
 
 @dataclass(frozen=True)
@@ -78,51 +80,59 @@ def _edges(a: float, b: float, sub: int) -> list[float]:
 
 
 def _tiles(panels):
-    """(panel index, r0, mid_r, half_r, mid_t, half_t) of every tile of each
-    panel (r0, a, b, c, d, sub): the rectangle u in [a,b], t in [c,d] split
-    sub x sub, in row-major order."""
+    """(panel index, r0, u from, u to, theta from, theta to) of every tile of
+    each panel (r0, a, b, c, d, sub): the rectangle u in [a,b], t in [c,d]
+    split sub x sub, in row-major order."""
     for p, (r0, a, b, c, d, sub) in enumerate(panels):
         rs, ts = _edges(a, b, sub), _edges(c, d, sub)
-        for i in range(sub):
-            for j in range(sub):
-                yield (p, r0, 0.5 * (rs[i + 1] + rs[i]), 0.5 * (rs[i + 1] - rs[i]),
-                       0.5 * (ts[j + 1] + ts[j]), 0.5 * (ts[j + 1] - ts[j]))
+        for r_lo, r_hi in zip(rs, rs[1:]):
+            for t_lo, t_hi in zip(ts, ts[1:]):
+                yield p, r0, r_lo, r_hi, t_lo, t_hi
 
 
 def _panels(f, panels) -> list[float]:
-    """Tensor Gauss-Legendre of f(r0, u, t) over each panel, split into the
-    tiles _tiles lists.  The tiles are evaluated _TILES at a time; each tile
-    is reduced on its own (w @ vals, then a dot with w) and each panel's
-    value is the sum of its tiles in order."""
+    """Tensor Gauss-Legendre of f(r, 1 - r, t, sin(t/2), cos(t/2)) over each
+    panel's tiles: node geometry once per block of _BLOCK tiles, f once per
+    batch of _TILES, each tile reduced by np.vecdot(w @ vals, w) (one ddot
+    per tile), and each panel's value the sum of its tiles in order."""
     x, w = _GAUSS
     tiles, sums = _tiles(panels), [0.0] * len(panels)
-    while chunk := list(islice(tiles, _TILES)):
-        _, r0, mid_r, half_r, mid_t, half_t = (col[:, None] for col in np.array(chunk).T)
-        vals = f(r0[:, :, None], (mid_r + half_r * x)[:, :, None], (mid_t + half_t * x)[:, None, :])
-        for (p, _, _, hr, _, ht), row in zip(chunk, w @ vals):
-            sums[p] += hr * ht * float(row @ w)
+    while block := list(islice(tiles, _BLOCK)):
+        panel, r0, r_lo, r_hi, t_lo, t_hi = np.array(block).T
+        half_r, half_t = 0.5 * (r_hi - r_lo), 0.5 * (t_hi - t_lo)
+        u = (0.5 * (r_hi + r_lo))[:, None] + half_r[:, None] * x
+        t = ((0.5 * (t_hi + t_lo))[:, None] + half_t[:, None] * x)[:, None, :]
+        r, d = (r0[:, None] + u)[:, :, None], ((1.0 - r0)[:, None] - u)[:, :, None]
+        sh, ch = np.sin(0.5 * t), np.cos(0.5 * t)
+        hw, panel = half_r * half_t, panel.astype(int).tolist()
+        for i in range(0, len(block), _TILES):
+            b = slice(i, i + _TILES)
+            vals = f(r[b], d[b], t[b], sh[b], ch[b])
+            for p, v in zip(panel[b], (hw[b] * np.vecdot(w @ vals, w)).tolist()):
+                sums[p] += v
     return sums
 
 
 def _integrand(p0: float, beta: float, n: int, m: int):
     """Folded integrand on theta in [0, pi] (the x2 fold factor is applied
     by the caller): r^{p0} s^beta Re[e^{i n theta} (1 - r e^{i theta})^m],
-    s = (1-r)^2 + 4 r sin^2(theta/2), at r = r0 + u.  With 1 - r computed as
-    (1 - r0) - u, r0 = 1 keeps it exact near the singular point for
+    s = (1-r)^2 + 4 r sin^2(theta/2).  _panels passes d = 1 - r computed as
+    (1 - r0) - u, so r0 = 1 keeps it exact near the singular point for
     subdivision depths far below the spacing of doubles at r = 1."""
 
-    def f(r0, u, t):
-        r = r0 + u
-        d = (1.0 - r0) - u
-        sh = np.sin(0.5 * t)
-        # r^{p0} s^beta, with no array of s kept; products in place
-        acc = np.power(d * d + 4.0 * r * sh * sh, beta)
+    def f(r, d, t, sh, ch):
+        # r^{p0} s^beta, with s built in place; products in place
+        acc = 4.0 * r * sh
+        acc *= sh
+        acc += d * d
+        np.power(acc, beta, out=acc)
         np.multiply(np.power(r, p0), acc, out=acc)
         if n == 0 and m == 0:
             return acc
         phase = np.exp(1j * n * t)
         if m != 0:
-            phase = phase * (d + 2.0 * r * sh * (sh - 1j * np.cos(0.5 * t)))**m
+            lin = d + 2.0 * r * sh * (sh - 1j * ch)
+            phase = phase * (lin if m == 1 else lin**m)  # lin**1 is a copy of lin
         return np.multiply(acc, np.real(phase), out=acc)
 
     return f
@@ -271,7 +281,7 @@ def vanishing_integral_check(n: int, alpha, R: float) -> complex:
     while edges[-1] < R:
         edges.append(min(2.0 * edges[-1], R))
     halves, r = _nodes(edges)
-    rad = math.fsum(half * float(wts @ row) for half, row in zip(halves, np.power(r, power)))
+    rad = math.fsum((np.vecdot(np.power(r, power), wts) * halves).tolist())
     # angular factor on equal panels; each row is summed on its own
     panels = max(8, 4 * abs(n))
     halves, t = _nodes([2.0 * math.pi * k / panels for k in range(panels + 1)])

@@ -1,6 +1,7 @@
-"""Byte goldens of `analyze`, `generate` and `verify --suite combinatorics`:
-the JSON, TSV and text outputs stored in tests/golden/ must be reproduced
-exactly, byte for byte, with the same exit code."""
+"""Byte goldens of `analyze`, `generate` and `verify --suite
+combinatorics|rnm|vanishing`: the JSON, TSV and text outputs stored in
+tests/golden/ must be reproduced exactly, byte for byte, with the same exit
+code."""
 
 from pathlib import Path
 
@@ -39,6 +40,8 @@ COMMANDS = {
     "generate_semigroup_4_6_13": (["generate", "semigroup:4,6,13"], 0),
     "generate_4_8": (["generate", "4,8"], 2),
     "verify_combinatorics": (["verify", "--suite", "combinatorics"], 0),
+    "verify_rnm": (["verify", "--suite", "rnm"], 0),
+    "verify_vanishing": (["verify", "--suite", "vanishing"], 0),
 }
 
 COMMAND_CASES = [(f"{stem}.{fmt}", [*argv, "--format", fmt], rc)

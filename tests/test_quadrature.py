@@ -1,14 +1,17 @@
 """Quadrature oracle tests: convergence-region gates, agreement with the
 closed form on the full admissible grid, mesh-refinement monotonicity,
-determinism, bit identity with the per-panel oracle (quadrature_oracle.py),
-the memory of one batched evaluation, and the vanishing-integral checks."""
+determinism, bit identity with the per-panel oracle (quadrature_oracle.py)
+and of np.vecdot with one dot per tile, the memory of one batched
+evaluation, and the vanishing-integral checks."""
 
 import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import quadrature_oracle as oracle
 
@@ -220,6 +223,14 @@ def region_points(draw):
     return (x - n - 2) / 2, n, (y - m - 2) / 2, m, lam
 
 
+@given(st.integers(1, 8).flatmap(lambda rows: hnp.arrays(
+    np.float64, (rows, 24), elements=st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30))))
+def test_vecdot_is_one_ddot_per_row(rows):
+    # the batched tile reduction has the bits of one dot per tile
+    w = quadrature._GAUSS[1]
+    assert np.vecdot(rows, w).tolist() == [float(row @ w) for row in rows]
+
+
 class TestBatchedTiles:
     @given(region_points(), st.sampled_from([1e-3, 1e-5]))
     @settings(max_examples=40, deadline=None)
@@ -229,6 +240,21 @@ class TestBatchedTiles:
         cfg = QuadConfig(rel_tol=rel_tol)
         got, want = rnm_quadrature(p, cfg), oracle.rnm_quadrature(p, cfg)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @pytest.mark.parametrize("lam", [1, 2])
+    def test_deep_grid_point_matches_oracle_in_bounded_memory(self, lam):
+        # the second pass at (-11/20, -19/20) lists 2,772 tiles, eleven blocks
+        a, b = GRID_PAIRS[2]
+        p = RnmParams(alpha=a, n=0, beta=b, m=0, lam=lam)
+        want = oracle.rnm_quadrature(p)
+        tracemalloc.start()
+        try:
+            got = rnm_quadrature(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert peak < 4e6, peak
 
     def test_memory_of_one_call_is_bounded(self):
         # all the tiles of a pass in one evaluation peak at about 26 MB here
