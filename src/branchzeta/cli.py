@@ -13,7 +13,10 @@ Output conventions, kept byte-stable for golden tests:
   changes neither the exit code nor stderr, and gets no traceback.
 * Results go to stdout, diagnostics to stderr. Each command writes its
   stderr lines, then returns its exit code and stdout lines for main to
-  write; TSV and text lines are generated as they are written.
+  write, 512 lines to a write; TSV and text lines are generated as they are
+  written, the candidate TSV lines straight from the integer ladders through
+  one %-template per ladder.  The parser is built once per process, and main
+  reads the command function off the module when it runs.
 
 At module level this file imports only the standard library and `errors`.
 Each command imports the layers it runs in its own body and calls them as
@@ -32,7 +35,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import accumulate, chain, starmap
+from itertools import accumulate, chain, islice, starmap
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Iterable, Iterator
@@ -53,6 +56,17 @@ def _ratio(num: int, den: int) -> str:
     """num/den (den > 0) in lowest terms, printed as str(Fraction) prints it."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+class _DenText(dict):
+    """The "/d" text of a denominator d, "" for d = 1, made on first use."""
+    def __missing__(self, d: int) -> str:
+        text = self[d] = f"/{d}" if d != 1 else ""
+        return text
+
+
+_DEN_TEXT = _DenText()
+_CHUNK_LINES = 512  # lines joined into one stdout write
 
 
 def _cx(z: complex) -> dict:
@@ -192,6 +206,21 @@ def _candidate_rows(rep):
                    status)
 
 
+def _candidate_tsv(rep) -> Iterator[str]:
+    """The TSV line of each row of _candidate_rows, formatted straight from
+    the integers of Ladder.rows through one template per ladder."""
+    from .poles import PoleStatus
+
+    status_text, den = tuple(s.value for s in PoleStatus), _DEN_TEXT
+    for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
+        N, n, mbar = lad.N, lad.n, lad.mbar
+        nm, fmt = n * mbar, f"{lad.i}\t%d\t%d%s\t%d%s\t%d%s\t%d%s\t%s".__mod__
+        for nu, (t, e1, e2, status) in enumerate(lad.rows(0, hi, status_text)):
+            g, g1, g2, h = gcd(t, N), gcd(e1, n), gcd(e2, mbar), gcd(t, nm)
+            yield fmt((nu, -t // g, den[N // g], e1 // g1, den[n // g1], e2 // g2,
+                       den[mbar // g2], -t // h, den[nm // h], status))
+
+
 def report_to_dict(rep) -> dict:
     bn = rep.bn
     table = _exponent_table(rep)
@@ -279,11 +308,13 @@ def _analyze_text(rep) -> Iterator[str]:
 
 
 def _write_stdout(rc: int, lines: Iterable[str]) -> int:
-    """Write each of lines and a newline to stdout, flush it and return rc;
-    nothing else writes stdout.  A reader that closes stdout early changes
-    neither rc nor stderr, which each command fixes before it returns."""
+    """Write each of lines and a newline to stdout, _CHUNK_LINES to a write,
+    flush it and return rc; nothing else writes stdout.  A reader that closes
+    stdout early changes neither rc nor stderr, fixed before this runs."""
+    lines = iter(lines)
     try:
-        sys.stdout.writelines(line + "\n" for line in lines)
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            sys.stdout.write("\n".join(chunk) + "\n")
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
     except BrokenPipeError:
         # the reader stopped reading: send what is still buffered to devnull
@@ -301,8 +332,7 @@ def cmd_analyze(ns) -> tuple[int, Iterable[str]]:
     if ns.format == "json":
         return 0, [canonical_json(report_to_dict(rep))]
     if ns.format == "tsv":
-        return 0, chain(["\t".join(_CANDIDATE_FIELDS)],
-                        map("%d\t%d\t%s\t%s\t%s\t%s\t%s".__mod__, _candidate_rows(rep)))
+        return 0, chain(["\t".join(_CANDIDATE_FIELDS)], _candidate_tsv(rep))
     return 0, _analyze_text(rep)
 
 
@@ -584,27 +614,18 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     argparse treats a bare "-3/5" as an option string, so spaced negative
     values for known value flags are merged into the = form.
     """
-    out = []
-    i = 0
+    out, i = [], 0
     while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in _VALUE_FLAGS
-            and nxt is not None
-            and len(nxt) > 1
-            and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
-        ):
-            out.append(f"{tok}={nxt}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+        tok, nxt = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
+        merge = tok in _VALUE_FLAGS and nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == ".")
+        out.append(f"{tok}={nxt}" if merge else tok)
+        i += 1 + merge
     return out
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process."""
     parser = _Parser(prog="branchzeta", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -615,7 +636,6 @@ def build_parser() -> _Parser:
     p.add_argument("input", help='"n,b1,..,bg" or "semigroup:g0,..,gg"')
     p.add_argument("--nu-max", type=int, default=None)
     add_format(p, "text")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("residue", help="evaluate one residue kernel value")
     p.add_argument("--alpha", type=Fraction, required=True)
@@ -624,14 +644,12 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_scalar, default=1.0)
     add_format(p, "text")
-    p.set_defaults(func=cmd_residue)
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("--suite", choices=("rnm", "combinatorics", "vanishing", "all"), default="all")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--rel-tol", type=float, default=1e-5, help="quadrature target")
     add_format(p, "tsv")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="curve equations and deformations")
     p.add_argument("input", help='"n,b1,..,bg" or "semigroup:g0,..,gg"')
@@ -641,24 +659,21 @@ def build_parser() -> _Parser:
     p.add_argument("--lambdas", type=str, default=None,
                    help="comma-separated values for levels 2..g")
     add_format(p, "text")
-    p.set_defaults(func=cmd_generate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except (_SyntaxError, ArithmeticError) as exc:
         # ArithmeticError: a number Fraction or float cannot convert (1/0, 1e400)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _write_stdout(*ns.func(ns))
+        # read at call time, so that a replaced cmd_* attribute is the one run
+        return _write_stdout(*globals()[f"cmd_{ns.command}"](ns))
     except (InvalidCharSeq, NotPlaneBranchSemigroup) as exc:
         return _write_stdout(2, _validation_failure(ns.input, exc, ns.format))
     except (ValueError, ZeroDivisionError) as exc:

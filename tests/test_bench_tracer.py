@@ -45,7 +45,11 @@ def test_sections_are_traced_under_the_reader():
 
 def test_commands_call_their_layers_through_the_traced_attribute():
     # a command imports its layer when it runs and reads the function off
-    # the module then, so it calls the tracer's wrapper
+    # the module then, so it calls the tracer's wrapper; main reads the
+    # command off cli when it runs, so a parser built by an earlier call
+    # does not bypass the wrappers of cli.cmd_*
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", "4,9", "--format", "tsv"]) == 0
     t = tracer.Tracer()
     t.install()
     try:

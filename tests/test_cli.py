@@ -21,8 +21,8 @@ import branchzeta.branch
 import branchzeta.cli
 import branchzeta.poles
 from branchzeta.branch import gaps, random_charseq
-from branchzeta.cli import (_merge_negative_values, build_parser, canonical_json, main,
-                            report_to_dict)
+from branchzeta.cli import (_CHUNK_LINES, _merge_negative_values, _write_stdout, build_parser,
+                            canonical_json, main, report_to_dict)
 from branchzeta.poles import branch_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -554,6 +554,20 @@ class TestGenerate:
         assert out.encode() == (GOLDEN / f"generate_semigroup_4_6_13.{fmt}").read_bytes()
 
 
+class _Stdout:
+    """A stdout that hands each write to on_write and keeps nothing."""
+
+    def __init__(self, on_write):
+        self.on_write = on_write
+
+    def write(self, s):
+        self.on_write(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
 class TestPlumbing:
     def test_merge_negative_values(self):
         assert _merge_negative_values(["--alpha", "-3/5", "--n", "0"]) == [
@@ -572,13 +586,56 @@ class TestPlumbing:
     ], ids=" ".join)
     def test_commands_return_lines_and_main_writes_them(self, capsys, argv):
         ns = build_parser().parse_args(argv)
-        result = ns.func(ns)
+        result = getattr(branchzeta.cli, f"cmd_{ns.command}")(ns)
         assert isinstance(result, tuple) and len(result) == 2
         rc, lines = result
         lines = list(lines)
         assert capsys.readouterr().out == ""
         assert main(argv) == rc == 0
         assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+    def test_parser_is_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_main_reads_the_command_when_it_runs(self, capsys, monkeypatch):
+        # after a warm call the parser exists; a replaced cmd_analyze is still
+        # the function the next call runs
+        assert run(capsys, "analyze", "4,9", "--format", "tsv")[0] == 0
+        monkeypatch.setattr(branchzeta.cli, "cmd_analyze",
+                            lambda ns: (0, [f"replaced {ns.input} {ns.format}"]))
+        assert run(capsys, "analyze", "4,9", "--format", "tsv") == (0, "replaced 4,9 tsv\n", "")
+
+    def test_write_stdout_takes_at_most_one_chunk_before_writing(self, monkeypatch):
+        taken, at_write, text = 0, [], []
+
+        def lines():
+            nonlocal taken
+            for k in range(10**5):
+                taken += 1
+                yield str(k)
+
+        monkeypatch.setattr(sys, "stdout", _Stdout(lambda s: (at_write.append(taken),
+                                                              text.append(s))))
+        assert _write_stdout(5, lines()) == 5
+        assert 1 <= at_write[0] <= _CHUNK_LINES
+        assert all(b - a <= _CHUNK_LINES for a, b in zip(at_write, at_write[1:]))
+        assert "".join(text) == "".join(f"{k}\n" for k in range(10**5))
+
+    def test_tsv_peak_memory_is_a_small_part_of_the_output(self, monkeypatch):
+        # about 2 MB of rows go to a stdout that keeps only their sizes
+        sizes = []
+        monkeypatch.setattr(sys, "stdout", _Stdout(lambda s: sizes.append(len(s))))
+        assert main(["analyze", "2,301", "--format", "tsv"]) == 0  # imports and parser
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["analyze", "2,20001", "--format", "tsv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) > 1.8e6
+        assert peak < 300_000, peak
 
     def test_missing_subcommand_exit_1(self, capsys):
         rc, _, err = run(capsys)

@@ -3,11 +3,13 @@ every candidate field and status, the Pi multisets, Yano's multiset, the
 eigenvalue classes and the resonances, over random characteristic
 sequences, some with an extended ladder; the divisor data and lct read
 off the ladders against their closed forms; and the stepped candidate rows
-against one row at a time (row_oracle.py)."""
+against one row at a time (row_oracle.py), and the TSV lines made from the
+integers against those rows formatted as text (row_oracle.py)."""
 
 import random
 from dataclasses import astuple, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracle as oracle
 import row_oracle
 from branchzeta.branch import parse_input, random_charseq
-from branchzeta.cli import _candidate_rows
-from branchzeta.poles import (branch_report, candidate_pole, log_canonical_threshold,
+from branchzeta.cli import _candidate_rows, _candidate_tsv
+from branchzeta.poles import (Ladder, branch_report, candidate_pole, log_canonical_threshold,
                               residue_numbers)
 from branchzeta.toric import divisor_numerics
 
@@ -96,6 +98,55 @@ def test_candidate_rows_match_row_oracle(draw):
     assert got == list(row_oracle.candidate_rows(rep))
     assert got == [(i, nu, *map(str, rest))
                    for i, nu, *rest in oracle.candidates(rep.bn, nu_max)]
+
+
+@given(draws())
+@settings(max_examples=60, deadline=None)
+def test_tsv_lines_match_row_oracle(draw):
+    # max_n = 12 keeps g at most 3
+    cs, nu_max = draw
+    rep = branch_report(cs, nu_max=nu_max)
+    assert rep.bn.g <= 3
+    assert list(_candidate_tsv(rep)) == list(row_oracle.tsv_lines(rep))
+
+
+@pytest.mark.parametrize("nu_max", [None, 0, 37, 1000])
+@pytest.mark.parametrize("text", ["semigroup:2,3", "semigroup:2,301", "semigroup:2,4001",
+                                  "semigroup:4,6,13", "semigroup:4,6,301",
+                                  "semigroup:4,6,1501"])
+def test_tsv_lines_of_semigroup_forms_match_row_oracle(text, nu_max):
+    rep = branch_report(text, nu_max=nu_max)
+    assert list(_candidate_tsv(rep)) == list(row_oracle.tsv_lines(rep))
+
+
+def test_tsv_lines_step_ladder_rows_and_build_no_fraction(monkeypatch):
+    rep = branch_report("semigroup:4,6,301", nu_max=50)
+    stepped, rows = [], Ladder.rows
+
+    def counted(self, *args):
+        for row in rows(self, *args):
+            stepped.append(row)
+            yield row
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("a Fraction built while formatting TSV lines")
+
+    monkeypatch.setattr(Ladder, "rows", counted)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(no_fraction))
+    lines = list(_candidate_tsv(rep))
+    monkeypatch.undo()
+    assert len(lines) == len(stepped) == sum(rep.ladder_lengths)
+
+
+@pytest.mark.parametrize("field", ["c2", "D"])
+def test_tsv_lines_check_the_row_identity(field):
+    # every TSV row comes out of Ladder.rows, whose identity check fires on
+    # a broken ladder
+    rep = branch_report("4,6,7")
+    bad = tuple(replace(lad, **{field: getattr(lad, field) + 1}) for lad in rep.bn.ladders)
+    fake = SimpleNamespace(bn=SimpleNamespace(ladders=bad), ladder_lengths=rep.ladder_lengths)
+    with pytest.raises(AssertionError):
+        list(_candidate_tsv(fake))
 
 
 @given(draws(), st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=40))
