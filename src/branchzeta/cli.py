@@ -7,7 +7,10 @@ and generate (curve equations and deformation families).
 Output conventions, kept byte-stable for golden tests:
 * JSON is canonical: sorted keys, two-space indent, rationals as "p/q"
   strings in lowest terms, complex numbers as {"re":, "im":} objects;
-  parsing emitted JSON and re-serializing it reproduces the bytes.
+  parsing emitted JSON and re-serializing it reproduces the bytes.  An
+  analyze report makes the record of each exponent of Pi once; the sections
+  that list the same exponents share it, and the writer converts a list
+  that comes up again once.
 * Exit codes: 0 success, 1 input syntax error, 2 domain validation
   failure, 3 verification failure. A reader that closes stdout early
   changes neither the exit code nor stderr, and gets no traceback.
@@ -104,12 +107,19 @@ def _dict_template(keys: tuple, ind: str):
     return "{" + ",".join(fields) + ind + "}", order
 
 
-def _column(values: list, ind: str) -> list[str]:
+def _column(values: list, ind: str, memo: dict) -> list[str]:
     """The JSON text of each of values, its lines after the first starting
     with ind (a newline and the indentation).  A column of one type and
     shape is converted at once: scalars by one map, dicts with one key set
     through one template whose fields are the columns of their keys, lists
-    (or tuples) through the column of all their items."""
+    (or tuples) through the column of all their items.  memo keeps the text
+    of each non-empty list or tuple written as a single value by id(); where
+    the same object comes up again, that text is re-indented by one replace
+    of its leading indentation (JSON text never holds a raw newline inside a
+    string)."""
+    if len(values) == 1 and id(values[0]) in memo:
+        text, at = memo[id(values[0])]
+        return [text if at == ind else text.replace(at, ind)]
     kinds = set(map(type, values))
     t = kinds.pop() if len(kinds) == 1 else None
     if t in _SCALAR_TEXT:
@@ -120,15 +130,18 @@ def _column(values: list, ind: str) -> list[str]:
         tpl = _dict_template(shapes.pop(), ind) if len(shapes) == 1 else None
         if tpl is not None:
             fmt, order = tpl
-            fields = [_column([v[k] for v in values], inner) for k in order]
+            fields = [_column([v[k] for v in values], inner, memo) for k in order]
             return list(map(fmt.__mod__, zip(*fields)))
     elif (t is list or t is tuple) and all(values):
-        items = _column(list(chain.from_iterable(values)), inner)
+        items = _column(list(chain.from_iterable(values)), inner, memo)
         ends = list(accumulate(map(len, values)))
         sep = "," + inner
-        return ["[" + inner + sep.join(items[a:b]) + ind + "]" for a, b in zip([0, *ends], ends)]
+        texts = ["[" + inner + sep.join(items[a:b]) + ind + "]" for a, b in zip([0, *ends], ends)]
+        if len(values) == 1:
+            memo[id(values[0])] = texts[0], ind
+        return texts
     if len(values) != 1:  # mixed types or shapes: value by value
-        return [_column([v], ind)[0] for v in values]
+        return [_column([v], ind, memo)[0] for v in values]
     # an empty container, non-str keys, a subclass of a scalar type, anything
     # else: json.dumps decides; JSON text never holds a raw newline inside a
     # string
@@ -138,8 +151,10 @@ def _column(values: list, ind: str) -> list[str]:
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2), written
     without its pure-Python encoder: values of one shape are converted as
-    one column, a dict of each shape through one cached template."""
-    return _column([obj], "\n")[0]
+    one column, a dict of each shape through one cached template, and a list
+    or tuple that obj holds more than once is converted once.  The memo lives for
+    this call only, while obj keeps each id in it alive."""
+    return _column([obj], "\n", {})[0]
 
 
 def _poly_dict(p) -> dict:
@@ -222,13 +237,20 @@ def _candidate_tsv(rep) -> Iterator[str]:
 
 
 def report_to_dict(rep) -> dict:
-    bn = rep.bn
+    bn, pi, eig = rep.bn, rep.pi_merged, rep.eigenvalues
     table = _exponent_table(rep)
+    den, texts = table
+    assert eig.den == den
+    # Pi's record of each exponent, made once: Yano and Pi_1 (g = 1) are
+    # this list where they equal Pi, and the eigenvalue classes list its dicts
+    record = {k: {"exponent": texts[k], "multiplicity": m} for k, m in pi.sorted_counts()}
+    pi_records = list(record.values())
 
-    def records(items, den: int) -> list[dict]:
-        return list(_exponent_records(items, den, table))
+    def records(ms) -> list[dict]:
+        if ms == pi:
+            return pi_records
+        return list(_exponent_records(ms.sorted_counts(), ms.den, table))
 
-    eig = rep.eigenvalues
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
         "numerics": {
@@ -248,15 +270,15 @@ def report_to_dict(rep) -> dict:
         "toric_steps": [asdict(s) for s in rep.bn.steps],
         "divisors": [asdict(d) for d in rep.divisors],
         "candidates": list(starmap(_candidate_record, _candidate_rows(rep))),
-        "pi": records(rep.pi_merged.sorted_counts(), rep.pi_merged.den),
-        "pi_levels": [records(ms.sorted_counts(), ms.den) for ms in rep.pi_sets],
-        "yano": records(rep.yano.sorted_counts(), rep.yano.den),
+        "pi": pi_records,
+        "pi_levels": list(map(records, rep.pi_sets)),
+        "yano": records(rep.yano),
         "eigenvalues": {
             "distinct": eig.distinct,
             # a class's fraction is its exponents' fractional part, often one of them
             "classes": [
-                {"fraction": table[1].get(frac) or _ratio(frac, eig.den),
-                 "members": records(items, eig.den)}
+                {"fraction": texts.get(frac) or _ratio(frac, den),
+                 "members": [record[k] for k, _ in items]}
                 for frac, items in eig.groups
             ],
         },
@@ -438,7 +460,7 @@ def _suite_combinatorics() -> Iterator[tuple[str, str, str, float, bool]]:
         yield _exact(
             f"pi-vs-yano({text})",
             "equal",
-            "equal" if rep.pi_merged.entries == rep.yano.entries else "differ",
+            "equal" if rep.pi_merged == rep.yano else "differ",
         )
         kept = [
             -c.sigma for c in rep.candidates if c.status is PoleStatus.POLE_CANDIDATE

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, groupby
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator
 
 from .branch import BranchNumerics, derive_numerics, resolve_input
@@ -142,7 +143,16 @@ class ExponentMultiset:
         return sorted(self.counts.items())
 
     def __eq__(self, other):
-        return isinstance(other, ExponentMultiset) and self.entries == other.entries
+        """Equal as multisets of rationals: the counts compared over a common
+        denominator, on integers."""
+        if not isinstance(other, ExponentMultiset) or len(self.counts) != len(other.counts):
+            return False
+        if self.den == other.den:
+            return self.counts == other.counts
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return ({k * a: m for k, m in self.counts.items()}
+                == {k * b: m for k, m in other.counts.items()})
 
 
 def residue_numbers(bn: BranchNumerics, i: int, nu: int) -> tuple[Fraction, Fraction]:
@@ -226,18 +236,24 @@ def eigenvalues_distinct(pi: ExponentMultiset) -> bool:
     """Whether the eigenvalues e^{-2 pi i alpha} over pi are pairwise
     different: they coincide exactly when the exponents agree mod 1, so every
     multiplicity must be one and no two exponents may agree mod 1."""
-    return (all(mult == 1 for mult in pi.counts.values())
-            and len({k % pi.den for k in pi.counts}) == len(pi.counts))
+    return (set(pi.counts.values()) <= {1}
+            and len(set(map(pi.den.__rmod__, pi.counts))) == len(pi.counts))
 
 
-def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
-    """Group b-exponents by fractional part (= monodromy eigenvalue class);
-    distinct is eigenvalues_distinct(pi)."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for k, mult in pi.sorted_counts():
-        groups.setdefault(k % pi.den, []).append((k, mult))
-    return EigenvalueAnalysis(eigenvalues_distinct(pi), pi.den,
-                              tuple((f, tuple(items)) for f, items in sorted(groups.items())))
+def eigenvalue_analysis(pi: ExponentMultiset, distinct: bool | None = None) -> EigenvalueAnalysis:
+    """Group b-exponents by fractional part (= monodromy eigenvalue class),
+    from one sort by (fractional part, numerator); distinct is
+    eigenvalues_distinct(pi), computed unless given."""
+    if distinct is None:
+        distinct = eigenvalues_distinct(pi)
+    ranked = sorted(zip(map(pi.den.__rmod__, pi.counts), pi.counts.items()))
+    fracs = tuple(map(itemgetter(0), ranked))
+    if len(set(fracs)) == len(fracs):  # every class a single exponent
+        groups = tuple(zip(fracs, zip(map(itemgetter(1), ranked))))
+    else:
+        groups = tuple((f, tuple(map(itemgetter(1), group)))
+                       for f, group in groupby(ranked, itemgetter(0)))
+    return EigenvalueAnalysis(distinct, pi.den, groups)
 
 
 def log_canonical_threshold(bn: BranchNumerics) -> Fraction:
@@ -283,7 +299,8 @@ class BranchReport:
     pi_sets = property(lambda self: self._pi[0])
     pi_merged = property(lambda self: self._pi[1])
     yano = cached_property(lambda self: yano_multiset(self.bn))
-    eigenvalues = cached_property(lambda self: eigenvalue_analysis(self.pi_merged))
+    # distinctness is checked once: the classes are given the report's answer
+    eigenvalues = cached_property(lambda self: eigenvalue_analysis(self.pi_merged, self.distinct))
     distinct = cached_property(lambda self: eigenvalues_distinct(self.pi_merged))
     verdict = cached_property(lambda self: "proved-distinct" if self.distinct
                               else "conjectural-generic")

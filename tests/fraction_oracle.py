@@ -14,6 +14,12 @@ closed forms that branchzeta.toric and branchzeta.poles used before they
 read them off the ladders: N = n_i betabar_i and k + 1 = m_i + n_1...n_i at
 the rupture divisor, betabar_i and ceil((k + 1)/n_i) at the dead end, and
 lct = (m_1 + n_1)/(n_1 betabar_1).
+
+The exponent sections of the JSON report (pi, pi_levels, yano and the
+eigenvalue classes) are built here section by section, each from its own
+multiset's Fractions, as branchzeta.cli built them before the sections
+shared one record list; and exponent multisets are compared here as
+Fraction-keyed dicts.
 """
 
 from fractions import Fraction
@@ -108,3 +114,36 @@ def resonances(cands):
         for sigma, group in sorted(by_sigma.items(), reverse=True)
         if len({i for i, _, _ in group}) >= 2
     ]
+
+
+def multisets_equal(a, b):
+    """Whether two ExponentMultisets hold the same rationals with the same
+    multiplicities, compared as {Fraction: multiplicity} dicts."""
+    def entries(ms):
+        return {Fraction(k, ms.den): m for k, m in ms.counts.items()}
+
+    return entries(a) == entries(b)
+
+
+def exponent_records(ms):
+    """The {exponent, multiplicity} records of a multiset, in increasing order."""
+    return [{"exponent": str(Fraction(k, ms.den)), "multiplicity": m}
+            for k, m in sorted(ms.counts.items())]
+
+
+def exponent_sections(rep):
+    """The pi, pi_levels, yano and eigenvalues sections of a report's JSON,
+    each section built from its own multiset."""
+    distinct, classes = eigenvalue_analysis(
+        {Fraction(k, rep.pi_merged.den): m for k, m in rep.pi_merged.counts.items()})
+    return {
+        "pi": exponent_records(rep.pi_merged),
+        "pi_levels": [exponent_records(ms) for ms in rep.pi_sets],
+        "yano": exponent_records(rep.yano),
+        "eigenvalues": {
+            "distinct": distinct,
+            "classes": [{"fraction": str(frac),
+                         "members": [{"exponent": str(e), "multiplicity": m} for e, m in items]}
+                        for frac, items in classes],
+        },
+    }

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import branchzeta.branch
 import branchzeta.cli
 import branchzeta.poles
+import fraction_oracle
 from branchzeta.branch import gaps, random_charseq
 from branchzeta.cli import (_CHUNK_LINES, _merge_negative_values, _write_stdout, build_parser,
                             canonical_json, main, report_to_dict)
@@ -160,6 +161,43 @@ class TestAnalyze:
             monkeypatch.setattr(branchzeta.poles, name, counted)
         assert run(capsys, *argv)[0] == 0
         assert calls == built
+
+    def test_sections_share_pi_records(self):
+        # g = 1: Yano and Pi_1 are Pi's list; g = 2: Pi_1 is its own list
+        for text, g in (("4,9", 1), ("6,9,22", 2)):
+            d = report_to_dict(branch_report(text))
+            assert d["yano"] is d["pi"]
+            assert (d["pi_levels"][0] is d["pi"]) == (g == 1)
+            members = [m for c in d["eigenvalues"]["classes"] for m in c["members"]]
+            assert sorted(map(id, members)) == sorted(map(id, d["pi"]))
+
+    def test_yano_differing_from_pi_is_written_as_its_own(self, capsys, monkeypatch):
+        yano = branchzeta.poles.yano_multiset
+
+        def moved(bn):
+            # one exponent of Yano moved onto a value that is not in Pi
+            ms = yano(bn)
+            counts = dict(ms.counts)
+            counts.pop(min(counts))
+            counts[next(k for k in range(1, ms.den) if k not in counts)] = 1
+            return branchzeta.poles.ExponentMultiset(ms.den, counts)
+
+        monkeypatch.setattr(branchzeta.poles, "yano_multiset", moved)
+        rc, out, _ = run(capsys, "analyze", "4,9", "--format", "json")
+        assert rc == 0
+        d = json.loads(out)
+        assert d["yano"] != d["pi"]
+        want = fraction_oracle.exponent_sections(branch_report("4,9"))
+        assert {key: d[key] for key in want} == want
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_distinctness_is_checked_once_per_report(self, capsys, monkeypatch, fmt):
+        calls = []
+        check = branchzeta.poles.eigenvalues_distinct
+        monkeypatch.setattr(branchzeta.poles, "eigenvalues_distinct",
+                            lambda pi: calls.append(pi) or check(pi))
+        assert run(capsys, "analyze", "10,26,91", "--format", fmt)[0] == 0
+        assert len(calls) == 1
 
 
 class TestResidue:
@@ -429,6 +467,26 @@ def tables(draw):
     return rows
 
 
+@st.composite
+def shared_lists(draw):
+    """A value that holds one list (or tuple) object, shared, at two or more
+    places and depths, in lists, tuples and dicts, beside lists equal to it
+    that are other objects.  shared is empty, has one item, is a
+    table whose rows are dicts of one key set, or is a tuple."""
+    shared = draw(st.one_of(st.just([]), st.lists(json_values, min_size=1, max_size=1),
+                            st.lists(json_values, max_size=4), tables(),
+                            st.lists(json_values, max_size=4).map(tuple)))
+    leaves = st.one_of(json_scalars, st.just(shared),
+                       st.builds(lambda: json.loads(json.dumps(shared))))
+    tree = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_text, inner, max_size=3),
+    ), max_leaves=12)
+    return {"a": shared, "b": draw(tree), "c": [draw(tree), (shared,)], "d": [shared],
+            "e": draw(st.sampled_from([shared, 0, [shared, shared]]))}
+
+
 class TestCanonicalJson:
     @settings(max_examples=500, deadline=None)
     @given(json_values)
@@ -467,6 +525,22 @@ class TestCanonicalJson:
     ], ids=["int-keys", "nested-int-keys", "intenum-in-list", "intenum-with-percent-keys"])
     def test_fallback_matches_json_dumps(self, value):
         assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_lists())
+    def test_shared_lists_match_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_calls_on_short_lived_values_whose_ids_recur(self):
+        # the memo of one call must not answer for a list of a later call
+        # that took a freed list's id
+        ids = set()
+        for i in range(200):
+            value = {"a": [i, str(i)], "b": [[{"k": i}] * (i % 3)], "c": ([i],)}
+            ids.add(id(value["a"]))
+            assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+            del value
+        assert len(ids) < 200
 
     def test_analyze_calls_it_once(self, capsys, monkeypatch):
         # the benchmark's tracer counts output bytes per canonical_json call

@@ -3,9 +3,13 @@ every candidate field and status, the Pi multisets, Yano's multiset, the
 eigenvalue classes and the resonances, over random characteristic
 sequences, some with an extended ladder; the divisor data and lct read
 off the ladders against their closed forms; and the stepped candidate rows
-against one row at a time (row_oracle.py), and the TSV lines made from the
-integers against those rows formatted as text (row_oracle.py)."""
+against one row at a time (row_oracle.py), the TSV lines made from the
+integers against those rows formatted as text (row_oracle.py), the JSON
+exponent sections, which share Pi's records, against sections built one by
+one (fraction_oracle.py), and exponent-multiset equality on integers
+against equality of Fraction-keyed dicts."""
 
+import json
 import random
 from dataclasses import astuple, replace
 from fractions import Fraction
@@ -17,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracle as oracle
 import row_oracle
 from branchzeta.branch import parse_input, random_charseq
-from branchzeta.cli import _candidate_rows, _candidate_tsv
-from branchzeta.poles import (Ladder, branch_report, candidate_pole, log_canonical_threshold,
-                              residue_numbers)
+from branchzeta.cli import _candidate_rows, _candidate_tsv, canonical_json, report_to_dict
+from branchzeta.poles import (ExponentMultiset, Ladder, branch_report, candidate_pole,
+                              eigenvalue_analysis, log_canonical_threshold, residue_numbers)
 from branchzeta.toric import divisor_numerics
 
 
@@ -171,3 +175,77 @@ def test_identity_check_fires_on_every_row(text, field, first_bad):
             bad.row(first_bad)
         with pytest.raises(AssertionError):
             list(bad.rows(first_bad, first_bad + 1))
+
+
+SECTIONS = ("pi", "pi_levels", "yano", "eigenvalues")
+
+
+def written_sections(rep) -> dict:
+    """The exponent sections of the report's JSON, read back from its text."""
+    d = json.loads(canonical_json(report_to_dict(rep)))
+    return {key: d[key] for key in SECTIONS}
+
+
+@st.composite
+def wide_draws(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+    return random_charseq(rng, max_n=16, max_beta=120), draw(st.none() | st.just(40))
+
+
+@given(wide_draws())
+@settings(max_examples=60, deadline=None)
+def test_exponent_sections_match_oracle(draw):
+    cs, nu_max = draw
+    rep = branch_report(cs, nu_max=nu_max)
+    assert written_sections(rep) == oracle.exponent_sections(rep)
+
+
+@pytest.mark.parametrize("nu_max", [None, 40])
+@pytest.mark.parametrize("text,largest_class,largest_mult", [
+    ("10,26,91", 2, 2),  # an eigenvalue class of two exponents
+    ("6,45,85", 1, 2),  # an exponent of multiplicity 2, every class a single exponent
+])
+def test_non_distinct_branches_match_oracle(text, largest_class, largest_mult, nu_max):
+    rep = branch_report(text, nu_max=nu_max)
+    assert rep.verdict == "conjectural-generic"
+    groups = eigenvalue_analysis(rep.pi_merged).groups
+    assert max(len(items) for _, items in groups) == largest_class
+    assert max(m for _, items in groups for _, m in items) == largest_mult
+    den = rep.pi_merged.den
+    merged = {Fraction(k, den): m for k, m in rep.pi_merged.counts.items()}
+    distinct, classes = oracle.eigenvalue_analysis(merged)
+    assert not distinct and not rep.eigenvalues.distinct
+    assert tuple((Fraction(f, den), tuple((Fraction(k, den), m) for k, m in items))
+                 for f, items in groups) == classes
+    assert rep.eigenvalues.groups == groups
+    assert written_sections(rep) == oracle.exponent_sections(rep)
+
+
+@st.composite
+def multiset_pairs(draw):
+    """Two multisets over their own denominators; half of the draws hold the
+    same rationals, the second over a multiple of the first's denominator."""
+    den = draw(st.integers(min_value=1, max_value=60))
+    counts = draw(st.dictionaries(st.integers(-3 * den, 3 * den), st.integers(1, 3), max_size=6))
+    a = ExponentMultiset(den, counts)
+    if draw(st.booleans()):
+        scale = draw(st.integers(min_value=1, max_value=5))
+        b_den, b_counts = den * scale, {k * scale: m for k, m in counts.items()}
+        if b_counts and draw(st.booleans()):  # move one exponent or change its multiplicity
+            k = draw(st.sampled_from(sorted(b_counts)))
+            if draw(st.booleans()):
+                b_counts[k + 1] = b_counts.pop(k)
+            else:
+                b_counts[k] += 1
+    else:
+        b_den = draw(st.integers(min_value=1, max_value=60))
+        b_counts = draw(st.dictionaries(st.integers(-3 * b_den, 3 * b_den), st.integers(1, 3),
+                                        max_size=6))
+    return a, ExponentMultiset(b_den, b_counts)
+
+
+@given(multiset_pairs())
+@settings(max_examples=400, deadline=None)
+def test_multiset_equality_matches_fraction_oracle(pair):
+    a, b = pair
+    assert (a == b) == (b == a) == oracle.multisets_equal(a, b)
