@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, groupby
+from itertools import chain
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterator
 
 from .branch import BranchNumerics, derive_numerics, resolve_input
@@ -240,20 +239,16 @@ def eigenvalues_distinct(pi: ExponentMultiset) -> bool:
             and len(set(map(pi.den.__rmod__, pi.counts))) == len(pi.counts))
 
 
-def eigenvalue_analysis(pi: ExponentMultiset, distinct: bool | None = None) -> EigenvalueAnalysis:
-    """Group b-exponents by fractional part (= monodromy eigenvalue class),
-    from one sort by (fractional part, numerator); distinct is
-    eigenvalues_distinct(pi), computed unless given."""
-    if distinct is None:
-        distinct = eigenvalues_distinct(pi)
-    ranked = sorted(zip(map(pi.den.__rmod__, pi.counts), pi.counts.items()))
-    fracs = tuple(map(itemgetter(0), ranked))
-    if len(set(fracs)) == len(fracs):  # every class a single exponent
-        groups = tuple(zip(fracs, zip(map(itemgetter(1), ranked))))
-    else:
-        groups = tuple((f, tuple(map(itemgetter(1), group)))
-                       for f, group in groupby(ranked, itemgetter(0)))
-    return EigenvalueAnalysis(distinct, pi.den, groups)
+def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
+    """Group b-exponents by fractional part (= monodromy eigenvalue class);
+    the eigenvalues are distinct when every class is one exponent of
+    multiplicity one."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, mult in pi.sorted_counts():
+        groups.setdefault(k % pi.den, []).append((k, mult))
+    distinct = len(groups) == len(pi.counts) and set(pi.counts.values()) <= {1}
+    return EigenvalueAnalysis(distinct, pi.den,
+                              tuple((f, tuple(items)) for f, items in sorted(groups.items())))
 
 
 def log_canonical_threshold(bn: BranchNumerics) -> Fraction:
@@ -299,8 +294,7 @@ class BranchReport:
     pi_sets = property(lambda self: self._pi[0])
     pi_merged = property(lambda self: self._pi[1])
     yano = cached_property(lambda self: yano_multiset(self.bn))
-    # distinctness is checked once: the classes are given the report's answer
-    eigenvalues = cached_property(lambda self: eigenvalue_analysis(self.pi_merged, self.distinct))
+    eigenvalues = cached_property(lambda self: eigenvalue_analysis(self.pi_merged))
     distinct = cached_property(lambda self: eigenvalues_distinct(self.pi_merged))
     verdict = cached_property(lambda self: "proved-distinct" if self.distinct
                               else "conjectural-generic")

@@ -6,8 +6,10 @@ off the ladders against their closed forms; and the stepped candidate rows
 against one row at a time (row_oracle.py), the TSV lines made from the
 integers against those rows formatted as text (row_oracle.py), the JSON
 exponent sections, which share Pi's records, against sections built one by
-one (fraction_oracle.py), and exponent-multiset equality on integers
-against equality of Fraction-keyed dicts."""
+one (fraction_oracle.py), exponent-multiset equality on integers
+against equality of Fraction-keyed dicts, and the eigenvalue classes and
+both derivations of distinctness on multisets with many shared
+fractional parts."""
 
 import json
 import random
@@ -23,7 +25,8 @@ import row_oracle
 from branchzeta.branch import parse_input, random_charseq
 from branchzeta.cli import _candidate_rows, _candidate_tsv, canonical_json, report_to_dict
 from branchzeta.poles import (ExponentMultiset, Ladder, branch_report, candidate_pole,
-                              eigenvalue_analysis, log_canonical_threshold, residue_numbers)
+                              eigenvalue_analysis, eigenvalues_distinct, log_canonical_threshold,
+                              residue_numbers)
 from branchzeta.toric import divisor_numerics
 
 
@@ -249,3 +252,18 @@ def multiset_pairs(draw):
 def test_multiset_equality_matches_fraction_oracle(pair):
     a, b = pair
     assert (a == b) == (b == a) == oracle.multisets_equal(a, b)
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda den: st.builds(
+    ExponentMultiset, st.just(den),
+    st.dictionaries(st.integers(-3 * den, 3 * den), st.integers(1, 2), max_size=8))))
+@settings(max_examples=400, deadline=None)
+def test_eigenvalue_classes_and_distinctness_match_oracle(pi):
+    # the classes read distinctness off their grouping, the report from one
+    # pass over Pi: both must agree with the oracle
+    analysis = eigenvalue_analysis(pi)
+    distinct, classes = oracle.eigenvalue_analysis(
+        {Fraction(k, pi.den): m for k, m in pi.counts.items()})
+    assert analysis.distinct == eigenvalues_distinct(pi) == distinct
+    assert tuple((Fraction(f, pi.den), tuple((Fraction(k, pi.den), m) for k, m in items))
+                 for f, items in analysis.groups) == classes
