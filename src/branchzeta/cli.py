@@ -17,9 +17,11 @@ Output conventions, kept byte-stable for golden tests:
 * Results go to stdout, diagnostics to stderr. Each command writes its
   stderr lines, then returns its exit code and stdout lines for main to
   write, 512 lines to a write; TSV and text lines are generated as they are
-  written, the candidate TSV lines straight from the integer ladders through
-  one %-template per ladder.  The parser is built once per process, and main
-  reads the command function off the module when it runs.
+  written.  The parser is built once per process, and main reads the
+  command function off the module when it runs.
+* analyze writes its candidates in every format from one loop over the
+  integer ladders, _candidate_cells; text writes each Pi and Yano line from
+  the counts, so it keeps no exponent text.
 
 At module level this file imports only the standard library and `errors`.
 Each command imports the layers it runs in its own body and calls them as
@@ -38,7 +40,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import accumulate, chain, islice, starmap
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Iterable, Iterator
@@ -58,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 def _ratio(num: int, den: int) -> str:
     """num/den (den > 0) in lowest terms, printed as str(Fraction) prints it."""
     g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    return f"{num // g}{_DEN_TEXT[den // g]}"
 
 
 class _DenText(dict):
@@ -168,88 +170,55 @@ def _poly_dict(p) -> dict:
     }
 
 
-def _exponent_table(rep) -> tuple[int, dict[int, str]]:
-    """(den, texts): the text in lowest terms of each exponent of Pi, keyed
-    by its numerator over den = pi_merged.den.  Pi_i, Yano and the eigenvalue
-    classes hold the same exponents, so each is made once per report."""
-    den = rep.pi_merged.den
-    return den, {k: _ratio(k, den) for k in rep.pi_merged.counts}
+# a candidate record's keys in row order, which the TSV header and the text
+# heading read; its TSV line is made from its cells, its text line from its record
+_CANDIDATE_FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
+_CANDIDATE_TSV = "%d\t%d\t%d%s\t%d%s\t%d%s\t%d%s\t%s"
+_CANDIDATE_TEXT = "  %(i)12s %(nu)12s %(sigma)12s %(eps1)12s %(eps2)12s %(eps3)12s  %(status)s"
 
 
-def _exponent_records(items, item_den: int, table) -> Iterator[dict]:
-    """The {exponent, multiplicity} record of each (numerator over item_den,
-    multiplicity) of items, the exponent's text read from the table, or made
-    for a key that is not in it; lazily, so that text streams its lines."""
-    den, texts = table
-    scale, rem = divmod(den, item_den)
-    assert rem == 0, "an exponent denominator that does not divide the table's"
-    return ({"exponent": texts.get(k * scale) or _ratio(k, item_den), "multiplicity": m}
-            for k, m in items)
-
-
-def _candidate_record(i, nu, sigma, eps1, eps2, eps3, status) -> dict:
-    """The JSON record of one row of _candidate_rows."""
-    return {"i": i, "nu": nu, "sigma": sigma, "eps1": eps1, "eps2": eps2, "eps3": eps3,
-            "status": status}
-
-
-# the record's keys in row order, which the TSV header and the text heading read
-_CANDIDATE_FIELDS = tuple(_candidate_record(*range(7)))
-
-
-def _candidate_rows(rep):
-    """(i, nu, sigma, eps1, eps2, eps3, status) of every candidate, the
-    rationals as text in lowest terms made straight from the integer
-    ladders: sigma = -t/N and eps3 = -t/(n mbar) share one gcd, since
-    n mbar divides N."""
-    from .poles import PoleStatus
-
-    status_text = tuple(s.value for s in PoleStatus)  # in the order Ladder.rows indexes
-    for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
-        i, N, n, mbar = lad.i, lad.N, lad.n, lad.mbar
-        nm = n * mbar
-        for nu, (t, e1, e2, status) in enumerate(lad.rows(0, hi, status_text)):
-            g = gcd(t, N)
-            h = gcd(g, nm)
-            g1 = gcd(e1, n)
-            g2 = gcd(e2, mbar)
-            yield (i, nu,
-                   str(-t // g) if g == N else f"{-t // g}/{N // g}",
-                   str(e1 // g1) if g1 == n else f"{e1 // g1}/{n // g1}",
-                   str(e2 // g2) if g2 == mbar else f"{e2 // g2}/{mbar // g2}",
-                   str(-t // h) if h == nm else f"{-t // h}/{nm // h}",
-                   status)
-
-
-def _candidate_tsv(rep) -> Iterator[str]:
-    """The TSV line of each row of _candidate_rows, formatted straight from
-    the integers of Ladder.rows through one template per ladder."""
+def _candidate_cells(rep) -> Iterator[tuple]:
+    """The cells of every candidate, ladder by ladder, from one Ladder.rows
+    pass per ladder with four gcds a row and no Fraction: i, nu, the
+    numerator and "/d" text (_DEN_TEXT) of sigma = -t/N, eps1, eps2 and
+    eps3 = -t/(n mbar) in lowest terms, and the status text."""
     from .poles import PoleStatus
 
     status_text, den = tuple(s.value for s in PoleStatus), _DEN_TEXT
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
-        N, n, mbar = lad.N, lad.n, lad.mbar
-        nm, fmt = n * mbar, f"{lad.i}\t%d\t%d%s\t%d%s\t%d%s\t%d%s\t%s".__mod__
+        i, N, n, mbar = lad.i, lad.N, lad.n, lad.mbar
+        nm = n * mbar
         for nu, (t, e1, e2, status) in enumerate(lad.rows(0, hi, status_text)):
             g, g1, g2, h = gcd(t, N), gcd(e1, n), gcd(e2, mbar), gcd(t, nm)
-            yield fmt((nu, -t // g, den[N // g], e1 // g1, den[n // g1], e2 // g2,
-                       den[mbar // g2], -t // h, den[nm // h], status))
+            yield (i, nu, -t // g, den[N // g], e1 // g1, den[n // g1], e2 // g2,
+                   den[mbar // g2], -t // h, den[nm // h], status)
+
+
+def _candidate_records(rep) -> Iterator[dict]:
+    """The JSON record of every candidate, one dict display of its cells."""
+    return ({"i": i, "nu": nu, "sigma": f"{sigma}{sigma_den}", "eps1": f"{eps1}{eps1_den}",
+             "eps2": f"{eps2}{eps2_den}", "eps3": f"{eps3}{eps3_den}", "status": status}
+            for i, nu, sigma, sigma_den, eps1, eps1_den, eps2, eps2_den, eps3, eps3_den, status
+            in _candidate_cells(rep))
 
 
 def report_to_dict(rep) -> dict:
     bn, pi, eig = rep.bn, rep.pi_merged, rep.eigenvalues
-    table = _exponent_table(rep)
-    den, texts = table
+    den = pi.den
     assert eig.den == den
-    # Pi's record of each exponent, made once: Yano and Pi_1 (g = 1) are
-    # this list where they equal Pi, and the eigenvalue classes list its dicts
-    record = {k: {"exponent": texts[k], "multiplicity": m} for k, m in pi.sorted_counts()}
+    # Pi's record of each exponent, made once: Yano and Pi_1 (g = 1) are this
+    # list where they equal Pi, the eigenvalue classes list its dicts, and the
+    # other exponent lists read each text off it where it has one
+    record = {k: {"exponent": _ratio(k, den), "multiplicity": m} for k, m in pi.sorted_counts()}
     pi_records = list(record.values())
 
     def records(ms) -> list[dict]:
         if ms == pi:
             return pi_records
-        return list(_exponent_records(ms.sorted_counts(), ms.den, table))
+        scale, rem = divmod(den, ms.den)
+        assert rem == 0, "an exponent denominator that does not divide Pi's"
+        return [{"exponent": record[k * scale]["exponent"] if k * scale in record
+                 else _ratio(k, ms.den), "multiplicity": m} for k, m in ms.sorted_counts()]
 
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
@@ -269,7 +238,7 @@ def report_to_dict(rep) -> dict:
         "lct": str(rep.lct),
         "toric_steps": [asdict(s) for s in rep.bn.steps],
         "divisors": [asdict(d) for d in rep.divisors],
-        "candidates": list(starmap(_candidate_record, _candidate_rows(rep))),
+        "candidates": list(_candidate_records(rep)),
         "pi": pi_records,
         "pi_levels": list(map(records, rep.pi_sets)),
         "yano": records(rep.yano),
@@ -277,7 +246,7 @@ def report_to_dict(rep) -> dict:
             "distinct": eig.distinct,
             # a class's fraction is its exponents' fractional part, often one of them
             "classes": [
-                {"fraction": texts.get(frac) or _ratio(frac, den),
+                {"fraction": record[frac]["exponent"] if frac in record else _ratio(frac, den),
                  "members": [record[k] for k, _ in items]}
                 for frac, items in eig.groups
             ],
@@ -315,13 +284,12 @@ def _analyze_text(rep) -> Iterator[str]:
             f" deadend N={d.N_deadend} k+1={d.k_deadend_plus1}"
         )
     yield f"candidates ({', '.join(_CANDIDATE_FIELDS)}):"
-    yield from map("  %12s %12s %12s %12s %12s %12s  %s".__mod__, _candidate_rows(rep))
-    table = _exponent_table(rep)
+    yield from map(_CANDIDATE_TEXT.__mod__, _candidate_records(rep))
     for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
                      ("yano:", rep.yano)):
         yield head
-        yield from map("  %(exponent)12s x%(multiplicity)d".__mod__,
-                       _exponent_records(ms.sorted_counts(), ms.den, table))
+        for k, m in ms.sorted_counts():
+            yield f"  {_ratio(k, ms.den):>12} x{m}"
     yield f"eigenvalues distinct: {str(rep.distinct).lower()}"
     for r in rep.resonances:
         where = ", ".join(f"(i={i}, nu={nu})" for i, nu, _ in r.occurrences)
@@ -354,7 +322,8 @@ def cmd_analyze(ns) -> tuple[int, Iterable[str]]:
     if ns.format == "json":
         return 0, [canonical_json(report_to_dict(rep))]
     if ns.format == "tsv":
-        return 0, chain(["\t".join(_CANDIDATE_FIELDS)], _candidate_tsv(rep))
+        return 0, chain(["\t".join(_CANDIDATE_FIELDS)],
+                        map(_CANDIDATE_TSV.__mod__, _candidate_cells(rep)))
     return 0, _analyze_text(rep)
 
 
@@ -533,6 +502,9 @@ def cmd_verify(ns) -> tuple[int, Iterable[str]]:
 def cmd_generate(ns) -> tuple[int, Iterable[str]]:
     from . import branch, curves
 
+    flag = next((f for f in ("cutoff", "seed", "lambdas") if getattr(ns, f) is not None), None)
+    if flag and not ns.deform:
+        raise ValueError(f"--{flag} needs --deform")
     text, kind, cs = branch.resolve_input(ns.input)
     bn = branch.derive_numerics(cs)
     plane = curves.plane_equation(bn)
@@ -656,7 +628,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="full invariant report for a branch")
     p.add_argument("input", help='"n,b1,..,bg" or "semigroup:g0,..,gg"')
-    p.add_argument("--nu-max", type=int, default=None)
+    p.add_argument("--nu-max", type=int, default=None,
+                   help="only extends each period 0 <= nu < n_i*betabar_i, up to nu_max")
     add_format(p, "text")
 
     p = sub.add_parser("residue", help="evaluate one residue kernel value")

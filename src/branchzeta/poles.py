@@ -327,6 +327,8 @@ class BranchReport:
 def branch_report(input_spec, nu_max: int | None = None) -> BranchReport:
     """The report of a CharSeq, a PlaneSemigroup or an input string in either
     CLI syntax; input_text is in CLI syntax.  The candidates cover one full
-    period 0 <= nu < n_i betabar_i per rupture index; nu_max extends it."""
+    period 0 <= nu < n_i betabar_i per rupture index; nu_max >= 0 extends it."""
     text, kind, cs = resolve_input(input_spec)
+    if nu_max is not None and nu_max < 0:
+        raise IndexOutOfRange(f"need nu_max >= 0, got nu_max={nu_max}")
     return BranchReport(text, kind, derive_numerics(cs), nu_max)

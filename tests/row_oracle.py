@@ -1,12 +1,11 @@
 """The candidate rows as text, one Ladder.row call and one _ratio call per
-field, kept as an oracle for branchzeta.cli._candidate_rows, which steps
-each ladder once through Ladder.rows and shares one gcd between sigma and
-eps3; and the TSV lines of those rows through one template for every row,
-kept as an oracle for branchzeta.cli._candidate_tsv, which formats each row
-from the integers through one template per ladder.
+field, and the TSV lines of those rows through one template for every row:
+the oracle of branchzeta.cli._candidate_cells, which steps each ladder once
+through Ladder.rows and which every analyze format reads, TSV lines, JSON
+candidate records and text candidate lines alike.
 """
 
-from branchzeta.cli import _candidate_rows, _ratio
+from branchzeta.cli import _ratio
 
 
 def candidate_rows(rep):
@@ -21,6 +20,6 @@ def candidate_rows(rep):
 
 
 def tsv_lines(rep):
-    """The TSV line of every candidate, each row of _candidate_rows formatted
-    again by one template."""
-    return map("%d\t%d\t%s\t%s\t%s\t%s\t%s".__mod__, _candidate_rows(rep))
+    """The TSV line of every candidate, each row of candidate_rows formatted
+    by one template."""
+    return map("%d\t%d\t%s\t%s\t%s\t%s\t%s".__mod__, candidate_rows(rep))

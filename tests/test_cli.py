@@ -24,6 +24,7 @@ import fraction_oracle
 from branchzeta.branch import gaps, random_charseq
 from branchzeta.cli import (_CHUNK_LINES, _merge_negative_values, _write_stdout, build_parser,
                             canonical_json, main, report_to_dict)
+from branchzeta.errors import IndexOutOfRange
 from branchzeta.poles import branch_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -118,6 +119,15 @@ class TestAnalyze:
     def test_nu_max_extends_period(self, capsys):
         _, out, _ = run(capsys, "analyze", "4,9", "--nu-max", "40", "--format", "tsv")
         assert len(out.splitlines()) == 1 + 41
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+    def test_negative_nu_max_exit_2(self, capsys, fmt):
+        with pytest.raises(IndexOutOfRange):
+            branch_report("4,9", nu_max=-7)
+        rc, out, err = run(capsys, "analyze", "4,9", "--nu-max", "-1", "--format", fmt)
+        assert rc == 2
+        assert json.loads(out) == {"error": "domain", "reason": "need nu_max >= 0, got nu_max=-1"}
+        assert err == "domain error: need nu_max >= 0, got nu_max=-1\n"
 
     @pytest.mark.parametrize("stem", ["2_301", "4_6_7"])
     def test_tsv_builds_no_section_but_the_candidates(self, capsys, monkeypatch, stem):
@@ -609,6 +619,13 @@ class TestGenerate:
     def test_validation_failure(self, capsys):
         rc, _, _ = run(capsys, "generate", "4,8")
         assert rc == 2
+
+    @pytest.mark.parametrize("flag,value", [("--cutoff", "5"), ("--seed", "7"), ("--lambdas", "0")])
+    def test_deformation_flag_without_deform_exit_1(self, capsys, flag, value):
+        assert run(capsys, "generate", "4,6,7", "--deform", flag, value)[0] in (0, 2)
+        rc, out, err = run(capsys, "generate", "4,6,7", flag, value)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {flag} needs --deform\n"
 
     def test_negative_lambda_spaced_or_joined(self, capsys):
         spaced = run(capsys, "generate", "4,6,7", "--deform", "--lambdas", "-2/3", "--format", "json")

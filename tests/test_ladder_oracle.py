@@ -2,31 +2,35 @@
 every candidate field and status, the Pi multisets, Yano's multiset, the
 eigenvalue classes and the resonances, over random characteristic
 sequences, some with an extended ladder; the divisor data and lct read
-off the ladders against their closed forms; and the stepped candidate rows
-against one row at a time (row_oracle.py), the TSV lines made from the
-integers against those rows formatted as text (row_oracle.py), the JSON
-exponent sections, which share Pi's records, against sections built one by
-one (fraction_oracle.py), exponent-multiset equality on integers
-against equality of Fraction-keyed dicts, and the eigenvalue classes and
-both derivations of distinctness on multisets with many shared
-fractional parts."""
+off the ladders against their closed forms; the candidate cells of one
+Ladder.rows pass against one row at a time (row_oracle.py), and the
+candidates that analyze writes from them in every format (TSV lines, JSON
+records, text lines) against those rows formatted as text (row_oracle.py);
+the JSON exponent sections, which share Pi's records, and the text Pi and
+Yano lines, made from the counts, against sections built one by one
+(fraction_oracle.py); exponent-multiset equality on integers against
+equality of Fraction-keyed dicts; and the eigenvalue classes and both
+derivations of distinctness on multisets with many shared fractional
+parts."""
 
+import contextlib
+import io
 import json
 import random
 from dataclasses import astuple, replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import branchzeta.poles
 import fraction_oracle as oracle
 import row_oracle
 from branchzeta.branch import parse_input, random_charseq
-from branchzeta.cli import _candidate_rows, _candidate_tsv, canonical_json, report_to_dict
+from branchzeta.cli import _candidate_cells, canonical_json, main, report_to_dict
 from branchzeta.poles import (ExponentMultiset, Ladder, branch_report, candidate_pole,
                               eigenvalue_analysis, eigenvalues_distinct, log_canonical_threshold,
-                              residue_numbers)
+                              residue_numbers, yano_multiset)
 from branchzeta.toric import divisor_numerics
 
 
@@ -96,15 +100,59 @@ def test_divisor_data_and_lct_match_closed_forms(draw):
     assert log_canonical_threshold(bn) == rep.lct == oracle.log_canonical_threshold(bn)
 
 
+FORMATS = ("tsv", "json", "text")
+FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
+
+
+def written(text: str, nu_max, fmt: str) -> str:
+    """The stdout of `analyze text --format fmt`, with --nu-max where nu_max is set."""
+    argv = ["analyze", text, "--format", fmt]
+    if nu_max is not None:
+        argv += ["--nu-max", str(nu_max)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    assert rc == 0
+    return out.getvalue()
+
+
+def written_candidates(text: str, nu_max, fmt: str) -> list:
+    """The candidates that analyze writes: its TSV lines, its JSON
+    `candidates` records or its text candidate lines."""
+    out = written(text, nu_max, fmt)
+    if fmt == "json":
+        return json.loads(out)["candidates"]
+    lines = out.splitlines()
+    if fmt == "tsv":
+        return lines[1:]
+    start = next(j for j, line in enumerate(lines) if line.startswith("candidates (")) + 1
+    return lines[start:next(j for j, line in enumerate(lines) if line.startswith("pi ("))]
+
+
+def oracle_candidates(rep, fmt: str) -> list:
+    """The candidates of written_candidates, made from the row oracle."""
+    if fmt == "tsv":
+        return list(row_oracle.tsv_lines(rep))
+    rows = row_oracle.candidate_rows(rep)
+    if fmt == "json":
+        return [dict(zip(FIELDS, row)) for row in rows]
+    return ["  %12s %12s %12s %12s %12s %12s  %s" % row for row in rows]
+
+
 @given(draws())
 @settings(max_examples=40, deadline=None)
 def test_candidate_rows_match_row_oracle(draw):
+    # the cells joined into rows, then the JSON records and text lines of them
     cs, nu_max = draw
     rep = branch_report(cs, nu_max=nu_max)
-    got = list(_candidate_rows(rep))
+    got = [(i, nu, f"{s}{s_den}", f"{e1}{e1_den}", f"{e2}{e2_den}", f"{e3}{e3_den}", status)
+           for i, nu, s, s_den, e1, e1_den, e2, e2_den, e3, e3_den, status
+           in _candidate_cells(rep)]
     assert got == list(row_oracle.candidate_rows(rep))
     assert got == [(i, nu, *map(str, rest))
                    for i, nu, *rest in oracle.candidates(rep.bn, nu_max)]
+    for fmt in ("json", "text"):
+        assert written_candidates(rep.input_text, nu_max, fmt) == oracle_candidates(rep, fmt)
 
 
 @given(draws())
@@ -114,7 +162,7 @@ def test_tsv_lines_match_row_oracle(draw):
     cs, nu_max = draw
     rep = branch_report(cs, nu_max=nu_max)
     assert rep.bn.g <= 3
-    assert list(_candidate_tsv(rep)) == list(row_oracle.tsv_lines(rep))
+    assert written_candidates(rep.input_text, nu_max, "tsv") == oracle_candidates(rep, "tsv")
 
 
 @pytest.mark.parametrize("nu_max", [None, 0, 37, 1000])
@@ -123,11 +171,22 @@ def test_tsv_lines_match_row_oracle(draw):
                                   "semigroup:4,6,1501"])
 def test_tsv_lines_of_semigroup_forms_match_row_oracle(text, nu_max):
     rep = branch_report(text, nu_max=nu_max)
-    assert list(_candidate_tsv(rep)) == list(row_oracle.tsv_lines(rep))
+    assert written_candidates(text, nu_max, "tsv") == oracle_candidates(rep, "tsv")
 
 
-def test_tsv_lines_step_ladder_rows_and_build_no_fraction(monkeypatch):
-    rep = branch_report("semigroup:4,6,301", nu_max=50)
+def built_but_candidates(text: str, nu_max=None):
+    """The report of text with every section an analyze format reads built,
+    but the candidates."""
+    rep = branch_report(text, nu_max=nu_max)
+    for name in ("ladder_lengths", "divisors", "lct", "pi_sets", "yano", "eigenvalues",
+                 "distinct", "resonances"):
+        getattr(rep, name)
+    return rep
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_candidate_outputs_step_ladder_rows_and_build_no_fraction(fmt, monkeypatch):
+    rep = built_but_candidates("semigroup:4,6,301", nu_max=50)
     stepped, rows = [], Ladder.rows
 
     def counted(self, *args):
@@ -136,24 +195,27 @@ def test_tsv_lines_step_ladder_rows_and_build_no_fraction(monkeypatch):
             yield row
 
     def no_fraction(cls, *args, **kwargs):
-        raise AssertionError("a Fraction built while formatting TSV lines")
+        raise AssertionError("a Fraction built while writing the candidates")
 
+    monkeypatch.setattr(branchzeta.poles, "branch_report", lambda *args, **kwargs: rep)
     monkeypatch.setattr(Ladder, "rows", counted)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(no_fraction))
-    lines = list(_candidate_tsv(rep))
+    candidates = written_candidates(rep.input_text, 50, fmt)
     monkeypatch.undo()
-    assert len(lines) == len(stepped) == sum(rep.ladder_lengths)
+    assert len(candidates) == len(stepped) == sum(rep.ladder_lengths)
 
 
 @pytest.mark.parametrize("field", ["c2", "D"])
-def test_tsv_lines_check_the_row_identity(field):
-    # every TSV row comes out of Ladder.rows, whose identity check fires on
-    # a broken ladder
-    rep = branch_report("4,6,7")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_candidate_outputs_check_the_row_identity(fmt, field, monkeypatch):
+    # every candidate of every format comes out of Ladder.rows, whose
+    # identity check fires on a broken ladder
+    rep = built_but_candidates("4,6,7")
     bad = tuple(replace(lad, **{field: getattr(lad, field) + 1}) for lad in rep.bn.ladders)
-    fake = SimpleNamespace(bn=SimpleNamespace(ladders=bad), ladder_lengths=rep.ladder_lengths)
-    with pytest.raises(AssertionError):
-        list(_candidate_tsv(fake))
+    monkeypatch.setitem(rep.bn.__dict__, "ladders", bad)
+    monkeypatch.setattr(branchzeta.poles, "branch_report", lambda *args, **kwargs: rep)
+    with pytest.raises(AssertionError), contextlib.redirect_stdout(io.StringIO()):
+        main(["analyze", "4,6,7", "--format", fmt])
 
 
 @given(draws(), st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=40))
@@ -222,6 +284,34 @@ def test_non_distinct_branches_match_oracle(text, largest_class, largest_mult, n
                  for f, items in groups) == classes
     assert rep.eigenvalues.groups == groups
     assert written_sections(rep) == oracle.exponent_sections(rep)
+
+
+def moved_yano(bn):
+    """Yano's multiset with one exponent moved onto a value that is not in Pi."""
+    ms = yano_multiset(bn)
+    counts = dict(ms.counts)
+    counts.pop(min(counts))
+    counts[next(k for k in range(1, ms.den) if k not in counts)] = 1
+    return ExponentMultiset(ms.den, counts)
+
+
+@given(wide_draws(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_text_pi_and_yano_lines_match_oracle(draw, move):
+    cs, nu_max = draw
+    rep = branch_report(cs, nu_max=nu_max)
+    yano = moved_yano(rep.bn) if move else rep.yano
+    assert (yano == rep.pi_merged) == (not move)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branchzeta.poles, "yano_multiset", lambda bn: yano)
+        lines = written(rep.input_text, nu_max, "text").splitlines()
+    pi_at = next(j for j, line in enumerate(lines) if line.startswith("pi ("))
+    yano_at = lines.index("yano:")
+    end = next(j for j, line in enumerate(lines) if line.startswith("eigenvalues distinct:"))
+    assert lines[pi_at] == f"pi ({rep.bn.milnor} exponents with multiplicity):"
+    for got, ms in ((lines[pi_at + 1:yano_at], rep.pi_merged), (lines[yano_at + 1:end], yano)):
+        assert got == ["  %(exponent)12s x%(multiplicity)d" % record
+                       for record in oracle.exponent_records(ms)]
 
 
 @st.composite
