@@ -153,6 +153,11 @@ class BranchNumerics:
 
         return tuple(Ladder.of(self, i) for i in range(1, self.g + 1))
 
+    @cached_property
+    def den(self) -> int:
+        """lcm(N_1, ..., N_g): the one denominator of every exponent multiset."""
+        return math.lcm(*(lad.N for lad in self.ladders))
+
 
 def _gcd_chain(gens) -> tuple[list[int], list[int]]:
     """e_0 = gens[0], e_i = gcd(e_{i-1}, gens[i]); nn[0] = 0, nn[i] = e_{i-1}/e_i."""
@@ -168,7 +173,9 @@ def derive_numerics(cs: CharSeq) -> BranchNumerics:
     Generators follow the recursion betabar_1 = beta_1 and
     betabar_i = n_{i-1} betabar_{i-1} - beta_{i-1} + beta_i; the conductor is
     c = sum (n_i - 1) betabar_i - n + 1, which coincides with the Milnor
-    number and with n_g betabar_g - beta_g - (n - 1).
+    number and with n_g betabar_g - beta_g - (n - 1).  Yano's defining sum
+    e_i R_i = beta_i e_{i-1} + sum_{l<i} beta_l (e_{l-1} - e_l) is checked to
+    give R_i = n_i betabar_i, the rupture multiplicity N_i.
     """
     g = cs.g
     e, nn = _gcd_chain((cs.n, *cs.betas))
@@ -182,10 +189,13 @@ def derive_numerics(cs: CharSeq) -> BranchNumerics:
     conductor = sum((nn[i] - 1) * gens[i] for i in range(1, g + 1)) - cs.n + 1
     alt = nn[g] * gens[g] - cs.betas[g - 1] - (cs.n - 1)
     assert conductor == alt, "conductor formulas disagree"
+    tail = 0  # sum_{l<i} beta_l (e_{l-1} - e_l)
     for i in range(1, g + 1):
         assert gens[i] % e[i] == 0 and math.gcd(mbar[i], nn[i]) == 1
         if i >= 2:
             assert mbar[i] == nn[i] * nn[i - 1] * mbar[i - 1] + qq[i]
+        assert cs.betas[i - 1] * e[i - 1] + tail == e[i - 1] * gens[i], "Yano's R_i is not N_i"
+        tail += cs.betas[i - 1] * (e[i - 1] - e[i])
 
     return BranchNumerics(
         cs=cs,

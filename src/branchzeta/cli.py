@@ -42,7 +42,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Iterator
 
 from .errors import BranchZetaError, DomainError, InvalidCharSeq, NotPlaneBranchSemigroup
@@ -204,8 +204,7 @@ def _candidate_records(rep) -> Iterator[dict]:
 
 def report_to_dict(rep) -> dict:
     bn, pi, eig = rep.bn, rep.pi_merged, rep.eigenvalues
-    den = pi.den
-    assert eig.den == den
+    den = bn.den  # every exponent multiset of the report counts over it
     # Pi's record of each exponent, made once: Yano and Pi_1 (g = 1) are this
     # list where they equal Pi, the eigenvalue classes list its dicts, and the
     # other exponent lists read each text off it where it has one
@@ -215,10 +214,8 @@ def report_to_dict(rep) -> dict:
     def records(ms) -> list[dict]:
         if ms == pi:
             return pi_records
-        scale, rem = divmod(den, ms.den)
-        assert rem == 0, "an exponent denominator that does not divide Pi's"
-        return [{"exponent": record[k * scale]["exponent"] if k * scale in record
-                 else _ratio(k, ms.den), "multiplicity": m} for k, m in ms.sorted_counts()]
+        return [{"exponent": record[k]["exponent"] if k in record else _ratio(k, den),
+                 "multiplicity": m} for k, m in ms.sorted_counts()]
 
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
@@ -466,8 +463,8 @@ def _suite_vanishing() -> Iterator[tuple[str, str, str, float, bool]]:
 
 
 def cmd_verify(ns) -> tuple[int, Iterable[str]]:
-    if not ns.tol > 0:
-        raise DomainError("tol must be positive")
+    if not 0 < ns.tol < inf:
+        raise DomainError("tol must be positive and finite")
     rows: list[tuple[str, str, str, float, bool]] = []
     if ns.suite in ("rnm", "all"):
         rows += _suite_rnm(ns.tol, ns.rel_tol)

@@ -71,8 +71,9 @@ def log_gamma(z) -> complex:
 
 
 def gamma_ratio(u, v) -> complex:
-    """Gamma(u)/Gamma(v) for arguments where neither Gamma is singular."""
-    return cmath.exp(log_gamma(u) - log_gamma(v))
+    """Gamma(u)/Gamma(v) where neither Gamma is singular, from log space;
+    DomainError when |value| leaves the normal double range."""
+    return _from_polar(*_polar(log_gamma(u) - log_gamma(v)))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ are built on first read.
 The candidate attached to rupture divisor i and shift nu is
 sigma_{i,nu} = -(r_i + nu) / N_i, excluded when the dead-end divisor or the
 previous-step divisor chain forces the residue to vanish; the survivors, as
-b-exponents -sigma, form the sets Pi_i.  All of it is integer arithmetic on
-one Ladder record per rupture index; exact Fractions are built only when a
-result is read.  No floats.
+b-exponents -sigma, form the sets Pi_i; Yano's multiset is read off the
+same divisors, rupture blocks minus dead-end blocks.  All of it is integer
+arithmetic on one Ladder record per rupture index, which holds both divisors
+of its step, over one denominator, BranchNumerics.den = lcm(N_i); exact
+Fractions are built only when a result is read.  No floats.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ class Ladder:
     a: int
     D: int
     c2: int
+
+    # (N, k+1) of the step's dead end, (betabar_i, ceil(r_i/n_i)); of its rupture divisor, (N, r)
+    dead_end = property(lambda self: (self.N // self.n, -(-self.r // self.n)))
 
     @classmethod
     def of(cls, bn: BranchNumerics, i: int) -> Ladder:
@@ -177,44 +182,33 @@ def pi_multisets(bn: BranchNumerics) -> tuple[list[ExponentMultiset], ExponentMu
     """Generic pole sets as b-exponents -sigma, one per rupture index, plus
     their merged union.  One full period 0 <= nu < N_i per index; the
     survivor count is N_i - betabar_i - n_i e_i + e_i and the merged total
-    equals the Milnor number."""
-    den, sets, merged = math.lcm(*(lad.N for lad in bn.ladders)), [], Counter()
+    equals the Milnor number.  Every set counts over bn.den."""
+    den, sets, merged = bn.den, [], Counter()
     for lad in bn.ladders:
-        kept = [t for t in range(lad.r, lad.r + lad.N) if t % lad.n and t % lad.mbar]
+        step = den // lad.N
+        kept = [t * step for t in range(lad.r, lad.r + lad.N) if t % lad.n and t % lad.mbar]
         expected = lad.N - lad.N // lad.n - lad.N // lad.mbar + lad.e
         assert len(kept) == expected, "survivor count disagrees with inclusion-exclusion"
-        sets.append(ExponentMultiset(lad.N, dict.fromkeys(kept, 1)))
-        merged.update(map((den // lad.N).__mul__, kept))
+        sets.append(ExponentMultiset(den, dict.fromkeys(kept, 1)))
+        merged.update(kept)
     merged = ExponentMultiset(den, merged)
     assert merged.total == bn.milnor
     return sets, merged
 
 
 def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
-    """Expand Yano's generating series into an exact exponent multiset.
-
-    Uses (1 - t)/(1 - t^{1/R}) = sum_{j<R} t^{j/R}: each positive block
-    contributes exponents (r_i + j)/R_i, each negative block subtracts
-    (r'_i + j)/R'_i (the i = 0 block being (2 + j)/n), and the trailing +t
-    restores the doubly-subtracted exponent 1.  Raises NegativeCoefficient
-    if the signed assembly ever finalizes below zero.
-    """
-    # a common denominator: n | N_1 = n m_1 and R'_i | R_i = N_i (cross-checked)
-    den, signed = math.lcm(*(bn.nn[i] * bn.gens[i] for i in range(1, bn.g + 1))), Counter()
-
-    for i in range(1, bn.g + 1):
-        # R_i from its defining sum; equals n_i betabar_i (cross-checked)
-        top = bn.betas[i - 1] * bn.e[i - 1] + sum(bn.betas[l - 1] * (bn.e[l - 1] - bn.e[l])
-                                                  for l in range(1, i))
-        big_r, rem = divmod(top, bn.e[i])
-        assert rem == 0 and big_r == bn.nn[i] * bn.gens[i]
-        r = (bn.betas[i - 1] + bn.n) // bn.e[i]
-        assert r == bn.mm[i] + bn.nprod(1, i)
-        signed.update(_numerators(den, r, big_r, big_r))
-        rp = (r * bn.e[i]) // bn.e[i - 1] + 1
-        rbig_p = big_r // bn.nn[i]
-        assert rbig_p == bn.gens[i]
-        signed.subtract(_numerators(den, rp, rbig_p, rbig_p))
+    """Yano's generating series as an exact exponent multiset over bn.den,
+    read off the divisors of each ladder.  By (1 - t)/(1 - t^{1/R}) =
+    sum_{j<R} t^{j/R}, each rupture divisor (N_i, r_i) adds the block
+    (r_i + j)/N_i, each dead end (betabar_i, k) and the first dead end (n, 2)
+    subtract (k + j)/betabar_i and (2 + j)/n, and +t restores the
+    doubly-subtracted exponent 1.  Raises NegativeCoefficient if the signed
+    assembly ever finalizes below zero."""
+    den, signed = bn.den, Counter()  # n | N_1 and betabar_i | N_i
+    for lad in bn.ladders:
+        signed.update(_numerators(den, lad.r, lad.N, lad.N))
+        dead_n, dead_k = lad.dead_end
+        signed.subtract(_numerators(den, dead_k, dead_n, dead_n))
     signed.subtract(_numerators(den, 2, bn.n, bn.n))
     signed[den] += 1
     ms = ExponentMultiset(den, signed).finalize()
@@ -266,11 +260,10 @@ class Resonance:
 
 def _resonances(bn: BranchNumerics, ends: tuple[int, ...]) -> tuple[Resonance, ...]:
     """Candidate values on two or more ladders, largest sigma first."""
-    den = math.lcm(*(lad.N for lad in bn.ladders))
-    tops = [_numerators(den, lad.r, hi, lad.N) for lad, hi in zip(bn.ladders, ends)]
+    tops = [_numerators(bn.den, lad.r, hi, lad.N) for lad, hi in zip(bn.ladders, ends)]
     hits = Counter(chain.from_iterable(tops))
     return tuple(
-        Resonance(Fraction(-key, den), tuple(
+        Resonance(Fraction(-key, bn.den), tuple(
             (lad.i, key // top.step - lad.r, lad.row(key // top.step - lad.r)[3])
             for lad, top in zip(bn.ladders, tops) if key in top))
         for key in sorted(k for k, c in hits.items() if c > 1))

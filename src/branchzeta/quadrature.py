@@ -68,8 +68,8 @@ class QuadConfig:
     rel_tol: float = 1e-5
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError("rel_tol must be positive and finite")
 
 
 def _edges(a: float, b: float, sub: int) -> list[float]:

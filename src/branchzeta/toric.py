@@ -9,7 +9,7 @@ the orders of a deformation monomial along the exceptional divisors.
 The multiplicities (N, k+1) of the rupture and dead-end divisors, and the
 k_i coefficient D_i of the C form, are not derived here: they are read off
 the integer candidate ladders (BranchNumerics.ladders, built once per branch
-by poles.Ladder.of), the one place that computes them.
+by poles.Ladder.of) as (N, r) and dead_end, the one place that computes them.
 """
 
 from __future__ import annotations
@@ -75,9 +75,8 @@ def toric_steps(bn: BranchNumerics) -> list[ToricStep]:
 def divisor_numerics(bn: BranchNumerics) -> list[DivisorNumerics]:
     """Multiplicity data (N, k+1) for the rupture and dead-end divisors, read
     off the candidate ladders: (N_i, r_i) at the rupture divisor and
-    (N_i/n_i = betabar_i, ceil(r_i/n_i)) at the dead end."""
-    return [DivisorNumerics(lad.i, lad.N, lad.r, lad.N // lad.n, -(-lad.r // lad.n))
-            for lad in bn.ladders]
+    Ladder.dead_end = (betabar_i, ceil(r_i/n_i)) at the dead end."""
+    return [DivisorNumerics(lad.i, lad.N, lad.r, *lad.dead_end) for lad in bn.ladders]
 
 
 def linear_forms(bn: BranchNumerics, i: int, j: int, ks) -> tuple[int, int, int]:

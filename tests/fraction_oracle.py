@@ -9,11 +9,16 @@ eps2 + 1 = (-(c_i n_{i-1} mbar_{i-1} + d_i) nu + m_{i-1} - n_{i-1} mbar_{i-1}
 integrality of betabar_i sigma (dead end) and e_{i-1} sigma (previous
 level).  Statuses are the PoleStatus value strings.
 
-The divisor data and the log canonical threshold are here too, in the
-closed forms that branchzeta.toric and branchzeta.poles used before they
-read them off the ladders: N = n_i betabar_i and k + 1 = m_i + n_1...n_i at
-the rupture divisor, betabar_i and ceil((k + 1)/n_i) at the dead end, and
-lct = (m_1 + n_1)/(n_1 betabar_1).
+The divisor data and the log canonical threshold are here too, in closed
+form from BranchNumerics rather than off the ladders: N = n_i betabar_i and
+k + 1 = m_i + n_1...n_i at the rupture divisor, betabar_i and
+ceil((k + 1)/n_i) at the dead end, and lct = (m_1 + n_1)/(n_1 betabar_1).
+
+Yano's multiset is expanded here from the characteristic sequence, as Yano
+defines his generating series: R_i from its defining sum
+e_i R_i = beta_i e_{i-1} + sum_{l<i} beta_l (e_{l-1} - e_l),
+r_i = (beta_i + n)/e_i, r'_i = floor(r_i e_i/e_{i-1}) + 1 and
+R'_i = R_i/n_i, with no ladder and no divisor read.
 
 The exponent sections of the JSON report (pi, pi_levels, yano and the
 eigenvalue classes) are built here section by section, each from its own
@@ -90,6 +95,31 @@ def pi_multisets(bn):
                 merged[-sigma] = merged.get(-sigma, 0) + 1
         sets.append(level)
     return sets, merged
+
+
+def yano_multiset(bn):
+    """{exponent: multiplicity} of Yano's series, in increasing order: each
+    positive block adds (r_i + j)/R_i, each negative block subtracts
+    (r'_i + j)/R'_i, the i = 0 block subtracts (2 + j)/n, and +t adds 1."""
+    signed = {}
+
+    def block(start, size, sign):
+        for j in range(size):
+            x = Fraction(start + j, size)
+            signed[x] = signed.get(x, 0) + sign
+
+    for i in range(1, bn.g + 1):
+        top = bn.betas[i - 1] * bn.e[i - 1] + sum(bn.betas[l - 1] * (bn.e[l - 1] - bn.e[l])
+                                                  for l in range(1, i))
+        big_r, rem = divmod(top, bn.e[i])
+        assert rem == 0
+        r = (bn.betas[i - 1] + bn.n) // bn.e[i]
+        block(r, big_r, 1)
+        block((r * bn.e[i]) // bn.e[i - 1] + 1, big_r // bn.nn[i], -1)
+    block(2, bn.n, -1)
+    signed[Fraction(1)] += 1
+    assert min(signed.values()) >= 0
+    return {x: m for x, m in sorted(signed.items()) if m}
 
 
 def eigenvalue_analysis(pi):

@@ -373,12 +373,21 @@ class TestVerify:
         assert rc == 3
         assert "FAILED" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_invalid_tolerance_exit_2(self, capsys, tol):
-        # an invalid tolerance is a domain error, not a missed one
+        # an invalid tolerance is a domain error, not a missed one; an
+        # infinite one would pass every row
         rc, out, err = run(capsys, "verify", "--suite", "rnm", f"--tol={tol}", "--format", "json")
         assert rc == 2
-        assert json.loads(out) == {"error": "domain", "reason": "tol must be positive"}
+        assert json.loads(out) == {"error": "domain", "reason": "tol must be positive and finite"}
+        assert "FAILED" not in err
+
+    def test_infinite_quadrature_tolerance_exit_2(self, capsys):
+        rc, out, err = run(capsys, "verify", "--suite", "rnm", "--rel-tol", "inf",
+                           "--format", "json")
+        assert rc == 2
+        assert json.loads(out) == {"error": "domain",
+                                   "reason": "rel_tol must be positive and finite"}
         assert "FAILED" not in err
 
     def test_text_format(self, capsys):

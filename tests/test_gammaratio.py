@@ -93,6 +93,15 @@ class TestLogGamma:
         want = mp_gamma(0.75) / mp_gamma(0.25)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("u,v", [(Fraction(1000), Fraction(1, 2)),
+                                     (Fraction(-179, 14), Fraction(343))],
+                             ids=["overflow", "underflow"])
+    def test_gamma_ratio_outside_double_range(self, u, v):
+        # |Gamma(u)/Gamma(v)| is about exp(5905) or exp(-1678): a DomainError
+        # that names the range, neither an OverflowError nor a rounded 0
+        with pytest.raises(DomainError, match="outside the double range"):
+            gamma_ratio(u, v)
+
 
 class TestGammaPair:
     def test_zero_from_denominator_pole(self):

@@ -1,11 +1,14 @@
 """The integer ladder core against the Fraction oracle (fraction_oracle.py):
 every candidate field and status, the Pi multisets, Yano's multiset, the
 eigenvalue classes and the resonances, over random characteristic
-sequences, some with an extended ladder; the divisor data and lct read
-off the ladders against their closed forms; the candidate cells of one
-Ladder.rows pass against one row at a time (row_oracle.py), and the
-candidates that analyze writes from them in every format (TSV lines, JSON
-records, text lines) against those rows formatted as text (row_oracle.py);
+sequences, some with an extended ladder, all over one denominator; Yano's
+divisor form against his series expanded from the characteristic
+sequence, up to n = 36 and g >= 3; the divisor data (the ladders' dead
+ends too) and lct read off the ladders against their closed forms; the
+candidate cells of one Ladder.rows pass against one row at a time
+(row_oracle.py), and the candidates that analyze writes from them in every
+format (TSV lines, JSON records, text lines) against those rows formatted
+as text (row_oracle.py);
 the JSON exponent sections, which share Pi's records, and the text Pi and
 Yano lines, made from the counts, against sections built one by one
 (fraction_oracle.py); exponent-multiset equality on integers against
@@ -62,6 +65,8 @@ def test_report_matches_fraction_oracle(draw):
     assert [list(ms.entries.items()) for ms in rep.pi_sets] == [sorted(s.items()) for s in sets]
     assert list(rep.pi_merged.entries.items()) == sorted(merged.items())
     assert list(rep.yano.entries.items()) == sorted(merged.items())
+    # one denominator behind every multiset of the report
+    assert {ms.den for ms in (*rep.pi_sets, rep.pi_merged, rep.yano, rep.eigenvalues)} == {bn.den}
 
     distinct, classes = oracle.eigenvalue_analysis(merged)
     assert rep.eigenvalues.distinct == distinct
@@ -97,7 +102,29 @@ def test_divisor_data_and_lct_match_closed_forms(draw):
     want = oracle.divisor_numerics(bn)
     assert [astuple(d) for d in divisor_numerics(bn)] == want
     assert [astuple(d) for d in rep.divisors] == want
+    assert [(lad.i, lad.N, lad.r, *lad.dead_end) for lad in bn.ladders] == want
     assert log_canonical_threshold(bn) == rep.lct == oracle.log_canonical_threshold(bn)
+
+
+@st.composite
+def deep_draws(draw):
+    """Characteristic sequences with n <= max_n <= 36, and g >= 3 on half of
+    the draws."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+    max_n, deep = draw(st.integers(min_value=8, max_value=36)), draw(st.booleans())
+    while True:
+        cs = random_charseq(rng, max_n=max_n, max_beta=400)
+        if cs.g >= 3 or not deep:
+            return cs
+
+
+@given(deep_draws())
+@settings(max_examples=60, deadline=None)
+def test_yano_divisor_form_matches_yano_definition(cs):
+    # the rupture and dead-end blocks of the ladders against Yano's series
+    # expanded from the characteristic sequence
+    bn = branch_report(cs).bn
+    assert list(yano_multiset(bn).entries.items()) == list(oracle.yano_multiset(bn).items())
 
 
 FORMATS = ("tsv", "json", "text")

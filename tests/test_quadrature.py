@@ -51,6 +51,7 @@ class TestConfig:
         [
             dict(rel_tol=0.0),
             dict(rel_tol=-1e-3),
+            dict(rel_tol=float("inf")),
         ],
     )
     def test_invalid(self, bad):
