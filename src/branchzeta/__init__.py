@@ -34,7 +34,7 @@ _PUBLIC = {
     ),
     "gammaratio": (
         "MeromorphicValue", "RnmParams", "gamma_pair", "gamma_ratio", "hypergeom_sum_at_1",
-        "log_gamma", "rnm_closed_form", "symmetry_check", "symmetry_pair",
+        "rnm_closed_form", "symmetry_check", "symmetry_pair",
     ),
     "quadrature": (
         "QuadConfig", "radial_mass", "rnm_quadrature", "vanishing_integral_check",

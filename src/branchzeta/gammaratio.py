@@ -12,6 +12,8 @@ inputs, never tolerance-based).
 Orders combine additively; a ratio with orders (+1, -1, 0) has a finite
 nonzero limit given by the product of Laurent leading coefficients (the same
 epsilon shifts every argument, matching the residue computation's limit).
+Its value is exact integer arithmetic and math.gamma on [1, 2) (see
+_reduce), within 1e-14 relative.
 """
 
 from __future__ import annotations
@@ -19,61 +21,16 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, PreconditionViolated
 
-# Lanczos coefficients, g = 607/128, 15 terms (Godfrey's set): relative
-# error below 1e-13 for Re(z) > 0 in double precision.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# |value| of a finite result must lie in the normal double range
-_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
-
-
-def log_gamma(z) -> complex:
-    """Complex log-Gamma (Lanczos on the right half-plane, reflection on the
-    left).  The imaginary part is not branch-normalized; only differences are
-    ever exponentiated here, so any 2 pi i ambiguity cancels.  A non-integer
-    Fraction whose double is a pole raises DomainError naming the rounding."""
-    exact, z = z, complex(z)
-    if z.imag == 0 and z.real <= 0 and z.real == round(z.real):
-        if isinstance(exact, Fraction) and exact.denominator != 1:
-            msg = f"log_gamma argument rounds onto the pole {z.real:g} in double precision"
-            raise DomainError(msg)
-        raise DomainError(f"log_gamma pole at non-positive integer {z}")
-    if z.real < 0.5:
-        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        return cmath.log(cmath.pi) - cmath.log(cmath.sin(cmath.pi * z)) - log_gamma(1.0 - z)
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + _LANCZOS_G - 0.5
-    return _LOG_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def gamma_ratio(u, v) -> complex:
-    """Gamma(u)/Gamma(v) where neither Gamma is singular, from log space;
-    DomainError when |value| leaves the normal double range."""
-    return _from_polar(*_polar(log_gamma(u) - log_gamma(v)))
+# Bound on the exact integers of one evaluation, in bits, counted before any
+# is formed; at the bound an evaluation takes up to 0.1 s on a 2-core VM.
+_MAX_BITS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -101,63 +58,77 @@ def _nonpos_int(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
-def _polar(log_c: complex, sign: float = 1.0) -> tuple[float, complex]:
-    """(log-magnitude, phase as a unit complex) of sign * exp(log_c)."""
-    return log_c.real, sign * cmath.exp(1j * log_c.imag)
+def _reduce(w: Fraction) -> tuple[int, tuple[int, int, int], float]:
+    """(order, (a, q, c), x) with Gamma(w + eps) ~ Gamma(x) (a/q)_c eps^-order,
+    x = 1 + frac(w) in [1, 2), where (y)_c = y (y+1) ... (y+c-1), a rising
+    product of integers over a power of y's denominator, and (y)_c =
+    1/(y)_{-c} for c < 0.  Gamma(-k + eps) = 1/((-k)_k eps) + O(1)."""
+    a, q = w.numerator, w.denominator
+    if _nonpos_int(w):
+        return 1, (a, 1, a), 1.0
+    j = a // q - 1
+    return 0, (a - j * q if j >= 0 else a, q, j), (a - j * q) / q
 
 
-def _log_factorial_ratio(l: int, k: int) -> float:
-    """log(l!/k!), from the exact integer ratio while both fit a double."""
-    if max(k, l) <= 170:
-        return math.log(math.factorial(l) / math.factorial(k))
-    return math.lgamma(l + 1) - math.lgamma(k + 1)
+def _rising(a: int, q: int, count: int) -> int:
+    """a (a+q) ... (a+(count-1)q), halved so that big factors meet big ones."""
+    if count <= 16:
+        return math.prod(range(a, a + count * q, q))
+    half = count // 2
+    return _rising(a, q, half) * _rising(a + half * q, q, count - half)
 
 
-def _pair_ladder(u: Fraction, v: Fraction) -> tuple[int, float, complex]:
-    """Order, log-magnitude and phase of the Laurent leading coefficient of
-    lim Gamma(u+eps)/Gamma(v+eps), for u + v integral.
-
-    Near a non-positive integer -k, Gamma(-k+eps) = (-1)^k/(k! eps) + O(1).
-    The leading coefficient is the value when order = 0, the residue-ratio
-    coefficient otherwise; it is finite and nonzero in every case, but may
-    lie far outside double range, so it is returned as log|c| and c/|c|.
-    """
-    u_sing = _nonpos_int(u)
-    v_sing = _nonpos_int(v)
-    if u_sing and v_sing:
-        k, l = int(-u), int(-v)
-        return 0, _log_factorial_ratio(l, k), complex((-1.0) ** ((k - l) % 2))
-    if u_sing:
-        k = int(-u)
-        return (1, *_polar(-math.lgamma(k + 1) - log_gamma(v), (-1.0) ** (k % 2)))
-    if v_sing:
-        l = int(-v)
-        return (-1, *_polar(math.lgamma(l + 1) + log_gamma(u), (-1.0) ** (l % 2)))
-    if u.denominator == 1:
-        # both positive integers (u + v is integral): (u-1)!/(v-1)!
-        return 0, _log_factorial_ratio(int(u) - 1, int(v) - 1), complex(1.0)
-    return (0, *_polar(log_gamma(u) - log_gamma(v)))
-
-
-def _from_polar(log_mag: float, phase: complex) -> complex:
-    """exp(log_mag) * phase; DomainError when |value| leaves the normal
-    double range."""
-    if not _LOG_MIN <= log_mag <= _LOG_MAX:
+def _pair_ladders(pairs, powers=(), scale=1.0) -> tuple[list[int], float | None]:
+    """Orders of the pairs (u, v) of rationals, and the product of the
+    Laurent leading coefficients of Gamma(u+eps)/Gamma(v+eps), times
+    prod b^e over powers (b, e) and the positive float scale: None at a
+    pole, 0.0 at a zero.  The integers count against _MAX_BITS at every
+    order, as count * (bits of the denominator + bits of count) per rising
+    product and |e| * (bits of b) per power."""
+    orders, symbols = [], []
+    for u, v in pairs:
+        order_u, (a_u, q_u, c_u), x_u = _reduce(u)
+        order_v, (a_v, q_v, c_v), x_v = _reduce(v)
+        orders.append(order_u - order_v)
+        symbols += [(a_u, q_u, c_u), (a_v, q_v, -c_v)]
+        scale *= math.gamma(x_u) / math.gamma(x_v)
+    bits = sum(abs(e) * b.bit_length() for b, e in powers) + sum(
+        abs(c) * (q.bit_length() + c.bit_length()) for _, q, c in symbols
+    )
+    if bits > _MAX_BITS:
         raise DomainError(
-            f"|value| = exp({log_mag:.6g}) lies outside the double range "
+            f"the exact Gamma products need about {bits} bits, over the bound of {_MAX_BITS}"
+        )
+    if sum(orders):
+        return orders, None if sum(orders) > 0 else 0.0
+    # every integer factor as base -> exponent, so equal bases cancel unformed
+    exponents = Counter(dict(powers))
+    for a, q, c in symbols:
+        exponents[_rising(a, q, abs(c))] += 1 if c > 0 else -1
+        exponents[q] -= c
+    num = math.prod(b**e for b, e in exponents.items() if e > 0)
+    den = math.prod(b**-e for b, e in exponents.items() if e < 0)
+    # num/den rounded once (int/int true division rounds correctly) at a
+    # binary scale read off the bit lengths, so the range check is exact
+    scale_m, scale_e = math.frexp(scale)
+    e = num.bit_length() - den.bit_length()
+    m, k = math.frexp(abs(num << max(-e, 0)) / abs(den << max(e, 0)) * scale_m)
+    e += scale_e + k
+    if not sys.float_info.min_exp <= e <= sys.float_info.max_exp:
+        raise DomainError(
+            f"|value| = {m:.6g} * 2^{e} lies outside the double range "
             f"[{sys.float_info.min:.6g}, {sys.float_info.max:.6g}]"
         )
-    return math.exp(log_mag) * phase
+    return orders, math.ldexp(m if (num < 0) == (den < 0) else -m, e)
 
 
-def _meromorphic(order: int, log_mag: float, phase: complex, reason) -> MeromorphicValue:
-    """The MeromorphicValue of a product with total order `order` whose
-    leading coefficient is exp(log_mag) * phase."""
-    if order > 0:
-        return MeromorphicValue(order=order, value=None, reason=reason)
-    if order < 0:
-        return MeromorphicValue(order=order, value=0j, reason=reason)
-    return MeromorphicValue(order=0, value=_from_polar(log_mag, phase), reason=reason)
+def gamma_ratio(u, v) -> float:
+    """Gamma(u)/Gamma(v) for rationals u, v, neither Gamma singular;
+    DomainError when |value| leaves the normal double range."""
+    orders, value = _pair_ladders([(Fraction(u), 1), (1, Fraction(v))])
+    if any(orders):
+        raise DomainError(f"Gamma({u}) / Gamma({v}) has a Gamma pole")
+    return value
 
 
 def gamma_pair(u, v) -> MeromorphicValue:
@@ -174,7 +145,9 @@ def gamma_pair(u, v) -> MeromorphicValue:
         (f"Gamma({u})", 1 if _nonpos_int(u) else 0),
         (f"1/Gamma({v})", -1 if _nonpos_int(v) else 0),
     )
-    return _meromorphic(*_pair_ladder(u, v), reason)
+    (order,), value = _pair_ladders([(u, v)])
+    value = None if value is None else complex(value)
+    return MeromorphicValue(order=order, value=value, reason=reason)
 
 
 @dataclass(frozen=True)
@@ -183,8 +156,8 @@ class RnmParams:
 
     alpha and beta are rationals, stored as Fraction: a float, int or str
     converts exactly (a float by its binary value), and a complex value
-    raises TypeError.  lam is the lambda scale, finite, nonzero and
-    possibly complex.
+    raises TypeError.  lam is the lambda scale: nonzero, possibly complex,
+    with a finite modulus.
     """
 
     alpha: Fraction
@@ -195,7 +168,7 @@ class RnmParams:
 
     def __post_init__(self):
         lam = complex(self.lam)
-        if lam == 0 or not cmath.isfinite(lam):
+        if lam == 0 or not math.isfinite(math.hypot(lam.real, lam.imag)):
             raise DomainError("lambda must be finite and nonzero")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
@@ -231,30 +204,30 @@ def rnm_closed_form(p: RnmParams) -> MeromorphicValue:
     is -2 pi i lambda^{-alpha'-1} conj(lambda)^{-alpha-1} times the product
     of pair leading coefficients (principal branch for the lambda powers);
     negative total order is an exact zero; positive total order is a pole.
-    The product is formed in log space and exponentiated once, so pair
-    coefficients outside double range cancel; a value whose magnitude lies
-    outside the normal double range raises DomainError.
+    |lambda|^c, c = -2 alpha - n - 2, joins the pairs' exact integers as
+    |lambda|^k for an integer k next to c, so pair coefficients outside
+    double range cancel; a value outside the normal double range raises
+    DomainError.  For real lambda the phase is exactly -i or i, so the real
+    part is +0.0.
     """
-    total = 0
-    log_mag, phase = 0.0, complex(1.0)
-    reason = []
-    for label, u, v in p.pairs():
-        order, pair_log, pair_phase = _pair_ladder(u, v)
-        total += order
-        log_mag += pair_log
-        phase *= pair_phase
-        reason.append((label, order))
-    if total == 0:
-        lam = complex(p.lam)
-        a_exp = -complex(p.alpha_prime) - 1
-        b_exp = -complex(p.alpha) - 1
-        pre_log, pre_phase = _polar(
-            math.log(2.0 * math.pi) + a_exp * cmath.log(lam) + b_exp * cmath.log(lam.conjugate()),
-            -1j,
-        )
-        log_mag += pre_log
-        phase *= pre_phase
-    return _meromorphic(total, log_mag, phase, tuple(reason))
+    lam = complex(p.lam)
+    modulus = math.hypot(lam.real, lam.imag)
+    c = -2 * p.alpha - p.n - 2
+    # |lambda|^(c - k) lies in [1/|lambda|, 1] or [|lambda|, 1]: a double
+    k = math.ceil(c) if modulus >= 1 else math.floor(c)
+    top, bottom = modulus.as_integer_ratio()
+    labels, u, v = zip(*p.pairs())
+    scale = 2.0 * math.pi * modulus ** float(c - k)
+    orders, mag = _pair_ladders(zip(u, v), ((top, k), (bottom, -k)), scale)
+    order, reason = sum(orders), tuple(zip(labels, orders))
+    if order:
+        return MeromorphicValue(order=order, value=None if order > 0 else 0j, reason=reason)
+    if lam.imag:
+        value = -1j * mag * cmath.exp(-1j * p.n * cmath.phase(lam))
+    else:
+        # the phase is -i, turned by (-1)^n for lambda < 0
+        value = complex(0.0, -mag if lam.real > 0 or p.n % 2 == 0 else mag)
+    return MeromorphicValue(order=0, value=value, reason=reason)
 
 
 def symmetry_pair(p: RnmParams) -> tuple[MeromorphicValue, MeromorphicValue]:
@@ -286,11 +259,11 @@ def hypergeom_sum_at_1(a, b, c, terms: int) -> tuple[float, float, float]:
     be non-positive integers either (the term sum is undefined there since
     Gamma(a+k) hits a pole for small k).  Returns (partial, closed, relerr).
 
-    partial is the plain sum of the first `terms` terms and relerr is its
-    relative error against closed; no tail estimate is added.  With
-    s = c - a - b the terms decay like k^(-1-s), so for K terms that error
-    decays only like K^(-s)/s, up to a constant factor: for (1, 1, 3) it is
-    exactly 1/(K+1).
+    partial is the correctly rounded sum of the first `terms` terms, made one
+    at a time, and relerr its relative error against closed; no tail estimate
+    is added.  With s = c - a - b the terms decay like k^(-1-s), so for K
+    terms that error decays only like K^(-s)/s, up to a constant factor: for
+    (1, 1, 3) it is exactly 1/(K+1).
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if _nonpos_int(c):
@@ -302,15 +275,12 @@ def hypergeom_sum_at_1(a, b, c, terms: int) -> tuple[float, float, float]:
     if terms < 1:
         raise DomainError("need at least one term")
 
-    t = cmath.exp(log_gamma(a) + log_gamma(b) - log_gamma(c)).real
-    acc = [t]
     af, bf, cf = float(a), float(b), float(c)
-    for k in range(terms - 1):
-        t *= (af + k) * (bf + k) / ((cf + k) * (k + 1.0))
-        acc.append(t)
-    partial = math.fsum(acc)
-    closed = cmath.exp(
-        log_gamma(a) + log_gamma(b) + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b)
-    ).real
+    t0 = _pair_ladders([(a, c), (b, 1)])[1]
+    partial = math.fsum(accumulate(
+        range(terms - 1), lambda t, k: t * (af + k) * (bf + k) / ((cf + k) * (k + 1.0)), initial=t0
+    ))
+    # 0 when c - a or c - b is a pole of Gamma
+    closed = _pair_ladders([(a, c - a), (b, c - b), (c - a - b, 1)])[1]
     relerr = abs(partial - closed) / abs(closed) if closed != 0 else math.inf
     return partial, closed, relerr

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -291,10 +292,19 @@ class TestResidue:
         ("--alpha=-1000000000000000001/2", "-5e+17"),
     ])
     def test_argument_rounding_onto_pole_exit_2(self, capsys, alpha, shown):
-        # -alpha and alpha + 1 are not poles of Gamma, but their doubles are
+        # -alpha or alpha + 1 is no pole of Gamma, though its double `shown`
+        # is one: the exact reduction finds a value below the double range,
+        # or refuses an input whose exact integers pass their bound
+        value = Fraction(alpha.partition("=")[2])
+        assert f"{float(min(-value, value + 1)):g}" == shown
         rc, out, err = run(capsys, "residue", alpha, "--n", "0", "--beta", "-1/3", "--m", "0")
         assert rc == 2
-        reason = f"log_gamma argument rounds onto the pole {shown} in double precision"
+        reason = {
+            "-0": "|value| = 0.517698 * 2^-1324 lies outside the double range "
+                  "[2.22507e-308, 1.79769e+308]",
+            "-5e+17": "the exact Gamma products need about 124999999999999999880 bits, "
+                      "over the bound of 524288",
+        }[shown]
         assert json.loads(out) == {"error": "domain", "reason": reason}
         assert err == f"domain error: {reason}\n"
 

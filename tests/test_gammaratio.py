@@ -1,15 +1,22 @@
-"""Gamma-ratio kernel tests: log-Gamma accuracy against mpmath, order
-bookkeeping goldens, the kernel symmetry, vanishing properties over the
-branch corpus, and the hypergeometric identity checker."""
+"""Gamma-ratio kernel tests: Gamma values and the kernel against mpmath,
+order bookkeeping goldens, the bound on the exact integers, the kernel
+symmetry, vanishing properties over the branch corpus, and the
+hypergeometric identity checker."""
 
-import cmath
 import math
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from branchzeta import gammaratio
+from branchzeta.cli import main
 from branchzeta.errors import DomainError, PreconditionViolated
 from branchzeta.gammaratio import (
     MeromorphicValue,
@@ -17,7 +24,6 @@ from branchzeta.gammaratio import (
     gamma_pair,
     gamma_ratio,
     hypergeom_sum_at_1,
-    log_gamma,
     rnm_closed_form,
     symmetry_check,
 )
@@ -26,72 +32,40 @@ from branchzeta.poles import PoleStatus, candidate_pole
 mpmath.mp.dps = 40
 
 
-def mp_loggamma(z: complex) -> complex:
-    r = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
-    return complex(float(r.real), float(r.imag))
-
-
 def mp_gamma(x) -> float:
     return float(mpmath.gamma(mpmath.mpf(x)))
 
 
-class TestLogGamma:
-    def test_right_half_plane_relative_error(self):
-        # documented accuracy region: Re(z) >= 0.5
-        res = [0.5, 0.75, 1.0, 1.5, 2.0, 3.25, 4.7421875, 10.0, 31.5, 100.25]
-        ims = [0.0, 0.25, -0.25, 1.0, -3.75, 12.0, -40.0]
-        for re in res:
-            for im in ims:
-                z = complex(re, im)
-                got = log_gamma(z)
-                want = mp_loggamma(z)
-                err = abs(got - want) / max(abs(want), 1.0)
-                assert err <= 1e-12, (z, got, want, err)
+def mp_frac(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
 
+
+class TestGammaRatio:
     def test_real_axis_gamma_values(self):
-        for x in [0.5, 1.0, 2.0, 3.0, 7.5, 20.0, 101.0]:
-            got = cmath.exp(log_gamma(x))
+        xs = [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 3.25, 4.7421875, 7.5, 10.0, 20.0, 31.5, 100.25, 101.0]
+        for x in xs:
+            got = gamma_ratio(x, 1)
             want = mp_gamma(x)
-            assert abs(got - want) <= 1e-12 * abs(want)
-            assert abs(got.imag) <= 1e-12 * abs(want)
+            assert abs(got - want) <= 1e-14 * abs(want), (x, got, want)
 
-    def test_reflection_left_half_plane(self):
-        # Gamma(1/4) exercises the reflection branch (Re < 0.5)
-        g14 = cmath.exp(log_gamma(0.25))
-        g34 = cmath.exp(log_gamma(0.75))
-        assert abs(g14 * g34 - math.pi / math.sin(math.pi / 4)) <= 1e-12 * 5
-        got = cmath.exp(log_gamma(-1.5))
-        want = mp_gamma(-1.5)
-        assert abs(got - want) <= 1e-12 * abs(want)
-        # complex argument on the left
-        z = complex(-2.3, 1.7)
-        got = cmath.exp(log_gamma(z))
-        want_mp = mpmath.gamma(mpmath.mpc(z.real, z.imag))
-        want = complex(float(want_mp.real), float(want_mp.imag))
-        assert abs(got - want) <= 1e-11 * abs(want)
+    def test_negative_arguments(self):
+        # Gamma(1/4) Gamma(3/4) = pi / sin(pi/4), and values left of 0
+        g14, g34 = gamma_ratio(Fraction(1, 4), 1), gamma_ratio(Fraction(3, 4), 1)
+        assert abs(g14 * g34 - math.pi / math.sin(math.pi / 4)) <= 1e-14 * 5
+        for x in (Fraction(-3, 2), Fraction(-23, 7), Fraction(-101, 3), Fraction(-5, 12)):
+            got = gamma_ratio(x, 1)
+            want = float(mpmath.gamma(mp_frac(x)))
+            assert abs(got - want) <= 1e-14 * abs(want), x
 
     def test_poles_rejected(self):
-        for z in [0, -1, -7]:
-            with pytest.raises(DomainError):
-                log_gamma(z)
-
-    @pytest.mark.parametrize(
-        "z,shown",
-        [(Fraction(-1000000000000000001, 2), "-5e+17"), (Fraction(-1, 10**400), "-0")],
-        ids=["large-half-integer", "tiny-negative"],
-    )
-    def test_exact_argument_rounding_onto_pole(self, z, shown):
-        # not a pole of Gamma, but its double is a non-positive integer
-        with pytest.raises(DomainError) as info:
-            log_gamma(z)
-        assert str(info.value) == (
-            f"log_gamma argument rounds onto the pole {shown} in double precision"
-        )
+        for u, v in [(0, 1), (-1, 1), (-7, 1), (Fraction(1, 2), -3)]:
+            with pytest.raises(DomainError, match="has a Gamma pole"):
+                gamma_ratio(u, v)
 
     def test_gamma_ratio_matches_mpmath(self):
         got = gamma_ratio(Fraction(3, 4), Fraction(1, 4))
         want = mp_gamma(0.75) / mp_gamma(0.25)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("u,v", [(Fraction(1000), Fraction(1, 2)),
                                      (Fraction(-179, 14), Fraction(343))],
@@ -101,6 +75,21 @@ class TestLogGamma:
         # that names the range, neither an OverflowError nor a rounded 0
         with pytest.raises(DomainError, match="outside the double range"):
             gamma_ratio(u, v)
+
+    @pytest.mark.parametrize("u,v", [
+        (Fraction(-1000000000000000001, 2), Fraction(1, 2)),
+        (Fraction(-1, 10**400), Fraction(2, 10**400)),
+    ], ids=["large-half-integer", "tiny-negative"])
+    def test_arguments_whose_doubles_are_poles(self, u, v):
+        # neither argument is a pole of Gamma, though its double is one:
+        # the exact reduction answers, or refuses an input over the bound
+        if u.denominator == 2:
+            with pytest.raises(DomainError, match=f"over the bound of {gammaratio._MAX_BITS}"):
+                gamma_ratio(u, v)
+        else:
+            want = float(mpmath.gamma(mp_frac(u)) / mpmath.gamma(mp_frac(v)))
+            assert abs(gamma_ratio(u, v) - want) <= 1e-14 * abs(want)
+            assert abs(want + 2) <= 1e-9
 
 
 class TestGammaPair:
@@ -296,6 +285,88 @@ class TestRnmLogSpace:
         assert outside > 0
 
 
+class TestExactReduction:
+    """The kernel from exact rising products: within 1e-14 of mpmath, an
+    exactly imaginary value for real lambda, and a bound on the integers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.tuples(st.integers(-99, 99), st.integers(2, 30)),
+        b=st.tuples(st.integers(-99, 99), st.integers(2, 30)),
+        n=st.integers(-1000, 1000),
+        m=st.integers(-1000, 1000),
+        lam=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    )
+    def test_kernel_against_mpmath(self, a, b, n, m, lam):
+        alpha, beta = Fraction(*a), Fraction(*b)
+        # integral alpha, beta or gamma puts a pole among mpmath's Gammas
+        assume(1 not in {alpha.denominator, beta.denominator, (alpha + beta).denominator})
+        with mpmath.workdps(50):
+            want = mp_kernel(alpha, n, beta, m, lam)
+            p = RnmParams(alpha=alpha, n=n, beta=beta, m=m, lam=lam)
+            if not sys.float_info.min <= abs(want) <= sys.float_info.max:
+                with pytest.raises(DomainError, match="outside the double range"):
+                    rnm_closed_form(p)
+                return
+            got = rnm_closed_form(p).value
+            assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want), (got, want)
+        assert got.real == 0.0 and math.copysign(1.0, got.real) == 1.0
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5, -2.0, -1.5])
+    def test_real_lambda_gives_a_positive_zero_real_part(self, lam, capsys):
+        for n in (-3, 0, 1, 2, 300):
+            value = rnm_closed_form(RnmParams(Fraction(-1, 4), n, Fraction(-1, 3), 0, lam)).value
+            assert value.real == 0.0 and math.copysign(1.0, value.real) == 1.0
+            assert main(["residue", "--alpha", "-1/4", "--n", str(n), "--beta", "-1/3",
+                         "--m", "0", f"--lambda={lam}"]) == 0
+            assert capsys.readouterr().out.splitlines()[1].startswith("value 0.000000000000e+00")
+
+    # alpha with a 1000-bit denominator and m = n: the slowest input shape
+    # per counted bit among those tried
+    ALPHA = Fraction(-1, 10**300 + 1)
+
+    def _at_bound(self, n):
+        return [f"--alpha={self.ALPHA}", "--n", str(n), "--beta", "-1/3", "--m", str(n)]
+
+    def _counted_bits(self, n):
+        """The documented count for _at_bound(n) at lambda = 1: per Gamma
+        argument w, c * (bits of w's denominator + bits of c) with c = -w at a
+        pole and |floor(w) - 1| elsewhere, plus 2 |k| for the power k of
+        1 = 1/1, k = ceil(-2 alpha - n - 2)."""
+        p = RnmParams(self.ALPHA, n, Fraction(-1, 3), n)
+        bits = 2 * abs(math.ceil(-2 * p.alpha - n - 2))
+        for _, u, v in p.pairs():
+            for w in (u, v):
+                c = -int(w) if w.denominator == 1 and w <= 0 else abs(math.floor(w) - 1)
+                bits += c * (w.denominator.bit_length() + c.bit_length())
+        return bits
+
+    def _largest_n_within_bound(self):
+        n = max(n for n in range(1000) if self._counted_bits(n) <= gammaratio._MAX_BITS)
+        assert self._counted_bits(n + 1) > gammaratio._MAX_BITS
+        return n
+
+    def test_input_over_the_bound_exits_2_at_once(self, capsys):
+        n = self._largest_n_within_bound()
+        t0 = time.perf_counter()
+        assert main(["residue", *self._at_bound(n + 1), "--format", "json"]) == 2
+        assert time.perf_counter() - t0 <= 0.1
+        reason = capsys.readouterr().out
+        assert f"over the bound of {gammaratio._MAX_BITS}" in reason
+
+    def test_input_at_the_bound_finishes_within_half_a_second(self, capsys):
+        # the README states 0.5 s for the most expensive accepted input
+        n = self._largest_n_within_bound()
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            code = main(["residue", *self._at_bound(n), "--format", "json"])
+            times.append(time.perf_counter() - t0)
+            # the integers are built: the value is then too small for a double
+            assert code == 2 and "outside the double range" in capsys.readouterr().out
+        assert min(times) <= 0.5
+
+
 class TestSymmetry:
     def test_reference_cases(self):
         cases = [
@@ -434,6 +505,29 @@ class TestHypergeom:
                 mpmath.gamma(a + k) * mpmath.gamma(b + k) / (mpmath.gamma(c + k) * mpmath.factorial(k))
             )
         assert abs(partial - direct) <= 1e-12 * abs(direct)
+
+
+    def test_partial_sum_holds_no_term_list(self):
+        tracemalloc.start()
+        try:
+            hypergeom_sum_at_1(Fraction(1, 2), Fraction(1, 2), 2, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("a,b,c", [(Fraction(1, 2), Fraction(1, 2), 2),
+                                       (Fraction(1, 3), Fraction(2, 3), 2), (1, 1, 3)])
+    def test_partial_equals_list_based_fsum(self, a, b, c):
+        partial, closed, _ = hypergeom_sum_at_1(a, b, c, 10**4)
+        af, bf, cf = float(a), float(b), float(c)
+        # the same terms, held in a list: Gamma(a)Gamma(b)/Gamma(c), then the recurrence
+        first = gammaratio._pair_ladders([(Fraction(a), Fraction(c)), (Fraction(b), 1)])[1]
+        terms = list(accumulate(
+            range(10**4 - 1), lambda t, k: t * (af + k) * (bf + k) / ((cf + k) * (k + 1.0)),
+            initial=first))
+        assert len(terms) == 10**4
+        assert partial == math.fsum(terms)
 
 
 class TestMeromorphicValue:
