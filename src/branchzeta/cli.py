@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Four subcommands: analyze (full invariant report for a branch), residue
-(one kernel evaluation), verify (self-checking suites with a TSV table),
-and generate (curve equations and deformation families).
+(one kernel evaluation), verify (the rows of the self-checks in `checks`,
+TSV by default), and generate (curve equations and deformation families).
 
 Output conventions, kept byte-stable for golden tests:
 * JSON is canonical: sorted keys, two-space indent, rationals as "p/q"
@@ -26,9 +26,9 @@ Output conventions, kept byte-stable for golden tests:
 At module level this file imports only the standard library and `errors`.
 Each command imports the layers it runs in its own body and calls them as
 module attributes: analyze loads `poles` (with `branch` and `toric`),
-residue `gammaratio`, generate `branch` and `curves`, and verify `branch`
-and `poles` for combinatorics, `gammaratio` and `quadrature` (so numpy)
-for rnm, and `quadrature` for vanishing.
+residue `gammaratio`, generate `branch` and `curves`, and verify `checks`,
+whose suites load their own layers (rnm and vanishing numpy too).  verify
+states no law: it checks --tol, runs the suites asked for, writes the rows.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def report_to_dict(rep) -> dict:
         "pi_levels": list(map(records, rep.pi_sets)),
         "yano": records(rep.yano),
         "eigenvalues": {
-            "distinct": eig.distinct,
+            "distinct": rep.distinct,
             # a class's fraction is its exponents' fractional part, often one of them
             "classes": [
                 {"fraction": record[frac]["exponent"] if frac in record else _ratio(frac, den),
@@ -359,133 +359,33 @@ def cmd_residue(ns) -> tuple[int, Iterable[str]]:
     ]
 
 
-GRID_PAIRS = (
-    (Fraction(-3, 5), Fraction(-7, 10)),
-    (Fraction(-2, 3), Fraction(-2, 3)),
-    (Fraction(-11, 20), Fraction(-19, 20)),
-)
-
-# (alpha, n, beta, m, lam) of each symmetry check
-SYMMETRY_CASES = (
-    (Fraction(-3, 5), 1, Fraction(-7, 10), 0, 1.0),
-    (Fraction(-3, 5), 0, Fraction(-3, 5), 0, 1.0),
-    (Fraction(-1, 3), -2, Fraction(-5, 4), 1, 2.0),
-)
-
-VANISHING_CASES = (
-    (1, Fraction(-1, 4), 1.0),
-    (3, Fraction(-3, 4), 2.0),
-    (-1, Fraction(1, 4), 1.5),
-)
-
-COMBINATORIC_CASES = ("2,3", "4,9", "4,6,7", "6,9,22")
-
-
-def _suite_rnm(tol: float, rel_tol: float) -> Iterator[tuple[str, str, str, float, bool]]:
-    from . import gammaratio, quadrature
-
-    cfg = quadrature.QuadConfig(rel_tol=rel_tol)
-    for (a, b) in GRID_PAIRS:
-        for lam in (1.0, 2.0):
-            p = gammaratio.RnmParams(alpha=a, n=0, beta=b, m=0, lam=lam)
-            want = gammaratio.rnm_closed_form(p).value
-            got = quadrature.rnm_quadrature(p, cfg)
-            rel = abs(got - want) / abs(want)
-            case = f"rnm(alpha={a},n=0,beta={b},m=0,lambda={lam:g})"
-            yield case, _fmt_cx(want), _fmt_cx(got), rel, rel <= tol
-    for params in SYMMETRY_CASES:
-        p = gammaratio.RnmParams(*params)
-        a, b = gammaratio.symmetry_pair(p)
-        if a.order == 0 and b.order == 0:
-            rel = abs(a.value - b.value) / max(abs(a.value), abs(b.value))
-            exp_s, got_s = _fmt_cx(a.value), _fmt_cx(b.value)
-        else:
-            rel = 0.0 if a.order == b.order else float("inf")
-            exp_s, got_s = f"order={a.order}", f"order={b.order}"
-        case = (
-            f"symmetry(alpha={p.alpha},n={p.n},beta={p.beta},m={p.m},"
-            f"lambda={complex(p.lam).real:g})"
-        )
-        yield case, exp_s, got_s, rel, rel <= 1e-10
-
-
-def _exact(case: str, expected, got) -> tuple[str, str, str, float, bool]:
-    """The row of an exact check: relative error 0 when it passes, else inf."""
-    ok = expected == got
-    return case, str(expected), str(got), 0.0 if ok else float("inf"), ok
-
-
-def _suite_combinatorics() -> Iterator[tuple[str, str, str, float, bool]]:
-    from . import branch, poles
-    from .poles import PoleStatus
-
-    for text in COMBINATORIC_CASES:
-        rep = poles.branch_report(text)
-        bn = rep.bn
-        yield _exact(f"pi-total({text})", bn.milnor, rep.pi_merged.total)
-        yield _exact(
-            f"pi-vs-yano({text})",
-            "equal",
-            "equal" if rep.pi_merged == rep.yano else "differ",
-        )
-        kept = [
-            -c.sigma for c in rep.candidates if c.status is PoleStatus.POLE_CANDIDATE
-        ]
-        yield _exact(f"lct-min-pole({text})", rep.lct, min(kept))
-        worst = max(
-            abs(c.eps1 + c.eps2 + c.eps3 + c.nu + 2) for c in rep.candidates
-        )
-        yield _exact(f"sigma-relation({text})", Fraction(0), worst)
-        # eps1 (eps2) is an integer exactly where the dead end (previous level) excludes
-        for name, eps, own in (("deadend", "eps1", PoleStatus.EXCLUDED_DEADEND),
-                               ("previous", "eps2", PoleStatus.EXCLUDED_PREVIOUS)):
-            excluded = (own, PoleStatus.EXCLUDED_BOTH)
-            ok = all((getattr(c, eps).denominator == 1) == (c.status in excluded)
-                     for c in rep.candidates)
-            yield _exact(f"integrality-{name}({text})", True, ok)
-        # mu = 2 delta for a branch, delta counted as the semigroup's gaps
-        yield _exact(f"conductor-eq-milnor({text})", bn.conductor, 2 * len(branch.gaps(bn)))
-        class_total = sum(m for _, items in rep.eigenvalues.groups for _, m in items)
-        yield _exact(f"eigenvalue-count({text})", bn.milnor, class_total)
-
-
-def _suite_vanishing() -> Iterator[tuple[str, str, str, float, bool]]:
-    from . import quadrature
-
-    for n, alpha, R in VANISHING_CASES:
-        res = quadrature.vanishing_integral_check(n, alpha, R)
-        mass = quadrature.radial_mass(n, alpha, R)
-        rel = abs(res) / mass
-        case = f"vanishing(n={n},alpha={alpha},R={R:g})"
-        yield case, "0", f"{abs(res):.6e}", rel, rel <= 1e-8
-    out = quadrature.vanishing_symbolic_cancellation(Fraction(-1, 4))
-    yield _exact("vanishing-symbolic(alpha=-1/4)", 0, out)
+def _cell(value) -> str:
+    """A verify row's value as written: complex as residue writes it, a float in 7 digits."""
+    return (_fmt_cx(value) if isinstance(value, complex)
+            else f"{value:.6e}" if isinstance(value, float) else str(value))
 
 
 def cmd_verify(ns) -> tuple[int, Iterable[str]]:
+    from . import checks
+
     if not 0 < ns.tol < inf:
         raise DomainError("tol must be positive and finite")
-    rows: list[tuple[str, str, str, float, bool]] = []
+    rows = []
     if ns.suite in ("rnm", "all"):
-        rows += _suite_rnm(ns.tol, ns.rel_tol)
+        rows += checks.rnm_rows(ns.tol, ns.rel_tol)
     if ns.suite in ("combinatorics", "all"):
-        rows += _suite_combinatorics()
+        rows += checks.combinatorics_rows()
     if ns.suite in ("vanishing", "all"):
-        rows += _suite_vanishing()
+        rows += checks.vanishing_rows()
+    rows = [(c, _cell(e), _cell(g), r, ok) for c, e, g, r, ok in rows]
     failures = [c for c, *_, ok in rows if not ok]
     for c in failures:
         print(f"FAILED {c}", file=sys.stderr)
     rc = 3 if failures else 0
     if ns.format == "json":
-        payload = {
-            "suite": ns.suite,
-            "passed": not failures,
-            "rows": [
-                {"case": c, "expected": e, "got": g, "relerr": r, "pass": ok}
-                for c, e, g, r, ok in rows
-            ],
-        }
-        return rc, [canonical_json(payload)]
+        return rc, [canonical_json({"suite": ns.suite, "passed": not failures, "rows": [
+            {"case": c, "expected": e, "got": g, "relerr": r, "pass": ok}
+            for c, e, g, r, ok in rows]})]
     if ns.format == "text":
         width = max(len(c) for c, *_ in rows)
         return rc, [
@@ -588,9 +488,11 @@ def _generate_text(plane, hs, fam, fiber) -> Iterator[str]:
 
 
 def _scalar(text: str):
-    # rational syntax accepted for convenience; the scale is a float/complex
+    # rational syntax accepted for convenience, sized as --alpha is; the scale is a float/complex
+    from .gammaratio import _rational
+
     try:
-        return float(Fraction(text))
+        return float(_rational(text))
     except ValueError:
         return complex(text)
 
@@ -630,9 +532,9 @@ def build_parser() -> _Parser:
     add_format(p, "text")
 
     p = sub.add_parser("residue", help="evaluate one residue kernel value")
-    p.add_argument("--alpha", type=Fraction, required=True)
+    p.add_argument("--alpha", required=True)  # RnmParams sizes, then converts
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=Fraction, required=True)
+    p.add_argument("--beta", required=True)  # RnmParams sizes, then converts
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_scalar, default=1.0)
     add_format(p, "text")
@@ -659,8 +561,8 @@ def main(argv=None) -> int:
     argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         ns = build_parser().parse_args(argv)
-    except (_SyntaxError, ArithmeticError) as exc:
-        # ArithmeticError: a number Fraction or float cannot convert (1/0, 1e400)
+    except (_SyntaxError, ArithmeticError, DomainError) as exc:
+        # a number Fraction or float cannot convert (1/0, 1e400), or too long to build
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -110,12 +110,11 @@ class CandidatePole:
 class ExponentMultiset:
     """Map from exact rational exponent to multiplicity, counted on integer
     numerators over one denominator (`counts` over `den`); `entries`, the
-    Fraction-keyed view in increasing order, is built on first read.  Signed
+    Fraction-keyed view in increasing order, is built on each read.  Signed
     counts may occur transiently; finalize() enforces non-negativity."""
 
     def __init__(self, den: int = 1, counts=()):
-        self.den, self._entries = den, None
-        self.counts = {k: m for k, m in dict(counts).items() if m}
+        self.den, self.counts = den, {k: m for k, m in dict(counts).items() if m}
 
     def add(self, exponent, mult: int = 1) -> None:
         exponent = Fraction(exponent)
@@ -127,7 +126,6 @@ class ExponentMultiset:
         self.counts[key] = self.counts.get(key, 0) + mult
         if not self.counts[key]:
             del self.counts[key]
-        self._entries = None
 
     def finalize(self) -> ExponentMultiset:
         for key, mult in self.counts.items():
@@ -135,12 +133,7 @@ class ExponentMultiset:
                 raise NegativeCoefficient(Fraction(key, self.den), mult)
         return self
 
-    @property
-    def entries(self) -> dict:
-        if self._entries is None:
-            self._entries = {Fraction(k, self.den): m for k, m in self.sorted_counts()}
-        return self._entries
-
+    entries = property(lambda self: {Fraction(k, self.den): m for k, m in self.sorted_counts()})
     total = property(lambda self: sum(self.counts.values()))
 
     def sorted_counts(self) -> list[tuple[int, int]]:
@@ -218,7 +211,6 @@ def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
 
 @dataclass(frozen=True)
 class EigenvalueAnalysis:
-    distinct: bool
     den: int
     # fractional part -> sorted (exponent, multiplicity) pairs in that class,
     # every rational as its numerator over den
@@ -235,13 +227,12 @@ def eigenvalues_distinct(pi: ExponentMultiset) -> bool:
 
 def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
     """Group b-exponents by fractional part (= monodromy eigenvalue class);
-    the eigenvalues are distinct when every class is one exponent of
-    multiplicity one."""
+    the eigenvalues are distinct (eigenvalues_distinct) when every class is
+    one exponent of multiplicity one."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for k, mult in pi.sorted_counts():
         groups.setdefault(k % pi.den, []).append((k, mult))
-    distinct = len(groups) == len(pi.counts) and set(pi.counts.values()) <= {1}
-    return EigenvalueAnalysis(distinct, pi.den,
+    return EigenvalueAnalysis(pi.den,
                               tuple((f, tuple(items)) for f, items in sorted(groups.items())))
 
 
@@ -297,12 +288,6 @@ class BranchReport:
         """Ladder i holds the candidates 0 <= nu < length: n_i betabar_i or up to nu_max."""
         return tuple(lad.N if self.nu_max is None else max(lad.N, self.nu_max + 1)
                      for lad in self.bn.ladders)
-
-    @cached_property
-    def candidates(self) -> tuple[CandidatePole, ...]:
-        """Every candidate, ladder by ladder, in increasing nu."""
-        return tuple(CandidatePole(lad, nu)
-                     for lad, hi in zip(self.bn.ladders, self.ladder_lengths) for nu in range(hi))
 
     @cached_property
     def _pi(self) -> tuple[tuple[ExponentMultiset, ...], ExponentMultiset]:

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import branchzeta.branch
+import branchzeta.checks
 import branchzeta.cli
 import branchzeta.poles
 import fraction_oracle
@@ -160,7 +162,7 @@ class TestAnalyze:
          {name: 1 for name in BUILDERS if name != "eigenvalue_analysis"}),
         (["verify", "--suite", "combinatorics"],
          dict.fromkeys(("log_canonical_threshold", "pi_multisets", "yano_multiset",
-                        "eigenvalue_analysis"), len(branchzeta.cli.COMBINATORIC_CASES))),
+                        "eigenvalue_analysis"), len(branchzeta.checks.COMBINATORIC_CASES))),
     ], ids=["json", "text", "verify"])
     def test_each_section_built_at_most_once_per_report(self, capsys, monkeypatch, argv, built):
         calls = Counter()
@@ -302,7 +304,7 @@ class TestResidue:
         reason = {
             "-0": "|value| = 0.517698 * 2^-1324 lies outside the double range "
                   "[2.22507e-308, 1.79769e+308]",
-            "-5e+17": "the exact Gamma products need about 124999999999999999880 bits, "
+            "-5e+17": "the exact Gamma products need at least 2^66 bits, "
                       "over the bound of 524288",
         }[shown]
         assert json.loads(out) == {"error": "domain", "reason": reason}
@@ -327,6 +329,7 @@ class TestNumberFlags:
         "residue --alpha -1/4 --n 0 --beta 1/0 --m 0",
         "residue " + RESIDUE + " --lambda 1/0",
         "residue " + RESIDUE + " --lambda 1e400",
+        "residue " + RESIDUE + " --lambda 1e10000000",  # sized, not built
         "generate 4,6,7 --deform --lambdas 1/0",
     ])
     def test_unconvertible_value_exit_1(self, capsys, argv):
@@ -348,6 +351,32 @@ class TestNumberFlags:
         assert err.startswith("domain error: ")
         assert "Traceback" not in err
         assert json.loads(out)["error"] == "domain"
+
+    @pytest.mark.parametrize("flags", [
+        "--alpha 1e10000000 --beta -1/3",
+        "--alpha -1/4 --beta -1e-10000000",
+        "--alpha " + "7" * 200000 + " --beta -1/3",
+    ], ids=["alpha-exponent", "beta-exponent", "alpha-digits"])
+    def test_rational_text_over_the_bound_exit_2_unbuilt(self, capsys, flags):
+        # the text is sized before Fraction builds its integers: 1e10000000
+        # alone would take seconds and tens of MB to build
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "residue", *flags.split(), "--n", "0", "--m", "0",
+                           "--format", "json")
+        assert time.perf_counter() - t0 < 0.5
+        assert rc == 2
+        reason = json.loads(out)["reason"]
+        assert reason.endswith("digits, over the bound of 524288 bits")
+        assert err == f"domain error: {reason}\n"
+
+    def test_count_over_the_bound_is_written_bounded(self, capsys):
+        # 1e5000 passes the text bound; the kernel's count of bits is an
+        # integer of 5000 digits, written as a power of two
+        rc, out, err = run(capsys, "residue", "--alpha", "1e5000", "--n", "0",
+                           "--beta", "-1/3", "--m", "0")
+        assert rc == 2
+        assert err == ("domain error: the exact Gamma products need at least 2^16625 bits,"
+                       " over the bound of 524288\n")
 
 
 class TestVerify:
@@ -842,9 +871,10 @@ COMMAND_LAYERS = [
     (["residue", "--alpha", "-3/5", "--n", "0", "--beta", "-7/10", "--m", "0"], ["gammaratio"]),
     (["generate", "4,9", "--deform", "--cutoff", "38", "--seed", "1", "--format", "json"],
      ["branch", "curves"]),
-    (["verify", "--suite", "combinatorics"], ["branch", "poles", "toric"]),
-    (["verify", "--suite", "rnm"], ["gammaratio", "quadrature"]),
-    (["verify", "--suite", "vanishing"], ["gammaratio", "quadrature"]),
+    # verify loads checks, and checks the layers of the suite it runs
+    (["verify", "--suite", "combinatorics"], ["branch", "poles", "toric", "checks"]),
+    (["verify", "--suite", "rnm"], ["gammaratio", "quadrature", "checks"]),
+    (["verify", "--suite", "vanishing"], ["gammaratio", "quadrature", "checks"]),
 ]
 
 

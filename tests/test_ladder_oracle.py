@@ -58,7 +58,8 @@ def test_report_matches_fraction_oracle(draw):
     assert parse_input(rep.input_text) == cs
 
     want = oracle.candidates(bn, nu_max)
-    assert [as_tuple(c) for c in rep.candidates] == want
+    assert [as_tuple(candidate_pole(bn, i, nu))
+            for i, hi in enumerate(rep.ladder_lengths, start=1) for nu in range(hi)] == want
 
     sets, merged = oracle.pi_multisets(bn)
     assert [ms.entries for ms in rep.pi_sets] == sets
@@ -69,7 +70,7 @@ def test_report_matches_fraction_oracle(draw):
     assert {ms.den for ms in (*rep.pi_sets, rep.pi_merged, rep.yano, rep.eigenvalues)} == {bn.den}
 
     distinct, classes = oracle.eigenvalue_analysis(merged)
-    assert rep.eigenvalues.distinct == distinct
+    assert rep.distinct == distinct
     den = rep.eigenvalues.den
     assert tuple((Fraction(f, den), tuple((Fraction(k, den), m) for k, m in items))
                  for f, items in rep.eigenvalues.groups) == classes
@@ -306,7 +307,7 @@ def test_non_distinct_branches_match_oracle(text, largest_class, largest_mult, n
     den = rep.pi_merged.den
     merged = {Fraction(k, den): m for k, m in rep.pi_merged.counts.items()}
     distinct, classes = oracle.eigenvalue_analysis(merged)
-    assert not distinct and not rep.eigenvalues.distinct
+    assert not distinct and not rep.distinct
     assert tuple((Fraction(f, den), tuple((Fraction(k, den), m) for k, m in items))
                  for f, items in groups) == classes
     assert rep.eigenvalues.groups == groups
@@ -376,11 +377,12 @@ def test_multiset_equality_matches_fraction_oracle(pair):
     st.dictionaries(st.integers(-3 * den, 3 * den), st.integers(1, 2), max_size=8))))
 @settings(max_examples=400, deadline=None)
 def test_eigenvalue_classes_and_distinctness_match_oracle(pi):
-    # the classes read distinctness off their grouping, the report from one
-    # pass over Pi: both must agree with the oracle
+    # distinctness from one pass over Pi, and as read off the classes: both
+    # must agree with the oracle
     analysis = eigenvalue_analysis(pi)
     distinct, classes = oracle.eigenvalue_analysis(
         {Fraction(k, pi.den): m for k, m in pi.counts.items()})
-    assert analysis.distinct == eigenvalues_distinct(pi) == distinct
+    listed = all(len(items) == 1 and items[0][1] == 1 for _, items in analysis.groups)
+    assert eigenvalues_distinct(pi) == listed == distinct
     assert tuple((Fraction(f, pi.den), tuple((Fraction(k, pi.den), m) for k, m in items))
                  for f, items in analysis.groups) == classes

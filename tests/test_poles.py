@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_oracle
 from branchzeta.branch import (
     CharSeq,
     PlaneSemigroup,
@@ -33,6 +34,7 @@ from branchzeta.poles import (
     branch_report,
     candidate_pole,
     eigenvalue_analysis,
+    eigenvalues_distinct,
     log_canonical_threshold,
     pi_multisets,
     residue_numbers,
@@ -223,7 +225,8 @@ class TestEigenvaluesAndLct:
     def test_distinct_cases(self):
         for cs in (CharSeq(2, (3,)), CharSeq(4, (6, 7))):
             _, merged = pi_multisets(derive_numerics(cs))
-            assert eigenvalue_analysis(merged).distinct
+            assert eigenvalues_distinct(merged)
+            assert all(len(items) == 1 for _, items in eigenvalue_analysis(merged).groups)
 
     def test_stress_case_6_8_9(self):
         bn = derive_numerics(CharSeq(6, (8, 9)))
@@ -231,7 +234,7 @@ class TestEigenvaluesAndLct:
         analysis = eigenvalue_analysis(merged)
         # internal consistency: class totals account for every exponent
         assert sum(m for _, items in analysis.groups for _, m in items) == bn.milnor
-        if analysis.distinct:
+        if eigenvalues_distinct(merged):
             assert all(len(items) == 1 for _, items in analysis.groups)
 
     def test_classes_group_by_fractional_part(self):
@@ -281,14 +284,14 @@ class TestClosedFormOracles:
             bn = rep.bn
             orders = set().union(*(divisors_of(bn.nn[i] * bn.gens[i]) for i in range(1, bn.g + 1)))
             simple = all(alexander_multiplicity(bn, d) <= 1 for d in orders)
-            assert rep.eigenvalues.distinct == simple, rep.input_text
-        assert sum(not rep.eigenvalues.distinct for rep in corpus_reports) >= 3
+            assert rep.distinct == simple, rep.input_text
+        assert sum(not rep.distinct for rep in corpus_reports) >= 3
 
     def test_distinct_matches_the_class_listing(self, corpus_reports):
         # every eigenvalue class a singleton of multiplicity one
         for rep in corpus_reports:
             listed = all(len(items) == 1 and items[0][1] == 1 for _, items in rep.eigenvalues.groups)
-            assert rep.distinct == rep.eigenvalues.distinct == listed, rep.input_text
+            assert rep.distinct == listed, rep.input_text
 
     def test_lct_is_least_divisor_ratio(self, corpus_reports):
         for rep in corpus_reports:
@@ -298,6 +301,14 @@ class TestClosedFormOracles:
             ), rep.input_text
 
 
+def ladder_candidates(rep):
+    """(i, nu, sigma, eps1, eps2, eps3, status) of candidate_pole at every
+    shift of the report's ladder lengths, as the Fraction oracle lists them."""
+    return [(c.i, c.nu, c.sigma, c.eps1, c.eps2, c.eps3, c.status.value)
+            for i, hi in enumerate(rep.ladder_lengths, start=1)
+            for c in (candidate_pole(rep.bn, i, nu) for nu in range(hi))]
+
+
 class TestBranchReport:
     def test_report_4_9(self):
         rep = branch_report("4,9")
@@ -305,7 +316,8 @@ class TestBranchReport:
         assert rep.lct == Fraction(13, 36)
         assert rep.pi_merged.total == 24
         assert rep.verdict in ("proved-distinct", "conjectural-generic")
-        assert len(rep.candidates) == 36
+        assert rep.ladder_lengths == (36,)
+        assert ladder_candidates(rep) == fraction_oracle.candidates(rep.bn)
         assert rep.strict_transform_poles == "all negative integers"
 
     def test_semigroup_input_matches_charseq(self):
@@ -314,7 +326,7 @@ class TestBranchReport:
         assert a.bn == b.bn
         assert a.lct == b.lct
         assert a.pi_merged.entries == b.pi_merged.entries
-        assert a.candidates == b.candidates
+        assert ladder_candidates(a) == ladder_candidates(b) == fraction_oracle.candidates(b.bn)
         assert a.kind == "semigroup" and b.kind == "charseq"
 
     def test_resonance_4_6_7(self):
@@ -341,10 +353,12 @@ class TestBranchReport:
 
     def test_nu_max_extension(self):
         rep = branch_report("2,3", nu_max=10)
-        assert len(rep.candidates) == 11
-        assert rep.candidates[-1].nu == 10
+        cands = ladder_candidates(rep)
+        assert len(cands) == 11
+        assert cands[-1][1] == 10
+        assert cands == fraction_oracle.candidates(rep.bn, nu_max=10)
 
-    SECTIONS = ("ladder_lengths", "candidates", "divisors", "lct", "pi_sets", "pi_merged",
+    SECTIONS = ("ladder_lengths", "divisors", "lct", "pi_sets", "pi_merged",
                 "yano", "eigenvalues", "distinct", "verdict", "resonances")
 
     @given(st.integers(min_value=0, max_value=2**31),
