@@ -132,11 +132,11 @@ class BranchNumerics:
         return self.cs.betas
 
     def nprod(self, lo: int, hi: int) -> int:
-        """Product n_lo * ... * n_hi; empty (lo > hi) products are 1."""
-        out = 1
-        for l in range(lo, hi + 1):
-            out *= self.nn[l]
-        return out
+        """Product n_lo * ... * n_hi = e_{lo-1}/e_hi; empty (lo > hi) products
+        are 1, and a product from lo = 0 is 0 (n_0 = 0)."""
+        if lo > hi:
+            return 1
+        return self.e[lo - 1] // self.e[hi] if lo else 0
 
     @cached_property
     def steps(self) -> tuple:

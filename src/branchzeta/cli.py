@@ -409,13 +409,10 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
     fam = None
     fiber = None
     if ns.deform:
-        lambdas = None
-        if ns.lambdas is not None:
-            lambdas = [Fraction(v) for v in ns.lambdas.split(",")] if ns.lambdas else []
         fam = curves.deformation_family(
             bn,
             weight_cutoff=ns.cutoff,
-            lambdas=lambdas,
+            lambdas=ns.lambdas,
             coefficient_source=ns.seed,
         )
         if ns.seed is not None:
@@ -497,6 +494,14 @@ def _scalar(text: str):
         return complex(text)
 
 
+def _lambdas(text: str) -> list[Fraction]:
+    # sized as --alpha is, against the 4300 digits that str() writes of an int
+    # (Python's limit), 10/3 bits a digit: the writers print each value
+    from .gammaratio import _rational
+
+    return [_rational(v, 4300 * 10 // 3 + 1) for v in text.split(",")] if text else []
+
+
 _VALUE_FLAGS = {"--alpha", "--beta", "--lambda", "--n", "--m", "--nu-max",
                 "--cutoff", "--seed", "--tol", "--rel-tol", "--lambdas"}
 
@@ -550,7 +555,7 @@ def build_parser() -> _Parser:
     p.add_argument("--deform", action="store_true")
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lambdas", type=str, default=None,
+    p.add_argument("--lambdas", type=_lambdas, default=None,
                    help="comma-separated values for levels 2..g")
     add_format(p, "text")
 

@@ -142,24 +142,23 @@ def gamma_pair(u, v) -> MeromorphicValue:
     u, v = Fraction(u), Fraction(v)
     if (u + v).denominator != 1:
         raise PreconditionViolated("u + v is not an integer")
-    reason = (
-        (f"Gamma({u})", 1 if _nonpos_int(u) else 0),
-        (f"1/Gamma({v})", -1 if _nonpos_int(v) else 0),
-    )
+    # labels name roles, as rnm_closed_form's do: str() of a long argument can raise
+    reason = (("Gamma(u)", 1 if _nonpos_int(u) else 0),
+              ("1/Gamma(v)", -1 if _nonpos_int(v) else 0))
     (order,), value = _pair_ladders([(u, v)])
     value = None if value is None else complex(value)
     return MeromorphicValue(order=order, value=value, reason=reason)
 
 
-def _rational(x) -> Fraction:
+def _rational(x, max_bits: int = _MAX_BITS) -> Fraction:
     """Fraction(x); text is sized first, at 10/3 bits a digit and an exponent
-    counted as its value (9 digits of it pass), and refused over _MAX_BITS."""
+    counted as its value (9 digits of it pass), and refused over max_bits."""
     if isinstance(x, str):
         mantissa, _, exp = x.lower().partition("e")
         exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")[:9]
         digits = len(mantissa) + (int(exp) if exp.isdecimal() else 0)
-        if 10 * digits > 3 * _MAX_BITS:
-            raise DomainError(f"about {digits} digits, over the bound of {_MAX_BITS} bits")
+        if 10 * digits > 3 * max_bits:
+            raise DomainError(f"about {digits} digits, over the bound of {max_bits} bits")
     return Fraction(x)
 
 

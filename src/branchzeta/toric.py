@@ -3,20 +3,19 @@ strict-transform linear forms, and the Bell-polynomial utility.
 
 Each characteristic exponent contributes one toric step (n_i, q_i) together
 with the unique non-negative Bezout data (a_i, b_i, c_i, d_i) normalized by
-0 <= a_i < n_i.  The steps drive the three linear forms rho/A/C that measure
-the orders of a deformation monomial along the exceptional divisors.
+0 <= a_i < n_i.
 
 The multiplicities (N, k+1) of the rupture and dead-end divisors, and the
-k_i coefficient D_i of the C form, are not derived here: they are read off
-the integer candidate ladders (BranchNumerics.ladders, built once per branch
-by poles.Ladder.of) as (N, r) and dead_end, the one place that computes them.
+slopes a_i, D_i of the chart orders A and C, are not derived here: they are
+read off the integer candidate ladders (BranchNumerics.ladders, built once
+per branch by poles.Ladder.of), the one place that computes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .branch import BranchNumerics
 from .errors import IndexOutOfRange, InvalidIndices
@@ -84,8 +83,10 @@ def linear_forms(bn: BranchNumerics, i: int, j: int, ks) -> tuple[int, int, int]
 
     rho is the weight defect of the monomial f_0^{k_0}...f_j^{k_j} relative to
     the step-i reference weight n_i*betabar_i; A and C are its orders on the
-    two chart axes after the i-th toric modification.  Empty products are 1
-    and empty sums 0, so i = j and i = 1 work uniformly (mbar_0 = 1, n_0 = 0).
+    two chart axes after the i-th toric modification.  With lo and hi the two
+    sums below, rho = n_i lo + mbar_i k_i + n_i mbar_i hi, A = (a_i rho + k_i)/n_i
+    and C = (D_i rho + lo)/mbar_i.  Empty products are 1 and empty sums 0, so
+    i = j and i = 1 work uniformly (mbar_0 = 1, n_0 = 0).
     """
     if not (1 <= i <= j <= bn.g):
         raise IndexOutOfRange(f"need 1 <= i <= j <= g = {bn.g}, got i={i}, j={j}")
@@ -94,38 +95,22 @@ def linear_forms(bn: BranchNumerics, i: int, j: int, ks) -> tuple[int, int, int]
         raise IndexOutOfRange(f"expected {j + 1} exponents, got {len(ks)}")
     if any(v < 0 for v in ks):
         raise IndexOutOfRange("exponents must be non-negative")
-
-    step = bn.steps[i - 1]
-    mbar_i = bn.mbar[i]
-    dd = bn.ladders[i - 1].D  # c_i n_{i-1} mbar_{i-1} + d_i, the k_i coefficient shared by C
-    aa = step.a * bn.nn[i - 1] * bn.mbar[i - 1] + step.b
-
-    rho = -mbar_i * bn.nprod(i, j)
-    for l in range(0, i + 1):
-        rho += bn.nprod(l + 1, i) * bn.mbar[l] * ks[l]
-    for l in range(i + 1, j + 1):
-        rho += bn.nn[i] * mbar_i * bn.nprod(i + 1, l - 1) * ks[l]
-
-    a_form = aa * ks[i] - step.a * mbar_i * bn.nprod(i + 1, j)
-    for l in range(0, i):
-        a_form += step.a * bn.nprod(l + 1, i - 1) * bn.mbar[l] * ks[l]
-    for l in range(i + 1, j + 1):
-        a_form += step.a * mbar_i * bn.nprod(i + 1, l - 1) * ks[l]
-
-    c_form = dd * ks[i] - dd * bn.nprod(i, j)
-    for l in range(0, i):
-        c_form += step.c * bn.nprod(l + 1, i - 1) * bn.mbar[l] * ks[l]
-    for l in range(i + 1, j + 1):
-        c_form += bn.nn[i] * dd * bn.nprod(i + 1, l - 1) * ks[l]
-
+    lad = bn.ladders[i - 1]
+    lo = sum(bn.nprod(l + 1, i - 1) * bn.mbar[l] * ks[l] for l in range(i))
+    hi = sum(bn.nprod(i + 1, l - 1) * ks[l] for l in range(i + 1, j + 1)) - bn.nprod(i + 1, j)
+    rho = lad.n * lo + lad.mbar * ks[i] + lad.n * lad.mbar * hi
+    a_form, a_rem = divmod(lad.a * rho + ks[i], lad.n)
+    c_form, c_rem = divmod(lad.D * rho + lo, lad.mbar)
+    assert a_rem == 0 and c_rem == 0, "a chart order is not an integer"
     return rho, a_form, c_form
 
 
 def bell_polynomial(nu: int, k: int, xs) -> Fraction:
     """Partial exponential Bell polynomial B_{nu,k}(x_1, ..., x_{nu-k+1}).
 
-    Sums nu!/(j_1! ... j_{nu-k+1}!) * prod (x_l / l!)^{j_l} over all j with
-    sum j_l = k and sum l*j_l = nu.  Exact rational output.
+    Exact rational output of the recurrence B_{m,l} = sum_j C(m-1, j-1) x_j
+    B_{m-j,l-1}, one row of B_{m,l} per l from B_{m,1} = x_m, for the m that
+    x_1, ..., x_{nu-k+1} determine: m < nu - k + 1 + l.
     """
     if nu < 1 or not (1 <= k <= nu):
         raise InvalidIndices(f"need nu >= 1 and 1 <= k <= nu, got nu={nu}, k={k}")
@@ -133,15 +118,8 @@ def bell_polynomial(nu: int, k: int, xs) -> Fraction:
     width = nu - k + 1
     if len(xs) != width:
         raise InvalidIndices(f"expected {width} arguments, got {len(xs)}")
-
-    def rec(l: int, jsum: int, lsum: int, term: Fraction) -> Fraction:
-        # the sum of the terms whose j_1, .., j_{l-1} made term
-        if l > width:
-            return term if jsum == k and lsum == nu else Fraction(0)
-        total = Fraction(0)
-        for j in range(min(k - jsum, (nu - lsum) // l) + 1):
-            piece = term * (xs[l - 1] / factorial(l)) ** j / factorial(j)
-            total += rec(l + 1, jsum + j, lsum + l * j, piece)
-        return total
-
-    return rec(1, 0, 0, Fraction(1)) * factorial(nu)
+    row = [Fraction(0), *xs]
+    for l in range(2, k + 1):
+        row = [sum((comb(m - 1, j - 1) * xs[j - 1] * row[m - j] for j in range(1, m - l + 2)),
+                   Fraction(0)) for m in range(width + l)]
+    return row[nu]

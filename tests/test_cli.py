@@ -369,6 +369,21 @@ class TestNumberFlags:
         assert reason.endswith("digits, over the bound of 524288 bits")
         assert err == f"domain error: {reason}\n"
 
+    @pytest.mark.parametrize("value, digits", [("1e10000000", 10000001), ("1e5000", 5001)])
+    def test_lambdas_text_over_the_printable_bound_exit_1_unbuilt(self, capsys, value, digits):
+        # each value is written in full, and str() of an int stops at 4300 digits
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "generate", "4,6,7", "--deform", "--lambdas", value)
+        assert time.perf_counter() - t0 < 0.5
+        assert (rc, out) == (1, "")
+        assert err == f"error: about {digits} digits, over the bound of 14334 bits\n"
+
+    def test_lambdas_text_within_the_printable_bound_is_written(self, capsys):
+        rc, out, _ = run(capsys, "generate", "4,6,7", "--deform", "--lambdas", "1e4000",
+                         "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["deformation"]["lambdas"] == [str(10**4000)]
+
     def test_count_over_the_bound_is_written_bounded(self, capsys):
         # 1e5000 passes the text bound; the kernel's count of bits is an
         # integer of 5000 digits, written as a power of two
@@ -871,6 +886,8 @@ COMMAND_LAYERS = [
     (["residue", "--alpha", "-3/5", "--n", "0", "--beta", "-7/10", "--m", "0"], ["gammaratio"]),
     (["generate", "4,9", "--deform", "--cutoff", "38", "--seed", "1", "--format", "json"],
      ["branch", "curves"]),
+    # --lambdas is sized by the routine that sizes --alpha
+    (["generate", "4,6,7", "--deform", "--lambdas", "2/3"], ["branch", "curves", "gammaratio"]),
     # verify loads checks, and checks the layers of the suite it runs
     (["verify", "--suite", "combinatorics"], ["branch", "poles", "toric", "checks"]),
     (["verify", "--suite", "rnm"], ["gammaratio", "quadrature", "checks"]),

@@ -126,6 +126,13 @@ class TestGammaPair:
         with pytest.raises(PreconditionViolated):
             gamma_pair(Fraction(1, 2), Fraction(1, 3))
 
+    def test_arguments_too_long_to_write_are_not_written(self):
+        # denominators of 5001 digits; the Gamma integers stay within the bound
+        eps = Fraction(1, 10**5000)
+        mv = gamma_pair(1 + eps, 1 - eps)
+        assert (mv.order, mv.value) == (0, 1 + 0j)
+        assert mv.reason == (("Gamma(u)", 0), ("1/Gamma(v)", 0))
+
     def test_reflection_consistency(self):
         # gamma_pair(u, v) * gamma_pair(v, u) = 1 for non-integer u, v
         pool = [Fraction(1, 3), Fraction(-7, 4), Fraction(5, 12), Fraction(-9, 2)]

@@ -1,18 +1,22 @@
 """Resolution-combinatorics tests.
 
-Oracles: exhaustive search over bounded Bezout tuples, and set-partition
-enumeration for Bell polynomials.  The linear-form identities (weight defect
-vs chart orders, and their constrained extrema) are checked exactly on
-bounded exponent enumerations.
+Oracles: exhaustive search over bounded Bezout tuples, set-partition
+enumeration for Bell polynomials, and the former loop forms of linear_forms,
+bell_polynomial and BranchNumerics.nprod.  The linear-form identities
+(weight defect vs chart orders, and their constrained extrema) are checked
+exactly on bounded exponent enumerations.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from branchzeta.branch import CharSeq, derive_numerics
+from branchzeta.branch import CharSeq, derive_numerics, random_charseq
 from branchzeta.errors import IndexOutOfRange, InvalidIndices
 from branchzeta.toric import bell_polynomial, divisor_numerics, linear_forms, toric_steps
 
@@ -221,3 +225,82 @@ class TestBellPolynomial:
             bell_polynomial(3, 4, (1,))
         with pytest.raises(InvalidIndices):
             bell_polynomial(3, 2, (1, 1, 1))  # wrong arity
+
+
+def _nprod(bn, lo, hi):
+    return math.prod(bn.nn[lo:hi + 1])
+
+
+def linear_forms_oracle(bn, i, j, ks):
+    """The three forms term by term from the Bezout data of step i."""
+    step = bn.steps[i - 1]
+    mbar_i = bn.mbar[i]
+    dd = step.c * bn.nn[i - 1] * bn.mbar[i - 1] + step.d
+    aa = step.a * bn.nn[i - 1] * bn.mbar[i - 1] + step.b
+
+    rho = -mbar_i * _nprod(bn, i, j)
+    for l in range(0, i + 1):
+        rho += _nprod(bn, l + 1, i) * bn.mbar[l] * ks[l]
+    for l in range(i + 1, j + 1):
+        rho += bn.nn[i] * mbar_i * _nprod(bn, i + 1, l - 1) * ks[l]
+
+    a_form = aa * ks[i] - step.a * mbar_i * _nprod(bn, i + 1, j)
+    for l in range(0, i):
+        a_form += step.a * _nprod(bn, l + 1, i - 1) * bn.mbar[l] * ks[l]
+    for l in range(i + 1, j + 1):
+        a_form += step.a * mbar_i * _nprod(bn, i + 1, l - 1) * ks[l]
+
+    c_form = dd * ks[i] - dd * _nprod(bn, i, j)
+    for l in range(0, i):
+        c_form += step.c * _nprod(bn, l + 1, i - 1) * bn.mbar[l] * ks[l]
+    for l in range(i + 1, j + 1):
+        c_form += bn.nn[i] * dd * _nprod(bn, i + 1, l - 1) * ks[l]
+
+    return rho, a_form, c_form
+
+
+def bell_sum_oracle(nu, k, xs):
+    """nu!/(j_1! ... j_w!) * prod (x_l / l!)^{j_l} summed over all j with
+    sum j_l = k and sum l*j_l = nu, index vector by index vector."""
+    xs = [Fraction(x) for x in xs]
+    width = nu - k + 1
+    f = math.factorial
+
+    def rec(l, jsum, lsum, term):
+        if l > width:
+            return term if jsum == k and lsum == nu else Fraction(0)
+        total = Fraction(0)
+        for j in range(min(k - jsum, (nu - lsum) // l) + 1):
+            piece = term * (xs[l - 1] / f(l)) ** j / f(j)
+            total += rec(l + 1, jsum + j, lsum + l * j, piece)
+        return total
+
+    return rec(1, 0, 0, Fraction(1)) * f(nu)
+
+
+class TestAgainstLoopForms:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_linear_forms(self, seed, data):
+        bn = derive_numerics(random_charseq(random.Random(seed), max_n=36, max_beta=1000))
+        for i in range(1, bn.g + 1):
+            for j in range(i, bn.g + 1):
+                ks = data.draw(st.lists(st.integers(0, 10**6), min_size=j + 1, max_size=j + 1))
+                assert linear_forms(bn, i, j, ks) == linear_forms_oracle(bn, i, j, ks)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_bell_polynomial(self, seed):
+        # rationals drawn from a seed, which shrinks in a few steps
+        rng = random.Random(seed)
+        xs = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(12)]
+        for nu in range(1, 13):
+            for k in range(1, nu + 1):
+                args = xs[: nu - k + 1]
+                assert bell_polynomial(nu, k, args) == bell_sum_oracle(nu, k, args)
+
+    def test_nprod(self, corpus_numerics):
+        for bn in corpus_numerics:
+            for lo in range(bn.g + 2):
+                for hi in range(bn.g + 1):
+                    assert bn.nprod(lo, hi) == _nprod(bn, lo, hi), (bn.cs, lo, hi)
