@@ -16,41 +16,42 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import InvalidCharSeq, NotInSemigroup, NotPlaneBranchSemigroup
 
 
-@dataclass(frozen=True)
-class CharSeq:
+class CharSeq(namedtuple("CharSeq", "n betas")):
     """Characteristic sequence (n; beta_1, ..., beta_g), validated on build."""
 
-    n: int
-    betas: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(int(b) for b in self.betas))
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 2:
-            raise InvalidCharSeq(f"multiplicity n = {self.n} must be >= 2")
-        if len(self.betas) < 1:
+    def __new__(cls, n, betas):
+        betas = tuple(int(b) for b in betas)
+        n = int(n)
+        if n < 2:
+            raise InvalidCharSeq(f"multiplicity n = {n} must be >= 2")
+        if len(betas) < 1:
             raise InvalidCharSeq("at least one characteristic exponent required (g >= 1)")
-        prev = self.n
-        for i, b in enumerate(self.betas, start=1):
+        prev = n
+        for i, b in enumerate(betas, start=1):
             if b <= prev:
                 raise InvalidCharSeq(
                     f"entries must increase strictly: beta_{i} = {b} <= {prev}"
                 )
             prev = b
-        e, nn = _gcd_chain((self.n, *self.betas))
-        for i, b in enumerate(self.betas, start=1):
+        e, nn = _gcd_chain((n, *betas))
+        for i, b in enumerate(betas, start=1):
             if nn[i] == 1:
                 raise InvalidCharSeq(
                     f"gcd chain stalls: e_{i - 1} = {e[i - 1]} divides beta_{i} = {b}"
                 )
         if e[-1] != 1:
             raise InvalidCharSeq(f"gcd chain must end at 1, got e_g = {e[-1]}")
+        return super().__new__(cls, n, betas)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     @property
     def g(self) -> int:
@@ -60,20 +61,15 @@ class CharSeq:
         return "(" + ",".join(str(v) for v in (self.n, *self.betas)) + ")"
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(namedtuple("ConditionCheck", "name passed detail witness",
+                                defaults=(None,))):
     """One line of a semigroup validation report."""
 
-    name: str
-    passed: bool
-    detail: str
-    witness: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    gens: tuple[int, ...]
-    conditions: tuple[ConditionCheck, ...]
+class ValidationReport(namedtuple("ValidationReport", "gens conditions")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -83,36 +79,33 @@ class ValidationReport:
         return next((c for c in self.conditions if not c.passed), None)
 
 
-@dataclass(frozen=True)
-class PlaneSemigroup:
+class PlaneSemigroup(namedtuple("PlaneSemigroup", "gens")):
     """Semigroup <betabar_0, ..., betabar_g> of a plane branch; validated."""
 
-    gens: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(int(v) for v in self.gens))
-        report = validate_plane_semigroup(self.gens)
+    def __new__(cls, gens):
+        gens = tuple(int(v) for v in gens)
+        report = validate_plane_semigroup(gens)
         if not report.ok:
             bad = report.first_failure()
             raise NotPlaneBranchSemigroup(f"{bad.name}: {bad.detail}", report.conditions)
+        return super().__new__(cls, gens)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     @property
     def g(self) -> int:
         return len(self.gens) - 1
 
 
-@dataclass(frozen=True)
-class BranchNumerics:
-    """All derived integers of a characteristic sequence (see module doc)."""
-
-    cs: CharSeq
-    gens: tuple[int, ...]   # gens[0] = n, gens[i] = betabar_i
-    e: tuple[int, ...]      # e[0] = n, e[i] = gcd(e[i-1], beta_i); e[g] = 1
-    nn: tuple[int, ...]     # nn[0] = 0, nn[i] = e[i-1] // e[i]  (n_i >= 2)
-    mm: tuple[int, ...]     # mm[0] = 0, mm[i] = beta_i // e[i]
-    qq: tuple[int, ...]     # qq[0] = 0, qq[1] = mm[1], qq[i] = mm[i] - nn[i]*mm[i-1]
-    mbar: tuple[int, ...]   # mbar[0] = 1, mbar[i] = gens[i] // e[i]
-    conductor: int
+class BranchNumerics(namedtuple("BranchNumerics", "cs gens e nn mm qq mbar conductor")):
+    """All derived integers of a characteristic sequence (see module doc):
+    gens[0] = n, gens[i] = betabar_i; e[0] = n, e[i] = gcd(e[i-1], beta_i),
+    e[g] = 1; nn[0] = 0, nn[i] = e[i-1] // e[i] (n_i >= 2); mm[0] = 0,
+    mm[i] = beta_i // e[i]; qq[0] = 0, qq[1] = mm[1], qq[i] = mm[i] -
+    nn[i]*mm[i-1]; mbar[0] = 1, mbar[i] = gens[i] // e[i].  No __slots__:
+    the cached properties keep their values in the instance __dict__."""
 
     @property
     def g(self) -> int:

@@ -8,10 +8,10 @@ it runs and calls them as module attributes."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
 from math import inf
-from typing import Iterator
 
 GRID_PAIRS = ((Fraction(-3, 5), Fraction(-7, 10)), (Fraction(-2, 3), Fraction(-2, 3)),
               (Fraction(-11, 20), Fraction(-19, 20)))

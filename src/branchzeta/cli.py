@@ -38,12 +38,11 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf
-from typing import Iterable, Iterator
 
 from .errors import BranchZetaError, DomainError, InvalidCharSeq, NotPlaneBranchSemigroup
 
@@ -72,6 +71,7 @@ class _DenText(dict):
 
 _DEN_TEXT = _DenText()
 _CHUNK_LINES = 512  # lines joined into one stdout write
+_MAX_DIGITS = 4300  # Python's default limit on the digits str() writes of an int
 
 
 def _cx(z: complex) -> dict:
@@ -233,8 +233,8 @@ def report_to_dict(rep) -> dict:
         },
         "mu": bn.milnor,
         "lct": str(rep.lct),
-        "toric_steps": [asdict(s) for s in rep.bn.steps],
-        "divisors": [asdict(d) for d in rep.divisors],
+        "toric_steps": [s._asdict() for s in rep.bn.steps],
+        "divisors": [d._asdict() for d in rep.divisors],
         "candidates": list(_candidate_records(rep)),
         "pi": pi_records,
         "pi_levels": list(map(records, rep.pi_sets)),
@@ -417,6 +417,16 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
         )
         if ns.seed is not None:
             fiber = fam.instantiate()
+    # every coefficient the format prints, sized before the first line: tsv and text stream
+    polys, values = [plane, *hs, *([] if fiber is None else [fiber])], []
+    if fam is not None:
+        values = [t.coefficient for t in fam.terms if t.coefficient is not None]
+        if ns.format != "tsv":  # text and json also print the lambdas and the monomials
+            values += fam.lambdas
+            polys += [t.monomial for t in fam.terms]
+        if ns.format == "json":
+            polys.append(fam.base)
+    _check_printable(chain(values, *(p.terms.values() for p in polys)))
 
     if ns.format == "json":
         payload = {
@@ -447,6 +457,18 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
     if ns.format == "tsv":
         return 0, _generate_tsv(plane, hs, fam, fiber)
     return 0, _generate_text(plane, hs, fam, fiber)
+
+
+def _check_printable(values) -> None:
+    """DomainError when str() of a Fraction of values would pass the 4300
+    digits that Python writes of an int (its default limit), checked as
+    num or den >= 10^4300 without building the text."""
+    bound = 10 ** _MAX_DIGITS
+    for v in values:
+        if abs(v.numerator) >= bound or v.denominator >= bound:
+            big = max(abs(v.numerator), v.denominator)
+            raise DomainError(f"a coefficient of about {big.bit_length() * 3 // 10} digits,"
+                              f" over the bound of {_MAX_DIGITS} digits that str() writes")
 
 
 def _poly_rows(name: str, p) -> Iterator[str]:
@@ -495,11 +517,11 @@ def _scalar(text: str):
 
 
 def _lambdas(text: str) -> list[Fraction]:
-    # sized as --alpha is, against the 4300 digits that str() writes of an int
+    # sized as --alpha is, against the _MAX_DIGITS that str() writes of an int
     # (Python's limit), 10/3 bits a digit: the writers print each value
     from .gammaratio import _rational
 
-    return [_rational(v, 4300 * 10 // 3 + 1) for v in text.split(",")] if text else []
+    return [_rational(v, _MAX_DIGITS * 10 // 3 + 1) for v in text.split(",")] if text else []
 
 
 _VALUE_FLAGS = {"--alpha", "--beta", "--lambda", "--n", "--m", "--nu-max",

@@ -18,10 +18,10 @@ graded-lexicographic canonical order used for printing and JSON output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, product
-from typing import Iterable, Mapping, Sequence
 
 from .branch import BranchNumerics, canonical_representation
 from .errors import InvalidCutoff, ZeroLambda
@@ -249,22 +249,16 @@ def weight_of_monomial(bn: BranchNumerics, ks: Sequence[int]) -> int:
     return sum(bn.gens[l] * k for l, k in enumerate(ks))
 
 
-@dataclass(frozen=True)
-class DeformationTerm:
+class DeformationTerm(namedtuple("DeformationTerm",
+                                 "parameter level exponents weight monomial coefficient")):
     """One deformation monomial: parameter id, level, exponents, weight,
     the expanded product f_0^{k_0}..f_i^{k_i}, and its coefficient (None
     while symbolic)."""
 
-    parameter: str
-    level: int
-    exponents: tuple[int, ...]
-    weight: int
-    monomial: SparsePoly
-    coefficient: Fraction | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DeformationFamily:
+class DeformationFamily(namedtuple("DeformationFamily", "bn base terms lambdas weight_cutoff")):
     """Weighted deformation family of a plane-branch equation.
 
     base is the undeformed equation with the lambda factors included;
@@ -272,11 +266,7 @@ class DeformationFamily:
     lambdas tuple stores levels 2..g (level 1 is pinned to 1).
     """
 
-    bn: BranchNumerics
-    base: SparsePoly
-    terms: tuple[DeformationTerm, ...]
-    lambdas: tuple[Fraction, ...]
-    weight_cutoff: int
+    __slots__ = ()
 
     def instantiate(self, values: Mapping = ()) -> SparsePoly:
         """Plane equation of the fiber with the given coefficients.

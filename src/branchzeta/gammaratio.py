@@ -21,8 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -33,25 +32,26 @@ from .errors import DomainError, PreconditionViolated
 _MAX_BITS = 1 << 19
 
 
-@dataclass(frozen=True)
-class MeromorphicValue:
+class MeromorphicValue(namedtuple("MeromorphicValue", "order value reason")):
     """Zero/pole/finite result of a Gamma-ratio product.
 
     order > 0: pole of that order, no finite value (value is None).
     order < 0: zero; the consumer-facing value is exactly 0.
     order = 0: finite nonzero value.
-    reason records each pair's contribution as (label, order) entries.
+    value is a complex or None; reason records each pair's contribution as
+    (label, order) entries.
     """
 
-    order: int
-    value: complex | None
-    reason: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order > 0:
-            assert self.value is None
-        elif self.order < 0:
-            assert self.value == 0
+    def __new__(cls, order, value, reason):
+        if order > 0:
+            assert value is None
+        elif order < 0:
+            assert value == 0
+        return super().__new__(cls, order, value, reason)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
 
 def _nonpos_int(x: Fraction) -> bool:
@@ -162,30 +162,24 @@ def _rational(x, max_bits: int = _MAX_BITS) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class RnmParams:
+class RnmParams(namedtuple("RnmParams", "alpha n beta m lam")):
     """Parameters of the kernel; alpha' = alpha + n, beta' = beta + m.
 
     alpha and beta are rationals, stored as Fraction: a float, int or str
     converts exactly (a float by its binary value, a str unless too long for
     _MAX_BITS), and a complex value raises TypeError.  lam is the lambda
-    scale: nonzero, possibly complex, with a finite modulus.
+    scale: nonzero, possibly complex, with a finite modulus, stored as given.
     """
 
-    alpha: Fraction
-    n: int
-    beta: Fraction
-    m: int
-    lam: complex = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _rational(self.alpha))
-        object.__setattr__(self, "beta", _rational(self.beta))
-        lam = complex(self.lam)
-        if lam == 0 or not math.isfinite(math.hypot(lam.real, lam.imag)):
+    def __new__(cls, alpha, n, beta, m, lam=1.0):
+        alpha, beta, z = _rational(alpha), _rational(beta), complex(lam)
+        if z == 0 or not math.isfinite(math.hypot(z.real, z.imag)):
             raise DomainError("lambda must be finite and nonzero")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
+        return super().__new__(cls, alpha, int(n), beta, int(m), lam)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     @property
     def alpha_prime(self):

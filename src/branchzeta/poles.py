@@ -16,13 +16,12 @@ Fractions are built only when a result is read.  No floats.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import chain
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from itertools import chain
 
 from .branch import BranchNumerics, derive_numerics, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient
@@ -39,8 +38,7 @@ class PoleStatus(Enum):
 _STATUS = tuple(PoleStatus)  # index: dead end excludes + 2 * previous level excludes
 
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(namedtuple("Ladder", "i r N n mbar e a D c2")):
     """Integer record of the candidate ladder at rupture index i: n = n_i,
     e = e_i, mbar = mbar_i, r = m_i + n_1...n_i, N = n_i betabar_i = n e mbar,
     D = c_i n_{i-1} mbar_{i-1} + d_i, c2 = m_{i-1} - n_{i-1} mbar_{i-1}
@@ -49,15 +47,7 @@ class Ladder:
     eps3 = e sigma = -t/(n mbar).  betabar_i sigma is integral (dead end)
     iff n | t, and e_{i-1} sigma (previous level) iff mbar | t."""
 
-    i: int
-    r: int
-    N: int
-    n: int
-    mbar: int
-    e: int
-    a: int
-    D: int
-    c2: int
+    __slots__ = ()
 
     # (N, k+1) of the step's dead end, (betabar_i, ceil(r_i/n_i)); of its rupture divisor, (N, r)
     dead_end = property(lambda self: (self.N // self.n, -(-self.r // self.n)))
@@ -91,12 +81,9 @@ class Ladder:
         return next(self.rows(nu, nu + 1))
 
 
-@dataclass(frozen=True)
-class CandidatePole:
-    """One candidate; its exact values are built from the integers when read."""
-
-    ladder: Ladder
-    nu: int
+class CandidatePole(namedtuple("CandidatePole", "ladder nu")):
+    """One candidate; its exact values are built from the integers when read.
+    No __slots__: _row is cached in the instance __dict__."""
 
     _row = cached_property(lambda self: self.ladder.row(self.nu))  # read once per candidate
     i = property(lambda self: self.ladder.i)
@@ -178,9 +165,10 @@ def pi_multisets(bn: BranchNumerics) -> tuple[list[ExponentMultiset], ExponentMu
     equals the Milnor number.  Every set counts over bn.den."""
     den, sets, merged = bn.den, [], Counter()
     for lad in bn.ladders:
-        step = den // lad.N
-        kept = [t * step for t in range(lad.r, lad.r + lad.N) if t % lad.n and t % lad.mbar]
-        expected = lad.N - lad.N // lad.n - lad.N // lad.mbar + lad.e
+        n, mbar, r, N = lad.n, lad.mbar, lad.r, lad.N  # locals: the loop reads them per row
+        step = den // N
+        kept = [t * step for t in range(r, r + N) if t % n and t % mbar]
+        expected = N - N // n - N // mbar + lad.e
         assert len(kept) == expected, "survivor count disagrees with inclusion-exclusion"
         sets.append(ExponentMultiset(den, dict.fromkeys(kept, 1)))
         merged.update(kept)
@@ -209,12 +197,11 @@ def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
     return ms
 
 
-@dataclass(frozen=True)
-class EigenvalueAnalysis:
-    den: int
-    # fractional part -> sorted (exponent, multiplicity) pairs in that class,
-    # every rational as its numerator over den
-    groups: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+class EigenvalueAnalysis(namedtuple("EigenvalueAnalysis", "den groups")):
+    """groups: (fractional part, sorted (exponent, multiplicity) pairs) per
+    class, every rational as its numerator over den."""
+
+    __slots__ = ()
 
 
 def eigenvalues_distinct(pi: ExponentMultiset) -> bool:
@@ -243,10 +230,10 @@ def log_canonical_threshold(bn: BranchNumerics) -> Fraction:
     return Fraction(first.r, first.N)
 
 
-@dataclass(frozen=True)
-class Resonance:
-    sigma: Fraction
-    occurrences: tuple[tuple[int, int, PoleStatus], ...]  # (i, nu, status)
+class Resonance(namedtuple("Resonance", "sigma occurrences")):
+    """A candidate value sigma and its (i, nu, status) on each ladder."""
+
+    __slots__ = ()
 
 
 def _resonances(bn: BranchNumerics, ends: tuple[int, ...]) -> tuple[Resonance, ...]:
@@ -260,15 +247,11 @@ def _resonances(bn: BranchNumerics, ends: tuple[int, ...]) -> tuple[Resonance, .
         for key in sorted(k for k, c in hits.items() if c > 1))
 
 
-@dataclass(frozen=True)
-class BranchReport:
-    """Every invariant of one branch.  Only the input is stored; each other
-    section is built from bn and nu_max when first read, and kept."""
-
-    input_text: str
-    kind: str  # "charseq" | "semigroup"
-    bn: BranchNumerics
-    nu_max: int | None
+class BranchReport(namedtuple("BranchReport", "input_text kind bn nu_max")):
+    """Every invariant of one branch.  Only the input is stored (kind is
+    "charseq" or "semigroup", nu_max an int or None); each other section is
+    built from bn and nu_max when first read, and kept in the instance
+    __dict__ (no __slots__)."""
 
     # The strict transform contributes the pole ladder -1, -2, -3, ...
     strict_transform_poles = "all negative integers"

@@ -33,7 +33,7 @@ and all its angular panels in another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -59,17 +59,19 @@ _TILES = 8  # tiles per numpy evaluation; its working arrays stay below 0.5 MB
 _BLOCK = 256  # tiles whose node geometry is computed at once, about 0.25 MB
 
 
-@dataclass(frozen=True)
-class QuadConfig:
+class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
     """Target relative accuracy of the quadrature oracle: each
     neglected-region bound is pushed below rel_tol/10 of the accumulated
     integral."""
 
-    rel_tol: float = 1e-5
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.rel_tol < math.inf:
+    def __new__(cls, rel_tol=1e-5):
+        if not 0 < rel_tol < math.inf:
             raise DomainError("rel_tol must be positive and finite")
+        return super().__new__(cls, rel_tol)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
 
 def _edges(a: float, b: float, sub: int) -> list[float]:

@@ -13,7 +13,7 @@ per branch by poles.Ladder.of), the one place that computes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -21,43 +21,38 @@ from .branch import BranchNumerics
 from .errors import IndexOutOfRange, InvalidIndices
 
 
-@dataclass(frozen=True)
-class ToricStep:
+class ToricStep(namedtuple("ToricStep", "i n q a b c d")):
     """Per-exponent Bezout data; all identities hold exactly."""
 
-    i: int
-    n: int
-    q: int
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.n * self.b - self.q * self.a == 1
-        assert self.q * self.c - self.n * self.d == 1
-        assert self.a * self.q + self.d * self.n == self.n * self.q - 1
-        assert self.a + self.c == self.n and self.b + self.d == self.q
-        assert 0 <= self.a < self.n
+    def __new__(cls, i, n, q, a, b, c, d):
+        assert n * b - q * a == 1
+        assert q * c - n * d == 1
+        assert a * q + d * n == n * q - 1
+        assert a + c == n and b + d == q
+        assert 0 <= a < n
+        return super().__new__(cls, i, n, q, a, b, c, d)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class DivisorNumerics:
+class DivisorNumerics(namedtuple("DivisorNumerics",
+                                 "i N_rupture k_rupture_plus1 N_deadend k_deadend_plus1")):
     """Total-transform and canonical multiplicities at step i.
 
     N_rupture / k_rupture_plus1 belong to the rupture divisor, N_deadend /
     k_deadend_plus1 to the dead-end divisor created by the same step.
     """
 
-    i: int
-    N_rupture: int
-    k_rupture_plus1: int
-    N_deadend: int
-    k_deadend_plus1: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.N_rupture == self.N_deadend * (self.N_rupture // self.N_deadend)
-        assert min(self.N_rupture, self.k_rupture_plus1, self.N_deadend, self.k_deadend_plus1) > 0
+    def __new__(cls, i, N_rupture, k_rupture_plus1, N_deadend, k_deadend_plus1):
+        assert N_rupture == N_deadend * (N_rupture // N_deadend)
+        assert min(N_rupture, k_rupture_plus1, N_deadend, k_deadend_plus1) > 0
+        return super().__new__(cls, i, N_rupture, k_rupture_plus1, N_deadend, k_deadend_plus1)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
 
 def toric_steps(bn: BranchNumerics) -> list[ToricStep]:

@@ -5,7 +5,6 @@ Fraction per candidate; and the rnm symmetry rows and
 gammaratio.symmetry_check read one comparison, symmetry_relerr."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -39,7 +38,7 @@ def test_ladder_off_by_one_fires_the_row_identity(monkeypatch, field, text):
 
     def wrong(cls, bn, i):
         lad = of(bn, i)
-        return replace(lad, **{field: getattr(lad, field) + 1})
+        return lad._replace(**{field: getattr(lad, field) + 1})
 
     monkeypatch.setattr(poles.Ladder, "of", classmethod(wrong))
     with pytest.raises(AssertionError):

@@ -3,6 +3,7 @@ round-trips, and the verify suites."""
 
 import contextlib
 import enum
+import hashlib
 import importlib
 import io
 import json
@@ -27,7 +28,7 @@ import fraction_oracle
 from branchzeta.branch import gaps, random_charseq
 from branchzeta.cli import (_CHUNK_LINES, _merge_negative_values, _write_stdout, build_parser,
                             canonical_json, main, report_to_dict)
-from branchzeta.errors import IndexOutOfRange
+from branchzeta.errors import DomainError, IndexOutOfRange
 from branchzeta.poles import branch_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -383,6 +384,44 @@ class TestNumberFlags:
                          "--format", "json")
         assert rc == 0
         assert json.loads(out)["deformation"]["lambdas"] == [str(10**4000)]
+
+    # each lambda passes its bound, but the base and a seeded fiber hold powers of them
+    HUGE_POWERS = ["generate", "8,12,14,15", "--deform", "--lambdas", "1e2200,1e2200"]
+
+    @pytest.mark.parametrize("extra", [["--format", "json"], ["--seed", "1"],
+                                       ["--seed", "1", "--format", "tsv"],
+                                       ["--seed", "1", "--format", "json"]])
+    def test_coefficient_over_the_printable_bound_exit_2_before_any_line(self, capsys, extra):
+        rc, out, err = run(capsys, *self.HUGE_POWERS, *extra)
+        reason = json.loads(out)["reason"]
+        digits = int(reason.removeprefix("a coefficient of about ").split()[0])
+        assert rc == 2 and digits > 4300
+        assert reason.endswith(" digits, over the bound of 4300 digits that str() writes")
+        assert err == f"domain error: {reason}\n"
+        # stdout is the error alone: no tsv or text line was written before it
+        assert out == canonical_json({"error": "domain", "reason": reason}) + "\n"
+
+    @pytest.mark.parametrize("fmt, sha256", [
+        ("text", "37c1dbeb877dd3e23ec031e0e09f1512334a1a92dc8bed8cbe8f309252ca8e72"),
+        ("tsv", "8517b33509688c86d210683d8c85a0c1260b8eb13557d47733003568ba1b9fdc"),
+    ])
+    def test_formats_that_print_no_such_coefficient_keep_their_bytes(self, capsys, fmt, sha256):
+        # text and tsv print no base, and without --seed no fiber
+        rc, out, err = run(capsys, *self.HUGE_POWERS, "--format", fmt)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_printable_bound_is_the_one_str_keeps(self):
+        from branchzeta.cli import _check_printable
+
+        edge = 10**4300 - 1  # 4300 digits
+        assert len(str(edge)) == 4300
+        _check_printable([Fraction(edge), Fraction(-edge, edge - 1)])
+        for value in (Fraction(edge + 1), Fraction(-edge - 1), Fraction(1, edge + 1)):
+            with pytest.raises(ValueError, match="4300 digits"):
+                str(value)
+            with pytest.raises(DomainError, match="over the bound of 4300 digits"):
+                _check_printable([Fraction(1), value])
 
     def test_count_over_the_bound_is_written_bounded(self, capsys):
         # 1e5000 passes the text bound; the kernel's count of bits is an
@@ -851,12 +890,16 @@ class TestPlumbing:
 # the test process has every module loaded already; it prints whether numpy
 # is loaded and which branchzeta submodules are, after `import branchzeta`,
 # after `import branchzeta.cli` and after each cli.main(argv) of the argv
-# lists given as JSON.
+# lists given as JSON, and which of the standard modules in SLOW_STDLIB are:
+# imports that cost start-up time and that no command needs (numpy itself
+# imports inspect, and a site hook may load typing before the probe runs).
+SLOW_STDLIB = ("dataclasses", "inspect", "typing")
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
     return {"numpy": "numpy" in sys.modules,
+            "stdlib": [m for m in %r if m in sys.modules],
             "layers": sorted(m.split(".", 1)[1] for m in sys.modules
                              if m.startswith("branchzeta."))}
 
@@ -869,11 +912,11 @@ for argv in json.loads(sys.argv[1]):
         assert branchzeta.cli.main(argv) == 0, argv
     states.append(loaded())
 print(json.dumps(states))
-"""
+""" % (SLOW_STDLIB,)
 
 
-def _loaded_after(*argvs) -> list[dict]:
-    r = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
+def _loaded_after(*argvs, flags=()) -> list[dict]:
+    r = subprocess.run([sys.executable, *flags, "-c", STARTUP_PROBE, json.dumps(argvs)],
                        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout)
@@ -918,6 +961,16 @@ class TestStartup:
     def test_each_command_loads_only_its_layers(self, argv, layers):
         *_, after = _loaded_after(argv)
         assert after["layers"] == sorted(["cli", "errors", *layers])
+        assert "dataclasses" not in after["stdlib"]
+        if not after["numpy"]:  # numpy imports inspect itself
+            assert "inspect" not in after["stdlib"]
+
+    def test_exact_commands_load_no_slow_stdlib_module_without_site(self):
+        # -S: no site hook (a .pth file) loads typing before the probe runs
+        exact = [argv for argv, layers in COMMAND_LAYERS if "quadrature" not in layers]
+        states = _loaded_after(*exact, flags=["-S"])
+        assert not any(s["numpy"] for s in states)
+        assert [s["stdlib"] for s in states] == [[]] * (2 + len(exact))
 
     def test_public_names_are_their_modules_objects(self):
         for name, home in branchzeta._HOME.items():

@@ -20,7 +20,6 @@ import contextlib
 import io
 import json
 import random
-from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -101,8 +100,8 @@ def test_divisor_data_and_lct_match_closed_forms(draw):
     rep = branch_report(cs)
     bn = rep.bn
     want = oracle.divisor_numerics(bn)
-    assert [astuple(d) for d in divisor_numerics(bn)] == want
-    assert [astuple(d) for d in rep.divisors] == want
+    assert [tuple(d) for d in divisor_numerics(bn)] == want
+    assert [tuple(d) for d in rep.divisors] == want
     assert [(lad.i, lad.N, lad.r, *lad.dead_end) for lad in bn.ladders] == want
     assert log_canonical_threshold(bn) == rep.lct == oracle.log_canonical_threshold(bn)
 
@@ -239,7 +238,7 @@ def test_candidate_outputs_check_the_row_identity(fmt, field, monkeypatch):
     # every candidate of every format comes out of Ladder.rows, whose
     # identity check fires on a broken ladder
     rep = built_but_candidates("4,6,7")
-    bad = tuple(replace(lad, **{field: getattr(lad, field) + 1}) for lad in rep.bn.ladders)
+    bad = tuple(lad._replace(**{field: getattr(lad, field) + 1}) for lad in rep.bn.ladders)
     monkeypatch.setitem(rep.bn.__dict__, "ladders", bad)
     monkeypatch.setattr(branchzeta.poles, "branch_report", lambda *args, **kwargs: rep)
     with pytest.raises(AssertionError), contextlib.redirect_stdout(io.StringIO()):
@@ -259,7 +258,7 @@ def test_stepped_rows_equal_single_rows(draw, lo, width):
 def test_identity_check_fires_on_every_row(text, field, first_bad):
     # c2 shifts eps2 on every row; D shifts it from nu = 1 on
     for lad in branch_report(text).bn.ladders:
-        bad = replace(lad, **{field: getattr(lad, field) + 1})
+        bad = lad._replace(**{field: getattr(lad, field) + 1})
         stepped = bad.rows(0, first_bad + 3)
         assert [next(stepped) for _ in range(first_bad)] == [lad.row(nu) for nu in range(first_bad)]
         with pytest.raises(AssertionError):
