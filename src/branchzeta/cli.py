@@ -441,14 +441,8 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
                 "lambdas": [str(v) for v in fam.lambdas],
                 "base": _poly_dict(fam.base),
                 "terms": [
-                    {
-                        "parameter": t.parameter,
-                        "level": t.level,
-                        "exponents": list(t.exponents),
-                        "weight": t.weight,
-                        "monomial": _poly_dict(t.monomial),
-                        "coefficient": None if t.coefficient is None else str(t.coefficient),
-                    }
+                    {**t._asdict(), "monomial": _poly_dict(t.monomial),
+                     "coefficient": None if t.coefficient is None else str(t.coefficient)}
                     for t in fam.terms
                 ],
                 "fiber": None if fiber is None else _poly_dict(fiber),
@@ -524,20 +518,19 @@ def _lambdas(text: str) -> list[Fraction]:
     return [_rational(v, _MAX_DIGITS * 10 // 3 + 1) for v in text.split(",")] if text else []
 
 
-_VALUE_FLAGS = {"--alpha", "--beta", "--lambda", "--n", "--m", "--nu-max",
-                "--cutoff", "--seed", "--tol", "--rel-tol", "--lambdas"}
-
-
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ["--alpha", "-3/5"] as ["--alpha=-3/5"].
 
-    argparse treats a bare "-3/5" as an option string, so spaced negative
-    values for known value flags are merged into the = form.
+    argparse treats a bare "-3/5" as an option string, so a spaced negative
+    number after any long flag without "=" is merged into the = form; a flag
+    that takes no value (--deform) then refuses it, as argparse refuses the
+    spaced form.
     """
     out, i = [], 0
     while i < len(argv):
         tok, nxt = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
-        merge = tok in _VALUE_FLAGS and nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == ".")
+        merge = (tok[:2] == "--" and len(tok) > 2 and "=" not in tok and nxt[:1] == "-"
+                 and (nxt[1:2].isdigit() or nxt[1:2] == "."))
         out.append(f"{tok}={nxt}" if merge else tok)
         i += 1 + merge
     return out
@@ -589,7 +582,7 @@ def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
     except (_SyntaxError, ArithmeticError, DomainError) as exc:
-        # a number Fraction or float cannot convert (1/0, 1e400), or too long to build
+        # a number float cannot convert (1e400), or too long to build
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -11,8 +11,9 @@ Three constructions, all exact over the rationals:
   each recursion level the canonical exponent vectors whose weight lies
   strictly above the level weight and at most a cutoff.
 
-Polynomials are kept sparse as exponent-vector -> Fraction maps with a
-graded-lexicographic canonical order used for printing and JSON output.
+Polynomials are kept sparse as exponent-vector -> rational maps (an int
+where the value is integral, else a Fraction) with a graded-lexicographic
+canonical order used for printing and JSON output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 from .branch import BranchNumerics, canonical_representation
-from .errors import InvalidCutoff, ZeroLambda
+from .errors import IndexOutOfRange, InvalidCutoff, ZeroLambda
 
 
 def _accumulate(pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
@@ -43,7 +44,8 @@ class SparsePoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Terms map exponent tuples (one entry per variable) to nonzero
-    Fractions; zero coefficients are dropped on construction so equality
+    rationals: a coefficient of type int is kept, any other is converted to
+    a Fraction.  Zero coefficients are dropped on construction so equality
     is plain dict equality.
     """
 
@@ -52,13 +54,14 @@ class SparsePoly:
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], object] = ()):
         self.variables = tuple(variables)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        pairs = [(tuple(int(e) for e in exps), Fraction(c)) for exps, c in items]
+        pairs = [(tuple(int(e) for e in exps), c if type(c) is int else Fraction(c))
+                 for exps, c in items]
         assert all(len(e) == len(self.variables) and min(e, default=0) >= 0 for e, _ in pairs)
         self.terms = _accumulate(pairs)
 
     @classmethod
     def _from_clean(cls, variables: tuple[str, ...], terms: dict) -> "SparsePoly":
-        # terms already well formed (exponent tuples, nonzero Fractions)
+        # terms already well formed (exponent tuples, nonzero ints or Fractions)
         p = cls.__new__(cls)
         p.variables, p.terms = variables, terms
         return p
@@ -69,7 +72,7 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: Sequence[int], coeff=1) -> "SparsePoly":
-        return cls(variables, {tuple(exps): Fraction(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "SparsePoly":
@@ -198,11 +201,8 @@ def monomial_curve_equations(bn: BranchNumerics) -> list[SparsePoly]:
     for i in range(1, bn.g + 1):
         lead = [0] * (bn.g + 1)
         lead[i] = bn.nn[i]
-        rep = _canonical_exponents(bn, i)
-        tail = list(rep) + [0] * (bn.g + 1 - i)
-        out.append(
-            SparsePoly.monomial(names, lead) - SparsePoly.monomial(names, tail)
-        )
+        tail = _canonical_exponents(bn, i) + (0,) * (bn.g + 1 - i)
+        out.append(SparsePoly(names, {tuple(lead): 1, tail: -1}))
     return out
 
 
@@ -238,7 +238,7 @@ def _plane_recursion(
 
 def plane_equation(bn: BranchNumerics) -> SparsePoly:
     """Canonical plane equation; lowest-degree part at the origin is y^n."""
-    return _plane_recursion(bn, [Fraction(1)] * bn.g)[-1]
+    return _plane_recursion(bn, [1] * bn.g)[-1]
 
 
 def weight_of_monomial(bn: BranchNumerics, ks: Sequence[int]) -> int:
@@ -268,25 +268,27 @@ class DeformationFamily(namedtuple("DeformationFamily", "bn base terms lambdas w
 
     __slots__ = ()
 
-    def instantiate(self, values: Mapping = ()) -> SparsePoly:
+    def instantiate(self, values: Mapping | Iterable = ()) -> SparsePoly:
         """Plane equation of the fiber with the given coefficients.
 
-        Each term's coefficient comes from its stored value, or else from
-        `values` keyed by (level, exponents) or plain exponents; missing
-        entries default to zero.  The recursion is rerun so deformation
-        terms at level i feed the later levels, matching the family's
-        definition rather than a first-order truncation.
+        values, a mapping or (key, value) pairs, gives the coefficients of
+        the symbolic terms keyed by exponent vector (k_0, .., k_level); a
+        symbolic term it omits gets zero, a stored coefficient is kept, and
+        a key that is no term's exponent vector raises IndexOutOfRange.
+        The recursion is rerun so deformation terms at level i feed the
+        later levels, matching the family's definition rather than a
+        first-order truncation.
         """
-        values = dict(values.items()) if isinstance(values, Mapping) else dict(values)
-        by_level: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+        values = dict(values)
+        by_level: dict[int, list[tuple[tuple[int, ...], object]]] = {}
         for t in self.terms:
-            coeff = t.coefficient
-            if coeff is None:
-                raw = values.get((t.level, t.exponents), values.get(t.exponents, 0))
-                coeff = Fraction(raw)
+            given = values.pop(t.exponents, 0)
+            coeff = given if t.coefficient is None else t.coefficient
             if coeff:
                 by_level.setdefault(t.level, []).append((t.exponents, coeff))
-        return _plane_recursion(self.bn, [Fraction(1), *self.lambdas], by_level)[-1]
+        if values:
+            raise IndexOutOfRange(f"no term has the exponents {', '.join(map(str, values))}")
+        return _plane_recursion(self.bn, [1, *self.lambdas], by_level)[-1]
 
 
 def _draw_coefficient(rng: random.Random) -> Fraction:
@@ -308,8 +310,8 @@ def deformation_family(
     0 <= k_l < n_l for l >= 1 and level weight n_i*betabar_i < weight <=
     weight_cutoff.  The cutoff defaults to n_g*betabar_g plus the
     conductor.  coefficient_source selects the coefficients: None keeps
-    them symbolic, an integer seeds a generator of nonzero rationals, and
-    a mapping supplies explicit values keyed like instantiate()'s.
+    them symbolic (explicit values then go to instantiate()), and an int
+    seeds a generator of nonzero rationals.
     """
     top = max(bn.nn[i] * bn.gens[i] for i in range(1, bn.g + 1))
     if weight_cutoff is None:
@@ -318,7 +320,7 @@ def deformation_family(
         raise InvalidCutoff(f"cutoff {weight_cutoff} below top level weight {top}")
 
     if lambdas is None:
-        lams = [Fraction(1)] * max(bn.g - 1, 0)
+        lams = [1] * max(bn.g - 1, 0)
     else:
         lams = [Fraction(v) for v in lambdas]
         if len(lams) != bn.g - 1:
@@ -329,15 +331,12 @@ def deformation_family(
         raise ZeroLambda("lambda values must be nonzero")
 
     rng = None
-    explicit: Mapping | None = None
     if isinstance(coefficient_source, int) and not isinstance(coefficient_source, bool):
         rng = random.Random(coefficient_source)
-    elif isinstance(coefficient_source, Mapping):
-        explicit = coefficient_source
     elif coefficient_source is not None:
-        raise TypeError("coefficient_source must be None, an int seed, or a mapping")
+        raise TypeError("coefficient_source must be None or an int seed")
 
-    base_fs = _plane_recursion(bn, [Fraction(1), *lams])
+    base_fs = _plane_recursion(bn, [1, *lams])
 
     terms: list[DeformationTerm] = []
     for i in range(1, bn.g + 1):
@@ -352,12 +351,7 @@ def deformation_family(
         found.sort()
         for weight, exps in found:
             mono = _product(base_fs, exps)
-            if rng is not None:
-                coeff = _draw_coefficient(rng)
-            elif explicit is not None:
-                coeff = Fraction(explicit.get((i, exps), explicit.get(exps, 0)))
-            else:
-                coeff = None
+            coeff = None if rng is None else _draw_coefficient(rng)
             label = f"t^({i})_({','.join(map(str, exps))})"
             terms.append(DeformationTerm(label, i, exps, weight, mono, coeff))
 

@@ -152,14 +152,18 @@ def gamma_pair(u, v) -> MeromorphicValue:
 
 def _rational(x, max_bits: int = _MAX_BITS) -> Fraction:
     """Fraction(x); text is sized first, at 10/3 bits a digit and an exponent
-    counted as its value (9 digits of it pass), and refused over max_bits."""
+    counted as its value (9 digits of it pass), and refused over max_bits.
+    A zero denominator, as in "1/0", raises ValueError."""
     if isinstance(x, str):
         mantissa, _, exp = x.lower().partition("e")
         exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")[:9]
         digits = len(mantissa) + (int(exp) if exp.isdecimal() else 0)
         if 10 * digits > 3 * max_bits:
             raise DomainError(f"about {digits} digits, over the bound of {max_bits} bits")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 class RnmParams(namedtuple("RnmParams", "alpha n beta m lam")):

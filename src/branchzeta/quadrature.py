@@ -185,46 +185,34 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
     # each refinement region at level k: a bound on the part it still
     # neglects (all constants are crude upper envelopes) and the panels that
     # take it to level k + 1
-    def inner_bound(k: int) -> float:
+    def inner(k: int) -> tuple[float, list[tuple]]:
         # |s^beta (1-re^{it})^m| <= cw on r <= 1/2
         r_in = d * 2.0**-k
         cw = (1.0 - r_in) ** w if w < 0 else (1.0 + r_in) ** w
-        return math.pi * cw * r_in ** (p0 + 1.0) / (p0 + 1.0)
+        return (math.pi * cw * r_in ** (p0 + 1.0) / (p0 + 1.0),
+                [(0.0, r_in / 2.0, r_in, 0.0, math.pi, 2)])
 
-    def inner_panels(k: int) -> list[tuple]:
-        r_in = d * 2.0**-k
-        return [(0.0, r_in / 2.0, r_in, 0.0, math.pi, 2)]
-
-    def core_bound(k: int) -> float:
-        h = d * 2.0**-k
-        cr = max((1.0 - d) ** p0, (1.0 + d) ** p0)
-        cw = math.sqrt(2.0 / math.pi**2) if w < 0 else 2.0
-        return cr * cw**w * 4.0 * h ** (w + 2.0) / (w + 2.0)
-
-    def shell_panels(k: int) -> list[tuple]:
+    def core(k: int) -> tuple[float, list[tuple]]:
         # one L-infinity dyadic shell around (1, 0), in local coordinates
         h = d * 2.0**-k
         hh = h / 2.0
-        return [(1.0, -h, -hh, 0.0, h, 2), (1.0, hh, h, 0.0, h, 2), (1.0, -hh, hh, hh, h, 2)]
+        cr = max((1.0 - d) ** p0, (1.0 + d) ** p0)
+        cw = math.sqrt(2.0 / math.pi**2) if w < 0 else 2.0
+        return (cr * cw**w * 4.0 * h ** (w + 2.0) / (w + 2.0),
+                [(1.0, -h, -hh, 0.0, h, 2), (1.0, hh, h, 0.0, h, 2), (1.0, -hh, hh, hh, h, 2)])
 
-    def tail_bound(k: int) -> float:
-        c = 2.0 ** (2.0 * abs(beta)) * 2.0 ** abs(m)
-        return math.pi * c * (r_lo * 2.0**k) ** (pt + 1.0) / (-(pt + 1.0))
-
-    def tail_panels(k: int) -> list[tuple]:
+    def tail(k: int) -> tuple[float, list[tuple]]:
         r = r_lo * 2.0**k
-        return [(0.0, r, 2.0 * r, 0.0, math.pi, 2)]
+        c = 2.0 ** (2.0 * abs(beta)) * 2.0 ** abs(m)
+        return math.pi * c * r ** (pt + 1.0) / (-(pt + 1.0)), [(0.0, r, 2.0 * r, 0.0, math.pi, 2)]
 
-    regions = (  # (bound, panels, budget spent at level k, message)
-        (inner_bound, inner_panels, lambda k: k > _MAX_SUBDIVISIONS,
-         "inner grading budget exhausted"),
-        (core_bound, shell_panels, lambda k: k > _MAX_SUBDIVISIONS,
-         "singular-shell budget exhausted"),
-        (tail_bound, tail_panels, lambda k: r_lo * 2.0**k > 1e60,
-         "tail decays too slowly to certify"),
+    regions = (  # (region, budget spent at level k, message)
+        (inner, lambda k: k > _MAX_SUBDIVISIONS, "inner grading budget exhausted"),
+        (core, lambda k: k > _MAX_SUBDIVISIONS, "singular-shell budget exhausted"),
+        (tail, lambda k: r_lo * 2.0**k > 1e60, "tail decays too slowly to certify"),
     )
     for k in range(8):
-        mesh += inner_panels(k) + shell_panels(k)
+        mesh += inner(k)[1] + core(k)[1]
     levels = [8, 8, 0]  # inner disk, singular shells, tail
     pieces = _panels(f, mesh)
 
@@ -235,9 +223,9 @@ def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
         tol = eps_frac * scale
         before = list(levels)
         mesh = []
-        for j, (bound, panels, exhausted, message) in enumerate(regions):
-            while bound(levels[j]) >= tol:
-                mesh += panels(levels[j])
+        for j, (region, exhausted, message) in enumerate(regions):
+            while (step := region(levels[j]))[0] >= tol:
+                mesh += step[1]
                 levels[j] += 1
                 if exhausted(levels[j]):
                     raise ConvergenceFailure(message, list(levels))

@@ -339,6 +339,7 @@ class TestNumberFlags:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert "Fraction(" not in err
 
     @pytest.mark.parametrize("argv", [
         "residue --alpha 1e308 --n 0 --beta -1/3 --m 0",
@@ -768,6 +769,14 @@ class TestPlumbing:
         ]
         assert _merge_negative_values(["--alpha", "--n"]) == ["--alpha", "--n"]
         assert _merge_negative_values(["analyze", "4,9"]) == ["analyze", "4,9"]
+
+    def test_negative_value_merges_after_any_long_flag(self, capsys):
+        # every long flag merges; --deform, which takes no value, then refuses the merged form
+        assert _merge_negative_values(["--deform", "-5", "--", "-5"]) == ["--deform=-5", "--", "-5"]
+        assert _merge_negative_values(["--cutoff", "-5"]) == ["--cutoff=-5"]
+        rc, out, err = run(capsys, "generate", "4,9", "--deform", "-5")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "4,9", "--format", "json"],

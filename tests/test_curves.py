@@ -16,7 +16,7 @@ from branchzeta.curves import (
     plane_equation,
     weight_of_monomial,
 )
-from branchzeta.errors import InvalidCutoff, ZeroLambda
+from branchzeta.errors import IndexOutOfRange, InvalidCutoff, ZeroLambda
 
 B49 = derive_numerics(CharSeq(4, (9,)))
 B4613 = derive_numerics(CharSeq(4, (6, 7)))
@@ -138,6 +138,21 @@ class TestWeights:
         assert weight_of_monomial(B4613, (0, 0, 2)) == 26 == B4613.nn[2] * B4613.gens[2]
 
 
+class TestIntegralCoefficients:
+    def test_int_kept_other_types_converted(self):
+        p = SparsePoly(("x", "y"), {(1, 0): 2, (0, 1): True, (1, 1): Fraction(4, 2), (2, 0): 0.5})
+        assert [type(c) for c in p.terms.values()] == [int, Fraction, Fraction, Fraction]
+        assert p.terms == {(1, 0): 2, (0, 1): 1, (1, 1): 2, (2, 0): Fraction(1, 2)}
+
+    def test_plane_recursion_stays_in_ints(self):
+        fam = deformation_family(B4613)
+        for f in (plane_equation(B4613), *monomial_curve_equations(B4613), fam.base,
+                  fam.instantiate({(2, 1): 3}), *(t.monomial for t in fam.terms)):
+            assert {type(c) for c in f.terms.values()} == {int}, f
+        half = fam.instantiate({(2, 1): Fraction(1, 2)})
+        assert Fraction in {type(c) for c in half.terms.values()}
+
+
 class TestDeformationFamily:
     def test_enumeration_golden_4_9(self):
         fam = deformation_family(B49, weight_cutoff=38)
@@ -155,9 +170,21 @@ class TestDeformationFamily:
         fam = deformation_family(B49)
         fiber = fam.instantiate({(5, 2): 1})
         assert fiber == SparsePoly(("x", "y"), {(0, 4): 1, (9, 0): -1, (5, 2): 1})
-        # (level, exponents) keys take precedence over bare exponents
-        assert fam.instantiate({(1, (5, 2)): 1}) == fiber
+        # values are keyed by exponent vector alone: a (level, exponents) key names no term
+        with pytest.raises(IndexOutOfRange, match=r"\(1, \(5, 2\)\)"):
+            fam.instantiate({(1, (5, 2)): 1})
         assert fam.instantiate() == fam.base == plane_equation(B49)
+
+    def test_instantiate_keys_are_exponent_vectors_of_terms(self):
+        fam = deformation_family(B4613)
+        fiber = fam.instantiate({(2, 1): 1})
+        assert fam.instantiate([((2, 1), 1)]) == fiber  # pairs read as a mapping
+        # (0, 0) has the length of a level-1 vector, but its weight names no term
+        with pytest.raises(IndexOutOfRange, match=r"\(0, 0\)"):
+            fam.instantiate({(2, 1): 1, (0, 0): 1})
+        seeded = deformation_family(B4613, coefficient_source=3)
+        # a term's stored coefficient is kept; its key is still a known one
+        assert seeded.instantiate({t.exponents: 5 for t in seeded.terms}) == seeded.instantiate()
 
     def test_enumeration_matches_brute_force(self):
         fam = deformation_family(B49, weight_cutoff=60)
@@ -187,10 +214,10 @@ class TestDeformationFamily:
 
     def test_cross_level_instantiation(self):
         # a level-1 term must enter the level-2 square, not be appended
-        fam = deformation_family(B4613, coefficient_source={(1, (2, 1)): 1})
+        fam = deformation_family(B4613)
         x, y = sp.symbols("x y")
         want = sp.expand((y**2 - x**3 + x**2 * y) ** 2 - x**5 * y)
-        assert to_sympy(fam.instantiate()) == want
+        assert to_sympy(fam.instantiate({(2, 1): 1})) == want
 
     def test_seeded_coefficients_deterministic(self):
         f1 = deformation_family(B4613, coefficient_source=11)
@@ -221,3 +248,6 @@ class TestDeformationFamily:
     def test_bad_source_type(self):
         with pytest.raises(TypeError):
             deformation_family(B49, coefficient_source="seed")
+        # explicit values go to instantiate(), not to the family
+        with pytest.raises(TypeError):
+            deformation_family(B49, coefficient_source={(5, 2): 1})

@@ -327,6 +327,12 @@ class TestVanishing:
 
         assert abs(radial_mass(1, Fraction(-1, 4), 1.0) - 2 * math.pi / 2.5) <= 1e-14
 
+    @pytest.mark.parametrize("n,alpha", [(0, Fraction(-1)), (1, Fraction(-3, 2)), (-4, 1)])
+    def test_radial_mass_diverges(self, n, alpha):
+        # 2*alpha + n + 2 <= 0: the integral of r^{2 alpha + n + 1} diverges at 0
+        with pytest.raises(DomainError, match="radial mass diverges"):
+            radial_mass(n, alpha, 1.0)
+
     def test_rejects_n_zero(self):
         with pytest.raises(DomainError):
             vanishing_integral_check(0, Fraction(-1, 4), 1.0)
