@@ -26,7 +26,7 @@ _PUBLIC = {
     "poles": (
         "BranchReport", "CandidatePole", "EigenvalueAnalysis", "ExponentMultiset",
         "PoleStatus", "Resonance", "branch_report", "candidate_pole", "eigenvalue_analysis",
-        "log_canonical_threshold", "pi_multisets", "residue_numbers", "yano_multiset",
+        "log_canonical_threshold", "pi_multisets", "yano_multiset",
     ),
     "toric": (
         "DivisorNumerics", "ToricStep", "bell_polynomial", "divisor_numerics",

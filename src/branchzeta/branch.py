@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import InvalidCharSeq, NotInSemigroup, NotPlaneBranchSemigroup
+from .errors import InvalidCharSeq, NotInSemigroup, NotPlaneBranchSemigroup, exact_int
 
 
 class CharSeq(namedtuple("CharSeq", "n betas")):
@@ -28,8 +28,7 @@ class CharSeq(namedtuple("CharSeq", "n betas")):
     __slots__ = ()
 
     def __new__(cls, n, betas):
-        betas = tuple(int(b) for b in betas)
-        n = int(n)
+        n, betas = exact_int(n), tuple(map(exact_int, betas))
         if n < 2:
             raise InvalidCharSeq(f"multiplicity n = {n} must be >= 2")
         if len(betas) < 1:
@@ -85,12 +84,11 @@ class PlaneSemigroup(namedtuple("PlaneSemigroup", "gens")):
     __slots__ = ()
 
     def __new__(cls, gens):
-        gens = tuple(int(v) for v in gens)
         report = validate_plane_semigroup(gens)
         if not report.ok:
             bad = report.first_failure()
             raise NotPlaneBranchSemigroup(f"{bad.name}: {bad.detail}", report.conditions)
-        return super().__new__(cls, gens)
+        return super().__new__(cls, report.gens)
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
@@ -190,16 +188,7 @@ def derive_numerics(cs: CharSeq) -> BranchNumerics:
         assert cs.betas[i - 1] * e[i - 1] + tail == e[i - 1] * gens[i], "Yano's R_i is not N_i"
         tail += cs.betas[i - 1] * (e[i - 1] - e[i])
 
-    return BranchNumerics(
-        cs=cs,
-        gens=tuple(gens),
-        e=tuple(e),
-        nn=tuple(nn),
-        mm=tuple(mm),
-        qq=tuple(qq),
-        mbar=tuple(mbar),
-        conductor=conductor,
-    )
+    return BranchNumerics(cs, *map(tuple, (gens, e, nn, mm, qq, mbar)), conductor)
 
 
 def _apery(gens: tuple[int, ...]) -> tuple[list, list[int]]:
@@ -232,7 +221,9 @@ def membership(gens, s: int) -> tuple[bool, tuple[int, ...] | None]:
     Returns (True, representation) with representation k such that
     s = sum k_l * gens[l], or (False, None).
     """
-    gens = tuple(int(v) for v in gens)
+    gens = tuple(map(exact_int, gens))
+    if not gens or min(gens) <= 0:
+        raise ValueError(f"need positive generators, got {gens}")
     if s < 0:
         return False, None
     ap, last = _apery(gens)
@@ -258,7 +249,7 @@ def validate_plane_semigroup(gens) -> ValidationReport:
     and n_i betabar_i < betabar_{i+1}.  Failures are report content, never
     exceptions.
     """
-    gens = tuple(int(v) for v in gens)
+    gens = tuple(map(exact_int, gens))
     checks: list[ConditionCheck] = []
 
     structural = True
@@ -401,6 +392,8 @@ def random_charseq(rng, max_n: int = 12, max_beta: int = 400) -> CharSeq:
     pick reduced exponents m_i coprime to n_i with m_1 > n_1 and
     m_i > n_i m_{i-1}, so beta_i = e_i m_i increases and keeps the gcd chain.
     """
+    if max_n < 2 or max_beta < 3:  # the least sequence is (2,3)
+        raise ValueError(f"no characteristic sequence has n <= {max_n} and beta_1 <= {max_beta}")
     while True:
         n = rng.randint(2, max_n)
         factors = []
@@ -415,18 +408,16 @@ def random_charseq(rng, max_n: int = 12, max_beta: int = 400) -> CharSeq:
             e.append(e[-1] // d)
         betas: list[int] = []
         ms: list[int] = []
-        ok = True
         for i, ni in enumerate(factors, start=1):
             lo = ni + 1 if i == 1 else ni * ms[-1] + 1
             hi = max_beta // e[i]
             cands = [m for m in range(lo, hi + 1) if math.gcd(m, ni) == 1]
             if not cands:
-                ok = False
-                break
+                break  # draw again
             m = rng.choice(cands)
             ms.append(m)
             betas.append(e[i] * m)
-        if ok:
+        else:
             return CharSeq(n, tuple(betas))
 
 

@@ -64,7 +64,7 @@ def combinatorics_rows(cases=COMBINATORIC_CASES) -> Iterator[tuple]:
         same = rep.pi_merged == rep.yano
         yield _exact(f"pi-vs-yano({text})", "equal", "equal" if same else "differ")
         # (t, eps1 numerator, eps2 numerator, dead end excludes + 2 * previous level excludes)
-        ladders = [(lad, list(lad.rows(0, hi, range(4))))
+        ladders = [(lad, list(lad.rows(0, hi)))
                    for lad, hi in zip(bn.ladders, rep.ladder_lengths)]
         # each ladder's least kept pole value t/N comes first in t
         yield _exact(f"lct-min-pole({text})", rep.lct, min(

@@ -19,9 +19,10 @@ Output conventions, kept byte-stable for golden tests:
   write, 512 lines to a write; TSV and text lines are generated as they are
   written.  The parser is built once per process, and main reads the
   command function off the module when it runs.
-* analyze writes its candidates in every format from one loop over the
-  integer ladders, _candidate_cells; text writes each Pi and Yano line from
-  the counts, so it keeps no exponent text.
+* analyze writes its candidates in every format, TSV and text lines and
+  JSON records, from the cells of one loop over the integer ladders,
+  _candidate_cells; text writes each Pi and Yano line from the counts, so
+  it keeps no exponent text.
 
 At module level this file imports only the standard library and `errors`.
 Each command imports the layers it runs in its own body and calls them as
@@ -171,35 +172,27 @@ def _poly_dict(p) -> dict:
 
 
 # a candidate record's keys in row order, which the TSV header and the text
-# heading read; its TSV line is made from its cells, its text line from its record
+# heading read; its TSV line, text line and JSON record are made from its cells
 _CANDIDATE_FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
 _CANDIDATE_TSV = "%d\t%d\t%d%s\t%d%s\t%d%s\t%d%s\t%s"
-_CANDIDATE_TEXT = "  %(i)12s %(nu)12s %(sigma)12s %(eps1)12s %(eps2)12s %(eps3)12s  %(status)s"
+_CANDIDATE_TEXT = "  %12d %12d %12s %12s %12s %12s  %s"
 
 
 def _candidate_cells(rep) -> Iterator[tuple]:
     """The cells of every candidate, ladder by ladder, from one Ladder.rows
     pass per ladder with four gcds a row and no Fraction: i, nu, the
     numerator and "/d" text (_DEN_TEXT) of sigma = -t/N, eps1, eps2 and
-    eps3 = -t/(n mbar) in lowest terms, and the status text."""
+    eps3 = -t/(n mbar) in lowest terms, and the status text of the row's code."""
     from .poles import PoleStatus
 
     status_text, den = tuple(s.value for s in PoleStatus), _DEN_TEXT
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
         i, N, n, mbar = lad.i, lad.N, lad.n, lad.mbar
         nm = n * mbar
-        for nu, (t, e1, e2, status) in enumerate(lad.rows(0, hi, status_text)):
+        for nu, (t, e1, e2, code) in enumerate(lad.rows(0, hi)):
             g, g1, g2, h = gcd(t, N), gcd(e1, n), gcd(e2, mbar), gcd(t, nm)
             yield (i, nu, -t // g, den[N // g], e1 // g1, den[n // g1], e2 // g2,
-                   den[mbar // g2], -t // h, den[nm // h], status)
-
-
-def _candidate_records(rep) -> Iterator[dict]:
-    """The JSON record of every candidate, one dict display of its cells."""
-    return ({"i": i, "nu": nu, "sigma": f"{sigma}{sigma_den}", "eps1": f"{eps1}{eps1_den}",
-             "eps2": f"{eps2}{eps2_den}", "eps3": f"{eps3}{eps3_den}", "status": status}
-            for i, nu, sigma, sigma_den, eps1, eps1_den, eps2, eps2_den, eps3, eps3_den, status
-            in _candidate_cells(rep))
+                   den[mbar // g2], -t // h, den[nm // h], status_text[code])
 
 
 def report_to_dict(rep) -> dict:
@@ -235,7 +228,11 @@ def report_to_dict(rep) -> dict:
         "lct": str(rep.lct),
         "toric_steps": [s._asdict() for s in rep.bn.steps],
         "divisors": [d._asdict() for d in rep.divisors],
-        "candidates": list(_candidate_records(rep)),
+        "candidates": [
+            {"i": i, "nu": nu, "sigma": f"{s}{sd}", "eps1": f"{e1}{d1}", "eps2": f"{e2}{d2}",
+             "eps3": f"{e3}{d3}", "status": st}
+            for i, nu, s, sd, e1, d1, e2, d2, e3, d3, st in _candidate_cells(rep)
+        ],
         "pi": pi_records,
         "pi_levels": list(map(records, rep.pi_sets)),
         "yano": records(rep.yano),
@@ -281,7 +278,8 @@ def _analyze_text(rep) -> Iterator[str]:
             f" deadend N={d.N_deadend} k+1={d.k_deadend_plus1}"
         )
     yield f"candidates ({', '.join(_CANDIDATE_FIELDS)}):"
-    yield from map(_CANDIDATE_TEXT.__mod__, _candidate_records(rep))
+    for i, nu, s, sd, e1, d1, e2, d2, e3, d3, st in _candidate_cells(rep):
+        yield _CANDIDATE_TEXT % (i, nu, f"{s}{sd}", f"{e1}{d1}", f"{e2}{d2}", f"{e3}{d3}", st)
     for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
                      ("yano:", rep.yano)):
         yield head

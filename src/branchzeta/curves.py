@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 from .branch import BranchNumerics, canonical_representation
-from .errors import IndexOutOfRange, InvalidCutoff, ZeroLambda
+from .errors import IndexOutOfRange, InvalidCutoff, ZeroLambda, exact_int
 
 
 def _accumulate(pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
@@ -54,7 +54,7 @@ class SparsePoly:
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], object] = ()):
         self.variables = tuple(variables)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        pairs = [(tuple(int(e) for e in exps), c if type(c) is int else Fraction(c))
+        pairs = [(tuple(map(exact_int, exps)), c if type(c) is int else Fraction(c))
                  for exps, c in items]
         assert all(len(e) == len(self.variables) and min(e, default=0) >= 0 for e, _ in pairs)
         self.terms = _accumulate(pairs)
@@ -243,7 +243,7 @@ def plane_equation(bn: BranchNumerics) -> SparsePoly:
 
 def weight_of_monomial(bn: BranchNumerics, ks: Sequence[int]) -> int:
     """Weighted degree sum(betabar_l * k_l) of an exponent vector."""
-    ks = tuple(int(k) for k in ks)
+    ks = tuple(map(exact_int, ks))
     assert len(ks) <= bn.g + 1
     assert all(k >= 0 for k in ks)
     return sum(bn.gens[l] * k for l, k in enumerate(ks))

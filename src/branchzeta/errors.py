@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all branchzeta modules."""
+"""Exception hierarchy shared by all branchzeta modules, and exact_int."""
+
+
+def exact_int(value) -> int:
+    """int(value), or ValueError naming value where int() would change it
+    (1.5, Fraction(3, 2)); a str and an integral float still convert."""
+    if (k := int(value)) != value and not isinstance(value, (str, bytes)):
+        raise ValueError(f"{value} is not an integer")
+    return k
 
 
 class BranchZetaError(Exception):

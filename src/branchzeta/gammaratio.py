@@ -25,7 +25,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError, PreconditionViolated
+from .errors import DomainError, PreconditionViolated, exact_int
 
 # Bound on the exact integers of one evaluation, in bits, counted before any
 # is formed; at the bound an evaluation takes up to 0.1 s on a 2-core VM.
@@ -181,7 +181,7 @@ class RnmParams(namedtuple("RnmParams", "alpha n beta m lam")):
         alpha, beta, z = _rational(alpha), _rational(beta), complex(lam)
         if z == 0 or not math.isfinite(math.hypot(z.real, z.imag)):
             raise DomainError("lambda must be finite and nonzero")
-        return super().__new__(cls, alpha, int(n), beta, int(m), lam)
+        return super().__new__(cls, alpha, exact_int(n), beta, exact_int(m), lam)
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 

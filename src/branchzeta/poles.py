@@ -10,7 +10,7 @@ b-exponents -sigma, form the sets Pi_i; Yano's multiset is read off the
 same divisors, rupture blocks minus dead-end blocks.  All of it is integer
 arithmetic on one Ladder record per rupture index, which holds both divisors
 of its step, over one denominator, BranchNumerics.den = lcm(N_i); exact
-Fractions are built only when a result is read.  No floats.
+Fractions are built only for a result that is reported.  No floats.
 """
 
 from __future__ import annotations
@@ -59,39 +59,33 @@ class Ladder(namedtuple("Ladder", "i r N n mbar e a D c2")):
                    bn.mbar[i], bn.e[i], st.a, st.c * prev + st.d,
                    bn.mm[i - 1] - prev + bn.nprod(1, i - 1) - bn.mbar[i])
 
-    def rows(self, start: int, stop: int, statuses: tuple = _STATUS) -> Iterator[tuple]:
-        """(t, eps1 numerator, eps2 numerator, status) for start <= nu < stop,
+    def rows(self, start: int, stop: int) -> Iterator[tuple[int, int, int, int]]:
+        """(t, eps1 numerator, eps2 numerator, code) for start <= nu < stop,
         each numerator stepped by its constant increment, after checking
         eps1 + eps2 + eps3 + nu + 2 = 0 as e1 mbar + e2 n - t + (nu + 2) n mbar = 0
-        on every row.  The status is statuses[dead end excludes + 2 * previous
-        level excludes]; the default gives the PoleStatus."""
+        on every row.  code = (dead end excludes) + 2 * (previous level
+        excludes), the index of its PoleStatus in _STATUS."""
         n, mbar, a, D = self.n, self.mbar, self.a, self.D
         nm = n * mbar
         t, e1, e2, w = self.r + start, 1 - n - a * start, self.c2 - D * start, (start + 2) * nm
         for _ in range(start, stop):
             assert e1 * mbar + e2 * n - t + w == 0
-            yield t, e1, e2, statuses[(t % n == 0) + 2 * (t % mbar == 0)]
+            yield t, e1, e2, (t % n == 0) + 2 * (t % mbar == 0)
             t += 1
             e1 -= a
             e2 -= D
             w += nm
 
-    def row(self, nu: int) -> tuple[int, int, int, PoleStatus]:
+    def row(self, nu: int) -> tuple[int, int, int, int]:
         """The row of rows() at shift nu."""
         return next(self.rows(nu, nu + 1))
 
 
-class CandidatePole(namedtuple("CandidatePole", "ladder nu")):
-    """One candidate; its exact values are built from the integers when read.
-    No __slots__: _row is cached in the instance __dict__."""
+class CandidatePole(namedtuple("CandidatePole", "i nu sigma eps1 eps2 eps3 status")):
+    """One candidate's exact values, sigma = -t/N, eps1, eps2 and
+    eps3 = e sigma = -t/(n mbar), and its PoleStatus."""
 
-    _row = cached_property(lambda self: self.ladder.row(self.nu))  # read once per candidate
-    i = property(lambda self: self.ladder.i)
-    sigma = property(lambda self: Fraction(-self.ladder.r - self.nu, self.ladder.N))
-    eps1 = property(lambda self: Fraction(self._row[1], self.ladder.n))
-    eps2 = property(lambda self: Fraction(self._row[2], self.ladder.mbar))
-    eps3 = property(lambda self: self.ladder.e * self.sigma)
-    status = property(lambda self: self._row[3])
+    __slots__ = ()
 
 
 class ExponentMultiset:
@@ -139,17 +133,15 @@ class ExponentMultiset:
                 == {k * b: m for k, m in other.counts.items()})
 
 
-def residue_numbers(bn: BranchNumerics, i: int, nu: int) -> tuple[Fraction, Fraction]:
-    """The residue numbers (eps_{1,nu}, eps_{2,nu}) at rupture index i."""
-    cand = candidate_pole(bn, i, nu)
-    return cand.eps1, cand.eps2
-
-
 def candidate_pole(bn: BranchNumerics, i: int, nu: int) -> CandidatePole:
-    """The candidate at rupture index i and shift nu, with its exclusion status."""
+    """The candidate at rupture index i and shift nu, with its exclusion status,
+    built from the ladder's row at nu."""
     if not (1 <= i <= bn.g) or nu < 0:
         raise IndexOutOfRange(f"need 1 <= i <= {bn.g} and nu >= 0, got i={i}, nu={nu}")
-    return CandidatePole(bn.ladders[i - 1], nu)
+    lad = bn.ladders[i - 1]
+    t, e1, e2, code = lad.row(nu)
+    return CandidatePole(i, nu, Fraction(-t, lad.N), Fraction(e1, lad.n), Fraction(e2, lad.mbar),
+                         Fraction(-t, lad.n * lad.mbar), _STATUS[code])
 
 
 def _numerators(den: int, start: int, count: int, q: int) -> range:
@@ -242,7 +234,7 @@ def _resonances(bn: BranchNumerics, ends: tuple[int, ...]) -> tuple[Resonance, .
     hits = Counter(chain.from_iterable(tops))
     return tuple(
         Resonance(Fraction(-key, bn.den), tuple(
-            (lad.i, key // top.step - lad.r, lad.row(key // top.step - lad.r)[3])
+            (lad.i, key // top.step - lad.r, _STATUS[lad.row(key // top.step - lad.r)[3]])
             for lad, top in zip(bn.ladders, tops) if key in top))
         for key in sorted(k for k, c in hits.items() if c > 1))
 

@@ -39,7 +39,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure, DomainError, exact_int
 from .gammaratio import RnmParams
 
 
@@ -255,7 +255,7 @@ def vanishing_integral_check(n: int, alpha, R: float) -> complex:
     1e-8 x (radial mass).  The n = 0 case is analytic-continuation
     cancellation, handled symbolically by vanishing_symbolic_cancellation.
     """
-    n = int(n)
+    n = exact_int(n)
     if n == 0:
         raise DomainError("n = 0 is checked symbolically, not numerically")
     a = float(alpha)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .branch import BranchNumerics
-from .errors import IndexOutOfRange, InvalidIndices
+from .errors import IndexOutOfRange, InvalidIndices, exact_int
 
 
 class ToricStep(namedtuple("ToricStep", "i n q a b c d")):
@@ -85,7 +85,7 @@ def linear_forms(bn: BranchNumerics, i: int, j: int, ks) -> tuple[int, int, int]
     """
     if not (1 <= i <= j <= bn.g):
         raise IndexOutOfRange(f"need 1 <= i <= j <= g = {bn.g}, got i={i}, j={j}")
-    ks = tuple(int(v) for v in ks)
+    ks = tuple(map(exact_int, ks))
     if len(ks) != j + 1:
         raise IndexOutOfRange(f"expected {j + 1} exponents, got {len(ks)}")
     if any(v < 0 for v in ks):

@@ -6,6 +6,9 @@ candidate records and text candidate lines alike.
 """
 
 from branchzeta.cli import _ratio
+from branchzeta.poles import PoleStatus
+
+STATUS = tuple(PoleStatus)  # by code: dead end excludes + 2 * previous level excludes
 
 
 def candidate_rows(rep):
@@ -14,9 +17,9 @@ def candidate_rows(rep):
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
         nm = lad.n * lad.mbar
         for nu in range(hi):
-            t, e1, e2, status = lad.row(nu)
+            t, e1, e2, code = lad.row(nu)
             yield (lad.i, nu, _ratio(-t, lad.N), _ratio(e1, lad.n),
-                   _ratio(e2, lad.mbar), _ratio(-t, nm), status.value)
+                   _ratio(e2, lad.mbar), _ratio(-t, nm), STATUS[code].value)
 
 
 def tsv_lines(rep):

@@ -846,7 +846,7 @@ class TestPlumbing:
     def test_module_invocation(self):
         r = subprocess.run(
             [sys.executable, "-m", "branchzeta.cli", "analyze", "4,9", "--format", "json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert r.returncode == 0
         assert json.loads(r.stdout)["mu"] == 24
@@ -854,10 +854,9 @@ class TestPlumbing:
     def test_closed_stdout_exits_0_without_traceback(self):
         # the reader takes the header line and closes the pipe while the
         # command still has about 2 MB of rows to write
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "branchzeta.cli", "analyze", "2,20001", "--format", "tsv"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
         )
         assert proc.stdout.readline() == b"i\tnu\tsigma\teps1\teps2\teps3\tstatus\n"
         proc.stdout.close()

@@ -37,7 +37,6 @@ from branchzeta.poles import (
     eigenvalues_distinct,
     log_canonical_threshold,
     pi_multisets,
-    residue_numbers,
     yano_multiset,
 )
 
@@ -57,6 +56,13 @@ def oracle_pi(bn):
                 kept.append(-sigma)
         sets.append(kept)
     return sets
+
+
+def residue_numbers(bn, i, nu):
+    """(eps1, eps2) of candidate_pole, checked against the Fraction oracle."""
+    cand = candidate_pole(bn, i, nu)
+    assert (cand.eps1, cand.eps2) == fraction_oracle.residue_numbers(bn, i, nu)
+    return cand.eps1, cand.eps2
 
 
 class TestResidueNumbers:

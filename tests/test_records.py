@@ -15,7 +15,7 @@ from branchzeta.branch import derive_numerics, validate_plane_semigroup
 from branchzeta.curves import deformation_family
 from branchzeta.errors import DomainError, InvalidCharSeq, NotPlaneBranchSemigroup
 from branchzeta.gammaratio import gamma_pair
-from branchzeta.poles import branch_report, candidate_pole
+from branchzeta.poles import PoleStatus, branch_report, candidate_pole
 
 # each public record's fields, in order; those in WITH_DICT keep an instance
 # __dict__ for their cached properties, the others have __slots__ = ()
@@ -27,7 +27,7 @@ FIELDS = {
     "BranchNumerics": ("cs", "gens", "e", "nn", "mm", "qq", "mbar", "conductor"),
     "ToricStep": ("i", "n", "q", "a", "b", "c", "d"),
     "DivisorNumerics": ("i", "N_rupture", "k_rupture_plus1", "N_deadend", "k_deadend_plus1"),
-    "CandidatePole": ("ladder", "nu"),
+    "CandidatePole": ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status"),
     "EigenvalueAnalysis": ("den", "groups"),
     "Resonance": ("sigma", "occurrences"),
     "BranchReport": ("input_text", "kind", "bn", "nu_max"),
@@ -37,7 +37,7 @@ FIELDS = {
     "DeformationTerm": ("parameter", "level", "exponents", "weight", "monomial", "coefficient"),
     "DeformationFamily": ("bn", "base", "terms", "lambdas", "weight_cutoff"),
 }
-WITH_DICT = {"BranchNumerics", "CandidatePole", "BranchReport"}
+WITH_DICT = {"BranchNumerics", "BranchReport"}
 
 
 def instances() -> dict:
@@ -87,8 +87,16 @@ def test_cached_properties_keep_their_values_on_the_instance():
     rep = branch_report("4,9")
     assert rep.yano is rep.yano and "yano" in vars(rep)
     assert rep.bn.ladders is rep.bn.ladders and "ladders" in vars(rep.bn)
-    cand = candidate_pole(rep.bn, 1, 3)
-    assert cand.status == cand.ladder.row(3)[3] and "_row" in vars(cand)
+
+
+def test_candidate_pole_holds_the_values_of_its_row():
+    bn = branch_report("4,9").bn
+    lad = bn.ladders[0]
+    t, e1, e2, code = lad.row(3)
+    assert code == 1  # the dead end excludes
+    assert candidate_pole(bn, 1, 3) == (
+        1, 3, Fraction(-t, lad.N), Fraction(e1, lad.n), Fraction(e2, lad.mbar),
+        lad.e * Fraction(-t, lad.N), PoleStatus.EXCLUDED_DEADEND)
 
 
 def test_charseq_converts_and_raises():
