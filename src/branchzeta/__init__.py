@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # the public names of each module, by the module that defines them
 _PUBLIC = {
     "branch": (
-        "BranchNumerics", "CharSeq", "PlaneSemigroup", "ValidationReport",
+        "BranchNumerics", "CharSeq", "PlaneSemigroup", "ToricStep", "ValidationReport",
         "canonical_representation", "charseq_from_semigroup", "derive_numerics", "gaps",
         "membership", "parse_input", "resolve_input", "validate_plane_semigroup",
     ),
@@ -29,8 +29,7 @@ _PUBLIC = {
         "log_canonical_threshold", "pi_multisets", "yano_multiset",
     ),
     "toric": (
-        "DivisorNumerics", "ToricStep", "bell_polynomial", "divisor_numerics",
-        "linear_forms", "toric_steps",
+        "DivisorNumerics", "bell_polynomial", "divisor_numerics", "linear_forms", "toric_steps",
     ),
     "gammaratio": (
         "MeromorphicValue", "RnmParams", "gamma_pair", "gamma_ratio", "hypergeom_sum_at_1",

@@ -6,7 +6,8 @@ n_i = e_{i-1}/e_i, the reduced exponents m_i = beta_i/e_i, the semigroup
 generators betabar_i with their reductions mbar_i = betabar_i/e_i, the
 auxiliary q_i = m_i - n_i m_{i-1}, and the conductor c (equal to the Milnor
 number mu).  BranchNumerics bundles all of those integers and is the single
-source of truth for every downstream formula.
+source of truth for every downstream formula; in one loop over the levels,
+derive_numerics also builds the toric steps, the ladders and their lcm(N_i).
 
 Index conventions: arrays have length g+1 and slot 0 holds the boundary
 values n_0 = 0, m_0 = 0, mbar_0 = 1, betabar_0 = n, e_0 = n.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
-from functools import cached_property
+from collections.abc import Iterator
 
 from .errors import InvalidCharSeq, NotInSemigroup, NotPlaneBranchSemigroup, exact_int
 
@@ -97,13 +98,69 @@ class PlaneSemigroup(namedtuple("PlaneSemigroup", "gens")):
         return len(self.gens) - 1
 
 
-class BranchNumerics(namedtuple("BranchNumerics", "cs gens e nn mm qq mbar conductor")):
+class ToricStep(namedtuple("ToricStep", "i n q a b c d")):
+    """Per-exponent Bezout data; all identities hold exactly."""
+
+    __slots__ = ()
+
+    def __new__(cls, i, n, q, a, b, c, d):
+        assert n * b - q * a == 1
+        assert q * c - n * d == 1
+        assert a * q + d * n == n * q - 1
+        assert a + c == n and b + d == q
+        assert 0 <= a < n
+        return super().__new__(cls, i, n, q, a, b, c, d)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
+
+
+class Ladder(namedtuple("Ladder", "i r N n mbar e a D c2")):
+    """Integer record of the candidate ladder at rupture index i: n = n_i,
+    e = e_i, mbar = mbar_i, r = m_i + n_1...n_i, N = n_i betabar_i = n e mbar,
+    D = c_i n_{i-1} mbar_{i-1} + d_i, c2 = m_{i-1} - n_{i-1} mbar_{i-1}
+    + n_1...n_{i-1} - mbar_i (n_0 = m_0 = 0, mbar_0 = 1).  With t = r + nu:
+    sigma = -t/N, eps1 = (1 - n - a_i nu)/n, eps2 = (c2 - D nu)/mbar and
+    eps3 = e sigma = -t/(n mbar).  betabar_i sigma is integral (dead end)
+    iff n | t, and e_{i-1} sigma (previous level) iff mbar | t."""
+
+    __slots__ = ()
+
+    # (N, k+1) of the step's dead end, (betabar_i, ceil(r_i/n_i)); of its rupture divisor, (N, r)
+    dead_end = property(lambda self: (self.N // self.n, -(-self.r // self.n)))
+
+    def rows(self, start: int, stop: int) -> Iterator[tuple[int, int, int, int]]:
+        """(t, eps1 numerator, eps2 numerator, code) for start <= nu < stop,
+        each numerator stepped by its constant increment, after checking
+        eps1 + eps2 + eps3 + nu + 2 = 0 as e1 mbar + e2 n - t + (nu + 2) n mbar = 0
+        on every row.  code = (dead end excludes) + 2 * (previous level
+        excludes), the index of its PoleStatus in poles._STATUS."""
+        n, mbar, a, D = self.n, self.mbar, self.a, self.D
+        nm = n * mbar
+        t, e1, e2, w = self.r + start, 1 - n - a * start, self.c2 - D * start, (start + 2) * nm
+        for _ in range(start, stop):
+            assert e1 * mbar + e2 * n - t + w == 0
+            yield t, e1, e2, (t % n == 0) + 2 * (t % mbar == 0)
+            t += 1
+            e1 -= a
+            e2 -= D
+            w += nm
+
+    def row(self, nu: int) -> tuple[int, int, int, int]:
+        """The row of rows() at shift nu."""
+        return next(self.rows(nu, nu + 1))
+
+
+class BranchNumerics(namedtuple("BranchNumerics",
+                                "cs gens e nn mm qq mbar conductor steps ladders den")):
     """All derived integers of a characteristic sequence (see module doc):
     gens[0] = n, gens[i] = betabar_i; e[0] = n, e[i] = gcd(e[i-1], beta_i),
     e[g] = 1; nn[0] = 0, nn[i] = e[i-1] // e[i] (n_i >= 2); mm[0] = 0,
     mm[i] = beta_i // e[i]; qq[0] = 0, qq[1] = mm[1], qq[i] = mm[i] -
-    nn[i]*mm[i-1]; mbar[0] = 1, mbar[i] = gens[i] // e[i].  No __slots__:
-    the cached properties keep their values in the instance __dict__."""
+    nn[i]*mm[i-1]; mbar[0] = 1, mbar[i] = gens[i] // e[i]; steps[i-1] and
+    ladders[i-1] are level i's ToricStep and Ladder; den = lcm(N_1, ..., N_g)
+    is the one denominator of every exponent multiset."""
+
+    __slots__ = ()
 
     @property
     def g(self) -> int:
@@ -129,26 +186,6 @@ class BranchNumerics(namedtuple("BranchNumerics", "cs gens e nn mm qq mbar condu
             return 1
         return self.e[lo - 1] // self.e[hi] if lo else 0
 
-    @cached_property
-    def steps(self) -> tuple:
-        """Bezout data of every toric step (toric.toric_steps), built once."""
-        from .toric import toric_steps  # toric builds on this module
-
-        return tuple(toric_steps(self))
-
-    @cached_property
-    def ladders(self) -> tuple:
-        """Integer candidate-ladder record per rupture index (poles.Ladder),
-        built once."""
-        from .poles import Ladder  # poles builds on this module
-
-        return tuple(Ladder.of(self, i) for i in range(1, self.g + 1))
-
-    @cached_property
-    def den(self) -> int:
-        """lcm(N_1, ..., N_g): the one denominator of every exponent multiset."""
-        return math.lcm(*(lad.N for lad in self.ladders))
-
 
 def _gcd_chain(gens) -> tuple[list[int], list[int]]:
     """e_0 = gens[0], e_i = gcd(e_{i-1}, gens[i]); nn[0] = 0, nn[i] = e_{i-1}/e_i."""
@@ -166,7 +203,10 @@ def derive_numerics(cs: CharSeq) -> BranchNumerics:
     c = sum (n_i - 1) betabar_i - n + 1, which coincides with the Milnor
     number and with n_g betabar_g - beta_g - (n - 1).  Yano's defining sum
     e_i R_i = beta_i e_{i-1} + sum_{l<i} beta_l (e_{l-1} - e_l) is checked to
-    give R_i = n_i betabar_i, the rupture multiplicity N_i.
+    give R_i = n_i betabar_i, the rupture multiplicity N_i.  The same loop
+    builds each level's toric step, with a_i = -q_i^{-1} mod n_i in [0, n_i),
+    b_i = (1 + q_i a_i)/n_i, c_i = n_i - a_i and d_i = q_i - b_i, its
+    Ladder, and den = lcm(N_i).
     """
     g = cs.g
     e, nn = _gcd_chain((cs.n, *cs.betas))
@@ -181,14 +221,22 @@ def derive_numerics(cs: CharSeq) -> BranchNumerics:
     alt = nn[g] * gens[g] - cs.betas[g - 1] - (cs.n - 1)
     assert conductor == alt, "conductor formulas disagree"
     tail = 0  # sum_{l<i} beta_l (e_{l-1} - e_l)
+    steps, ladders = [], []
     for i in range(1, g + 1):
         assert gens[i] % e[i] == 0 and math.gcd(mbar[i], nn[i]) == 1
         if i >= 2:
             assert mbar[i] == nn[i] * nn[i - 1] * mbar[i - 1] + qq[i]
         assert cs.betas[i - 1] * e[i - 1] + tail == e[i - 1] * gens[i], "Yano's R_i is not N_i"
         tail += cs.betas[i - 1] * (e[i - 1] - e[i])
+        n, q, prev = nn[i], qq[i], nn[i - 1] * mbar[i - 1]
+        a = (-pow(q, -1, n)) % n
+        b = (1 + q * a) // n
+        steps.append(st := ToricStep(i, n, q, a, b, n - a, q - b))
+        ladders.append(Ladder(i, mm[i] + e[0] // e[i], n * gens[i], n, mbar[i], e[i], a,
+                              st.c * prev + st.d, mm[i - 1] - prev + e[0] // e[i - 1] - mbar[i]))
 
-    return BranchNumerics(cs, *map(tuple, (gens, e, nn, mm, qq, mbar)), conductor)
+    return BranchNumerics(cs, *map(tuple, (gens, e, nn, mm, qq, mbar)), conductor, tuple(steps),
+                          tuple(ladders), math.lcm(*(lad.N for lad in ladders)))
 
 
 def _apery(gens: tuple[int, ...]) -> tuple[list, list[int]]:
@@ -221,7 +269,7 @@ def membership(gens, s: int) -> tuple[bool, tuple[int, ...] | None]:
     Returns (True, representation) with representation k such that
     s = sum k_l * gens[l], or (False, None).
     """
-    gens = tuple(map(exact_int, gens))
+    gens, s = tuple(map(exact_int, gens)), exact_int(s)
     if not gens or min(gens) <= 0:
         raise ValueError(f"need positive generators, got {gens}")
     if s < 0:
@@ -329,6 +377,7 @@ def canonical_representation(bn: BranchNumerics, s: int) -> tuple[int, ...]:
     because mbar_l is invertible mod n_l; what remains is divisible by
     e_{l-1}.  Raises NotInSemigroup when the leftover at level 0 is negative.
     """
+    s = exact_int(s)
     if s < 0:
         raise NotInSemigroup(f"{s} < 0")
     rem = s

@@ -316,6 +316,7 @@ def deformation_family(
     top = max(bn.nn[i] * bn.gens[i] for i in range(1, bn.g + 1))
     if weight_cutoff is None:
         weight_cutoff = bn.nn[bn.g] * bn.gens[bn.g] + bn.conductor
+    weight_cutoff = exact_int(weight_cutoff)
     if weight_cutoff < top:
         raise InvalidCutoff(f"cutoff {weight_cutoff} below top level weight {top}")
 

@@ -278,7 +278,7 @@ def hypergeom_sum_at_1(a, b, c, terms: int) -> tuple[float, float, float]:
     terms that error decays only like K^(-s)/s, up to a constant factor: for
     (1, 1, 3) it is exactly 1/(K+1).
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c, terms = Fraction(a), Fraction(b), Fraction(c), exact_int(terms)
     if _nonpos_int(c):
         raise DomainError("c is a non-positive integer")
     if _nonpos_int(a) or _nonpos_int(b):

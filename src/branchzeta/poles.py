@@ -8,8 +8,9 @@ sigma_{i,nu} = -(r_i + nu) / N_i, excluded when the dead-end divisor or the
 previous-step divisor chain forces the residue to vanish; the survivors, as
 b-exponents -sigma, form the sets Pi_i; Yano's multiset is read off the
 same divisors, rupture blocks minus dead-end blocks.  All of it is integer
-arithmetic on one Ladder record per rupture index, which holds both divisors
-of its step, over one denominator, BranchNumerics.den = lcm(N_i); exact
+arithmetic on one Ladder record per rupture index (BranchNumerics.ladders),
+which holds both divisors of its step, over one denominator,
+BranchNumerics.den = lcm(N_i), both built by derive_numerics; exact
 Fractions are built only for a result that is reported.  No floats.
 """
 
@@ -17,14 +18,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .branch import BranchNumerics, derive_numerics, resolve_input
-from .errors import IndexOutOfRange, NegativeCoefficient
+from .branch import BranchNumerics, Ladder, derive_numerics, resolve_input
+from .errors import IndexOutOfRange, NegativeCoefficient, exact_int
 from .toric import divisor_numerics
 
 
@@ -36,49 +36,6 @@ class PoleStatus(Enum):
 
 
 _STATUS = tuple(PoleStatus)  # index: dead end excludes + 2 * previous level excludes
-
-
-class Ladder(namedtuple("Ladder", "i r N n mbar e a D c2")):
-    """Integer record of the candidate ladder at rupture index i: n = n_i,
-    e = e_i, mbar = mbar_i, r = m_i + n_1...n_i, N = n_i betabar_i = n e mbar,
-    D = c_i n_{i-1} mbar_{i-1} + d_i, c2 = m_{i-1} - n_{i-1} mbar_{i-1}
-    + n_1...n_{i-1} - mbar_i (n_0 = m_0 = 0, mbar_0 = 1).  With t = r + nu:
-    sigma = -t/N, eps1 = (1 - n - a_i nu)/n, eps2 = (c2 - D nu)/mbar and
-    eps3 = e sigma = -t/(n mbar).  betabar_i sigma is integral (dead end)
-    iff n | t, and e_{i-1} sigma (previous level) iff mbar | t."""
-
-    __slots__ = ()
-
-    # (N, k+1) of the step's dead end, (betabar_i, ceil(r_i/n_i)); of its rupture divisor, (N, r)
-    dead_end = property(lambda self: (self.N // self.n, -(-self.r // self.n)))
-
-    @classmethod
-    def of(cls, bn: BranchNumerics, i: int) -> Ladder:
-        st, prev = bn.steps[i - 1], bn.nn[i - 1] * bn.mbar[i - 1]
-        return cls(i, bn.mm[i] + bn.nprod(1, i), bn.nn[i] * bn.gens[i], bn.nn[i],
-                   bn.mbar[i], bn.e[i], st.a, st.c * prev + st.d,
-                   bn.mm[i - 1] - prev + bn.nprod(1, i - 1) - bn.mbar[i])
-
-    def rows(self, start: int, stop: int) -> Iterator[tuple[int, int, int, int]]:
-        """(t, eps1 numerator, eps2 numerator, code) for start <= nu < stop,
-        each numerator stepped by its constant increment, after checking
-        eps1 + eps2 + eps3 + nu + 2 = 0 as e1 mbar + e2 n - t + (nu + 2) n mbar = 0
-        on every row.  code = (dead end excludes) + 2 * (previous level
-        excludes), the index of its PoleStatus in _STATUS."""
-        n, mbar, a, D = self.n, self.mbar, self.a, self.D
-        nm = n * mbar
-        t, e1, e2, w = self.r + start, 1 - n - a * start, self.c2 - D * start, (start + 2) * nm
-        for _ in range(start, stop):
-            assert e1 * mbar + e2 * n - t + w == 0
-            yield t, e1, e2, (t % n == 0) + 2 * (t % mbar == 0)
-            t += 1
-            e1 -= a
-            e2 -= D
-            w += nm
-
-    def row(self, nu: int) -> tuple[int, int, int, int]:
-        """The row of rows() at shift nu."""
-        return next(self.rows(nu, nu + 1))
 
 
 class CandidatePole(namedtuple("CandidatePole", "i nu sigma eps1 eps2 eps3 status")):
@@ -136,6 +93,7 @@ class ExponentMultiset:
 def candidate_pole(bn: BranchNumerics, i: int, nu: int) -> CandidatePole:
     """The candidate at rupture index i and shift nu, with its exclusion status,
     built from the ladder's row at nu."""
+    i, nu = exact_int(i), exact_int(nu)
     if not (1 <= i <= bn.g) or nu < 0:
         raise IndexOutOfRange(f"need 1 <= i <= {bn.g} and nu >= 0, got i={i}, nu={nu}")
     lad = bn.ladders[i - 1]
@@ -282,6 +240,6 @@ def branch_report(input_spec, nu_max: int | None = None) -> BranchReport:
     CLI syntax; input_text is in CLI syntax.  The candidates cover one full
     period 0 <= nu < n_i betabar_i per rupture index; nu_max >= 0 extends it."""
     text, kind, cs = resolve_input(input_spec)
-    if nu_max is not None and nu_max < 0:
+    if nu_max is not None and (nu_max := exact_int(nu_max)) < 0:
         raise IndexOutOfRange(f"need nu_max >= 0, got nu_max={nu_max}")
     return BranchReport(text, kind, derive_numerics(cs), nu_max)

@@ -5,10 +5,9 @@ Each characteristic exponent contributes one toric step (n_i, q_i) together
 with the unique non-negative Bezout data (a_i, b_i, c_i, d_i) normalized by
 0 <= a_i < n_i.
 
-The multiplicities (N, k+1) of the rupture and dead-end divisors, and the
-slopes a_i, D_i of the chart orders A and C, are not derived here: they are
-read off the integer candidate ladders (BranchNumerics.ladders, built once
-per branch by poles.Ladder.of), the one place that computes them.
+The step data, the multiplicities (N, k+1) of the rupture and dead-end
+divisors and the slopes a_i, D_i of the chart orders A and C are read off
+BranchNumerics.steps and .ladders, which derive_numerics builds once per branch.
 """
 
 from __future__ import annotations
@@ -17,24 +16,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .branch import BranchNumerics
+from .branch import BranchNumerics, ToricStep
 from .errors import IndexOutOfRange, InvalidIndices, exact_int
-
-
-class ToricStep(namedtuple("ToricStep", "i n q a b c d")):
-    """Per-exponent Bezout data; all identities hold exactly."""
-
-    __slots__ = ()
-
-    def __new__(cls, i, n, q, a, b, c, d):
-        assert n * b - q * a == 1
-        assert q * c - n * d == 1
-        assert a * q + d * n == n * q - 1
-        assert a + c == n and b + d == q
-        assert 0 <= a < n
-        return super().__new__(cls, i, n, q, a, b, c, d)
-
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
 
 class DivisorNumerics(namedtuple("DivisorNumerics",
@@ -57,13 +40,7 @@ class DivisorNumerics(namedtuple("DivisorNumerics",
 
 def toric_steps(bn: BranchNumerics) -> list[ToricStep]:
     """Bezout data for every step; a_i solves q_i*a_i = -1 (mod n_i) in [0, n_i)."""
-    steps = []
-    for i in range(1, bn.g + 1):
-        n, q = bn.nn[i], bn.qq[i]
-        a = (-pow(q, -1, n)) % n
-        b = (1 + q * a) // n
-        steps.append(ToricStep(i=i, n=n, q=q, a=a, b=b, c=n - a, d=q - b))
-    return steps
+    return list(bn.steps)
 
 
 def divisor_numerics(bn: BranchNumerics) -> list[DivisorNumerics]:
@@ -107,6 +84,7 @@ def bell_polynomial(nu: int, k: int, xs) -> Fraction:
     B_{m-j,l-1}, one row of B_{m,l} per l from B_{m,1} = x_m, for the m that
     x_1, ..., x_{nu-k+1} determine: m < nu - k + 1 + l.
     """
+    nu, k = exact_int(nu), exact_int(k)
     if nu < 1 or not (1 <= k <= nu):
         raise InvalidIndices(f"need nu >= 1 and 1 <= k <= nu, got nu={nu}, k={k}")
     xs = [Fraction(x) for x in xs]

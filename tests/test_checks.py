@@ -34,13 +34,10 @@ def test_combinatorics_rows_pass_on_random_branches(seed):
 @pytest.mark.parametrize("field", ["c2", "D"])
 @pytest.mark.parametrize("text", ["4,9", "6,9,22"])
 def test_ladder_off_by_one_fires_the_row_identity(monkeypatch, field, text):
-    of = poles.Ladder.of
-
-    def wrong(cls, bn, i):
-        lad = of(bn, i)
-        return lad._replace(**{field: getattr(lad, field) + 1})
-
-    monkeypatch.setattr(poles.Ladder, "of", classmethod(wrong))
+    rep = poles.branch_report(text)
+    bad = tuple(lad._replace(**{field: getattr(lad, field) + 1}) for lad in rep.bn.ladders)
+    monkeypatch.setattr(poles, "branch_report",
+                        lambda *args, **kwargs: rep._replace(bn=rep.bn._replace(ladders=bad)))
     with pytest.raises(AssertionError):
         list(checks.combinatorics_rows([text]))
 

@@ -8,13 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from branchzeta.branch import (CharSeq, PlaneSemigroup, derive_numerics, membership,
-                               random_charseq, validate_plane_semigroup)
-from branchzeta.curves import SparsePoly, weight_of_monomial
+from branchzeta.branch import (CharSeq, PlaneSemigroup, canonical_representation,
+                               derive_numerics, membership, random_charseq,
+                               validate_plane_semigroup)
+from branchzeta.curves import SparsePoly, deformation_family, weight_of_monomial
 from branchzeta.errors import exact_int
-from branchzeta.gammaratio import RnmParams
+from branchzeta.gammaratio import RnmParams, hypergeom_sum_at_1
+from branchzeta.poles import branch_report, candidate_pole
 from branchzeta.quadrature import vanishing_integral_check
-from branchzeta.toric import linear_forms
+from branchzeta.toric import bell_polynomial, linear_forms
 
 BN = derive_numerics(CharSeq(4, (9,)))
 
@@ -39,6 +41,23 @@ CALL_SITES = {
                    lambda: membership(("2", 3.0), 5) == (True, (1, 1))),
     "vanishing_integral_check": (1.5, lambda: vanishing_integral_check(1.5, -0.25, 1.0),
                                  lambda: vanishing_integral_check(1.0, -0.25, 1.0) is not None),
+    "membership.s": (5.5, lambda: membership((2, 3), 5.5),
+                     lambda: membership((2, 3), 5.0) == (True, (1, 1))),
+    "canonical_representation": (13.5, lambda: canonical_representation(BN, 13.5),
+                                 lambda: canonical_representation(BN, 13.0) == (1, 1)),
+    "candidate_pole.i": (1.5, lambda: candidate_pole(BN, 1.5, 0),
+                         lambda: candidate_pole(BN, 1.0, 0) == candidate_pole(BN, 1, 0)),
+    "candidate_pole.nu": (2.5, lambda: candidate_pole(BN, 1, 2.5),
+                          lambda: candidate_pole(BN, 1, "2") == candidate_pole(BN, 1, 2)),
+    "branch_report.nu_max": (40.5, lambda: branch_report("4,9", nu_max=40.5),
+                             lambda: branch_report("4,9", nu_max=40.0).ladder_lengths == (41,)),
+    "bell_polynomial": (3.5, lambda: bell_polynomial(3.5, 1, (1, 1, 1)),
+                        lambda: bell_polynomial(3.0, "1", (1, 1, 1)) == 1),
+    "hypergeom_sum_at_1": (2.5, lambda: hypergeom_sum_at_1(1, 1, 3, 2.5),
+                           lambda: (hypergeom_sum_at_1(1, 1, 3, 2.0)
+                                    == hypergeom_sum_at_1(1, 1, 3, 2))),
+    "deformation_family": (40.5, lambda: deformation_family(BN, 40.5),
+                           lambda: type(deformation_family(BN, 40.0).weight_cutoff) is int),
 }
 
 

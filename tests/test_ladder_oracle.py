@@ -240,7 +240,7 @@ def test_candidate_outputs_check_the_row_identity(fmt, field, monkeypatch):
     # identity check fires on a broken ladder
     rep = built_but_candidates("4,6,7")
     bad = tuple(lad._replace(**{field: getattr(lad, field) + 1}) for lad in rep.bn.ladders)
-    monkeypatch.setitem(rep.bn.__dict__, "ladders", bad)
+    rep = rep._replace(bn=rep.bn._replace(ladders=bad))
     monkeypatch.setattr(branchzeta.poles, "branch_report", lambda *args, **kwargs: rep)
     with pytest.raises(AssertionError), contextlib.redirect_stdout(io.StringIO()):
         main(["analyze", "4,6,7", "--format", fmt])

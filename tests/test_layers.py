@@ -1,0 +1,40 @@
+"""The import graph of the package is one-way: each module's relative
+imports, at module level and inside functions, read statically with ast,
+are exactly the layers below it in the table.  __init__ resolves its names
+dynamically and is exempt."""
+
+import ast
+from pathlib import Path
+
+import branchzeta
+
+LAYERS = {
+    "errors": set(),
+    "branch": {"errors"},
+    "toric": {"branch", "errors"},
+    "poles": {"branch", "errors", "toric"},
+    "curves": {"branch", "errors"},
+    "gammaratio": {"errors"},
+    "quadrature": {"errors", "gammaratio"},
+    "checks": {"branch", "poles", "gammaratio", "quadrature"},
+    "cli": {"errors", "branch", "poles", "curves", "gammaratio", "checks"},
+}
+
+
+def relative_imports(path: Path) -> set[str]:
+    """The sibling modules a source file imports with `from . import m` or
+    `from .m import name`, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    src = Path(branchzeta.__file__).parent
+    modules = {p.stem: relative_imports(p) for p in src.glob("*.py") if p.stem != "__init__"}
+    assert modules == LAYERS

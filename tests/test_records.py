@@ -24,7 +24,8 @@ FIELDS = {
     "ConditionCheck": ("name", "passed", "detail", "witness"),
     "ValidationReport": ("gens", "conditions"),
     "PlaneSemigroup": ("gens",),
-    "BranchNumerics": ("cs", "gens", "e", "nn", "mm", "qq", "mbar", "conductor"),
+    "BranchNumerics": ("cs", "gens", "e", "nn", "mm", "qq", "mbar", "conductor", "steps",
+                       "ladders", "den"),
     "ToricStep": ("i", "n", "q", "a", "b", "c", "d"),
     "DivisorNumerics": ("i", "N_rupture", "k_rupture_plus1", "N_deadend", "k_deadend_plus1"),
     "CandidatePole": ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status"),
@@ -37,7 +38,7 @@ FIELDS = {
     "DeformationTerm": ("parameter", "level", "exponents", "weight", "monomial", "coefficient"),
     "DeformationFamily": ("bn", "base", "terms", "lambdas", "weight_cutoff"),
 }
-WITH_DICT = {"BranchNumerics", "BranchReport"}
+WITH_DICT = {"BranchReport"}
 
 
 def instances() -> dict:
@@ -86,7 +87,6 @@ def test_assigning_a_field_raises_attribute_error(name):
 def test_cached_properties_keep_their_values_on_the_instance():
     rep = branch_report("4,9")
     assert rep.yano is rep.yano and "yano" in vars(rep)
-    assert rep.bn.ladders is rep.bn.ladders and "ladders" in vars(rep.bn)
 
 
 def test_candidate_pole_holds_the_values_of_its_row():
