@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
-from collections.abc import Iterator
 
 from .errors import InvalidCharSeq, NotInSemigroup, NotPlaneBranchSemigroup, exact_int
 
@@ -121,33 +120,26 @@ class Ladder(namedtuple("Ladder", "i r N n mbar e a D c2")):
     + n_1...n_{i-1} - mbar_i (n_0 = m_0 = 0, mbar_0 = 1).  With t = r + nu:
     sigma = -t/N, eps1 = (1 - n - a_i nu)/n, eps2 = (c2 - D nu)/mbar and
     eps3 = e sigma = -t/(n mbar).  betabar_i sigma is integral (dead end)
-    iff n | t, and e_{i-1} sigma (previous level) iff mbar | t."""
+    iff n | t, and e_{i-1} sigma (previous level) iff mbar | t.  Along a
+    ladder t, e1 and e2 move by the constant slopes 1, -a and -D; the one
+    loop that steps them is cli._candidate_cells, and row() serves the
+    readers of single rows."""
 
     __slots__ = ()
 
     # (N, k+1) of the step's dead end, (betabar_i, ceil(r_i/n_i)); of its rupture divisor, (N, r)
     dead_end = property(lambda self: (self.N // self.n, -(-self.r // self.n)))
 
-    def rows(self, start: int, stop: int) -> Iterator[tuple[int, int, int, int]]:
-        """(t, eps1 numerator, eps2 numerator, code) for start <= nu < stop,
-        each numerator stepped by its constant increment, after checking
-        eps1 + eps2 + eps3 + nu + 2 = 0 as e1 mbar + e2 n - t + (nu + 2) n mbar = 0
-        on every row.  code = (dead end excludes) + 2 * (previous level
-        excludes), the index of its PoleStatus in poles._STATUS."""
-        n, mbar, a, D = self.n, self.mbar, self.a, self.D
-        nm = n * mbar
-        t, e1, e2, w = self.r + start, 1 - n - a * start, self.c2 - D * start, (start + 2) * nm
-        for _ in range(start, stop):
-            assert e1 * mbar + e2 * n - t + w == 0
-            yield t, e1, e2, (t % n == 0) + 2 * (t % mbar == 0)
-            t += 1
-            e1 -= a
-            e2 -= D
-            w += nm
-
     def row(self, nu: int) -> tuple[int, int, int, int]:
-        """The row of rows() at shift nu."""
-        return next(self.rows(nu, nu + 1))
+        """(t, eps1 numerator, eps2 numerator, code) at shift nu, in closed
+        form, after checking eps1 + eps2 + eps3 + nu + 2 = 0 as
+        e1 mbar + e2 n - t + (nu + 2) n mbar = 0.  code = (dead end excludes)
+        + 2 * (previous level excludes), the index of its PoleStatus in
+        poles._STATUS."""
+        n, mbar = self.n, self.mbar
+        t, e1, e2 = self.r + nu, 1 - n - self.a * nu, self.c2 - self.D * nu
+        assert e1 * mbar + e2 * n - t + (nu + 2) * n * mbar == 0
+        return t, e1, e2, (t % n == 0) + 2 * (t % mbar == 0)
 
 
 class BranchNumerics(namedtuple("BranchNumerics",
@@ -351,7 +343,8 @@ def validate_plane_semigroup(gens) -> ValidationReport:
 
 
 def charseq_from_semigroup(sg: PlaneSemigroup) -> CharSeq:
-    """Invert the generator recursion: beta_i = betabar_i - n_{i-1} betabar_{i-1} + beta_{i-1}."""
+    """Invert the generator recursion: beta_i = betabar_i - n_{i-1} betabar_{i-1} + beta_{i-1}.
+    resolve_input checks the round trip on the numerics it derives."""
     gens = sg.gens
     g = len(gens) - 1
     _, nn = _gcd_chain(gens)
@@ -359,15 +352,9 @@ def charseq_from_semigroup(sg: PlaneSemigroup) -> CharSeq:
     for i in range(2, g + 1):
         betas.append(gens[i] - nn[i - 1] * gens[i - 1] + betas[-1])
     try:
-        cs = CharSeq(gens[0], tuple(betas))
+        return CharSeq(gens[0], tuple(betas))
     except InvalidCharSeq as exc:  # pragma: no cover - blocked by validation
         raise NotPlaneBranchSemigroup(f"inversion produced invalid sequence: {exc}") from exc
-    back = derive_numerics(cs)
-    if back.gens != gens:
-        raise NotPlaneBranchSemigroup(
-            f"round trip failed: {back.gens} != {gens}"
-        )  # pragma: no cover - provably unreachable for validated input
-    return cs
 
 
 def canonical_representation(bn: BranchNumerics, s: int) -> tuple[int, ...]:
@@ -422,16 +409,19 @@ def parse_input(text: str):
     return CharSeq(values[0], tuple(values[1:]))
 
 
-def resolve_input(input_spec) -> tuple[str, str, CharSeq]:
-    """(text in CLI syntax, kind "charseq" | "semigroup", CharSeq) of a
-    CharSeq, a PlaneSemigroup or an input string in either CLI syntax; a
-    string keeps its own text."""
+def resolve_input(input_spec) -> tuple[str, str, BranchNumerics]:
+    """(text in CLI syntax, kind "charseq" | "semigroup", BranchNumerics) of
+    a CharSeq, a PlaneSemigroup or an input string in either CLI syntax; a
+    string keeps its own text.  The numerics are derived once; a semigroup's
+    generators must come back from them."""
     text = None if isinstance(input_spec, (CharSeq, PlaneSemigroup)) else str(input_spec)
     spec = input_spec if text is None else parse_input(text)
     if isinstance(spec, PlaneSemigroup):
-        text = text or "semigroup:" + ",".join(map(str, spec.gens))
-        return text, "semigroup", charseq_from_semigroup(spec)
-    return text or ",".join(map(str, (spec.n, *spec.betas))), "charseq", spec
+        bn = derive_numerics(charseq_from_semigroup(spec))
+        if bn.gens != spec.gens:
+            raise NotPlaneBranchSemigroup(f"round trip failed: {bn.gens} != {spec.gens}")
+        return text or "semigroup:" + ",".join(map(str, spec.gens)), "semigroup", bn
+    return text or ",".join(map(str, (spec.n, *spec.betas))), "charseq", derive_numerics(spec)
 
 
 def random_charseq(rng, max_n: int = 12, max_beta: int = 400) -> CharSeq:

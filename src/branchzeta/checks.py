@@ -1,10 +1,11 @@
 """The self-checks of `verify`, each law stated once: the case tables and one
 generator of rows (case, expected, got, relerr, pass) per suite.  An exact
 law passes with relerr 0 and fails with inf; expected and got are values,
-which the CLI writes.  The combinatorics laws read the integer Ladder.rows
-and the report's integer multisets, with one Fraction per ladder.  Like cli,
-this module imports no layer at module level: each suite imports the layers
-it runs and calls them as module attributes."""
+which the CLI writes.  The combinatorics laws read the closed-form integer
+Ladder.row of each candidate, apart from the CLI's loop, and the report's
+integer multisets, with one Fraction per ladder.  Like cli, this module
+imports no layer at module level: each suite imports the layers it runs and
+calls them as module attributes."""
 
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ def combinatorics_rows(cases=COMBINATORIC_CASES) -> Iterator[tuple]:
         same = rep.pi_merged == rep.yano
         yield _exact(f"pi-vs-yano({text})", "equal", "equal" if same else "differ")
         # (t, eps1 numerator, eps2 numerator, dead end excludes + 2 * previous level excludes)
-        ladders = [(lad, list(lad.rows(0, hi)))
+        ladders = [(lad, list(map(lad.row, range(hi))))
                    for lad, hi in zip(bn.ladders, rep.ladder_lengths)]
         # each ladder's least kept pole value t/N comes first in t
         yield _exact(f"lct-min-pole({text})", rep.lct, min(

@@ -19,10 +19,10 @@ Output conventions, kept byte-stable for golden tests:
   write, 512 lines to a write; TSV and text lines are generated as they are
   written.  The parser is built once per process, and main reads the
   command function off the module when it runs.
-* analyze writes its candidates in every format, TSV and text lines and
-  JSON records, from the cells of one loop over the integer ladders,
-  _candidate_cells; text writes each Pi and Yano line from the counts, so
-  it keeps no exponent text.
+* analyze writes its candidates in every format (TSV, text, JSON) from the
+  cells of _candidate_cells, the one loop that steps a ladder, one frame
+  and three gcds a row where e_i = 1, four elsewhere; text writes each Pi
+  and Yano line from the counts, so it keeps no exponent text.
 
 At module level this file imports only the standard library and `errors`.
 Each command imports the layers it runs in its own body and calls them as
@@ -179,20 +179,28 @@ _CANDIDATE_TEXT = "  %12d %12d %12s %12s %12s %12s  %s"
 
 
 def _candidate_cells(rep) -> Iterator[tuple]:
-    """The cells of every candidate, ladder by ladder, from one Ladder.rows
-    pass per ladder with four gcds a row and no Fraction: i, nu, the
+    """The cells of every candidate, ladder by ladder, from the one loop that
+    steps a ladder, one frame a row and no Fraction: t, e1 and e2 stepped from
+    Ladder.row(0) by 1, -a and -D, the row identity checked, then i, nu, the
     numerator and "/d" text (_DEN_TEXT) of sigma = -t/N, eps1, eps2 and
-    eps3 = -t/(n mbar) in lowest terms, and the status text of the row's code."""
+    eps3 = -t/(n mbar) in lowest terms, and the status text of the row's code.
+    Where e = 1, eps3 is sigma: three gcds a row, four elsewhere."""
     from .poles import PoleStatus
 
     status_text, den = tuple(s.value for s in PoleStatus), _DEN_TEXT
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
-        i, N, n, mbar = lad.i, lad.N, lad.n, lad.mbar
-        nm = n * mbar
-        for nu, (t, e1, e2, code) in enumerate(lad.rows(0, hi)):
-            g, g1, g2, h = gcd(t, N), gcd(e1, n), gcd(e2, mbar), gcd(t, nm)
-            yield (i, nu, -t // g, den[N // g], e1 // g1, den[n // g1], e2 // g2,
-                   den[mbar // g2], -t // h, den[nm // h], status_text[code])
+        i, N, n, mbar, a, D, one = lad.i, lad.N, lad.n, lad.mbar, lad.a, lad.D, lad.e == 1
+        nm, (t, e1, e2, _) = n * mbar, lad.row(0)
+        w = 2 * nm  # (nu + 2) n mbar
+        for nu in range(hi):
+            assert e1 * mbar + e2 * n - t + w == 0
+            g, g1, g2 = gcd(t, N), gcd(e1, n), gcd(e2, mbar)
+            s, sd = -t // g, den[N // g]
+            s3, d3 = (s, sd) if one else (-t // (h := gcd(t, nm)), den[nm // h])
+            yield (i, nu, s, sd, e1 // g1, den[n // g1], e2 // g2, den[mbar // g2], s3, d3,
+                   status_text[(t % n == 0) + 2 * (t % mbar == 0)])
+            t, e1, e2 = t + 1, e1 - a, e2 - D
+            w += nm
 
 
 def report_to_dict(rep) -> dict:
@@ -400,8 +408,7 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
     flag = next((f for f in ("cutoff", "seed", "lambdas") if getattr(ns, f) is not None), None)
     if flag and not ns.deform:
         raise ValueError(f"--{flag} needs --deform")
-    text, kind, cs = branch.resolve_input(ns.input)
-    bn = branch.derive_numerics(cs)
+    text, kind, bn = branch.resolve_input(ns.input)
     plane = curves.plane_equation(bn)
     hs = curves.monomial_curve_equations(bn)
     fam = None

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .branch import BranchNumerics, Ladder, derive_numerics, resolve_input
+from .branch import BranchNumerics, Ladder, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient, exact_int
 from .toric import divisor_numerics
 
@@ -239,7 +239,7 @@ def branch_report(input_spec, nu_max: int | None = None) -> BranchReport:
     """The report of a CharSeq, a PlaneSemigroup or an input string in either
     CLI syntax; input_text is in CLI syntax.  The candidates cover one full
     period 0 <= nu < n_i betabar_i per rupture index; nu_max >= 0 extends it."""
-    text, kind, cs = resolve_input(input_spec)
+    text, kind, bn = resolve_input(input_spec)
     if nu_max is not None and (nu_max := exact_int(nu_max)) < 0:
         raise IndexOutOfRange(f"need nu_max >= 0, got nu_max={nu_max}")
-    return BranchReport(text, kind, derive_numerics(cs), nu_max)
+    return BranchReport(text, kind, bn, nu_max)

@@ -1,14 +1,49 @@
-"""The candidate rows as text, one Ladder.row call and one _ratio call per
-field, and the TSV lines of those rows through one template for every row:
-the oracle of branchzeta.cli._candidate_cells, which steps each ladder once
-through Ladder.rows and which every analyze format reads, TSV lines, JSON
-candidate records and text candidate lines alike.
+"""Oracles of branchzeta.cli._candidate_cells, the one loop that steps a
+ladder, with one frame and three gcds a row where e_i = 1 (eps3 is sigma
+there) and four elsewhere, and which every analyze format reads, TSV lines,
+JSON candidate records and text candidate lines alike:
+
+* rows and candidate_cells, the stepping generator that Ladder.rows was and
+  the two-generator loop over it that _candidate_cells was, four gcds a row;
+* candidate_rows and tsv_lines, the candidate rows as text, one Ladder.row
+  call and one _ratio call per field, and the TSV lines of those rows
+  through one template for every row.
 """
 
-from branchzeta.cli import _ratio
+from math import gcd
+
+from branchzeta.cli import _DEN_TEXT, _ratio
 from branchzeta.poles import PoleStatus
 
 STATUS = tuple(PoleStatus)  # by code: dead end excludes + 2 * previous level excludes
+
+
+def rows(lad, start, stop):
+    """(t, eps1 numerator, eps2 numerator, code) of lad for start <= nu < stop,
+    each numerator stepped by its constant increment, after checking
+    e1 mbar + e2 n - t + (nu + 2) n mbar = 0 on every row."""
+    n, mbar, a, D = lad.n, lad.mbar, lad.a, lad.D
+    nm = n * mbar
+    t, e1, e2, w = lad.r + start, 1 - n - a * start, lad.c2 - D * start, (start + 2) * nm
+    for _ in range(start, stop):
+        assert e1 * mbar + e2 * n - t + w == 0
+        yield t, e1, e2, (t % n == 0) + 2 * (t % mbar == 0)
+        t += 1
+        e1 -= a
+        e2 -= D
+        w += nm
+
+
+def candidate_cells(rep):
+    """The cells of every candidate from one rows pass per ladder, four gcds a row."""
+    for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
+        i, N, n, mbar = lad.i, lad.N, lad.n, lad.mbar
+        nm = n * mbar
+        for nu, (t, e1, e2, code) in enumerate(rows(lad, 0, hi)):
+            g, g1, g2, h = gcd(t, N), gcd(e1, n), gcd(e2, mbar), gcd(t, nm)
+            yield (i, nu, -t // g, _DEN_TEXT[N // g], e1 // g1, _DEN_TEXT[n // g1],
+                   e2 // g2, _DEN_TEXT[mbar // g2], -t // h, _DEN_TEXT[nm // h],
+                   STATUS[code].value)
 
 
 def candidate_rows(rep):

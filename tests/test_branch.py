@@ -5,12 +5,17 @@ numerical semigroup as a plain set of integers; no formula from the library
 is reused on the oracle side.
 """
 
+import contextlib
+import io
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import branchzeta.branch
+import branchzeta.cli
+import branchzeta.poles
 from branchzeta.branch import (
     CharSeq,
     PlaneSemigroup,
@@ -157,6 +162,46 @@ class TestCharseqFromSemigroup:
         for cs in corpus:
             gens = derive_numerics(cs).gens
             assert charseq_from_semigroup(PlaneSemigroup(gens)) == cs
+
+
+def counted_derivations(monkeypatch) -> list:
+    """Every call to derive_numerics, counted by a wrapper in each module that holds it."""
+    calls, original = [], branchzeta.branch.derive_numerics
+
+    def counted(cs):
+        calls.append(cs)
+        return original(cs)
+
+    for module in (branchzeta.branch, branchzeta.poles, branchzeta.cli):
+        if getattr(module, "derive_numerics", None) is original:
+            monkeypatch.setattr(module, "derive_numerics", counted)
+    return calls
+
+
+class TestResolveInput:
+    @pytest.mark.parametrize("text", ["semigroup:4,6,13", "4,6,7", "semigroup:2,301"])
+    def test_report_derives_once(self, text, monkeypatch):
+        calls = counted_derivations(monkeypatch)
+        rep = branchzeta.poles.branch_report(text)
+        assert calls == [rep.bn.cs]
+
+    @pytest.mark.parametrize("text", ["semigroup:4,6,13", "4,6,7"])
+    def test_generate_derives_once(self, text, monkeypatch):
+        calls = counted_derivations(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert branchzeta.cli.main(["generate", text]) == 0
+        assert calls == [CharSeq(4, (6, 7))]
+
+    def test_round_trip_mismatch_raises(self, monkeypatch):
+        # an inversion whose numerics give other generators is refused
+        monkeypatch.setattr(branchzeta.branch, "charseq_from_semigroup",
+                            lambda sg: CharSeq(4, (6, 9)))
+        with pytest.raises(NotPlaneBranchSemigroup, match="round trip failed"):
+            branchzeta.poles.branch_report("semigroup:4,6,13")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert branchzeta.cli.main(["analyze", "semigroup:4,6,13"]) == 2
+        assert err.getvalue() == "invalid input semigroup:4,6,13\n"
 
 
 class TestMembership:

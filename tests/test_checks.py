@@ -1,6 +1,6 @@
 """The law table behind verify (branchzeta.checks): every combinatorics row
 passes on random characteristic sequences; a ladder with a wrong
-coefficient is caught by the Ladder.rows identity; the suite builds no
+coefficient is caught by the Ladder.row identity; the suite builds no
 Fraction per candidate; and the rnm symmetry rows and
 gammaratio.symmetry_check read one comparison, symmetry_relerr."""
 

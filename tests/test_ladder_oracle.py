@@ -5,10 +5,12 @@ sequences, some with an extended ladder, all over one denominator; Yano's
 divisor form against his series expanded from the characteristic
 sequence, up to n = 36 and g >= 3; the divisor data (the ladders' dead
 ends too) and lct read off the ladders against their closed forms; the
-candidate cells of one Ladder.rows pass against one row at a time
-(row_oracle.py), and the candidates that analyze writes from them in every
-format (TSV lines, JSON records, text lines) against those rows formatted
-as text (row_oracle.py);
+cells of _candidate_cells, the one loop that steps a ladder, against the
+stepping generator and the two-generator loop it replaced and against one
+row at a time, the closed-form Ladder.row against the stepped rows, and
+the candidates that analyze writes from the cells in every format (TSV
+lines, JSON records, text lines) against those rows formatted as text
+(all in row_oracle.py);
 the JSON exponent sections, which share Pi's records, and the text Pi and
 Yano lines, made from the counts, against sections built one by one
 (fraction_oracle.py); exponent-multiset equality on integers against
@@ -25,12 +27,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import branchzeta.cli
 import branchzeta.poles
 import fraction_oracle as oracle
 import row_oracle
 from branchzeta.branch import parse_input, random_charseq
 from branchzeta.cli import _candidate_cells, canonical_json, main, report_to_dict
-from branchzeta.poles import (ExponentMultiset, Ladder, branch_report, candidate_pole,
+from branchzeta.poles import (ExponentMultiset, branch_report, candidate_pole,
                               eigenvalue_analysis, eigenvalues_distinct, log_canonical_threshold,
                               yano_multiset)
 from branchzeta.toric import divisor_numerics
@@ -214,11 +217,12 @@ def built_but_candidates(text: str, nu_max=None):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_candidate_outputs_step_ladder_rows_and_build_no_fraction(fmt, monkeypatch):
+    # every format writes one candidate per row of _candidate_cells
     rep = built_but_candidates("semigroup:4,6,301", nu_max=50)
-    stepped, rows = [], Ladder.rows
+    stepped, cells = [], branchzeta.cli._candidate_cells
 
-    def counted(self, *args):
-        for row in rows(self, *args):
+    def counted(rep):
+        for row in cells(rep):
             stepped.append(row)
             yield row
 
@@ -226,7 +230,7 @@ def test_candidate_outputs_step_ladder_rows_and_build_no_fraction(fmt, monkeypat
         raise AssertionError("a Fraction built while writing the candidates")
 
     monkeypatch.setattr(branchzeta.poles, "branch_report", lambda *args, **kwargs: rep)
-    monkeypatch.setattr(Ladder, "rows", counted)
+    monkeypatch.setattr(branchzeta.cli, "_candidate_cells", counted)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(no_fraction))
     candidates = written_candidates(rep.input_text, 50, fmt)
     monkeypatch.undo()
@@ -246,28 +250,59 @@ def test_candidate_outputs_check_the_row_identity(fmt, field, monkeypatch):
         main(["analyze", "4,6,7", "--format", fmt])
 
 
+@st.composite
+def cell_draws(draw):
+    """A report and its nu_max: random_charseq draws with max_n = 12 (g up to
+    3, so ladders with e_i > 1 and e_i = 1), or the forms 2,b, semigroup:2,b
+    and semigroup:4,6,b; nu_max None, 0, small or above every N_i."""
+    form = draw(st.sampled_from(["random", "2,{}", "semigroup:2,{}", "semigroup:4,6,{}"]))
+    if form == "random":
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+        spec = random_charseq(rng, max_n=12, max_beta=150)
+    else:
+        spec = form.format(2 * draw(st.integers(min_value=7, max_value=600)) + 1)
+    top = max(lad.N for lad in branch_report(spec).bn.ladders)
+    nu_max = draw(st.none() | st.just(0) | st.integers(min_value=1, max_value=12)
+                  | st.integers(min_value=top, max_value=top + 50))
+    return branch_report(spec, nu_max=nu_max)
+
+
+@given(cell_draws())
+@settings(max_examples=80, deadline=None)
+def test_candidate_cells_match_stepping_oracle(rep):
+    assert list(_candidate_cells(rep)) == list(row_oracle.candidate_cells(rep))
+
+
 @given(draws(), st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_stepped_rows_equal_single_rows(draw, lo, width):
+    # the closed-form Ladder.row against the stepped oracle, nu up to 10^6
     cs, _ = draw
     for lad in branch_report(cs).bn.ladders:
-        assert list(lad.rows(lo, lo + width)) == [lad.row(nu) for nu in range(lo, lo + width)]
+        assert list(row_oracle.rows(lad, lo, lo + width)) == [lad.row(nu)
+                                                              for nu in range(lo, lo + width)]
 
 
 @pytest.mark.parametrize("text", ["2,3", "4,9", "4,6,7", "6,9,22"])
 @pytest.mark.parametrize("field,first_bad", [("c2", 0), ("D", 1)])
 def test_identity_check_fires_on_every_row(text, field, first_bad):
-    # c2 shifts eps2 on every row; D shifts it from nu = 1 on
-    for lad in branch_report(text).bn.ladders:
+    # c2 shifts eps2 on every row; D shifts it from nu = 1 on.  Ladder.row
+    # fails on each shifted row, and _candidate_cells at the first one of
+    # the broken ladder, after every row before it
+    rep = branch_report(text)
+    ladders, lengths = rep.bn.ladders, rep.ladder_lengths
+    for j, lad in enumerate(ladders):
         bad = lad._replace(**{field: getattr(lad, field) + 1})
-        stepped = bad.rows(0, first_bad + 3)
-        assert [next(stepped) for _ in range(first_bad)] == [lad.row(nu) for nu in range(first_bad)]
+        assert [bad.row(nu) for nu in range(first_bad)] == [lad.row(nu) for nu in range(first_bad)]
+        for nu in range(first_bad, first_bad + 5):
+            with pytest.raises(AssertionError):
+                bad.row(nu)
+        broken = rep._replace(bn=rep.bn._replace(ladders=(*ladders[:j], bad, *ladders[j + 1:])))
+        cells = _candidate_cells(broken)
+        written = [next(cells) for _ in range(sum(lengths[:j]) + first_bad)]
+        assert written == list(row_oracle.candidate_cells(rep))[:len(written)]
         with pytest.raises(AssertionError):
-            next(stepped)
-        with pytest.raises(AssertionError):
-            bad.row(first_bad)
-        with pytest.raises(AssertionError):
-            list(bad.rows(first_bad, first_bad + 1))
+            next(cells)
 
 
 SECTIONS = ("pi", "pi_levels", "yano", "eigenvalues")
