@@ -16,9 +16,10 @@ Output conventions, kept byte-stable for golden tests:
   changes neither the exit code nor stderr, and gets no traceback.
 * Results go to stdout, diagnostics to stderr. Each command writes its
   stderr lines, then returns its exit code and stdout lines for main to
-  write, 512 lines to a write; TSV and text lines are generated as they are
-  written.  The parser is built once per process, and main reads the
-  command function off the module when it runs.
+  write, 512 lines to a write.  analyze makes its TSV and text lines as
+  they are written; generate makes its lines before it writes the first,
+  so a coefficient str() would refuse writes no line.  The parser is built
+  once per process, and main reads the command function off the module.
 * analyze writes its candidates in every format (TSV, text, JSON) from the
   cells of _candidate_cells, the one loop that steps a ladder, one frame
   and three gcds a row where e_i = 1, four elsewhere; text writes each Pi
@@ -72,7 +73,6 @@ class _DenText(dict):
 
 _DEN_TEXT = _DenText()
 _CHUNK_LINES = 512  # lines joined into one stdout write
-_MAX_DIGITS = 4300  # Python's default limit on the digits str() writes of an int
 
 
 def _cx(z: complex) -> dict:
@@ -160,9 +160,27 @@ def canonical_json(obj) -> str:
     return _column([obj], "\n", {})[0]
 
 
+def _digit_limit() -> int:
+    """The digits str() writes of an int, read now (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _printable(x) -> str:
+    """str(x) of an int, Fraction or polynomial x, or DomainError where the
+    numerator or denominator of a coefficient it prints reaches 10^L, L =
+    _digit_limit(); 10^L is formed only for an integer over 3L bits."""
+    bound = _digit_limit()
+    for c in x.terms.values() if hasattr(x, "terms") else (x,):
+        big = max(abs(c.numerator), c.denominator)
+        if bound and big.bit_length() > 3 * bound and big >= 10**bound:
+            raise DomainError(f"a coefficient of about {big.bit_length() * 3 // 10} digits,"
+                              f" over the bound of {bound} digits that str() writes")
+    return str(x)
+
+
 def _poly_dict(p) -> dict:
     return {
-        "text": str(p),
+        "text": _printable(p),
         "variables": list(p.variables),
         "terms": [
             {"exponents": list(e), "coefficient": str(c)}
@@ -422,17 +440,6 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
         )
         if ns.seed is not None:
             fiber = fam.instantiate()
-    # every coefficient the format prints, sized before the first line: tsv and text stream
-    polys, values = [plane, *hs, *([] if fiber is None else [fiber])], []
-    if fam is not None:
-        values = [t.coefficient for t in fam.terms if t.coefficient is not None]
-        if ns.format != "tsv":  # text and json also print the lambdas and the monomials
-            values += fam.lambdas
-            polys += [t.monomial for t in fam.terms]
-        if ns.format == "json":
-            polys.append(fam.base)
-    _check_printable(chain(values, *(p.terms.values() for p in polys)))
-
     if ns.format == "json":
         payload = {
             "input": {"text": text, "kind": kind},
@@ -443,36 +450,24 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
         if fam is not None:
             payload["deformation"] = {
                 "cutoff": fam.weight_cutoff,
-                "lambdas": [str(v) for v in fam.lambdas],
+                "lambdas": list(map(_printable, fam.lambdas)),
                 "base": _poly_dict(fam.base),
                 "terms": [
                     {**t._asdict(), "monomial": _poly_dict(t.monomial),
-                     "coefficient": None if t.coefficient is None else str(t.coefficient)}
+                     "coefficient": None if t.coefficient is None else _printable(t.coefficient)}
                     for t in fam.terms
                 ],
                 "fiber": None if fiber is None else _poly_dict(fiber),
             }
         return 0, [canonical_json(payload)]
-    if ns.format == "tsv":
-        return 0, _generate_tsv(plane, hs, fam, fiber)
-    return 0, _generate_text(plane, hs, fam, fiber)
-
-
-def _check_printable(values) -> None:
-    """DomainError when str() of a Fraction of values would pass the 4300
-    digits that Python writes of an int (its default limit), checked as
-    num or den >= 10^4300 without building the text."""
-    bound = 10 ** _MAX_DIGITS
-    for v in values:
-        if abs(v.numerator) >= bound or v.denominator >= bound:
-            big = max(abs(v.numerator), v.denominator)
-            raise DomainError(f"a coefficient of about {big.bit_length() * 3 // 10} digits,"
-                              f" over the bound of {_MAX_DIGITS} digits that str() writes")
+    # every line made before the first is written, _CHUNK_LINES joined to a text
+    lines = (_generate_tsv if ns.format == "tsv" else _generate_text)(plane, hs, fam, fiber)
+    return 0, ["\n".join(c) for c in iter(lambda: list(islice(lines, _CHUNK_LINES)), [])]
 
 
 def _poly_rows(name: str, p) -> Iterator[str]:
     for e, c in p.canonical_terms():
-        yield "\t".join([name, ",".join(map(str, e)), str(c)])
+        yield "\t".join([name, ",".join(map(str, e)), _printable(c)])
 
 
 def _generate_tsv(plane, hs, fam, fiber) -> Iterator[str]:
@@ -482,27 +477,27 @@ def _generate_tsv(plane, hs, fam, fiber) -> Iterator[str]:
         yield from _poly_rows(f"h{i}", h)
     if fam is not None:
         for t in fam.terms:
-            coeff = t.parameter if t.coefficient is None else str(t.coefficient)
+            coeff = t.parameter if t.coefficient is None else _printable(t.coefficient)
             yield "\t".join([t.parameter, ",".join(map(str, t.exponents)), coeff])
         if fiber is not None:
             yield from _poly_rows("fiber", fiber)
 
 
 def _generate_text(plane, hs, fam, fiber) -> Iterator[str]:
-    yield str(plane)
+    yield _printable(plane)
     for i, h in enumerate(hs, start=1):
-        yield f"h{i} = {h}"
+        yield f"h{i} = {_printable(h)}"
     if fam is not None:
-        lam_s = ",".join(str(v) for v in fam.lambdas) or "-"
+        lam_s = ",".join(map(_printable, fam.lambdas)) or "-"
         yield f"deformation cutoff={fam.weight_cutoff} lambdas={lam_s}"
         for t in fam.terms:
-            coeff = "symbolic" if t.coefficient is None else str(t.coefficient)
+            coeff = "symbolic" if t.coefficient is None else _printable(t.coefficient)
             yield (
                 f"  {t.parameter} level={t.level} weight={t.weight}"
-                f" monomial={t.monomial} coeff={coeff}"
+                f" monomial={_printable(t.monomial)} coeff={coeff}"
             )
         if fiber is not None:
-            yield f"fiber = {fiber}"
+            yield f"fiber = {_printable(fiber)}"
 
 
 def _scalar(text: str):
@@ -516,11 +511,13 @@ def _scalar(text: str):
 
 
 def _lambdas(text: str) -> list[Fraction]:
-    # sized as --alpha is, against the _MAX_DIGITS that str() writes of an int
-    # (Python's limit), 10/3 bits a digit: the writers print each value
-    from .gammaratio import _rational
+    # sized as --alpha is, 10/3 bits a digit, against the digits str() writes
+    # of an int (the writers print each value), or --alpha's bits where no limit
+    from .gammaratio import _MAX_BITS, _rational
 
-    return [_rational(v, _MAX_DIGITS * 10 // 3 + 1) for v in text.split(",")] if text else []
+    digits = _digit_limit()
+    bits = digits * 10 // 3 + 1 if digits else _MAX_BITS
+    return [_rational(v, bits) for v in text.split(",")] if text else []
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -566,8 +563,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("--suite", choices=("rnm", "combinatorics", "vanishing", "all"), default="all")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--rel-tol", type=float, default=1e-5, help="quadrature target")
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="bounds only the rnm rows' closed form against quadrature; symmetry"
+                        " rows keep 1e-10, vanishing rows 1e-8, combinatorics rows are exact")
+    p.add_argument("--rel-tol", type=float, default=1e-5, help="the rnm quadrature's target")
     add_format(p, "tsv")
 
     p = sub.add_parser("generate", help="curve equations and deformations")

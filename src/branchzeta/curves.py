@@ -325,9 +325,9 @@ def deformation_family(
     else:
         lams = [Fraction(v) for v in lambdas]
         if len(lams) != bn.g - 1:
-            raise ZeroLambda(
-                f"expected {bn.g - 1} lambda values for levels 2..{bn.g}, got {len(lams)}"
-            )
+            takes = ("no lambda values" if bn.g == 1
+                     else f"{bn.g - 1} lambda values, for levels 2..{bn.g}")
+            raise IndexOutOfRange(f"g = {bn.g} takes {takes}, got {len(lams)}")
     if any(v == 0 for v in lams):
         raise ZeroLambda("lambda values must be nonzero")
 

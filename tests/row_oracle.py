@@ -6,16 +6,24 @@ JSON candidate records and text candidate lines alike:
 * rows and candidate_cells, the stepping generator that Ladder.rows was and
   the two-generator loop over it that _candidate_cells was, four gcds a row;
 * candidate_rows and tsv_lines, the candidate rows as text, one Ladder.row
-  call and one _ratio call per field, and the TSV lines of those rows
+  call and one str(Fraction) per field, and the TSV lines of those rows
   through one template for every row.
+
+Nothing here reads the text helpers of cli: each denominator text and
+each rational is written here, by den_text and str(Fraction).
 """
 
+from fractions import Fraction
 from math import gcd
 
-from branchzeta.cli import _DEN_TEXT, _ratio
 from branchzeta.poles import PoleStatus
 
 STATUS = tuple(PoleStatus)  # by code: dead end excludes + 2 * previous level excludes
+
+
+def den_text(d):
+    """The "/d" text of a denominator d, "" for d = 1."""
+    return "" if d == 1 else "/" + str(d)
 
 
 def rows(lad, start, stop):
@@ -41,8 +49,8 @@ def candidate_cells(rep):
         nm = n * mbar
         for nu, (t, e1, e2, code) in enumerate(rows(lad, 0, hi)):
             g, g1, g2, h = gcd(t, N), gcd(e1, n), gcd(e2, mbar), gcd(t, nm)
-            yield (i, nu, -t // g, _DEN_TEXT[N // g], e1 // g1, _DEN_TEXT[n // g1],
-                   e2 // g2, _DEN_TEXT[mbar // g2], -t // h, _DEN_TEXT[nm // h],
+            yield (i, nu, -t // g, den_text(N // g), e1 // g1, den_text(n // g1),
+                   e2 // g2, den_text(mbar // g2), -t // h, den_text(nm // h),
                    STATUS[code].value)
 
 
@@ -53,8 +61,8 @@ def candidate_rows(rep):
         nm = lad.n * lad.mbar
         for nu in range(hi):
             t, e1, e2, code = lad.row(nu)
-            yield (lad.i, nu, _ratio(-t, lad.N), _ratio(e1, lad.n),
-                   _ratio(e2, lad.mbar), _ratio(-t, nm), STATUS[code].value)
+            yield (lad.i, nu, str(Fraction(-t, lad.N)), str(Fraction(e1, lad.n)),
+                   str(Fraction(e2, lad.mbar)), str(Fraction(-t, nm)), STATUS[code].value)
 
 
 def tsv_lines(rep):

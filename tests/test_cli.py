@@ -26,8 +26,8 @@ import branchzeta.cli
 import branchzeta.poles
 import fraction_oracle
 from branchzeta.branch import gaps, random_charseq
-from branchzeta.cli import (_CHUNK_LINES, _merge_negative_values, _write_stdout, build_parser,
-                            canonical_json, main, report_to_dict)
+from branchzeta.cli import (_CHUNK_LINES, _merge_negative_values, _ratio, _write_stdout,
+                            build_parser, canonical_json, main, report_to_dict)
 from branchzeta.errors import DomainError, IndexOutOfRange
 from branchzeta.poles import branch_report
 
@@ -39,6 +39,33 @@ def _child_env(**extra) -> dict:
     """The environment of a cli subprocess that imports this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+# Pythons before 3.10.7 have no limit on the digits str() writes of an int
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="this Python has no int digit limit")
+
+
+@contextlib.contextmanager
+def digit_limit(digits: int):
+    """The digits str() writes of an int set to digits inside the block,
+    whatever PYTHONINTMAXSTRDIGITS the run has, and restored after it; the
+    test is skipped on a Python without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def str_digits_4300():
+    """Python's default limit, 4300 digits, for one test."""
+    with digit_limit(4300):
+        yield
 
 
 def run(capsys, *args):
@@ -371,6 +398,7 @@ class TestNumberFlags:
         assert reason.endswith("digits, over the bound of 524288 bits")
         assert err == f"domain error: {reason}\n"
 
+    @pytest.mark.usefixtures("str_digits_4300")
     @pytest.mark.parametrize("value, digits", [("1e10000000", 10000001), ("1e5000", 5001)])
     def test_lambdas_text_over_the_printable_bound_exit_1_unbuilt(self, capsys, value, digits):
         # each value is written in full, and str() of an int stops at 4300 digits
@@ -380,6 +408,7 @@ class TestNumberFlags:
         assert (rc, out) == (1, "")
         assert err == f"error: about {digits} digits, over the bound of 14334 bits\n"
 
+    @pytest.mark.usefixtures("str_digits_4300")
     def test_lambdas_text_within_the_printable_bound_is_written(self, capsys):
         rc, out, _ = run(capsys, "generate", "4,6,7", "--deform", "--lambdas", "1e4000",
                          "--format", "json")
@@ -389,19 +418,24 @@ class TestNumberFlags:
     # each lambda passes its bound, but the base and a seeded fiber hold powers of them
     HUGE_POWERS = ["generate", "8,12,14,15", "--deform", "--lambdas", "1e2200,1e2200"]
 
+    @pytest.mark.usefixtures("str_digits_4300")
     @pytest.mark.parametrize("extra", [["--format", "json"], ["--seed", "1"],
                                        ["--seed", "1", "--format", "tsv"],
                                        ["--seed", "1", "--format", "json"]])
     def test_coefficient_over_the_printable_bound_exit_2_before_any_line(self, capsys, extra):
         rc, out, err = run(capsys, *self.HUGE_POWERS, *extra)
         reason = json.loads(out)["reason"]
-        digits = int(reason.removeprefix("a coefficient of about ").split()[0])
-        assert rc == 2 and digits > 4300
+        # the refusal names the first such coefficient the format writes: JSON
+        # writes the base (4385 digits) before a seeded fiber (4395 digits),
+        # and text and tsv write no base
+        digits = 4385 if "json" in extra else 4395
+        assert rc == 2 and reason.startswith(f"a coefficient of about {digits} digits,")
         assert reason.endswith(" digits, over the bound of 4300 digits that str() writes")
         assert err == f"domain error: {reason}\n"
         # stdout is the error alone: no tsv or text line was written before it
         assert out == canonical_json({"error": "domain", "reason": reason}) + "\n"
 
+    @pytest.mark.usefixtures("str_digits_4300")
     @pytest.mark.parametrize("fmt, sha256", [
         ("text", "37c1dbeb877dd3e23ec031e0e09f1512334a1a92dc8bed8cbe8f309252ca8e72"),
         ("tsv", "8517b33509688c86d210683d8c85a0c1260b8eb13557d47733003568ba1b9fdc"),
@@ -412,17 +446,57 @@ class TestNumberFlags:
         assert (rc, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    @pytest.mark.usefixtures("str_digits_4300")
     def test_printable_bound_is_the_one_str_keeps(self):
-        from branchzeta.cli import _check_printable
+        from branchzeta.cli import _printable
+        from branchzeta.curves import SparsePoly
 
         edge = 10**4300 - 1  # 4300 digits
         assert len(str(edge)) == 4300
-        _check_printable([Fraction(edge), Fraction(-edge, edge - 1)])
-        for value in (Fraction(edge + 1), Fraction(-edge - 1), Fraction(1, edge + 1)):
+        def poly(c):  # a polynomial is sized by each coefficient it prints
+            return SparsePoly(("x", "y"), {(1, 0): 1, (0, 2): c})
+
+        for value in (edge, Fraction(-edge, edge - 1), poly(edge)):
+            assert _printable(value) == str(value)
+        for value in (edge + 1, Fraction(-edge - 1), Fraction(1, edge + 1), poly(edge + 1)):
             with pytest.raises(ValueError, match="4300 digits"):
                 str(value)
             with pytest.raises(DomainError, match="over the bound of 4300 digits"):
-                _check_printable([Fraction(1), value])
+                _printable(value)
+
+    @pytest.mark.parametrize("limit", [640, 4300, 0])
+    def test_printable_bound_is_the_limit_read_at_call_time(self, limit):
+        # 0 is no limit: str() writes, and the helper passes, any integer
+        from branchzeta.cli import _printable
+
+        with digit_limit(limit):
+            for digits in (640, 4300, 5000):
+                value = Fraction(1, 10**digits)  # a denominator of digits + 1 digits
+                if limit and digits >= limit:
+                    with pytest.raises(DomainError, match=f"over the bound of {limit} digits"):
+                        _printable(value)
+                else:
+                    assert _printable(value) == str(value)
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("limit, lambdas", [("640", "1e500,1e500"), ("0", "1e2200,1e2200")])
+    def test_child_sizes_against_its_own_digit_limit(self, limit, lambdas):
+        # 640: each lambda passes its text bound, its powers are refused with
+        # exit 2 before str() raises; 0: the base of over 4300 digits is written
+        r = subprocess.run(
+            [sys.executable, "-m", "branchzeta.cli", "generate", "8,12,14,15", "--deform",
+             "--lambdas", lambdas, "--format", "json"],
+            capture_output=True, text=True, env=_child_env(PYTHONINTMAXSTRDIGITS=limit),
+            timeout=120)
+        doc = json.loads(r.stdout)
+        if limit == "0":
+            assert (r.returncode, r.stderr) == (0, "")
+            base = doc["deformation"]["base"]["terms"]
+            assert max(len(t["coefficient"].lstrip("-")) for t in base) > 4300
+        else:
+            assert r.returncode == 2
+            assert doc["reason"].endswith(" digits, over the bound of 640 digits that str() writes")
+            assert r.stderr == f"domain error: {doc['reason']}\n"
 
     def test_count_over_the_bound_is_written_bounded(self, capsys):
         # 1e5000 passes the text bound; the kernel's count of bits is an
@@ -737,6 +811,17 @@ class TestGenerate:
         assert spaced[1] == joined[1]
         assert json.loads(spaced[1])["deformation"]["lambdas"] == ["-2/3"]
 
+    @pytest.mark.parametrize("inp, lambdas, reason", [
+        ("4,9", "2", "g = 1 takes no lambda values, got 1"),
+        ("4,6,7", "2,3", "g = 2 takes 1 lambda values, for levels 2..2, got 2"),
+        ("8,12,14,15", "2", "g = 3 takes 2 lambda values, for levels 2..3, got 1"),
+    ])
+    def test_wrong_number_of_lambdas_exit_2(self, capsys, inp, lambdas, reason):
+        rc, out, err = run(capsys, "generate", inp, "--deform", "--lambdas", lambdas)
+        assert rc == 2
+        assert json.loads(out) == {"error": "domain", "reason": reason}
+        assert err == f"domain error: {reason}\n"
+
     @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
     def test_needs_no_pole_report(self, capsys, monkeypatch, fmt):
         def refuse(*args, **kwargs):
@@ -763,6 +848,10 @@ class _Stdout:
 
 
 class TestPlumbing:
+    @given(st.integers(), st.integers(min_value=1))
+    def test_ratio_is_str_of_fraction(self, a, b):
+        assert _ratio(a, b) == str(Fraction(a, b))
+
     def test_merge_negative_values(self):
         assert _merge_negative_values(["--alpha", "-3/5", "--n", "0"]) == [
             "--alpha=-3/5", "--n", "0",

@@ -242,8 +242,12 @@ class TestDeformationFamily:
     def test_zero_lambda(self):
         with pytest.raises(ZeroLambda):
             deformation_family(B4613, lambdas=[0])
-        with pytest.raises(ZeroLambda):
+        # a wrong count is a length mismatch, not a zero lambda
+        with pytest.raises(IndexOutOfRange,
+                           match=r"^g = 2 takes 1 lambda values, for levels 2\.\.2, got 2"):
             deformation_family(B4613, lambdas=[1, 1])
+        with pytest.raises(IndexOutOfRange, match=r"^g = 1 takes no lambda values, got 1"):
+            deformation_family(B49, lambdas=[2])
 
     def test_bad_source_type(self):
         with pytest.raises(TypeError):
