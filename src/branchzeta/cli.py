@@ -201,8 +201,8 @@ def _candidate_cells(rep) -> Iterator[tuple]:
     steps a ladder, one frame a row and no Fraction: t, e1 and e2 stepped from
     Ladder.row(0) by 1, -a and -D, the row identity checked, then i, nu, the
     numerator and "/d" text (_DEN_TEXT) of sigma = -t/N, eps1, eps2 and
-    eps3 = -t/(n mbar) in lowest terms, and the status text of the row's code.
-    Where e = 1, eps3 is sigma: three gcds a row, four elsewhere."""
+    eps3 = -t/(n mbar) in lowest terms, and the status text of the code that
+    eps1's and eps2's gcds give.  Where e = 1, eps3 is sigma: 3 gcds, else 4."""
     from .poles import PoleStatus
 
     status_text, den = tuple(s.value for s in PoleStatus), _DEN_TEXT
@@ -216,7 +216,7 @@ def _candidate_cells(rep) -> Iterator[tuple]:
             s, sd = -t // g, den[N // g]
             s3, d3 = (s, sd) if one else (-t // (h := gcd(t, nm)), den[nm // h])
             yield (i, nu, s, sd, e1 // g1, den[n // g1], e2 // g2, den[mbar // g2], s3, d3,
-                   status_text[(t % n == 0) + 2 * (t % mbar == 0)])
+                   status_text[(g1 == n) + 2 * (g2 == mbar)])
             t, e1, e2 = t + 1, e1 - a, e2 - D
             w += nm
 

@@ -6,7 +6,8 @@ Three constructions, all exact over the rationals:
   variables ``u_0, ..., u_g``, where ``h_i`` subtracts from ``u_i^{n_i}``
   the canonical monomial of the same weight in the earlier variables;
 * the plane equation obtained by running the same recursion inside
-  ``C[x, y]`` starting from ``f_0 = x``, ``f_1 = y``;
+  ``C[x, y]`` from ``f_0 = x``, ``f_1 = y``, each level one sum in which
+  the lambda term is a part like any deformation term;
 * weighted deformation families of the plane equation, enumerating for
   each recursion level the canonical exponent vectors whose weight lies
   strictly above the level weight and at most a cutoff.
@@ -22,6 +23,7 @@ import random
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 
 from .branch import BranchNumerics, canonical_representation
@@ -206,33 +208,34 @@ def monomial_curve_equations(bn: BranchNumerics) -> list[SparsePoly]:
     return out
 
 
-def _product(fs: Sequence[SparsePoly], exps: Sequence[int], coeff=1) -> SparsePoly:
-    """coeff * prod f_l^{k_l} in C[x, y] for the exponent vector k."""
+def _term(pw, exps: Sequence[int], coeff=1) -> SparsePoly:
+    """coeff * prod f_l^{k_l} in C[x, y], each power f_l^k read as pw(l, k)."""
     out = SparsePoly.monomial(("x", "y"), (0, 0), coeff)
-    for f, k in zip(fs, exps):
-        out = out * f**k
+    for l, k in enumerate(exps):
+        out = out * pw(l, k)
     return out
 
 
 def _plane_recursion(
     bn: BranchNumerics,
     lambdas: Sequence[Fraction],
-    level_terms: Mapping[int, Iterable[tuple[tuple[int, ...], Fraction]]] = {},
+    parts: Sequence[tuple[tuple[int, ...], Fraction]] = (),
 ) -> list[SparsePoly]:
-    """Run f_{i+1} = f_i^{n_i} - lambda_i * prod(f_l^{rep_l}) + level sums
-    and return every f_0, .., f_{g+1}; the last is the plane equation.
-
-    lambdas has one entry per level 1..g with the first pinned to 1 by the
-    callers; level_terms maps a level to (exponent vector, coefficient)
-    pairs whose monomials are products of the current f_0..f_i.
+    """Run f_{i+1} = f_i^{n_i} + sum of c * prod(f_l^{k_l}) over level i's
+    parts (k, c), and return f_0, .., f_{g+1}; the last is the plane equation.
+    Level i's parts are (rep_i, -lambda_i), rep_i the canonical exponents of
+    n_i betabar_i and lambdas one entry per level 1..g (the first pinned to
+    1), and each given part whose vector (k_0, .., k_i) has length i + 1.  A
+    level is one _accumulate pass; each f_l^k is made once, for this call.
     """
     names = ("x", "y")
     fs = [SparsePoly.variable(names, "x"), SparsePoly.variable(names, "y")]
+    pw = cache(lambda l, k: fs[l] ** k)
     for i in range(1, bn.g + 1):
-        nxt = fs[i] ** bn.nn[i] - lambdas[i - 1] * _product(fs, _canonical_exponents(bn, i))
-        for exps, coeff in level_terms.get(i, ()):
-            nxt = nxt + _product(fs, exps, coeff)
-        fs.append(nxt)
+        level = [(_canonical_exponents(bn, i), -lambdas[i - 1]),
+                 *((e, c) for e, c in parts if c and len(e) == i + 1)]
+        fs.append(SparsePoly._from_clean(names, _accumulate(chain(
+            pw(i, bn.nn[i]).terms.items(), *(_term(pw, e, c).terms.items() for e, c in level)))))
     return fs
 
 
@@ -275,20 +278,16 @@ class DeformationFamily(namedtuple("DeformationFamily", "bn base terms lambdas w
         the symbolic terms keyed by exponent vector (k_0, .., k_level); a
         symbolic term it omits gets zero, a stored coefficient is kept, and
         a key that is no term's exponent vector raises IndexOutOfRange.
-        The recursion is rerun so deformation terms at level i feed the
-        later levels, matching the family's definition rather than a
-        first-order truncation.
+        The recursion is rerun with the terms as parts, so a level-i term
+        feeds the later levels as the family defines, not to first order.
         """
         values = dict(values)
-        by_level: dict[int, list[tuple[tuple[int, ...], object]]] = {}
-        for t in self.terms:
-            given = values.pop(t.exponents, 0)
-            coeff = given if t.coefficient is None else t.coefficient
-            if coeff:
-                by_level.setdefault(t.level, []).append((t.exponents, coeff))
-        if values:
-            raise IndexOutOfRange(f"no term has the exponents {', '.join(map(str, values))}")
-        return _plane_recursion(self.bn, [1, *self.lambdas], by_level)[-1]
+        known = {t.exponents for t in self.terms}
+        if unknown := [k for k in values if k not in known]:
+            raise IndexOutOfRange(f"no term has the exponents {', '.join(map(str, unknown))}")
+        return _plane_recursion(self.bn, [1, *self.lambdas], [
+            (t.exponents, values.get(t.exponents, 0) if t.coefficient is None else t.coefficient)
+            for t in self.terms])[-1]
 
 
 def _draw_coefficient(rng: random.Random) -> Fraction:
@@ -338,6 +337,7 @@ def deformation_family(
         raise TypeError("coefficient_source must be None or an int seed")
 
     base_fs = _plane_recursion(bn, [1, *lams])
+    pw = cache(lambda l, k: base_fs[l] ** k)
 
     terms: list[DeformationTerm] = []
     for i in range(1, bn.g + 1):
@@ -351,7 +351,7 @@ def deformation_family(
                 found.append((w + bn.n * k0, (k0, *rest)))
         found.sort()
         for weight, exps in found:
-            mono = _product(base_fs, exps)
+            mono = _term(pw, exps)
             coeff = None if rng is None else _draw_coefficient(rng)
             label = f"t^({i})_({','.join(map(str, exps))})"
             terms.append(DeformationTerm(label, i, exps, weight, mono, coeff))

@@ -832,6 +832,23 @@ class TestGenerate:
         assert rc == 0
         assert out.encode() == (GOLDEN / f"generate_semigroup_4_6_13.{fmt}").read_bytes()
 
+    @pytest.mark.parametrize("args, sha256", [
+        ("8,199 --deform --seed 1",
+         "b87b328edeaf1c54d4f950f75b8995375d4f228c9343daf5e549d662ef1cff2f"),
+        ("16,199 --deform --seed 1",
+         "c5da8f33e6e6afce671c9ee4a9dc85c75770a4941d062a97bac66732ba837703"),
+        ("6,9,22 --deform --cutoff 300 --seed 2",
+         "c3e1a98ae5f8859270471015a9c62f3282d9e425a965bb66f1963ee9e685bc23"),
+    ], ids=["8,199", "16,199", "6,9,22"])
+    def test_seeded_fiber_within_3_s(self, args, sha256):
+        start = time.perf_counter()
+        r = subprocess.run([sys.executable, "-m", "branchzeta.cli", "generate", *args.split()],
+                           capture_output=True, env=_child_env(), timeout=120)
+        elapsed = time.perf_counter() - start
+        assert (r.returncode, r.stderr) == (0, b"")
+        assert hashlib.sha256(r.stdout).hexdigest() == sha256
+        assert elapsed < 3, elapsed
+
 
 class _Stdout:
     """A stdout that hands each write to on_write and keeps nothing."""

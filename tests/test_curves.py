@@ -2,12 +2,16 @@
 deformation enumeration, and SparsePoly arithmetic against a sympy
 expansion oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from branchzeta.branch import CharSeq, derive_numerics
+import curves_oracle
+from branchzeta import curves
+from branchzeta.branch import CharSeq, derive_numerics, random_charseq
 from branchzeta.curves import (
     DeformationFamily,
     SparsePoly,
@@ -21,6 +25,7 @@ from branchzeta.errors import IndexOutOfRange, InvalidCutoff, ZeroLambda
 B49 = derive_numerics(CharSeq(4, (9,)))
 B4613 = derive_numerics(CharSeq(4, (6, 7)))
 B23 = derive_numerics(CharSeq(2, (3,)))
+B6922 = derive_numerics(CharSeq(6, (9, 22)))
 
 
 def to_sympy(p: SparsePoly):
@@ -255,3 +260,64 @@ class TestDeformationFamily:
         # explicit values go to instantiate(), not to the family
         with pytest.raises(TypeError):
             deformation_family(B49, coefficient_source={(5, 2): 1})
+
+
+def same(p: SparsePoly, q: SparsePoly) -> bool:
+    """Equal polynomials whose coefficients also have equal types, so that
+    both print the same text."""
+    return p == q and {e: type(c) for e, c in p.terms.items()} == {
+        e: type(c) for e, c in q.terms.items()}
+
+
+@st.composite
+def families(draw):
+    """(numerics, cutoff, lambdas) of a small branch: multiplicity <= 8,
+    beta_1 <= 30, a cutoff at most 8 over the top level weight, and for
+    g >= 2 either the default lambdas or nonzero drawn ones."""
+    bn = derive_numerics(random_charseq(random.Random(draw(st.integers(0, 2**32 - 1))),
+                                        max_n=8, max_beta=30))
+    top = max(bn.nn[i] * bn.gens[i] for i in range(1, bn.g + 1))
+    lam = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    lambdas = (draw(st.lists(lam, min_size=bn.g - 1, max_size=bn.g - 1))
+               if bn.g >= 2 and draw(st.booleans()) else None)
+    return bn, top + draw(st.integers(0, 8)), lambdas
+
+
+class TestPlaneRecursionOracle:
+    """Each level as one sum, against tests/curves_oracle.py, which sums a
+    level one term at a time and makes every power again for each term."""
+
+    @given(families(), st.integers(0, 2**31), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_recursion_matches_the_pairwise_oracle(self, drawn, seed, data):
+        bn, cutoff, lambdas = drawn
+        assert same(plane_equation(bn), curves_oracle.plane_recursion(bn, [1] * bn.g)[-1])
+        fam = deformation_family(bn, cutoff, lambdas)
+        base_fs = curves_oracle.plane_recursion(bn, [1, *fam.lambdas])
+        assert same(fam.base, base_fs[-1])
+        for t in fam.terms:
+            assert same(t.monomial, curves_oracle.product(base_fs, t.exponents))
+        # explicit values, zero among them, on some of the symbolic terms
+        coeff = st.fractions(-3, 3, max_denominator=4)
+        values = {t.exponents: data.draw(coeff) for t in fam.terms if data.draw(st.booleans())}
+        assert same(fam.instantiate(values), curves_oracle.instantiate(fam, values))
+        seeded = deformation_family(bn, cutoff, lambdas, coefficient_source=seed)
+        assert same(seeded.instantiate(), curves_oracle.instantiate(seeded))
+
+    def test_each_power_made_once_per_recursion(self, monkeypatch):
+        fam = deformation_family(B6922, weight_cutoff=150, coefficient_source=2)
+        seen = []
+        pow_ = SparsePoly.__pow__
+
+        def counting_pow(self, k):
+            seen.append((self.variables, tuple(sorted(self.terms.items())), k))
+            return pow_(self, k)
+
+        monkeypatch.setattr(SparsePoly, "__pow__", counting_pow)
+        parts = [(t.exponents, t.coefficient) for t in fam.terms]
+        fiber = curves._plane_recursion(B6922, [1, *fam.lambdas], parts)[-1]
+        assert seen and len(set(seen)) == len(seen)
+        # the oracle makes some power again, so the count can tell them apart
+        seen.clear()
+        assert curves_oracle.instantiate(fam) == fiber
+        assert len(set(seen)) < len(seen)
