@@ -44,7 +44,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
-from math import gcd, inf
+from math import gcd, inf, isqrt
 
 from .errors import BranchZetaError, DomainError, InvalidCharSeq, NotPlaneBranchSemigroup
 
@@ -58,20 +58,16 @@ class _Parser(argparse.ArgumentParser):
         raise _SyntaxError(message)
 
 
+def _den_text(d: int) -> str:
+    return f"/{d}" if d != 1 else ""
+
+
 def _ratio(num: int, den: int) -> str:
-    """num/den (den > 0) in lowest terms, printed as str(Fraction) prints it."""
+    """num/den (den > 0) in lowest terms, as str(Fraction) prints it, via _den_text."""
     g = gcd(num, den)
-    return f"{num // g}{_DEN_TEXT[den // g]}"
+    return f"{num // g}{_den_text(den // g)}"
 
 
-class _DenText(dict):
-    """The "/d" text of a denominator d, "" for d = 1, made on first use."""
-    def __missing__(self, d: int) -> str:
-        text = self[d] = f"/{d}" if d != 1 else ""
-        return text
-
-
-_DEN_TEXT = _DenText()
 _CHUNK_LINES = 512  # lines joined into one stdout write
 
 
@@ -200,14 +196,15 @@ def _candidate_cells(rep) -> Iterator[tuple]:
     """The cells of every candidate, ladder by ladder, from the one loop that
     steps a ladder, one frame a row and no Fraction: t, e1 and e2 stepped from
     Ladder.row(0) by 1, -a and -D, the row identity checked, then i, nu, the
-    numerator and "/d" text (_DEN_TEXT) of sigma = -t/N, eps1, eps2 and
-    eps3 = -t/(n mbar) in lowest terms, and the status text of the code that
-    eps1's and eps2's gcds give.  Where e = 1, eps3 is sigma: 3 gcds, else 4."""
+    numerator and "/d" text of sigma = -t/N, eps1, eps2 and eps3 = -t/(n mbar)
+    in lowest terms, each text off a dict per ladder over the divisors of N, and
+    the status text eps1's and eps2's gcds give.  e = 1 makes eps3 sigma: 3 gcds, else 4."""
     from .poles import PoleStatus
 
-    status_text, den = tuple(s.value for s in PoleStatus), _DEN_TEXT
+    status_text = tuple(s.value for s in PoleStatus)
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
         i, N, n, mbar, a, D, one = lad.i, lad.N, lad.n, lad.mbar, lad.a, lad.D, lad.e == 1
+        den = {q: _den_text(q) for d in range(1, isqrt(N) + 1) if N % d == 0 for q in (d, N // d)}
         nm, (t, e1, e2, _) = n * mbar, lad.row(0)
         w = 2 * nm  # (nu + 2) n mbar
         for nu in range(hi):

@@ -320,7 +320,7 @@ def deformation_family(
         raise InvalidCutoff(f"cutoff {weight_cutoff} below top level weight {top}")
 
     if lambdas is None:
-        lams = [1] * max(bn.g - 1, 0)
+        lams = [1] * (bn.g - 1)
     else:
         lams = [Fraction(v) for v in lambdas]
         if len(lams) != bn.g - 1:

@@ -21,7 +21,7 @@ from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import combinations
 
 from .branch import BranchNumerics, Ladder, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient, exact_int
@@ -187,21 +187,26 @@ class Resonance(namedtuple("Resonance", "sigma occurrences")):
 
 
 def _resonances(bn: BranchNumerics, ends: tuple[int, ...]) -> tuple[Resonance, ...]:
-    """Candidate values on two or more ladders, largest sigma first."""
+    """Candidate values on two or more ladders, largest sigma first: ladder i
+    holds the multiples of s_i = den/N_i in [r_i s_i, (r_i + ends_i) s_i), and
+    each pair shares one progression, those of lcm(s_i, s_j) in both (any g)."""
     tops = [_numerators(bn.den, lad.r, hi, lad.N) for lad, hi in zip(bn.ladders, ends)]
-    hits = Counter(chain.from_iterable(tops))
+    shared = set()
+    for a, b in combinations(tops, 2):
+        lo, step = max(a.start, b.start), math.lcm(a.step, b.step)
+        shared.update(range(lo + -lo % step, min(a.stop, b.stop), step))
     return tuple(
         Resonance(Fraction(-key, bn.den), tuple(
-            (lad.i, key // top.step - lad.r, _STATUS[lad.row(key // top.step - lad.r)[3]])
+            (lad.i, nu := top.index(key), _STATUS[lad.row(nu)[3]])
             for lad, top in zip(bn.ladders, tops) if key in top))
-        for key in sorted(k for k, c in hits.items() if c > 1))
+        for key in sorted(shared))
 
 
 class BranchReport(namedtuple("BranchReport", "input_text kind bn nu_max")):
     """Every invariant of one branch.  Only the input is stored (kind is
-    "charseq" or "semigroup", nu_max an int or None); each other section is
-    built from bn and nu_max when first read, and kept in the instance
-    __dict__ (no __slots__)."""
+    "charseq" or "semigroup", nu_max an int or None); each other section,
+    the resonances for every g too, is built from bn and nu_max when first
+    read, and kept in the instance __dict__ (no __slots__)."""
 
     # The strict transform contributes the pole ladder -1, -2, -3, ...
     strict_transform_poles = "all negative integers"
@@ -211,6 +216,7 @@ class BranchReport(namedtuple("BranchReport", "input_text kind bn nu_max")):
     pi_sets = property(lambda self: self._pi[0])
     pi_merged = property(lambda self: self._pi[1])
     yano = cached_property(lambda self: yano_multiset(self.bn))
+    resonances = cached_property(lambda self: _resonances(self.bn, self.ladder_lengths))
     eigenvalues = cached_property(lambda self: eigenvalue_analysis(self.pi_merged))
     distinct = cached_property(lambda self: eigenvalues_distinct(self.pi_merged))
     verdict = cached_property(lambda self: "proved-distinct" if self.distinct
@@ -229,10 +235,6 @@ class BranchReport(namedtuple("BranchReport", "input_text kind bn nu_max")):
         # the smallest kept pole value: every ladder's lies in its first period
         assert self.lct == Fraction(min(merged.counts), merged.den)
         return tuple(sets), merged
-
-    @cached_property
-    def resonances(self) -> tuple[Resonance, ...]:
-        return _resonances(self.bn, self.ladder_lengths) if self.bn.g > 1 else ()
 
 
 def branch_report(input_spec, nu_max: int | None = None) -> BranchReport:

@@ -25,10 +25,17 @@ eigenvalue classes) are built here section by section, each from its own
 multiset's Fractions, as branchzeta.cli built them before the sections
 shared one record list; and exponent multisets are compared here as
 Fraction-keyed dicts.
+
+The resonances are also found here as branchzeta.poles found them before it
+read them off the pairs of ladders: every numerator of every ladder counted
+in one Counter, and each key counted twice or more kept.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
+from branchzeta.poles import _STATUS, Resonance, _numerators
 from branchzeta.toric import toric_steps
 
 STATUS = {
@@ -144,6 +151,18 @@ def resonances(cands):
         for sigma, group in sorted(by_sigma.items(), reverse=True)
         if len({i for i, _, _ in group}) >= 2
     ]
+
+
+def counted_resonances(bn, ends):
+    """The Resonance records of the numerators that two or more ladders
+    hold, ladder i holding 0 <= nu < ends[i - 1], largest sigma first."""
+    tops = [_numerators(bn.den, lad.r, hi, lad.N) for lad, hi in zip(bn.ladders, ends)]
+    hits = Counter(chain.from_iterable(tops))
+    return tuple(
+        Resonance(Fraction(-key, bn.den), tuple(
+            (lad.i, key // top.step - lad.r, _STATUS[lad.row(key // top.step - lad.r)[3]])
+            for lad, top in zip(bn.ladders, tops) if key in top))
+        for key in sorted(k for k, c in hits.items() if c > 1))
 
 
 def multisets_equal(a, b):

@@ -869,6 +869,19 @@ class TestPlumbing:
     def test_ratio_is_str_of_fraction(self, a, b):
         assert _ratio(a, b) == str(Fraction(a, b))
 
+    def test_reports_leave_the_module_tables_as_they_were(self, capsys):
+        """analyze keeps each table to its report: no dict of the module
+        grows from one report to the next."""
+        def sizes():
+            return {k: len(v) for k, v in vars(branchzeta.cli).items()
+                    if isinstance(v, dict) and not k.startswith("__")}
+
+        before = sizes()
+        for spec in ("2,3", "4,9", "4,6,7", "6,9,22", "12,18,20,23"):
+            for fmt in ("json", "text"):
+                assert run(capsys, "analyze", spec, "--format", fmt)[0] == 0
+        assert sizes() == before
+
     def test_merge_negative_values(self):
         assert _merge_negative_values(["--alpha", "-3/5", "--n", "0"]) == [
             "--alpha=-3/5", "--n", "0",

@@ -1,7 +1,9 @@
 """The integer ladder core against the Fraction oracle (fraction_oracle.py):
 every candidate field and status, the Pi multisets, Yano's multiset, the
 eigenvalue classes and the resonances, over random characteristic
-sequences, some with an extended ladder, all over one denominator; Yano's
+sequences, some with an extended ladder, all over one denominator; the
+resonances against the count of every numerator that found them before
+(fraction_oracle.py), on g = 1 to 3 and ladders short and extended; Yano's
 divisor form against his series expanded from the characteristic
 sequence, up to n = 36 and g >= 3; the divisor data (the ladders' dead
 ends too) and lct read off the ladders against their closed forms; the
@@ -83,6 +85,32 @@ def test_report_matches_fraction_oracle(draw):
         for r in rep.resonances
     ]
     assert got_res == oracle.resonances(want)
+
+
+@st.composite
+def resonance_draws(draw):
+    """A random_charseq draw (max_n 12), semigroup:4,6,b or 12,18,20,23
+    (g = 3), with nu_max None, 0, 1 to 50, or above every N_i."""
+    spec = draw(st.sampled_from(["charseq", "semigroup", "12,18,20,23"]))
+    if spec == "charseq":
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+        spec = random_charseq(rng, max_n=12, max_beta=150)
+    elif spec == "semigroup":
+        spec = f"semigroup:4,6,{2 * draw(st.integers(min_value=6, max_value=60)) + 1}"
+    top = max(lad.N for lad in branch_report(spec).bn.ladders)
+    nu_max = draw(st.none() | st.just(0) | st.integers(min_value=1, max_value=50)
+                  | st.integers(min_value=top, max_value=2 * top))
+    return spec, nu_max
+
+
+@given(resonance_draws())
+@settings(max_examples=60, deadline=None)
+def test_resonances_match_the_counted_oracle(draw):
+    """The resonances read off the pairs of ladders are those that a count of
+    every numerator finds, for every g (g = 1 has none, with no test of g)."""
+    rep = branch_report(*draw)
+    assert rep.resonances == oracle.counted_resonances(rep.bn, rep.ladder_lengths)
+    assert rep.bn.g > 1 or rep.resonances == ()
 
 
 @given(draws(), st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=5))

@@ -8,6 +8,7 @@ branches.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -340,6 +341,20 @@ class TestBranchReport:
         res = {r.sigma: r for r in rep.resonances}
         assert Fraction(-1, 2) in res
         assert {occ[0] for occ in res[Fraction(-1, 2)].occurrences} == {1, 2}
+
+    @pytest.mark.parametrize("spec", ["6,9,22", "4,6,7"])
+    def test_resonances_peak_under_twice_what_they_keep(self, spec):
+        """Reading the resonances of long ladders holds no table of every
+        numerator: the peak stays under twice the memory still held after."""
+        tracemalloc.start()
+        try:
+            rep = branch_report(spec, nu_max=100_000)
+            res = rep.resonances
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res
+        assert peak < 2 * current, (peak, current)
 
     def test_invalid_inputs_propagate(self):
         with pytest.raises(NotPlaneBranchSemigroup):
