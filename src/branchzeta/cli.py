@@ -79,43 +79,23 @@ def _fmt_cx(z: complex) -> str:
     return f"{z.real:.12e}{z.imag:+.12e}i"
 
 
-def _float_text(x: float) -> str:
-    s = float.__repr__(x)
-    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(s, s)
-
-
-# JSON text of each scalar type, keyed by exact type as json.dumps writes it
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-@functools.lru_cache(maxsize=256)
-def _dict_template(keys: tuple, ind: str):
-    """(%-template, sorted keys) of a dict with these keys whose lines after
-    the first start with ind; None when a key is not a str."""
-    if not all(type(k) is str for k in keys):
-        return None
-    order = sorted(keys)
-    inner = ind + "  "
-    fields = (inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order)
-    return "{" + ",".join(fields) + ind + "}", order
+# JSON text of each scalar type that comes as a column, keyed by exact type as
+# json.dumps writes it; a float or bool comes alone and goes to json.dumps
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
 
 
 def _column(values: list, ind: str, memo: dict) -> list[str]:
     """The JSON text of each of values, its lines after the first starting
     with ind (a newline and the indentation).  A column of one type and
-    shape is converted at once: scalars by one map, dicts with one key set
-    through one template whose fields are the columns of their keys, lists
-    (or tuples) through the column of all their items.  memo keeps the text
-    of each non-empty list or tuple written as a single value by id(); where
-    the same object comes up again, that text is re-indented by one replace
-    of its leading indentation (JSON text never holds a raw newline inside a
-    string)."""
+    shape is converted at once: str, int and None by one map, dicts with one
+    key set of str through one %-template whose fields are the columns of
+    their keys, lists (or tuples) through the column of all their items.
+    memo, made for one call of canonical_json, keeps each dict shape's
+    (template, sorted keys) under (keys, ind), made where the shape first
+    comes up, and the text of each non-empty list or tuple written as a
+    single value by id(); where the same object comes up again, that text is
+    re-indented by one replace of its leading indentation (JSON text never
+    holds a raw newline inside a string)."""
     if len(values) == 1 and id(values[0]) in memo:
         text, at = memo[id(values[0])]
         return [text if at == ind else text.replace(at, ind)]
@@ -126,9 +106,13 @@ def _column(values: list, ind: str, memo: dict) -> list[str]:
     inner = ind + "  "
     if t is dict and all(values):
         shapes = set(map(tuple, values))
-        tpl = _dict_template(shapes.pop(), ind) if len(shapes) == 1 else None
-        if tpl is not None:
-            fmt, order = tpl
+        keys = shapes.pop() if len(shapes) == 1 else ()
+        if keys and all(type(k) is str for k in keys):
+            if (keys, ind) not in memo:
+                order = sorted(keys)
+                heads = (inner + encode_basestring_ascii(k).replace("%", "%%") for k in order)
+                memo[keys, ind] = "{" + ",".join(h + ": %s" for h in heads) + ind + "}", order
+            fmt, order = memo[keys, ind]
             fields = [_column([v[k] for v in values], inner, memo) for k in order]
             return list(map(fmt.__mod__, zip(*fields)))
     elif (t is list or t is tuple) and all(values):
@@ -141,18 +125,19 @@ def _column(values: list, ind: str, memo: dict) -> list[str]:
         return texts
     if len(values) != 1:  # mixed types or shapes: value by value
         return [_column([v], ind, memo)[0] for v in values]
-    # an empty container, non-str keys, a subclass of a scalar type, anything
-    # else: json.dumps decides; JSON text never holds a raw newline inside a
-    # string
+    # a float, a bool, an empty container, non-str keys, a subclass of a
+    # scalar type, anything else: json.dumps decides; JSON text never holds a
+    # raw newline inside a string
     return [json.dumps(values[0], sort_keys=True, indent=2).replace("\n", ind)]
 
 
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2), written
     without its pure-Python encoder: values of one shape are converted as
-    one column, a dict of each shape through one cached template, and a list
-    or tuple that obj holds more than once is converted once.  The memo lives for
-    this call only, while obj keeps each id in it alive."""
+    one column, the dicts of each shape through one template, and a list or
+    tuple that obj holds more than once is converted once.  The templates
+    and texts live in a memo made for this call, while obj keeps each id in
+    it alive; nothing outlives the call."""
     return _column([obj], "\n", {})[0]
 
 

@@ -27,7 +27,7 @@ from functools import cache
 from itertools import chain, product
 
 from .branch import BranchNumerics, canonical_representation
-from .errors import IndexOutOfRange, InvalidCutoff, ZeroLambda, exact_int
+from .errors import DomainError, IndexOutOfRange, InvalidCutoff, ZeroLambda, exact_int
 
 
 def _accumulate(pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
@@ -58,7 +58,8 @@ class SparsePoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         pairs = [(tuple(map(exact_int, exps)), c if type(c) is int else Fraction(c))
                  for exps, c in items]
-        assert all(len(e) == len(self.variables) and min(e, default=0) >= 0 for e, _ in pairs)
+        if bad := [e for e, _ in pairs if len(e) != len(self.variables) or min(e, default=0) < 0]:
+            raise IndexOutOfRange(f"need {len(self.variables)} exponents >= 0, got {bad[0]}")
         self.terms = _accumulate(pairs)
 
     @classmethod
@@ -83,7 +84,8 @@ class SparsePoly:
         return cls.monomial(variables, exps)
 
     def _check_same(self, other: "SparsePoly") -> None:
-        assert self.variables == other.variables, "variable sets differ"
+        if self.variables != other.variables:
+            raise DomainError(f"variable sets differ: {self.variables} and {other.variables}")
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -128,7 +130,8 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SparsePoly":
-        assert isinstance(k, int) and k >= 0
+        if (k := exact_int(k)) < 0:
+            raise DomainError(f"power {k} is negative")
         if len(self.terms) == 1:
             # a monomial power is one term: no k-fold product needed
             ((e, c),) = self.terms.items()
@@ -151,7 +154,8 @@ class SparsePoly:
 
     def substitute_powers(self, powers: Sequence[int]) -> "SparsePoly":
         """Substitute variable j by t^powers[j]; result lives in C[t]."""
-        assert len(powers) == len(self.variables)
+        if len(powers) != len(self.variables):
+            raise IndexOutOfRange(f"expected {len(self.variables)} powers, got {len(powers)}")
         return SparsePoly._from_clean(("t",), _accumulate(
             ((sum(p * k for p, k in zip(powers, exps)),), coeff)
             for exps, coeff in self.terms.items()))
@@ -190,8 +194,8 @@ class SparsePoly:
 
 
 def _canonical_exponents(bn: BranchNumerics, i: int) -> tuple[int, ...]:
-    # exponent vector below level i representing the weight n_i betabar_i
-    rep = canonical_representation(bn, bn.nn[i] * bn.gens[i])
+    # exponent vector below level i representing the weight N_i = n_i betabar_i
+    rep = canonical_representation(bn, bn.ladders[i - 1].N)
     assert all(rep[l] == 0 for l in range(i, bn.g + 1))
     return rep[:i]
 
@@ -247,8 +251,10 @@ def plane_equation(bn: BranchNumerics) -> SparsePoly:
 def weight_of_monomial(bn: BranchNumerics, ks: Sequence[int]) -> int:
     """Weighted degree sum(betabar_l * k_l) of an exponent vector."""
     ks = tuple(map(exact_int, ks))
-    assert len(ks) <= bn.g + 1
-    assert all(k >= 0 for k in ks)
+    if len(ks) > bn.g + 1:
+        raise IndexOutOfRange(f"expected at most {bn.g + 1} exponents, got {len(ks)}")
+    if any(k < 0 for k in ks):
+        raise IndexOutOfRange("exponents must be non-negative")
     return sum(bn.gens[l] * k for l, k in enumerate(ks))
 
 
@@ -312,9 +318,9 @@ def deformation_family(
     them symbolic (explicit values then go to instantiate()), and an int
     seeds a generator of nonzero rationals.
     """
-    top = max(bn.nn[i] * bn.gens[i] for i in range(1, bn.g + 1))
+    top = bn.ladders[-1].N  # N_i = n_i betabar_i grows with i
     if weight_cutoff is None:
-        weight_cutoff = bn.nn[bn.g] * bn.gens[bn.g] + bn.conductor
+        weight_cutoff = top + bn.conductor
     weight_cutoff = exact_int(weight_cutoff)
     if weight_cutoff < top:
         raise InvalidCutoff(f"cutoff {weight_cutoff} below top level weight {top}")
@@ -341,7 +347,7 @@ def deformation_family(
 
     terms: list[DeformationTerm] = []
     for i in range(1, bn.g + 1):
-        level_weight = bn.nn[i] * bn.gens[i]
+        level_weight = bn.ladders[i - 1].N
         found: list[tuple[int, tuple[int, ...]]] = []
         for rest in product(*(range(bn.nn[l]) for l in range(1, i + 1))):
             w = sum(g * k for g, k in zip(bn.gens[1:], rest))

@@ -729,6 +729,18 @@ class TestCanonicalJson:
             del value
         assert len(ids) < 200
 
+    def test_keeps_no_state_between_calls(self):
+        """canonical_json keeps nothing past its call: no function cache of
+        the module moves, whatever key sets the call meets."""
+        def caches():
+            return {k: f.cache_info() for k, f in vars(branchzeta.cli).items()
+                    if hasattr(f, "cache_info")}
+
+        before = caches()
+        canonical_json(report_to_dict(branch_report("4,6,7")))
+        canonical_json([{"a key set no other call uses": i, "%s": [{"k": i}]} for i in range(3)])
+        assert caches() == before
+
     def test_analyze_calls_it_once(self, capsys, monkeypatch):
         # the benchmark's tracer counts output bytes per canonical_json call
         calls = []

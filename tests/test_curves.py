@@ -2,8 +2,12 @@
 deformation enumeration, and SparsePoly arithmetic against a sympy
 expansion oracle."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -20,7 +24,7 @@ from branchzeta.curves import (
     plane_equation,
     weight_of_monomial,
 )
-from branchzeta.errors import IndexOutOfRange, InvalidCutoff, ZeroLambda
+from branchzeta.errors import DomainError, IndexOutOfRange, InvalidCutoff, ZeroLambda
 
 B49 = derive_numerics(CharSeq(4, (9,)))
 B4613 = derive_numerics(CharSeq(4, (6, 7)))
@@ -85,6 +89,57 @@ class TestSparsePoly:
         for _ in range(k):
             want = want * p
         assert p**k == want
+
+
+# the names the calls below read, made in this process and in a python -O child
+CALLER_SETUP = """
+from fractions import Fraction
+from branchzeta.branch import CharSeq, derive_numerics
+from branchzeta.curves import SparsePoly, weight_of_monomial
+B49 = derive_numerics(CharSeq(4, (9,)))
+X, XY = SparsePoly(("x",), {(1,): 1}), SparsePoly(("x", "y"), {(1, 0): 1})
+"""
+
+# caller input the curves layer refuses with a reason, asserts stripped or not
+BAD_CALLS = {
+    "weight-negative": ("weight_of_monomial(B49, (1, -1))", IndexOutOfRange),
+    "weight-too-long": ("weight_of_monomial(B49, (1, 1, 1))", IndexOutOfRange),
+    "poly-negative": ("SparsePoly(('x',), {(-1,): 1})", IndexOutOfRange),
+    "poly-too-long": ("SparsePoly(('x',), {(1, 2): 1})", IndexOutOfRange),
+    "add-variables": ("X + XY", DomainError),
+    "mul-variables": ("X * XY", DomainError),
+    "pow-negative": ("X ** -1", DomainError),
+    "pow-negative-binomial": ("(X + X * X) ** -2", DomainError),
+    "pow-fraction": ("X ** Fraction(3, 2)", ValueError),
+    "substitute-length": ("XY.substitute_powers((1,))", IndexOutOfRange),
+}
+
+
+class TestCallerInput:
+    @pytest.mark.parametrize("call,error", BAD_CALLS.values(), ids=list(BAD_CALLS))
+    def test_refused(self, call, error):
+        names = {}
+        exec(CALLER_SETUP, names)
+        with pytest.raises(error):
+            eval(call, names)
+
+    def test_refused_under_python_O(self):
+        script = CALLER_SETUP + (
+            "import sys\n"
+            "print(__debug__)\n"
+            "for call in sys.argv[1:]:\n"
+            "    try:\n"
+            "        print('returned', repr(eval(call)))\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        calls = [c for c, _ in BAD_CALLS.values()]
+        r = subprocess.run([sys.executable, "-O", "-c", script, *calls],
+                           capture_output=True, text=True, env=env, timeout=120)
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.split("\n") == ["False", *(e.__name__ for _, e in BAD_CALLS.values()), ""]
 
 
 class TestMonomialCurve:

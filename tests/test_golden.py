@@ -1,5 +1,6 @@
-"""Byte goldens of `analyze`, `generate` and `verify --suite
-combinatorics|rnm|vanishing`: the JSON, TSV and text outputs stored in
+"""Byte goldens of `analyze`, `generate`, `verify --suite
+combinatorics|rnm|vanishing` and `residue` (a finite value, a complex lambda,
+a pole and a zero): the JSON, TSV and text outputs stored in
 tests/golden/ must be reproduced exactly, byte for byte, with the same exit
 code."""
 
@@ -42,6 +43,12 @@ COMMANDS = {
     "verify_combinatorics": (["verify", "--suite", "combinatorics"], 0),
     "verify_rnm": (["verify", "--suite", "rnm"], 0),
     "verify_vanishing": (["verify", "--suite", "vanishing"], 0),
+    "residue_finite": (["residue", "--alpha", "-1/4", "--n", "0", "--beta", "-1/3", "--m", "0"], 0),
+    "residue_lambda_1p1j": (["residue", "--alpha", "-1/4", "--n", "1", "--beta", "-1/3",
+                             "--m", "0", "--lambda", "1+1j"], 0),
+    "residue_pole": (["residue", "--alpha", "-1/2", "--n", "0", "--beta", "-1/2", "--m", "0",
+                      "--lambda", "-1"], 0),
+    "residue_zero": (["residue", "--alpha", "0", "--n", "0", "--beta", "0", "--m", "0"], 0),
 }
 
 COMMAND_CASES = [(f"{stem}.{fmt}", [*argv, "--format", fmt], rc)
