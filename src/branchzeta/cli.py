@@ -8,9 +8,9 @@ Output conventions, kept byte-stable for golden tests:
 * JSON is canonical: sorted keys, two-space indent, rationals as "p/q"
   strings in lowest terms, complex numbers as {"re":, "im":} objects;
   parsing emitted JSON and re-serializing it reproduces the bytes.  An
-  analyze report makes the record of each exponent of Pi once; the sections
-  that list the same exponents share it, and the writer converts a list
-  that comes up again once.
+  analyze report writes its row sections (candidates, exponent lists,
+  eigenvalue classes) as JSON text straight from the integers, one
+  %-template a section, and the writer places that text at its depth.
 * Exit codes: 0 success, 1 input syntax error, 2 domain validation
   failure, 3 verification failure. A reader that closes stdout early
   changes neither the exit code nor stderr, and gets no traceback.
@@ -84,25 +84,26 @@ def _fmt_cx(z: complex) -> str:
 _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
 
 
+class _Json(str):
+    """JSON text written at the top level, indentation "\n"; _column places it."""
+
+
 def _column(values: list, ind: str, memo: dict) -> list[str]:
     """The JSON text of each of values, its lines after the first starting
     with ind (a newline and the indentation).  A column of one type and
-    shape is converted at once: str, int and None by one map, dicts with one
-    key set of str through one %-template whose fields are the columns of
-    their keys, lists (or tuples) through the column of all their items.
-    memo, made for one call of canonical_json, keeps each dict shape's
-    (template, sorted keys) under (keys, ind), made where the shape first
-    comes up, and the text of each non-empty list or tuple written as a
-    single value by id(); where the same object comes up again, that text is
-    re-indented by one replace of its leading indentation (JSON text never
-    holds a raw newline inside a string)."""
-    if len(values) == 1 and id(values[0]) in memo:
-        text, at = memo[id(values[0])]
-        return [text if at == ind else text.replace(at, ind)]
+    shape is converted at once: str, int and None by one map, _Json text by
+    one replace of its newlines with ind (JSON text never holds a raw newline
+    inside a string), dicts with one key set of str through one %-template
+    whose fields are the columns of their keys, lists (or tuples) through the
+    column of all their items.  memo, made for one call of canonical_json,
+    keeps each dict shape's (template, sorted keys) under (keys, ind), made
+    where the shape first comes up."""
     kinds = set(map(type, values))
     t = kinds.pop() if len(kinds) == 1 else None
     if t in _SCALAR_TEXT:
         return list(map(_SCALAR_TEXT[t], values))
+    if t is _Json:
+        return [v.replace("\n", ind) for v in values]
     inner = ind + "  "
     if t is dict and all(values):
         shapes = set(map(tuple, values))
@@ -119,25 +120,21 @@ def _column(values: list, ind: str, memo: dict) -> list[str]:
         items = _column(list(chain.from_iterable(values)), inner, memo)
         ends = list(accumulate(map(len, values)))
         sep = "," + inner
-        texts = ["[" + inner + sep.join(items[a:b]) + ind + "]" for a, b in zip([0, *ends], ends)]
-        if len(values) == 1:
-            memo[id(values[0])] = texts[0], ind
-        return texts
+        return ["[" + inner + sep.join(items[a:b]) + ind + "]" for a, b in zip([0, *ends], ends)]
     if len(values) != 1:  # mixed types or shapes: value by value
         return [_column([v], ind, memo)[0] for v in values]
     # a float, a bool, an empty container, non-str keys, a subclass of a
-    # scalar type, anything else: json.dumps decides; JSON text never holds a
-    # raw newline inside a string
+    # scalar type, anything else: json.dumps decides
     return [json.dumps(values[0], sort_keys=True, indent=2).replace("\n", ind)]
 
 
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2), written
     without its pure-Python encoder: values of one shape are converted as
-    one column, the dicts of each shape through one template, and a list or
-    tuple that obj holds more than once is converted once.  The templates
-    and texts live in a memo made for this call, while obj keeps each id in
-    it alive; nothing outlives the call."""
+    one column, the dicts of each shape through one template, and _Json
+    text, which report_to_dict writes its row sections as, is placed by one
+    replace.  The templates live in a memo made for this call; nothing
+    outlives the call."""
     return _column([obj], "\n", {})[0]
 
 
@@ -175,6 +172,19 @@ def _poly_dict(p) -> dict:
 _CANDIDATE_FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
 _CANDIDATE_TSV = "%d\t%d\t%d%s\t%d%s\t%d%s\t%d%s\t%s"
 _CANDIDATE_TEXT = "  %12d %12d %12s %12s %12s %12s  %s"
+# JSON records at indentation "\n", keys sorted: a candidate's fields are its
+# cells with i, nu and sigma moved after eps3; a class's members go in as text
+_CANDIDATE_JSON = ('{\n  "eps1": "%d%s",\n  "eps2": "%d%s",\n  "eps3": "%d%s",\n  "i": %d,'
+                   '\n  "nu": %d,\n  "sigma": "%d%s",\n  "status": "%s"\n}')
+_EXPONENT_JSON = '{\n  "exponent": "%s",\n  "multiplicity": %d\n}'
+_CLASS_JSON = '{\n  "fraction": "%s",\n  "members": [\n    %s\n  ]\n}'
+
+
+def _json_list(template: str, rows: Iterable[tuple]) -> _Json:
+    """The _Json text of the list of template % row for each of rows, the
+    template written at the top level, as the text is."""
+    items = ",\n  ".join(map(template.replace("\n", "\n  ").__mod__, rows))
+    return _Json(f"[\n  {items}\n]" if items else "[]")
 
 
 def _candidate_cells(rep) -> Iterator[tuple]:
@@ -204,54 +214,44 @@ def _candidate_cells(rep) -> Iterator[tuple]:
 
 
 def report_to_dict(rep) -> dict:
+    """The analyze report for canonical_json: its small sections as values,
+    its row sections as _Json text made from the integers, no dict a row."""
     bn, pi, eig = rep.bn, rep.pi_merged, rep.eigenvalues
     den = bn.den  # every exponent multiset of the report counts over it
-    # Pi's record of each exponent, made once: Yano and Pi_1 (g = 1) are this
-    # list where they equal Pi, the eigenvalue classes list its dicts, and the
-    # other exponent lists read each text off it where it has one
-    record = {k: {"exponent": _ratio(k, den), "multiplicity": m} for k, m in pi.sorted_counts()}
-    pi_records = list(record.values())
+    # each exponent's text made once, off Pi: Yano and Pi_1 (g = 1) are Pi's
+    # text where they equal Pi, and the classes and other lists read Pi's texts
+    exp = {k: _ratio(k, den) for k in pi.counts}
+    pi_text = _json_list(_EXPONENT_JSON, [(exp[k], m) for k, m in pi.sorted_counts()])
+    member = _EXPONENT_JSON.replace("\n", "\n      ")  # at its depth in a class
 
-    def records(ms) -> list[dict]:
+    def records(ms) -> _Json:
         if ms == pi:
-            return pi_records
-        return [{"exponent": record[k]["exponent"] if k in record else _ratio(k, den),
-                 "multiplicity": m} for k, m in ms.sorted_counts()]
+            return pi_text
+        return _json_list(_EXPONENT_JSON, [(exp[k] if k in exp else _ratio(k, den), m)
+                                           for k, m in ms.sorted_counts()])
 
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
-        "numerics": {
-            "n": bn.n,
-            "g": bn.g,
-            "betas": list(bn.cs.betas),
-            "betabar": list(bn.gens),
-            "e": list(bn.e),
-            "nn": list(bn.nn),
-            "mm": list(bn.mm),
-            "qq": list(bn.qq),
-            "mbar": list(bn.mbar),
-            "conductor": bn.conductor,
-        },
+        "numerics": {"n": bn.n, "g": bn.g, "betas": list(bn.cs.betas), "betabar": list(bn.gens),
+                     "e": list(bn.e), "nn": list(bn.nn), "mm": list(bn.mm), "qq": list(bn.qq),
+                     "mbar": list(bn.mbar), "conductor": bn.conductor},
         "mu": bn.milnor,
         "lct": str(rep.lct),
         "toric_steps": [s._asdict() for s in rep.bn.steps],
         "divisors": [d._asdict() for d in rep.divisors],
-        "candidates": [
-            {"i": i, "nu": nu, "sigma": f"{s}{sd}", "eps1": f"{e1}{d1}", "eps2": f"{e2}{d2}",
-             "eps3": f"{e3}{d3}", "status": st}
-            for i, nu, s, sd, e1, d1, e2, d2, e3, d3, st in _candidate_cells(rep)
-        ],
-        "pi": pi_records,
+        "candidates": _json_list(_CANDIDATE_JSON, (
+            (e1, d1, e2, d2, e3, d3, i, nu, s, sd, st)
+            for i, nu, s, sd, e1, d1, e2, d2, e3, d3, st in _candidate_cells(rep))),
+        "pi": pi_text,
         "pi_levels": list(map(records, rep.pi_sets)),
         "yano": records(rep.yano),
         "eigenvalues": {
             "distinct": rep.distinct,
             # a class's fraction is its exponents' fractional part, often one of them
-            "classes": [
-                {"fraction": record[frac]["exponent"] if frac in record else _ratio(frac, den),
-                 "members": [record[k] for k, _ in items]}
-                for frac, items in eig.groups
-            ],
+            "classes": _json_list(_CLASS_JSON, [
+                (exp[f] if f in exp else _ratio(f, den),
+                 ",\n      ".join([member % (exp[k], m) for k, m in items]))
+                for f, items in eig.groups]),
         },
         "resonances": [
             {

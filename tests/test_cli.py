@@ -18,15 +18,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import branchzeta.branch
 import branchzeta.checks
 import branchzeta.cli
 import branchzeta.poles
 import fraction_oracle
+import row_oracle
 from branchzeta.branch import gaps, random_charseq
-from branchzeta.cli import (_CHUNK_LINES, _merge_negative_values, _ratio, _write_stdout,
+from branchzeta.cli import (_CHUNK_LINES, _Json, _merge_negative_values, _ratio, _write_stdout,
                             build_parser, canonical_json, main, report_to_dict)
 from branchzeta.errors import DomainError, IndexOutOfRange
 from branchzeta.poles import branch_report
@@ -209,8 +210,6 @@ class TestAnalyze:
             d = report_to_dict(branch_report(text))
             assert d["yano"] is d["pi"]
             assert (d["pi_levels"][0] is d["pi"]) == (g == 1)
-            members = [m for c in d["eigenvalues"]["classes"] for m in c["members"]]
-            assert sorted(map(id, members)) == sorted(map(id, d["pi"]))
 
     def test_yano_differing_from_pi_is_written_as_its_own(self, capsys, monkeypatch):
         yano = branchzeta.poles.yano_multiset
@@ -686,12 +685,37 @@ class TestCanonicalJson:
         assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31), st.none() | st.integers(0, 80))
-    def test_reports_match_json_dumps(self, seed, nu_max):
-        # max_n = 12 reaches g = 3 (12 = 2 * 2 * 3)
-        cs = random_charseq(random.Random(seed), max_n=12, max_beta=150)
-        d = report_to_dict(branch_report(cs, nu_max=nu_max))
-        assert canonical_json(d) == json.dumps(d, sort_keys=True, indent=2)
+    # max_n = 12 reaches g = 3 (12 = 2 * 2 * 3)
+    @given(st.integers(0, 2**31).map(
+               lambda seed: random_charseq(random.Random(seed), max_n=12, max_beta=150)),
+           st.none() | st.integers(0, 80))
+    @example("6,15,25", None)  # classes of two exponents, multiplicities 2
+    @example("10,36,81", 40)
+    def test_reports_match_json_dumps(self, cs, nu_max):
+        """The report's bytes are json.dumps of its value built as dicts:
+        the candidates from the row oracle, the exponent sections from the
+        Fraction oracle, the small sections as report_to_dict gives them."""
+        rep = branch_report(cs, nu_max=nu_max)
+        d = report_to_dict(rep)
+        sections = fraction_oracle.exponent_sections(rep)
+        fields = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
+        oracle = {**{k: v for k, v in d.items() if k not in sections}, **sections,
+                  "candidates": [dict(zip(fields, r)) for r in row_oracle.candidate_rows(rep)]}
+        assert canonical_json(d) == json.dumps(oracle, sort_keys=True, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values, st.integers(0, 3), st.integers(1, 2))
+    def test_json_text_placed_at_its_depth(self, value, depth, times):
+        """_Json text of a value, placed depth levels down, once or twice
+        (one object), writes the bytes of the value itself placed there."""
+        def place(x, level=depth):
+            if level == 0:
+                return x
+            items = [place(x, level - 1)] * (times if level == 1 else 1)
+            return items if level % 2 else {f"%s{j}": v for j, v in enumerate(items)}
+
+        text = _Json(json.dumps(value, sort_keys=True, indent=2))
+        assert canonical_json(place(text)) == json.dumps(place(value), sort_keys=True, indent=2)
 
     def test_peak_memory_below_two_and_a_half_outputs(self):
         d = report_to_dict(branch_report("2,20001"))

@@ -35,6 +35,8 @@ def test_analyze_bytes(capsys, name, args):
 
 
 COMMANDS = {
+    # conjectural-generic: two-member eigenvalue classes, a multiplicity-2 exponent
+    "analyze_6_15_25": (["analyze", "6,15,25"], 0),
     "generate_4_9_deform_c38_s7": (["generate", "4,9", "--deform", "--cutoff", "38",
                                     "--seed", "7"], 0),
     "generate_4_6_7_deform_l2_3": (["generate", "4,6,7", "--deform", "--lambdas", "2/3"], 0),
