@@ -9,8 +9,9 @@ Output conventions, kept byte-stable for golden tests:
   strings in lowest terms, complex numbers as {"re":, "im":} objects;
   parsing emitted JSON and re-serializing it reproduces the bytes.  An
   analyze report writes its row sections (candidates, exponent lists,
-  eigenvalue classes) as JSON text straight from the integers, one
-  %-template a section, and the writer places that text at its depth.
+  eigenvalue classes) and generate its polynomial and deformation term
+  records as JSON text, one %-template a record, and canonical_json, one
+  recursive walk, places that text at its depth.
 * Exit codes: 0 success, 1 input syntax error, 2 domain validation
   failure, 3 verification failure. A reader that closes stdout early
   changes neither the exit code nor stderr, and gets no traceback.
@@ -42,7 +43,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isqrt
 
@@ -79,63 +80,48 @@ def _fmt_cx(z: complex) -> str:
     return f"{z.real:.12e}{z.imag:+.12e}i"
 
 
-# JSON text of each scalar type that comes as a column, keyed by exact type as
-# json.dumps writes it; a float or bool comes alone and goes to json.dumps
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
-
-
 class _Json(str):
-    """JSON text written at the top level, indentation "\n"; _column places it."""
+    """JSON text written at the top level, indentation "\n"; _json_text places it."""
 
 
-def _column(values: list, ind: str, memo: dict) -> list[str]:
-    """The JSON text of each of values, its lines after the first starting
-    with ind (a newline and the indentation).  A column of one type and
-    shape is converted at once: str, int and None by one map, _Json text by
-    one replace of its newlines with ind (JSON text never holds a raw newline
-    inside a string), dicts with one key set of str through one %-template
-    whose fields are the columns of their keys, lists (or tuples) through the
-    column of all their items.  memo, made for one call of canonical_json,
-    keeps each dict shape's (template, sorted keys) under (keys, ind), made
-    where the shape first comes up."""
-    kinds = set(map(type, values))
-    t = kinds.pop() if len(kinds) == 1 else None
-    if t in _SCALAR_TEXT:
-        return list(map(_SCALAR_TEXT[t], values))
+def _json_text(obj, ind: str) -> str:
+    """The JSON text of obj as json.dumps(obj, sort_keys=True, indent=2)
+    writes it, its lines after the first starting with ind (a newline and
+    the indentation): _Json text placed by one replace of its newlines (JSON
+    text never holds a raw newline inside a string), an exact str or int
+    written by the encoder's own functions, a dict of str keys and a
+    non-empty list or tuple walked item by item, each as one flat list of
+    pieces joined once; json.dumps writes anything else (floats, bools,
+    None, empty containers, non-str keys, subclasses such as IntEnum)."""
+    t = type(obj)
     if t is _Json:
-        return [v.replace("\n", ind) for v in values]
+        return obj.replace("\n", ind)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
     inner = ind + "  "
-    if t is dict and all(values):
-        shapes = set(map(tuple, values))
-        keys = shapes.pop() if len(shapes) == 1 else ()
-        if keys and all(type(k) is str for k in keys):
-            if (keys, ind) not in memo:
-                order = sorted(keys)
-                heads = (inner + encode_basestring_ascii(k).replace("%", "%%") for k in order)
-                memo[keys, ind] = "{" + ",".join(h + ": %s" for h in heads) + ind + "}", order
-            fmt, order = memo[keys, ind]
-            fields = [_column([v[k] for v in values], inner, memo) for k in order]
-            return list(map(fmt.__mod__, zip(*fields)))
-    elif (t is list or t is tuple) and all(values):
-        items = _column(list(chain.from_iterable(values)), inner, memo)
-        ends = list(accumulate(map(len, values)))
-        sep = "," + inner
-        return ["[" + inner + sep.join(items[a:b]) + ind + "]" for a, b in zip([0, *ends], ends)]
-    if len(values) != 1:  # mixed types or shapes: value by value
-        return [_column([v], ind, memo)[0] for v in values]
-    # a float, a bool, an empty container, non-str keys, a subclass of a
-    # scalar type, anything else: json.dumps decides
-    return [json.dumps(values[0], sort_keys=True, indent=2).replace("\n", ind)]
+    if t is dict and obj and all(type(k) is str for k in obj):
+        pieces = []
+        for k in sorted(obj):
+            pieces += (",", inner, encode_basestring_ascii(k), ": ", _json_text(obj[k], inner))
+        pieces[0] = "{"
+    elif (t is list or t is tuple) and obj:
+        pieces = []
+        for v in obj:
+            pieces += (",", inner, _json_text(v, inner))
+        pieces[0] = "["
+    else:
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", ind)
+    pieces += (ind, "}" if t is dict else "]")
+    return "".join(pieces)
 
 
 def canonical_json(obj) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2), written
-    without its pure-Python encoder: values of one shape are converted as
-    one column, the dicts of each shape through one template, and _Json
-    text, which report_to_dict writes its row sections as, is placed by one
-    replace.  The templates live in a memo made for this call; nothing
-    outlives the call."""
-    return _column([obj], "\n", {})[0]
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2), written by
+    one walk of _json_text; the _Json text that analyze and generate write
+    their large sections as is placed by one replace."""
+    return _json_text(obj, "\n")
 
 
 def _digit_limit() -> int:
@@ -156,17 +142,6 @@ def _printable(x) -> str:
     return str(x)
 
 
-def _poly_dict(p) -> dict:
-    return {
-        "text": _printable(p),
-        "variables": list(p.variables),
-        "terms": [
-            {"exponents": list(e), "coefficient": str(c)}
-            for e, c in p.canonical_terms()
-        ],
-    }
-
-
 # a candidate record's keys in row order, which the TSV header and the text
 # heading read; its TSV line, text line and JSON record are made from its cells
 _CANDIDATE_FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
@@ -178,13 +153,32 @@ _CANDIDATE_JSON = ('{\n  "eps1": "%d%s",\n  "eps2": "%d%s",\n  "eps3": "%d%s",\n
                    '\n  "nu": %d,\n  "sigma": "%d%s",\n  "status": "%s"\n}')
 _EXPONENT_JSON = '{\n  "exponent": "%s",\n  "multiplicity": %d\n}'
 _CLASS_JSON = '{\n  "fraction": "%s",\n  "members": [\n    %s\n  ]\n}'
+# a deformation term's record: the DeformationTerm fields, sorted
+_DEFORMATION_TERM_JSON = ('{\n  "coefficient": %s,\n  "exponents": %s,\n  "level": %d,'
+                          '\n  "monomial": %s,\n  "parameter": %s,\n  "weight": %d\n}')
 
 
 def _json_list(template: str, rows: Iterable[tuple]) -> _Json:
     """The _Json text of the list of template % row for each of rows, the
-    template written at the top level, as the text is."""
+    template written at the top level, as the text is; a row's JSON text
+    goes in as it is, so it is written at its depth in the list."""
     items = ",\n  ".join(map(template.replace("\n", "\n  ").__mod__, rows))
     return _Json(f"[\n  {items}\n]" if items else "[]")
+
+
+# a polynomial's JSON record and its term records at indentation "\n", keys
+# sorted; a coefficient's str() is digits, "-" and "/", nothing to escape
+_TERM_JSON = '{\n  "coefficient": "%s",\n  "exponents": %s\n}'
+_POLY_JSON = '{\n  "terms": %s,\n  "text": %s,\n  "variables": %s\n}'
+
+
+def _poly_dict(p) -> _Json:
+    """p's JSON record as _Json text; str(p) is made first, so an oversized
+    coefficient is refused before any term is written."""
+    text = encode_basestring_ascii(_printable(p))
+    terms = _json_list(_TERM_JSON, [(c, _json_text(e, "\n    ")) for e, c in p.canonical_terms()])
+    return _Json(_POLY_JSON % (terms.replace("\n", "\n  "), text,
+                               _json_text(p.variables, "\n  ")))
 
 
 def _candidate_cells(rep) -> Iterator[tuple]:
@@ -434,11 +428,12 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
                 "cutoff": fam.weight_cutoff,
                 "lambdas": list(map(_printable, fam.lambdas)),
                 "base": _poly_dict(fam.base),
-                "terms": [
-                    {**t._asdict(), "monomial": _poly_dict(t.monomial),
-                     "coefficient": None if t.coefficient is None else _printable(t.coefficient)}
-                    for t in fam.terms
-                ],
+                "terms": _json_list(_DEFORMATION_TERM_JSON, (
+                    ("null" if t.coefficient is None else f'"{_printable(t.coefficient)}"',
+                     _json_text(t.exponents, "\n    "), t.level,
+                     _poly_dict(t.monomial).replace("\n", "\n    "),
+                     encode_basestring_ascii(t.parameter), t.weight)
+                    for t in fam.terms)),
                 "fiber": None if fiber is None else _poly_dict(fiber),
             }
         return 0, [canonical_json(payload)]

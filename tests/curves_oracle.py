@@ -10,6 +10,13 @@ became one sum, kept as an oracle:
   DeformationFamily.instantiate built it.
 
 Only canonical_representation is read from the code under test.
+
+It also keeps the generate command's JSON payload as it was built before
+its polynomial records were written by template, as dicts for json.dumps:
+
+* poly_dict, a polynomial's {text, variables, terms} record;
+* generate_payload, the whole payload, each deformation term the dict of
+  its DeformationTerm fields with its monomial and coefficient replaced.
 """
 
 from branchzeta.branch import canonical_representation
@@ -53,3 +60,39 @@ def instantiate(fam, values=()):
             by_level.setdefault(t.level, []).append((t.exponents, coeff))
     assert not values, values
     return plane_recursion(fam.bn, [1, *fam.lambdas], by_level)[-1]
+
+
+def poly_dict(p):
+    """p's JSON record: its text, variables and terms in canonical order."""
+    return {
+        "text": str(p),
+        "variables": list(p.variables),
+        "terms": [
+            {"exponents": list(e), "coefficient": str(c)}
+            for e, c in p.canonical_terms()
+        ],
+    }
+
+
+def generate_payload(text, kind, plane, hs, fam=None, fiber=None):
+    """The JSON payload of generate for its input text and kind, plane
+    equation, monomial curve equations hs, deformation family and fiber."""
+    payload = {
+        "input": {"text": text, "kind": kind},
+        "plane": poly_dict(plane),
+        "monomial_curve": [poly_dict(h) for h in hs],
+        "deformation": None,
+    }
+    if fam is not None:
+        payload["deformation"] = {
+            "cutoff": fam.weight_cutoff,
+            "lambdas": list(map(str, fam.lambdas)),
+            "base": poly_dict(fam.base),
+            "terms": [
+                {**t._asdict(), "monomial": poly_dict(t.monomial),
+                 "coefficient": None if t.coefficient is None else str(t.coefficient)}
+                for t in fam.terms
+            ],
+            "fiber": None if fiber is None else poly_dict(fiber),
+        }
+    return payload

@@ -23,7 +23,9 @@ from hypothesis import example, given, settings, strategies as st
 import branchzeta.branch
 import branchzeta.checks
 import branchzeta.cli
+import branchzeta.curves
 import branchzeta.poles
+import curves_oracle
 import fraction_oracle
 import row_oracle
 from branchzeta.branch import gaps, random_charseq
@@ -717,16 +719,21 @@ class TestCanonicalJson:
         text = _Json(json.dumps(value, sort_keys=True, indent=2))
         assert canonical_json(place(text)) == json.dumps(place(value), sort_keys=True, indent=2)
 
-    def test_peak_memory_below_two_and_a_half_outputs(self):
-        d = report_to_dict(branch_report("2,20001"))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            text = canonical_json(d)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * len(text)
+    def test_peak_memory_below_two_and_a_half_outputs(self, monkeypatch):
+        # an analyze report, and the payload of a seeded generate --deform
+        payloads = [report_to_dict(branch_report("2,20001"))]
+        monkeypatch.setattr(branchzeta.cli, "canonical_json", lambda obj: payloads.append(obj) or "")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "8,199", "--deform", "--seed", "1", "--format", "json"]) == 0
+        for d in payloads:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                text = canonical_json(d)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * len(text)
 
     @pytest.mark.parametrize("value", [
         {1: "a", 2: [None, {"b": 1}]},
@@ -766,15 +773,41 @@ class TestCanonicalJson:
         assert caches() == before
 
     def test_analyze_calls_it_once(self, capsys, monkeypatch):
-        # the benchmark's tracer counts output bytes per canonical_json call
+        """Every JSON command, on success or failure, makes one call: the
+        benchmark's tracer counts output bytes per canonical_json call, and
+        the writer recurses through its helper, never the public name."""
         calls = []
         write = branchzeta.cli.canonical_json
         monkeypatch.setattr(branchzeta.cli, "canonical_json",
                             lambda obj: calls.append(obj) or write(obj))
-        rc, out, _ = run(capsys, "analyze", "6,9,22", "--format", "json")
-        assert rc == 0
-        assert len(calls) == 1
-        assert out == write(json.loads(out)) + "\n"
+        for argv, code in [
+            (["analyze", "6,9,22"], 0),
+            (["generate", "4,6,7", "--deform", "--seed", "5"], 0),
+            (["verify", "--suite", "combinatorics"], 0),
+            (["residue", "--alpha", "1/2", "--n", "2", "--beta", "1/3", "--m", "3"], 0),
+            (["analyze", "4,6"], 2),  # a validation failure
+            (["generate", "4,9", "--deform", "--cutoff", "10"], 2),  # a domain error
+        ]:
+            calls.clear()
+            rc, out, _ = run(capsys, *argv, "--format", "json")
+            assert (rc, len(calls)) == (code, 1), argv
+            assert out == write(json.loads(out)) + "\n"
+
+
+@st.composite
+def deformations(draw):
+    """(spec, cutoff, lambdas, seed) of generate --deform on a small branch:
+    multiplicity <= 8, beta_1 <= 30, a cutoff at most 12 over the top level
+    weight, for g >= 2 the default lambdas or nonzero drawn ones, fractional
+    and negative among them, and a seed or none."""
+    cs = random_charseq(random.Random(draw(st.integers(0, 2**32 - 1))), max_n=8, max_beta=30)
+    bn = branchzeta.branch.derive_numerics(cs)
+    lam = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    lambdas = (draw(st.lists(lam, min_size=bn.g - 1, max_size=bn.g - 1))
+               if bn.g >= 2 and draw(st.booleans()) else None)
+    cutoff = bn.nn[bn.g] * bn.gens[bn.g] + draw(st.integers(0, 12))
+    return (",".join(map(str, (cs.n, *cs.betas))), cutoff, lambdas,
+            draw(st.none() | st.integers(0, 2**31)))
 
 
 class TestGenerate:
@@ -814,6 +847,30 @@ class TestGenerate:
         assert canonical_json(d) + "\n" == out
         assert d["plane"]["text"] == "y^4 - 2*x^3*y^2 + x^6 - x^5*y"
         assert all(t["coefficient"] is not None for t in d["deformation"]["terms"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(deformations())
+    @example(("4,6,7", 30, [Fraction(-2, 3)], 5))
+    @example(("8,12,14,15", 112, [Fraction(2), Fraction(-3, 5)], 4))
+    @example(("6,9,22", 100, [Fraction(-7, 4)], None))
+    def test_deform_json_is_the_dict_oracle_dumped(self, case):
+        """generate --deform JSON, written by template, has the bytes of
+        json.dumps of the payload as curves_oracle builds it from dicts."""
+        spec, cutoff, lambdas, seed = case
+        argv = ["generate", spec, "--deform", "--cutoff", str(cutoff), "--format", "json"]
+        argv += [] if lambdas is None else ["--lambdas", ",".join(map(str, lambdas))]
+        argv += [] if seed is None else ["--seed", str(seed)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        text, kind, bn = branchzeta.branch.resolve_input(spec)
+        fam = branchzeta.curves.deformation_family(bn, weight_cutoff=cutoff, lambdas=lambdas,
+                                                   coefficient_source=seed)
+        payload = curves_oracle.generate_payload(
+            text, kind, branchzeta.curves.plane_equation(bn),
+            branchzeta.curves.monomial_curve_equations(bn), fam,
+            None if seed is None else fam.instantiate())
+        assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_deform_tsv(self, capsys):
         rc, out, _ = run(capsys, "generate", "4,9", "--deform", "--cutoff", "38",
