@@ -26,12 +26,13 @@ Output conventions, kept byte-stable for golden tests:
   and three gcds a row where e_i = 1, four elsewhere; text writes each Pi
   and Yano line from the counts, so it keeps no exponent text.
 
-At module level this file imports only the standard library and `errors`.
-Each command imports the layers it runs in its own body and calls them as
-module attributes: analyze loads `poles` (with `branch` and `toric`),
-residue `gammaratio`, generate `branch` and `curves`, and verify `checks`,
-whose suites load their own layers (rnm and vanishing numpy too).  verify
-states no law: it checks --tol, runs the suites asked for, writes the rows.
+At module level this file imports only the standard library and `errors`
+(whose exact_rational sizes --lambda and --lambdas).  Each command imports
+its layers in its body and calls them as module attributes: analyze `poles`
+(with `branch`, `toric`), residue `gammaratio`, generate `branch` and
+`curves`, verify `checks`, whose rnm suite loads `gammaratio` and `quadrature`
+(numpy too), vanishing `quadrature` alone.  verify states no law: it checks
+--tol, runs the suites asked for, writes the rows.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isqrt
 
-from .errors import BranchZetaError, DomainError, InvalidCharSeq, NotPlaneBranchSemigroup
+from .errors import (MAX_BITS, BranchZetaError, DomainError, InvalidCharSeq,
+                     NotPlaneBranchSemigroup, exact_rational)
 
 
 class _SyntaxError(Exception):
@@ -479,22 +480,18 @@ def _generate_text(plane, hs, fam, fiber) -> Iterator[str]:
 
 def _scalar(text: str):
     # rational syntax accepted for convenience, sized as --alpha is; the scale is a float/complex
-    from .gammaratio import _rational
-
     try:
-        return float(_rational(text))
+        return float(exact_rational(text))
     except ValueError:
         return complex(text)
 
 
-def _lambdas(text: str) -> list[Fraction]:
-    # sized as --alpha is, 10/3 bits a digit, against the digits str() writes
-    # of an int (the writers print each value), or --alpha's bits where no limit
-    from .gammaratio import _MAX_BITS, _rational
-
+def _lambdas(text: str) -> list:
+    # Fractions sized as --alpha is, 10/3 bits a digit, against the digits str()
+    # writes of an int (the writers print each value), or MAX_BITS where no limit
     digits = _digit_limit()
-    bits = digits * 10 // 3 + 1 if digits else _MAX_BITS
-    return [_rational(v, bits) for v in text.split(",")] if text else []
+    bits = digits * 10 // 3 + 1 if digits else MAX_BITS
+    return [exact_rational(v, bits) for v in text.split(",")] if text else []
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all branchzeta modules, and exact_int."""
+"""Exception hierarchy of branchzeta; caller input read by exact_int and exact_rational."""
+
+from fractions import Fraction
+
+# Bits allowed to the exact integers of one kernel evaluation, counted before any
+# is formed (0.1 s at the bound on a 2-core VM), and to a rational read from text.
+MAX_BITS = 1 << 19
 
 
 def exact_int(value) -> int:
@@ -7,6 +13,22 @@ def exact_int(value) -> int:
     if (k := int(value)) != value and not isinstance(value, (str, bytes)):
         raise ValueError(f"{value} is not an integer")
     return k
+
+
+def exact_rational(x, max_bits: int = MAX_BITS) -> Fraction:
+    """Fraction(x); text is sized first, at 10/3 bits a digit and an exponent
+    counted as its value (9 digits of it pass), and refused over max_bits.
+    A zero denominator, as in "1/0", raises ValueError."""
+    if isinstance(x, str):
+        mantissa, _, exp = x.lower().partition("e")
+        exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")[:9]
+        digits = len(mantissa) + (int(exp) if exp.isdecimal() else 0)
+        if 10 * digits > 3 * max_bits:
+            raise DomainError(f"about {digits} digits, over the bound of {max_bits} bits")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 class BranchZetaError(Exception):

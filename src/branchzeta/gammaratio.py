@@ -13,7 +13,7 @@ Orders combine additively; a ratio with orders (+1, -1, 0) has a finite
 nonzero limit given by the product of Laurent leading coefficients (the same
 epsilon shifts every argument, matching the residue computation's limit).
 Its value is exact integer arithmetic and math.gamma on [1, 2) (see
-_reduce), within 1e-14 relative.
+_reduce), within 1e-14 relative.  Its integers are bounded by errors.MAX_BITS.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError, PreconditionViolated, exact_int
-
-# Bound on the exact integers of one evaluation, in bits, counted before any
-# is formed; at the bound an evaluation takes up to 0.1 s on a 2-core VM.
-_MAX_BITS = 1 << 19
+from .errors import MAX_BITS, DomainError, PreconditionViolated, exact_int, exact_rational
 
 
 class MeromorphicValue(namedtuple("MeromorphicValue", "order value reason")):
@@ -82,7 +78,7 @@ def _pair_ladders(pairs, powers=(), scale=1.0) -> tuple[list[int], float | None]
     """Orders of the pairs (u, v) of rationals, and the product of the
     Laurent leading coefficients of Gamma(u+eps)/Gamma(v+eps), times
     prod b^e over powers (b, e) and the positive float scale: None at a
-    pole, 0.0 at a zero.  The integers count against _MAX_BITS at every
+    pole, 0.0 at a zero.  The integers count against MAX_BITS at every
     order, as count * (bits of the denominator + bits of count) per rising
     product and |e| * (bits of b) per power."""
     orders, symbols = [], []
@@ -95,10 +91,10 @@ def _pair_ladders(pairs, powers=(), scale=1.0) -> tuple[list[int], float | None]
     bits = sum(abs(e) * b.bit_length() for b, e in powers) + sum(
         abs(c) * (q.bit_length() + c.bit_length()) for _, q, c in symbols
     )
-    if bits > _MAX_BITS:
+    if bits > MAX_BITS:
         raise DomainError(
             f"the exact Gamma products need at least 2^{bits.bit_length() - 1} bits,"
-            f" over the bound of {_MAX_BITS}"
+            f" over the bound of {MAX_BITS}"
         )
     if sum(orders):
         return orders, None if sum(orders) > 0 else 0.0
@@ -150,35 +146,19 @@ def gamma_pair(u, v) -> MeromorphicValue:
     return MeromorphicValue(order=order, value=value, reason=reason)
 
 
-def _rational(x, max_bits: int = _MAX_BITS) -> Fraction:
-    """Fraction(x); text is sized first, at 10/3 bits a digit and an exponent
-    counted as its value (9 digits of it pass), and refused over max_bits.
-    A zero denominator, as in "1/0", raises ValueError."""
-    if isinstance(x, str):
-        mantissa, _, exp = x.lower().partition("e")
-        exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")[:9]
-        digits = len(mantissa) + (int(exp) if exp.isdecimal() else 0)
-        if 10 * digits > 3 * max_bits:
-            raise DomainError(f"about {digits} digits, over the bound of {max_bits} bits")
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"{x!r} has a zero denominator") from None
-
-
 class RnmParams(namedtuple("RnmParams", "alpha n beta m lam")):
     """Parameters of the kernel; alpha' = alpha + n, beta' = beta + m.
 
     alpha and beta are rationals, stored as Fraction: a float, int or str
     converts exactly (a float by its binary value, a str unless too long for
-    _MAX_BITS), and a complex value raises TypeError.  lam is the lambda
+    MAX_BITS), and a complex value raises TypeError.  lam is the lambda
     scale: nonzero, possibly complex, with a finite modulus, stored as given.
     """
 
     __slots__ = ()
 
     def __new__(cls, alpha, n, beta, m, lam=1.0):
-        alpha, beta, z = _rational(alpha), _rational(beta), complex(lam)
+        alpha, beta, z = exact_rational(alpha), exact_rational(beta), complex(lam)
         if z == 0 or not math.isfinite(math.hypot(z.real, z.imag)):
             raise DomainError("lambda must be finite and nonzero")
         return super().__new__(cls, alpha, exact_int(n), beta, exact_int(m), lam)

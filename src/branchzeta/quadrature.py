@@ -27,7 +27,7 @@ integrand and one np.vecdot reduction each: the working arrays stay below
 the same ddot as one dot per tile and each panel sums its tiles in order,
 so the result has the same bits as one evaluation per tile.
 vanishing_integral_check evaluates all its radial panels in one numpy call,
-and all its angular panels in another.
+and all its angular panels in another.  Of the package it imports errors only.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, exact_int
-from .gammaratio import RnmParams
 
 
 # Fixed mesh geometry in the scaled variable r = |lambda z|: the graded
@@ -140,8 +139,8 @@ def _integrand(p0: float, beta: float, n: int, m: int):
     return f
 
 
-def rnm_quadrature(p: RnmParams, cfg: QuadConfig = QuadConfig()) -> complex:
-    """Numerically integrate the kernel in its absolute-convergence region.
+def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
+    """Numerically integrate the kernel at p.alpha, p.n, p.beta, p.m, p.lam.
 
     Preconditions (DomainError otherwise): Re(alpha'+alpha) > -2,
     Re(beta'+beta) > -2, Re(alpha'+alpha+beta'+beta) < -2, lambda real > 0.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from branchzeta import gammaratio
+from branchzeta import errors, gammaratio
 from branchzeta.cli import main
 from branchzeta.errors import DomainError, PreconditionViolated
 from branchzeta.gammaratio import (
@@ -84,7 +84,7 @@ class TestGammaRatio:
         # neither argument is a pole of Gamma, though its double is one:
         # the exact reduction answers, or refuses an input over the bound
         if u.denominator == 2:
-            with pytest.raises(DomainError, match=f"over the bound of {gammaratio._MAX_BITS}"):
+            with pytest.raises(DomainError, match=f"over the bound of {errors.MAX_BITS}"):
                 gamma_ratio(u, v)
         else:
             want = float(mpmath.gamma(mp_frac(u)) / mpmath.gamma(mp_frac(v)))
@@ -349,8 +349,8 @@ class TestExactReduction:
         return bits
 
     def _largest_n_within_bound(self):
-        n = max(n for n in range(1000) if self._counted_bits(n) <= gammaratio._MAX_BITS)
-        assert self._counted_bits(n + 1) > gammaratio._MAX_BITS
+        n = max(n for n in range(1000) if self._counted_bits(n) <= errors.MAX_BITS)
+        assert self._counted_bits(n + 1) > errors.MAX_BITS
         return n
 
     def test_input_over_the_bound_exits_2_at_once(self, capsys):
@@ -359,7 +359,7 @@ class TestExactReduction:
         assert main(["residue", *self._at_bound(n + 1), "--format", "json"]) == 2
         assert time.perf_counter() - t0 <= 0.1
         reason = capsys.readouterr().out
-        assert f"over the bound of {gammaratio._MAX_BITS}" in reason
+        assert f"over the bound of {errors.MAX_BITS}" in reason
 
     def test_input_at_the_bound_finishes_within_half_a_second(self, capsys):
         # the README states 0.5 s for the most expensive accepted input

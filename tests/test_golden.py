@@ -2,8 +2,12 @@
 combinatorics|rnm|vanishing` and `residue` (a finite value, a complex lambda,
 a pole and a zero): the JSON, TSV and text outputs stored in
 tests/golden/ must be reproduced exactly, byte for byte, with the same exit
-code."""
+code, in this process and under `python -O`."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ import pytest
 from branchzeta.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SPECS = {
     "2_3": ["2,3"],
@@ -63,3 +68,31 @@ def test_command_bytes(capsys, name, argv, code):
     out = capsys.readouterr().out
     assert rc == code
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+# every case above as (golden file, argv, exit code)
+ALL_CASES = [(f"analyze_{name}", ["analyze", *args], 0) for name, args in CASES] + COMMAND_CASES
+
+# runs each argv through cli.main and prints [sys.flags.optimize, [[rc, stdout], ...]]
+OPTIMIZED_RUN = """
+import contextlib, io, json, sys
+from branchzeta.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        results.append([main(argv), out.getvalue()])
+print(json.dumps([sys.flags.optimize, results]))
+"""
+
+
+def test_every_case_under_python_O():
+    # -O strips every assert: no output byte or exit code may depend on one
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUN, json.dumps([a for _, a, _ in ALL_CASES])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=600)
+    assert r.returncode == 0, r.stderr
+    optimize, results = json.loads(r.stdout)
+    assert optimize == 1 and len(results) == len(ALL_CASES) == 55
+    assert [name for (name, _, code), (rc, out) in zip(ALL_CASES, results)
+            if (rc, out.encode()) != (code, (GOLDEN / name).read_bytes())] == []
