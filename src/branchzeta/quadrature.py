@@ -19,13 +19,14 @@ bound certifies the neglected tail below tolerance.  All omitted regions
 so tightening rel_tol only ever adds panels.
 
 The bounds read only the refinement levels, so each pass lists its panels
-before it evaluates any.  Each panel is split into tiles of 24 x 24 Gauss
-nodes, taken in blocks of _BLOCK tiles whose node geometry is computed at
-once, then in batches of _TILES tiles with one numpy evaluation of the
-integrand and one np.vecdot reduction each: the working arrays stay below
-0.5 MB however many panels a pass adds.  np.vecdot reduces each tile with
-the same ddot as one dot per tile and each panel sums its tiles in order,
-so the result has the same bits as one evaluation per tile.
+before it evaluates any.  numpy lists their 24 x 24-node tiles from the
+panel table, computes the node geometry of _BLOCK tiles at once, and
+evaluates the integrand, which builds s and 1 - r e^{i theta} in place, on
+_TILES tiles at once with one np.vecdot reduction: the working arrays stay
+below 0.5 MB however many panels a pass adds.  np.vecdot reduces each tile
+with one ddot and each panel sums its tiles in order, so the result has the
+same bits as one evaluation per tile.  A pass whose sum is not finite, or a
+bound past the range of doubles, fails as an exhausted budget does.
 vanishing_integral_check evaluates all its radial panels in one numpy call,
 and all its angular panels in another.  Of the package it imports errors only.
 """
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -54,8 +54,8 @@ _R_MAX = 1e3
 _MAX_SUBDIVISIONS = 512
 _SPLIT = 0.5
 _GAUSS = np.polynomial.legendre.leggauss(24)
-_TILES = 8  # tiles per numpy evaluation; its working arrays stay below 0.5 MB
-_BLOCK = 256  # tiles whose node geometry is computed at once, about 0.25 MB
+_TILES = 16  # tiles per numpy evaluation; its working arrays peak at about 0.45 MB
+_BLOCK = 256  # tiles whose node geometry is computed at once, about 0.3 MB
 
 
 class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
@@ -73,22 +73,21 @@ class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
 
-def _edges(a: float, b: float, sub: int) -> list[float]:
-    """sub + 1 equally spaced points from a to b: k (b - a)/sub + a, then b
-    itself, the same doubles as numpy's evenly spaced edges."""
-    step = (b - a) / sub
-    return [k * step + a for k in range(sub)] + [b]
-
-
 def _tiles(panels):
-    """(panel index, r0, u from, u to, theta from, theta to) of every tile of
-    each panel (r0, a, b, c, d, sub): the rectangle u in [a,b], t in [c,d]
-    split sub x sub, in row-major order."""
-    for p, (r0, a, b, c, d, sub) in enumerate(panels):
-        rs, ts = _edges(a, b, sub), _edges(c, d, sub)
-        for r_lo, r_hi in zip(rs, rs[1:]):
-            for t_lo, t_hi in zip(ts, ts[1:]):
-                yield p, r0, r_lo, r_hi, t_lo, t_hi
+    """Columns (panel index, r0, u from, u to, theta from, theta to) of the
+    tiles of panels (r0, a, b, c, d, sub), each rectangle u in [a,b], t in
+    [c,d] split sub x sub in row-major order.  Edge k of [a, b] is
+    k (b - a)/sub + a and the last is b, as numpy's evenly spaced edges."""
+    table = np.array(panels)
+    panel = np.repeat(np.arange(len(table)), (table[:, 5] ** 2).astype(int))
+    r0, a, b, c, d, sub = table[panel].T
+    i, j = np.divmod(np.arange(len(panel)) - np.searchsorted(panel, panel), sub)
+
+    def edges(k, lo, hi):
+        step = (hi - lo) / sub
+        return k * step + lo, np.where(k + 1 == sub, hi, (k + 1) * step + lo)
+
+    return panel, r0, *edges(i, a, b), *edges(j, c, d)
 
 
 def _panels(f, panels) -> list[float]:
@@ -97,21 +96,22 @@ def _panels(f, panels) -> list[float]:
     batch of _TILES, each tile reduced by np.vecdot(w @ vals, w) (one ddot
     per tile), and each panel's value the sum of its tiles in order."""
     x, w = _GAUSS
-    tiles, sums = _tiles(panels), [0.0] * len(panels)
-    while block := list(islice(tiles, _BLOCK)):
-        panel, r0, r_lo, r_hi, t_lo, t_hi = np.array(block).T
-        half_r, half_t = 0.5 * (r_hi - r_lo), 0.5 * (t_hi - t_lo)
-        u = (0.5 * (r_hi + r_lo))[:, None] + half_r[:, None] * x
-        t = ((0.5 * (t_hi + t_lo))[:, None] + half_t[:, None] * x)[:, None, :]
-        r, d = (r0[:, None] + u)[:, :, None], ((1.0 - r0)[:, None] - u)[:, :, None]
+    panel, r0, r_lo, r_hi, t_lo, t_hi = _tiles(panels)
+    half_r, half_t = 0.5 * (r_hi - r_lo), 0.5 * (t_hi - t_lo)
+    mid_r, mid_t = 0.5 * (r_hi + r_lo), 0.5 * (t_hi + t_lo)
+    values = np.empty(len(panel))
+    for i in range(0, len(panel), _BLOCK):
+        b = slice(i, i + _BLOCK)
+        u = mid_r[b, None] + half_r[b, None] * x
+        t = (mid_t[b, None] + half_t[b, None] * x)[:, None, :]
+        r, d = (r0[b, None] + u)[:, :, None], ((1.0 - r0)[b, None] - u)[:, :, None]
         sh, ch = np.sin(0.5 * t), np.cos(0.5 * t)
-        hw, panel = half_r * half_t, panel.astype(int).tolist()
-        for i in range(0, len(block), _TILES):
-            b = slice(i, i + _TILES)
-            vals = f(r[b], d[b], t[b], sh[b], ch[b])
-            for p, v in zip(panel[b], (hw[b] * np.vecdot(w @ vals, w)).tolist()):
-                sums[p] += v
-    return sums
+        for j in range(0, len(u), _TILES):
+            s = slice(j, j + _TILES)
+            values[i + j:i + j + _TILES] = np.vecdot(w @ f(r[s], d[s], t[s], sh[s], ch[s]), w)
+    sums = np.zeros(len(panels))
+    np.add.at(sums, panel, half_r * half_t * values)  # tile by tile, in order
+    return sums.tolist()
 
 
 def _integrand(p0: float, beta: float, n: int, m: int):
@@ -122,19 +122,28 @@ def _integrand(p0: float, beta: float, n: int, m: int):
     subdivision depths far below the spacing of doubles at r = 1."""
 
     def f(r, d, t, sh, ch):
-        # r^{p0} s^beta, with s built in place; products in place
-        acc = 4.0 * r * sh
-        acc *= sh
+        # s = d^2 + (4r) sh^2 in place; for m != 0 the product is 2 (q sh),
+        # q = 2r sh (the same doubles: scaling by 2 is exact above the
+        # subnormals), and 1 - r e^{it} = (d + q sh) - i q ch goes into lin
+        if m == 0:
+            acc = 4.0 * r * sh
+            acc *= sh
+        else:
+            q = 2.0 * r * sh
+            acc = q * sh
+            lin = np.empty(acc.shape, complex)
+            np.add(d, acc, out=lin.real)
+            np.multiply(q, -ch, out=lin.imag)
+            acc *= 2.0
         acc += d * d
         np.power(acc, beta, out=acc)
         np.multiply(np.power(r, p0), acc, out=acc)
-        if n == 0 and m == 0:
-            return acc
-        phase = np.exp(1j * n * t)
         if m != 0:
-            lin = d + 2.0 * r * sh * (sh - 1j * ch)
-            phase = phase * (lin if m == 1 else lin**m)  # lin**1 is a copy of lin
-        return np.multiply(acc, np.real(phase), out=acc)
+            lin = lin if m == 1 else lin**m
+            if n != 0:  # numpy's complex product; Re taken by hand rounds otherwise
+                np.multiply(np.exp(1j * n * t), lin, out=lin)
+            return np.multiply(acc, lin.real, out=acc)
+        return acc if n == 0 else np.multiply(acc, np.exp(1j * n * t).real, out=acc)
 
     return f
 
@@ -145,8 +154,8 @@ def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
     Preconditions (DomainError otherwise): Re(alpha'+alpha) > -2,
     Re(beta'+beta) > -2, Re(alpha'+alpha+beta'+beta) < -2, lambda real > 0.
     Raises ConvergenceFailure, with the levels reached, when a refinement
-    loop exhausts its budget.  Deterministic: fixed mesh construction and
-    summation order.
+    loop exhausts its budget or a pass's sum or a bound is not finite.
+    Deterministic: fixed mesh construction and summation order.
     """
     lam = complex(p.lam)
     if lam.imag != 0 or lam.real <= 0:
@@ -216,18 +225,22 @@ def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
     pieces = _panels(f, mesh)
 
     # the bounds read only the levels and tol, so each pass lists its panels
-    # (and meets any exhausted budget) before it evaluates them
+    # (and meets any exhausted budget) before it evaluates them; a sum that
+    # is not finite, or a bound past the range of doubles, fails the same way
     for _ in range(16):
-        scale = max(abs(math.fsum(pieces)), 1e-300)
-        tol = eps_frac * scale
-        before = list(levels)
-        mesh = []
-        for j, (region, exhausted, message) in enumerate(regions):
-            while (step := region(levels[j]))[0] >= tol:
-                mesh += step[1]
-                levels[j] += 1
-                if exhausted(levels[j]):
-                    raise ConvergenceFailure(message, list(levels))
+        before, mesh = list(levels), []
+        try:
+            if not math.isfinite(scale := math.fsum(pieces)):  # ValueError on inf - inf
+                raise OverflowError
+            tol = eps_frac * max(abs(scale), 1e-300)
+            for j, (region, exhausted, message) in enumerate(regions):
+                while (step := region(levels[j]))[0] >= tol:
+                    mesh += step[1]
+                    levels[j] += 1
+                    if exhausted(levels[j]):
+                        raise ConvergenceFailure(message, list(levels))
+        except (OverflowError, ValueError):
+            raise ConvergenceFailure("panel sum or bound not finite", list(levels)) from None
         if levels == before:
             break
         pieces += _panels(f, mesh)

@@ -1189,7 +1189,8 @@ class TestStartup:
         assert cli["layers"] == ["cli", "errors"]
 
     # one probe per command, since a module stays loaded once imported
-    @pytest.mark.parametrize("argv, layers", COMMAND_LAYERS, ids=lambda v: " ".join(v))
+    @pytest.mark.parametrize("argv, layers", COMMAND_LAYERS,
+                             ids=[" ".join(argv) for argv, _ in COMMAND_LAYERS])
     def test_each_command_loads_only_its_layers(self, argv, layers):
         *_, after = _loaded_after(argv)
         assert after["layers"] == sorted(["cli", "errors", *layers])

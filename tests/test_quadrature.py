@@ -1,8 +1,9 @@
 """Quadrature oracle tests: convergence-region gates, agreement with the
 closed form on the full admissible grid, mesh-refinement monotonicity,
 determinism, bit identity with the per-panel oracle (quadrature_oracle.py)
-and of np.vecdot with one dot per tile, the memory of one batched
-evaluation, and the vanishing-integral checks."""
+on every integrand branch and of np.vecdot with one dot per tile, the
+memory of one batched evaluation, ConvergenceFailure where a sum or a bound
+leaves the doubles, and the vanishing-integral checks."""
 
 import tracemalloc
 from fractions import Fraction
@@ -128,6 +129,27 @@ class TestGates:
             rnm_quadrature(p)
         assert info.value.levels == levels
 
+    @pytest.mark.parametrize("m, closed", [(120, -1.2414), (200, -0.9137), (1100, -0.3285)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_integrand_fails_with_levels(self, m, closed):
+        # admissible, with a finite closed form, but lin^m and s^beta leave
+        # the range of doubles on the first pass; at m = 1100 the tail bound's
+        # 2^|m| would overflow too
+        p = RnmParams(alpha=Fraction(-7, 10), n=0, beta=(Fraction(-7, 10) - m) / 2, m=m, lam=1)
+        assert in_convergence_region(p.alpha, p.n, p.beta, p.m)
+        assert abs(rnm_closed_form(p).value - closed * 1j) < 1e-4
+        with pytest.raises(ConvergenceFailure, match="not finite") as info:
+            rnm_quadrature(p)
+        assert info.value.levels == [8, 8, 0]
+
+    def test_overflowing_bound_fails_with_levels(self, monkeypatch):
+        # a finite integrand, so only the tail bound 2^|m| leaves the doubles
+        monkeypatch.setattr(quadrature, "_integrand", lambda *a: lambda r, d, t, sh, ch: r * sh)
+        p = RnmParams(alpha=Fraction(-7, 10), n=0, beta=Fraction(-11007, 20), m=1100, lam=1)
+        with pytest.raises(ConvergenceFailure, match="not finite") as info:
+            rnm_quadrature(p)
+        assert info.value.levels == [8, 8, 0]  # the tail's first bound raised
+
 
 class TestOracleAgreement:
     def test_grid_intersection_is_nm_zero(self):
@@ -231,6 +253,18 @@ def test_vecdot_is_one_ddot_per_row(rows):
     # the batched tile reduction has the bits of one dot per tile
     w = quadrature._GAUSS[1]
     assert np.vecdot(rows, w).tolist() == [float(row @ w) for row in rows]
+
+
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1])
+def test_every_integrand_branch_matches_oracle(n, m):
+    # one point per branch of the integrand, at margins x = 2 alpha + n + 2
+    # and y = 2 beta + m + 2 inside the region
+    x, y = Fraction(3, 5), Fraction(7, 10)
+    p = RnmParams(alpha=(x - n - 2) / 2, n=n, beta=(y - m - 2) / 2, m=m, lam=1)
+    cfg = QuadConfig(rel_tol=1e-5)
+    got, want = rnm_quadrature(p, cfg), oracle.rnm_quadrature(p, cfg)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 class TestBatchedTiles:
