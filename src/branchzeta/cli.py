@@ -7,18 +7,18 @@ TSV by default), and generate (curve equations and deformation families).
 Output conventions, kept byte-stable for golden tests:
 * JSON is canonical: sorted keys, two-space indent, rationals as "p/q"
   strings in lowest terms, complex numbers as {"re":, "im":} objects;
-  parsing emitted JSON and re-serializing it reproduces the bytes.  An
-  analyze report writes its row sections (candidates, exponent lists,
-  eigenvalue classes) and generate its polynomial and deformation term
-  records as JSON text, one %-template a record, and canonical_json, one
-  recursive walk, places that text at its depth.
+  parsing emitted JSON and re-serializing it reproduces the bytes.  One
+  walker, _json_lines, sets every indentation and yields the text in pieces;
+  the row sections of an analyze report (candidates, exponent lists,
+  eigenvalue classes) and generate's term records are _Rows, one %-template
+  a record, placed _RUN records to one replace.
 * Exit codes: 0 success, 1 input syntax error, 2 domain validation
   failure, 3 verification failure. A reader that closes stdout early
   changes neither the exit code nor stderr, and gets no traceback.
 * Results go to stdout, diagnostics to stderr. Each command writes its
   stderr lines, then returns its exit code and stdout lines for main to
-  write, 512 lines to a write.  analyze makes its TSV and text lines as
-  they are written; generate makes its lines before it writes the first,
+  write, 512 lines to a write.  analyze makes its lines (JSON pieces in
+  JSON) as they are written; generate makes its text before it writes,
   so a coefficient str() would refuse writes no line.  The parser is built
   once per process, and main reads the command function off the module.
 * analyze writes its candidates in every format (TSV, text, JSON) from the
@@ -71,58 +71,58 @@ def _ratio(num: int, den: int) -> str:
 
 
 _CHUNK_LINES = 512  # lines joined into one stdout write
-
-
-def _cx(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+_RUN = 128  # records of a _Rows formatted and placed as one piece (a line of the writer)
 
 
 def _fmt_cx(z: complex) -> str:
     return f"{z.real:.12e}{z.imag:+.12e}i"
 
 
-class _Json(str):
-    """JSON text written at the top level, indentation "\n"; _json_text places it."""
+class _Rows:
+    """A lazy JSON list: template % row for each of rows (an iterator is
+    written once), the template and any text cell (class members, exponent
+    vectors, a term's monomial) written relative to their own record."""
+
+    def __init__(self, template: str, rows: Iterable[tuple]):
+        self.template, self.rows = template, rows
 
 
-def _json_text(obj, ind: str) -> str:
-    """The JSON text of obj as json.dumps(obj, sort_keys=True, indent=2)
-    writes it, its lines after the first starting with ind (a newline and
-    the indentation): _Json text placed by one replace of its newlines (JSON
-    text never holds a raw newline inside a string), an exact str or int
-    written by the encoder's own functions, a dict of str keys and a
-    non-empty list or tuple walked item by item, each as one flat list of
-    pieces joined once; json.dumps writes anything else (floats, bools,
-    None, empty containers, non-str keys, subclasses such as IntEnum)."""
-    t = type(obj)
-    if t is _Json:
-        return obj.replace("\n", ind)
-    if t is str:
-        return encode_basestring_ascii(obj)
-    if t is int:
-        return int.__repr__(obj)
-    inner = ind + "  "
+def _json_lines(obj, ind: str, head: str, tail: str) -> Iterator[str]:
+    """Pieces whose "\n".join is head, obj's JSON text as json.dumps(obj,
+    sort_keys=True, indent=2) writes it with ind (spaces) before each line
+    after the first, and tail.  A _Rows is formatted _RUN records a piece,
+    placed by one replace of their newlines (JSON text holds no raw newline
+    in a string); json.dumps writes what is not an exact str, int, dict of str
+    keys or non-empty list or tuple (floats, bools, None, [], IntEnum, ...)."""
+    t, inner = type(obj), ind + "  "
+    if t is _Rows:
+        rows = iter(obj.rows)
+        run = list(islice(rows, _RUN))
+        yield head + ("[" if run else "[]" + tail)
+        while run:
+            text = ",\n".join(map(obj.template.__mod__, run)).replace("\n", "\n" + inner)
+            run = list(islice(rows, _RUN))
+            yield f"{inner}{text}," if run else f"{inner}{text}\n{ind}]{tail}"
+        return
     if t is dict and obj and all(type(k) is str for k in obj):
-        pieces = []
-        for k in sorted(obj):
-            pieces += (",", inner, encode_basestring_ascii(k), ": ", _json_text(obj[k], inner))
-        pieces[0] = "{"
+        items = [(f"{inner}{encode_basestring_ascii(k)}: ", obj[k]) for k in sorted(obj)]
     elif (t is list or t is tuple) and obj:
-        pieces = []
-        for v in obj:
-            pieces += (",", inner, _json_text(v, inner))
-        pieces[0] = "["
+        items = [(inner, v) for v in obj]
     else:
-        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", ind)
-    pieces += (ind, "}" if t is dict else "]")
-    return "".join(pieces)
+        text = (encode_basestring_ascii(obj) if t is str else int.__repr__(obj) if t is int
+                else json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + ind))
+        yield head + text + tail
+        return
+    yield head + ("{" if t is dict else "[")
+    for j, (h, v) in enumerate(items, 1 - len(items)):  # j = 0 on the last item
+        yield from _json_lines(v, inner, h, "," if j else "")
+    yield ind + ("}" if t is dict else "]") + tail
 
 
 def canonical_json(obj) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2), written by
-    one walk of _json_text; the _Json text that analyze and generate write
-    their large sections as is placed by one replace."""
-    return _json_text(obj, "\n")
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2), joined from the
+    pieces of _json_lines."""
+    return "\n".join(_json_lines(obj, "", "", ""))
 
 
 def _digit_limit() -> int:
@@ -159,27 +159,31 @@ _DEFORMATION_TERM_JSON = ('{\n  "coefficient": %s,\n  "exponents": %s,\n  "level
                           '\n  "monomial": %s,\n  "parameter": %s,\n  "weight": %d\n}')
 
 
-def _json_list(template: str, rows: Iterable[tuple]) -> _Json:
-    """The _Json text of the list of template % row for each of rows, the
-    template written at the top level, as the text is; a row's JSON text
-    goes in as it is, so it is written at its depth in the list."""
-    items = ",\n  ".join(map(template.replace("\n", "\n  ").__mod__, rows))
-    return _Json(f"[\n  {items}\n]" if items else "[]")
-
-
 # a polynomial's JSON record and its term records at indentation "\n", keys
 # sorted; a coefficient's str() is digits, "-" and "/", nothing to escape
 _TERM_JSON = '{\n  "coefficient": "%s",\n  "exponents": %s\n}'
-_POLY_JSON = '{\n  "terms": %s,\n  "text": %s,\n  "variables": %s\n}'
+_MONOMIAL_JSON = ('{\n    "terms": [\n      %s\n    ],\n    "text": %s,'
+                  '\n    "variables": [\n      %s\n    ]\n  }')
 
 
-def _poly_dict(p) -> _Json:
-    """p's JSON record as _Json text; str(p) is made first, so an oversized
-    coefficient is refused before any term is written."""
+def _poly_dict(p) -> dict:
+    """p's JSON record, its terms as rows; str(p) is made first, so an
+    oversized coefficient is refused before any term is written."""
+    return {"text": _printable(p), "variables": p.variables,
+            "terms": _Rows(_TERM_JSON, ((c, _ints(e)) for e, c in p.canonical_terms()))}
+
+
+def _ints(e) -> str:
+    """A record's vector of ints as JSON text relative to the record."""
+    return "[\n    " + ",\n    ".join(map(str, e)) + "\n  ]" if e else "[]"
+
+
+def _monomial(p) -> str:
+    """A deformation term's monomial, its record by one template, relative to the term's."""
     text = encode_basestring_ascii(_printable(p))
-    terms = _json_list(_TERM_JSON, [(c, _json_text(e, "\n    ")) for e, c in p.canonical_terms()])
-    return _Json(_POLY_JSON % (terms.replace("\n", "\n  "), text,
-                               _json_text(p.variables, "\n  ")))
+    terms = ",\n".join([_TERM_JSON % (c, _ints(e)) for e, c in p.canonical_terms()])
+    names = ",\n      ".join(map(encode_basestring_ascii, p.variables))
+    return _MONOMIAL_JSON % (terms.replace("\n", "\n      "), text, names)
 
 
 def _candidate_cells(rep) -> Iterator[tuple]:
@@ -209,21 +213,22 @@ def _candidate_cells(rep) -> Iterator[tuple]:
 
 
 def report_to_dict(rep) -> dict:
-    """The analyze report for canonical_json: its small sections as values,
-    its row sections as _Json text made from the integers, no dict a row."""
+    """The analyze report for _json_lines: its small sections as values, its
+    row sections as _Rows of cells made from the integers, no dict a row.  The
+    candidates and classes are made as they are written: write the value once."""
     bn, pi, eig = rep.bn, rep.pi_merged, rep.eigenvalues
     den = bn.den  # every exponent multiset of the report counts over it
-    # each exponent's text made once, off Pi: Yano and Pi_1 (g = 1) are Pi's
-    # text where they equal Pi, and the classes and other lists read Pi's texts
+    # each exponent's text and Pi's records made once: Yano and Pi_1 (g = 1) are
+    # Pi's records where they equal Pi, and the classes and other lists read Pi's texts
     exp = {k: _ratio(k, den) for k in pi.counts}
-    pi_text = _json_list(_EXPONENT_JSON, [(exp[k], m) for k, m in pi.sorted_counts()])
-    member = _EXPONENT_JSON.replace("\n", "\n      ")  # at its depth in a class
+    pi_rows = _Rows("%s", [_EXPONENT_JSON % (exp[k], m) for k, m in pi.sorted_counts()])
+    member = _EXPONENT_JSON.replace("\n", "\n    ")  # at its depth in a class
 
-    def records(ms) -> _Json:
+    def records(ms) -> _Rows:
         if ms == pi:
-            return pi_text
-        return _json_list(_EXPONENT_JSON, [(exp[k] if k in exp else _ratio(k, den), m)
-                                           for k, m in ms.sorted_counts()])
+            return pi_rows
+        return _Rows(_EXPONENT_JSON, [(exp[k] if k in exp else _ratio(k, den), m)
+                                      for k, m in ms.sorted_counts()])
 
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
@@ -234,19 +239,19 @@ def report_to_dict(rep) -> dict:
         "lct": str(rep.lct),
         "toric_steps": [s._asdict() for s in rep.bn.steps],
         "divisors": [d._asdict() for d in rep.divisors],
-        "candidates": _json_list(_CANDIDATE_JSON, (
+        "candidates": _Rows(_CANDIDATE_JSON, (
             (e1, d1, e2, d2, e3, d3, i, nu, s, sd, st)
             for i, nu, s, sd, e1, d1, e2, d2, e3, d3, st in _candidate_cells(rep))),
-        "pi": pi_text,
+        "pi": pi_rows,
         "pi_levels": list(map(records, rep.pi_sets)),
         "yano": records(rep.yano),
         "eigenvalues": {
             "distinct": rep.distinct,
             # a class's fraction is its exponents' fractional part, often one of them
-            "classes": _json_list(_CLASS_JSON, [
+            "classes": _Rows(_CLASS_JSON, (
                 (exp[f] if f in exp else _ratio(f, den),
-                 ",\n      ".join([member % (exp[k], m) for k, m in items]))
-                for f, items in eig.groups]),
+                 ",\n    ".join([member % (exp[k], m) for k, m in items]))
+                for f, items in eig.groups)),
         },
         "resonances": [
             {
@@ -318,7 +323,7 @@ def cmd_analyze(ns) -> tuple[int, Iterable[str]]:
 
     rep = poles.branch_report(ns.input, nu_max=ns.nu_max)
     if ns.format == "json":
-        return 0, [canonical_json(report_to_dict(rep))]
+        return 0, _json_lines(report_to_dict(rep), "", "", "")
     if ns.format == "tsv":
         return 0, chain(["\t".join(_CANDIDATE_FIELDS)],
                         map(_CANDIDATE_TSV.__mod__, _candidate_cells(rep)))
@@ -329,10 +334,9 @@ def _validation_failure(text: str, exc: Exception, fmt: str) -> list[str]:
     """The stdout lines of a failed validation; text and tsv write their
     heading to stderr first."""
     # a semigroup failure carries its whole validation report
-    conditions = [
-        {"name": c.name, "passed": c.passed, "detail": c.detail}
-        for c in getattr(exc, "conditions", ())
-    ] or [{"name": "charseq", "passed": False, "detail": str(exc)}]
+    conditions = [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                  for c in getattr(exc, "conditions", ())] or [
+                      {"name": "charseq", "passed": False, "detail": str(exc)}]
     if fmt == "json":
         return [canonical_json({"error": "validation", "input": text, "conditions": conditions})]
     print(f"invalid input {text}", file=sys.stderr)
@@ -345,7 +349,7 @@ def cmd_residue(ns) -> tuple[int, Iterable[str]]:
     p = gammaratio.RnmParams(alpha=ns.alpha, n=ns.n, beta=ns.beta, m=ns.m, lam=ns.lam)
     out = gammaratio.rnm_closed_form(p)
     if ns.format == "json":
-        value = None if out.value is None else _cx(out.value)
+        value = None if out.value is None else {"re": out.value.real, "im": out.value.imag}
         reason = [{"factor": lbl, "order": k} for lbl, k in out.reason]
         return 0, [canonical_json({"order": out.order, "value": value, "reason": reason})]
     if ns.format == "tsv":
@@ -406,38 +410,26 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
     text, kind, bn = branch.resolve_input(ns.input)
     plane = curves.plane_equation(bn)
     hs = curves.monomial_curve_equations(bn)
-    fam = None
-    fiber = None
+    fam = fiber = None
     if ns.deform:
-        fam = curves.deformation_family(
-            bn,
-            weight_cutoff=ns.cutoff,
-            lambdas=ns.lambdas,
-            coefficient_source=ns.seed,
-        )
-        if ns.seed is not None:
-            fiber = fam.instantiate()
+        fam = curves.deformation_family(bn, weight_cutoff=ns.cutoff, lambdas=ns.lambdas,
+                                        coefficient_source=ns.seed)
+        fiber = None if ns.seed is None else fam.instantiate()
     if ns.format == "json":
-        payload = {
-            "input": {"text": text, "kind": kind},
-            "plane": _poly_dict(plane),
-            "monomial_curve": [_poly_dict(h) for h in hs],
-            "deformation": None,
+        deformation = None if fam is None else {
+            "cutoff": fam.weight_cutoff,
+            "lambdas": list(map(_printable, fam.lambdas)),
+            "base": _poly_dict(fam.base),
+            "terms": _Rows(_DEFORMATION_TERM_JSON, (
+                ("null" if t.coefficient is None else f'"{_printable(t.coefficient)}"',
+                 _ints(t.exponents), t.level, _monomial(t.monomial),
+                 encode_basestring_ascii(t.parameter), t.weight)
+                for t in fam.terms)),
+            "fiber": None if fiber is None else _poly_dict(fiber),
         }
-        if fam is not None:
-            payload["deformation"] = {
-                "cutoff": fam.weight_cutoff,
-                "lambdas": list(map(_printable, fam.lambdas)),
-                "base": _poly_dict(fam.base),
-                "terms": _json_list(_DEFORMATION_TERM_JSON, (
-                    ("null" if t.coefficient is None else f'"{_printable(t.coefficient)}"',
-                     _json_text(t.exponents, "\n    "), t.level,
-                     _poly_dict(t.monomial).replace("\n", "\n    "),
-                     encode_basestring_ascii(t.parameter), t.weight)
-                    for t in fam.terms)),
-                "fiber": None if fiber is None else _poly_dict(fiber),
-            }
-        return 0, [canonical_json(payload)]
+        return 0, [canonical_json({  # whole before its first write: a refusal writes nothing
+            "input": {"text": text, "kind": kind}, "plane": _poly_dict(plane),
+            "monomial_curve": [_poly_dict(h) for h in hs], "deformation": deformation})]
     # every line made before the first is written, _CHUNK_LINES joined to a text
     lines = (_generate_tsv if ns.format == "tsv" else _generate_text)(plane, hs, fam, fiber)
     return 0, ["\n".join(c) for c in iter(lambda: list(islice(lines, _CHUNK_LINES)), [])]

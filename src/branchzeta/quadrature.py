@@ -152,7 +152,8 @@ def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
     """Numerically integrate the kernel at p.alpha, p.n, p.beta, p.m, p.lam.
 
     Preconditions (DomainError otherwise): Re(alpha'+alpha) > -2,
-    Re(beta'+beta) > -2, Re(alpha'+alpha+beta'+beta) < -2, lambda real > 0.
+    Re(beta'+beta) > -2, Re(alpha'+alpha+beta'+beta) < -2, lambda real > 0,
+    lambda^{-(2 alpha + n + 2)} a normal double (checked before any panel).
     Raises ConvergenceFailure, with the levels reached, when a refinement
     loop exhausts its budget or a pass's sum or a bound is not finite.
     Deterministic: fixed mesh construction and summation order.
@@ -172,6 +173,12 @@ def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
         raise DomainError(f"Re(beta'+beta) = {two_b} must exceed -2")
     if not two_a + two_b < -2:
         raise DomainError(f"Re(alpha'+alpha+beta'+beta) = {two_a + two_b} must be below -2")
+    try:
+        prefactor = lam ** (-(two_a + 2.0))
+    except OverflowError:
+        prefactor = math.inf
+    if not 2.0**-1022 <= prefactor < math.inf:  # from the least normal double up
+        raise DomainError(f"lambda^{-(two_a + 2.0):.6g} = {prefactor:.6g} is not a normal double")
 
     p0 = two_a + 1.0  # radial power at r = 0, > -1
     w = two_b  # local exponent at (r, theta) = (1, 0), > -2
@@ -248,7 +255,7 @@ def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
         raise ConvergenceFailure("refinement did not stabilize", list(levels))
 
     total = 2.0 * math.fsum(pieces)  # theta fold
-    return -2j * lam ** (-(two_a + 2.0)) * total
+    return -2j * prefactor * total
 
 
 def _nodes(edges: list[float]):

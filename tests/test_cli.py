@@ -29,8 +29,8 @@ import curves_oracle
 import fraction_oracle
 import row_oracle
 from branchzeta.branch import gaps, random_charseq
-from branchzeta.cli import (_CHUNK_LINES, _Json, _merge_negative_values, _ratio, _write_stdout,
-                            build_parser, canonical_json, main, report_to_dict)
+from branchzeta.cli import (_CHUNK_LINES, _RUN, _merge_negative_values, _ratio, _Rows,
+                            _write_stdout, build_parser, canonical_json, main, report_to_dict)
 from branchzeta.errors import DomainError, IndexOutOfRange
 from branchzeta.poles import branch_report
 
@@ -718,18 +718,22 @@ class TestCanonicalJson:
         assert canonical_json(d) == json.dumps(oracle, sort_keys=True, indent=2)
 
     @settings(max_examples=300, deadline=None)
-    @given(json_values, st.integers(0, 3), st.integers(1, 2))
-    def test_json_text_placed_at_its_depth(self, value, depth, times):
-        """_Json text of a value, placed depth levels down, once or twice
-        (one object), writes the bytes of the value itself placed there."""
+    @given(st.lists(json_values, min_size=1, max_size=4), st.integers(0, 2 * _RUN + 1),
+           st.integers(0, 3), st.integers(1, 2))
+    def test_rows_placed_at_their_depth(self, values, count, depth, times):
+        """A _Rows list of count records, each a value's JSON text written
+        relative to itself, placed depth levels down, once or twice (one
+        object), writes the bytes of the list of values placed there: empty,
+        one run of records, and runs split at _RUN."""
         def place(x, level=depth):
             if level == 0:
                 return x
             items = [place(x, level - 1)] * (times if level == 1 else 1)
             return items if level % 2 else {f"%s{j}": v for j, v in enumerate(items)}
 
-        text = _Json(json.dumps(value, sort_keys=True, indent=2))
-        assert canonical_json(place(text)) == json.dumps(place(value), sort_keys=True, indent=2)
+        listed = [values[j % len(values)] for j in range(count)]
+        rows = _Rows("%s", [(json.dumps(v, sort_keys=True, indent=2),) for v in listed])
+        assert canonical_json(place(rows)) == json.dumps(place(listed), sort_keys=True, indent=2)
 
     def test_peak_memory_below_two_and_a_half_outputs(self, monkeypatch):
         # an analyze report, and the payload of a seeded generate --deform
@@ -784,26 +788,51 @@ class TestCanonicalJson:
         canonical_json([{"a key set no other call uses": i, "%s": [{"k": i}]} for i in range(3)])
         assert caches() == before
 
-    def test_analyze_calls_it_once(self, capsys, monkeypatch):
-        """Every JSON command, on success or failure, makes one call: the
-        benchmark's tracer counts output bytes per canonical_json call, and
-        the writer recurses through its helper, never the public name."""
+    def test_analyze_streams_and_every_other_command_calls_it_once(self, capsys, monkeypatch):
+        """A successful analyze hands its pieces to the stdout writer and
+        makes no call; every other JSON command, on success or failure, an
+        analyze validation failure among them, makes one call (generate's
+        text is whole before its first write), and the writer recurses
+        through its helper, never the public name."""
         calls = []
         write = branchzeta.cli.canonical_json
         monkeypatch.setattr(branchzeta.cli, "canonical_json",
                             lambda obj: calls.append(obj) or write(obj))
-        for argv, code in [
-            (["analyze", "6,9,22"], 0),
-            (["generate", "4,6,7", "--deform", "--seed", "5"], 0),
-            (["verify", "--suite", "combinatorics"], 0),
-            (["residue", "--alpha", "1/2", "--n", "2", "--beta", "1/3", "--m", "3"], 0),
-            (["analyze", "4,6"], 2),  # a validation failure
-            (["generate", "4,9", "--deform", "--cutoff", "10"], 2),  # a domain error
+        for argv, code, count in [
+            (["analyze", "6,9,22"], 0, 0),
+            (["generate", "4,6,7", "--deform", "--seed", "5"], 0, 1),
+            (["verify", "--suite", "combinatorics"], 0, 1),
+            (["residue", "--alpha", "1/2", "--n", "2", "--beta", "1/3", "--m", "3"], 0, 1),
+            (["analyze", "4,6"], 2, 1),  # a validation failure
+            (["generate", "4,9", "--deform", "--cutoff", "10"], 2, 1),  # a domain error
         ]:
             calls.clear()
             rc, out, _ = run(capsys, *argv, "--format", "json")
-            assert (rc, len(calls)) == (code, 1), argv
+            assert (rc, len(calls)) == (code, count), argv
             assert out == write(json.loads(out)) + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31).map(lambda seed: ",".join(map(str, (
+               (cs := random_charseq(random.Random(seed), max_n=12, max_beta=150)).n, *cs.betas)))),
+           st.none() | st.integers(0, 2 * _RUN + 1))
+    # the specs of the analyze goldens
+    @example("2,3", None)
+    @example("4,9", None)
+    @example("4,9", 60)
+    @example("4,6,7", None)
+    @example("6,9,22", None)
+    @example("6,15,25", None)
+    @example("semigroup:4,6,13", None)
+    def test_analyze_writes_the_report_bytes(self, spec, nu_max):
+        """analyze --format json, streamed piece by piece, writes exactly
+        canonical_json of the report's value and a newline."""
+        argv = ["analyze", spec, "--format", "json"]
+        argv += [] if nu_max is None else ["--nu-max", str(nu_max)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        rep = branch_report(spec, nu_max=nu_max)
+        assert out.getvalue() == canonical_json(report_to_dict(rep)) + "\n"
 
 
 @st.composite
@@ -1063,6 +1092,23 @@ class TestPlumbing:
         assert sum(sizes) > 1.8e6
         assert peak < 300_000, peak
 
+    def test_json_peak_memory_is_below_the_output(self, monkeypatch):
+        # about 78 MB of JSON go to a stdout that keeps only their sizes; the
+        # report's sections are held, its text is written a chunk at a time
+        sizes = []
+        monkeypatch.setattr(sys, "stdout", _Stdout(lambda s: sizes.append(len(s))))
+        assert main(["analyze", "2,301", "--format", "json"]) == 0  # imports and parser
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["analyze", "4,6,7", "--nu-max", "200000", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) > 7.5e7
+        assert peak < sum(sizes), (peak, sum(sizes))
+
     def test_missing_subcommand_exit_1(self, capsys):
         rc, _, err = run(capsys)
         assert rc == 1
@@ -1076,18 +1122,19 @@ class TestPlumbing:
         assert json.loads(r.stdout)["mu"] == 24
 
     def test_closed_stdout_exits_0_without_traceback(self):
-        # the reader takes the header line and closes the pipe while the
-        # command still has about 2 MB of rows to write
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "branchzeta.cli", "analyze", "2,20001", "--format", "tsv"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
-        )
-        assert proc.stdout.readline() == b"i\tnu\tsigma\teps1\teps2\teps3\tstatus\n"
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0
-        assert b"Traceback" not in err
-        assert err == b""
+        # the reader takes the first line and closes the pipe while the
+        # command still has about 2 MB of TSV rows, or 16 MB of JSON, to write
+        for fmt, first in (("tsv", b"i\tnu\tsigma\teps1\teps2\teps3\tstatus\n"), ("json", b"{\n")):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "branchzeta.cli", "analyze", "2,20001", "--format", fmt],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+            )
+            assert proc.stdout.readline() == first
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, fmt
+            assert b"Traceback" not in err
+            assert err == b""
 
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["print-fails", "flush-fails"])
     @pytest.mark.parametrize("argv, code", [

@@ -95,6 +95,16 @@ class TestGates:
             with pytest.raises(DomainError):
                 rnm_quadrature(p)
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-250, 1e250, 1e300])
+    def test_prefactor_outside_the_doubles(self, lam):
+        # lambda^-1.4 overflows below 1e-220 and leaves the normal doubles
+        # above 1e220; the closed form refuses its value there too
+        p = RnmParams(alpha=Fraction(-3, 10), n=0, beta=Fraction(-4, 5), m=0, lam=lam)
+        with pytest.raises(DomainError, match="outside the double range"):
+            rnm_closed_form(p)
+        with pytest.raises(DomainError, match=r"lambda\^-1\.4 = (inf|0) is not a normal double"):
+            rnm_quadrature(p)
+
     @pytest.mark.parametrize("alpha, beta, budget, message", [
         # radial power 2 alpha + n + 1 = -0.1 at r = 0: the inner bound
         # falls as r^0.9 and 8 levels of inner grading cannot certify it
