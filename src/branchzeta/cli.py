@@ -23,7 +23,7 @@ Output conventions, kept byte-stable for golden tests:
   once per process, and main reads the command function off the module.
 * analyze writes its candidates in every format (TSV, text, JSON) from the
   cells of _candidate_cells, the one loop that steps a ladder, one frame
-  and three gcds a row where e_i = 1, four elsewhere; text writes each Pi
+  and two gcds a row where e_i = 1, three elsewhere; text writes each Pi
   and Yano line from the counts, so it keeps no exponent text.
 
 At module level this file imports only the standard library and `errors`
@@ -43,9 +43,10 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isqrt
+from operator import floordiv
 
 from .errors import (MAX_BITS, BranchZetaError, DomainError, InvalidCharSeq,
                      NotPlaneBranchSemigroup, exact_rational)
@@ -192,7 +193,8 @@ def _candidate_cells(rep) -> Iterator[tuple]:
     Ladder.row(0) by 1, -a and -D, the row identity checked, then i, nu, the
     numerator and "/d" text of sigma = -t/N, eps1, eps2 and eps3 = -t/(n mbar)
     in lowest terms, each text off a dict per ladder over the divisors of N, and
-    the status text eps1's and eps2's gcds give.  e = 1 makes eps3 sigma: 3 gcds, else 4."""
+    the status text eps1's and eps2's gcds give.  gcd(t, n mbar) = g1 g2, as the identity
+    gives e1 mbar = t mod n, e2 n = t mod mbar; e = 1 makes eps3 sigma: 2 gcds, else 3."""
     from .poles import PoleStatus
 
     status_text = tuple(s.value for s in PoleStatus)
@@ -203,9 +205,10 @@ def _candidate_cells(rep) -> Iterator[tuple]:
         w = 2 * nm  # (nu + 2) n mbar
         for nu in range(hi):
             assert e1 * mbar + e2 * n - t + w == 0
-            g, g1, g2 = gcd(t, N), gcd(e1, n), gcd(e2, mbar)
+            h = (g1 := gcd(e1, n)) * (g2 := gcd(e2, mbar))  # gcd(t, n mbar)
+            g = h if one else gcd(t, N)
             s, sd = -t // g, den[N // g]
-            s3, d3 = (s, sd) if one else (-t // (h := gcd(t, nm)), den[nm // h])
+            s3, d3 = (s, sd) if one else (-t // h, den[nm // h])
             yield (i, nu, s, sd, e1 // g1, den[n // g1], e2 // g2, den[mbar // g2], s3, d3,
                    status_text[(g1 == n) + 2 * (g2 == mbar)])
             t, e1, e2 = t + 1, e1 - a, e2 - D
@@ -217,12 +220,25 @@ def report_to_dict(rep) -> dict:
     row sections as _Rows of cells made from the integers, no dict a row.  The
     candidates and classes are made as they are written: write the value once."""
     bn, pi, eig = rep.bn, rep.pi_merged, rep.eigenvalues
-    den = bn.den  # every exponent multiset of the report counts over it
-    # each exponent's text and Pi's records made once: Yano and Pi_1 (g = 1) are
-    # Pi's records where they equal Pi, and the classes and other lists read Pi's texts
-    exp = {k: _ratio(k, den) for k in pi.counts}
-    pi_rows = _Rows("%s", [_EXPONENT_JSON % (exp[k], m) for k, m in pi.sorted_counts()])
+    den, counts = bn.den, pi.counts  # every exponent multiset of the report counts over den
+    # each exponent's text and Pi's records made once, by maps over its keys: Yano and
+    # Pi_1 (g = 1) are Pi's records where they equal Pi, the classes and other lists its texts
+    keys = sorted(counts)
+    gs = list(map(gcd, keys, repeat(den)))
+    dtext = {g: _den_text(den // g) for g in set(gs)}
+    exp = dict(zip(keys, map("%d%s".__mod__, zip(map(floordiv, keys, gs),
+                                                   map(dtext.__getitem__, gs)))))
+    pi_rows = _Rows("%s", list(map(_EXPONENT_JSON.__mod__,
+                                   zip(exp.values(), map(counts.__getitem__, keys)))))
     member = _EXPONENT_JSON.replace("\n", "\n    ")  # at its depth in a class
+    one = _CLASS_JSON % ("%s", member)  # a class of one exponent
+
+    def classes() -> Iterator[str]:
+        # a class's fraction is its exponents' fractional part, often one of them
+        for f, ks in groupby(eig.order, den.__rmod__):
+            k, more, text = next(ks), next(ks, None), exp[f] if f in exp else _ratio(f, den)
+            yield (one % (text, exp[k], counts[k]) if more is None else _CLASS_JSON % (
+                text, ",\n    ".join([member % (exp[j], counts[j]) for j in chain((k, more), ks)])))
 
     def records(ms) -> _Rows:
         if ms == pi:
@@ -247,11 +263,7 @@ def report_to_dict(rep) -> dict:
         "yano": records(rep.yano),
         "eigenvalues": {
             "distinct": rep.distinct,
-            # a class's fraction is its exponents' fractional part, often one of them
-            "classes": _Rows(_CLASS_JSON, (
-                (exp[f] if f in exp else _ratio(f, den),
-                 ",\n    ".join([member % (exp[k], m) for k, m in items]))
-                for f, items in eig.groups)),
+            "classes": _Rows("%s", classes()),
         },
         "resonances": [
             {

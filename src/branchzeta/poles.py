@@ -52,7 +52,9 @@ class ExponentMultiset:
     counts may occur transiently; finalize() enforces non-negativity."""
 
     def __init__(self, den: int = 1, counts=()):
-        self.den, self.counts = den, {k: m for k, m in dict(counts).items() if m}
+        self.den, self.counts = den, dict(counts)  # a copy; only a signed assembly holds a 0
+        if 0 in self.counts.values():
+            self.counts = {k: m for k, m in self.counts.items() if m}
 
     def add(self, exponent, mult: int = 1) -> None:
         exponent = Fraction(exponent)
@@ -147,9 +149,10 @@ def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
     return ms
 
 
-class EigenvalueAnalysis(namedtuple("EigenvalueAnalysis", "den groups")):
-    """groups: (fractional part, sorted (exponent, multiplicity) pairs) per
-    class, every rational as its numerator over den."""
+class EigenvalueAnalysis(namedtuple("EigenvalueAnalysis", "den order")):
+    """order: the exponents' numerators over den sorted by residue mod den
+    (the class, the fractional part), then by value; a class is a run of
+    equal residues, the multiplicities are Pi's counts."""
 
     __slots__ = ()
 
@@ -163,14 +166,10 @@ def eigenvalues_distinct(pi: ExponentMultiset) -> bool:
 
 
 def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
-    """Group b-exponents by fractional part (= monodromy eigenvalue class);
-    the eigenvalues are distinct (eigenvalues_distinct) when every class is
-    one exponent of multiplicity one."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for k, mult in pi.sorted_counts():
-        groups.setdefault(k % pi.den, []).append((k, mult))
-    return EigenvalueAnalysis(pi.den,
-                              tuple((f, tuple(items)) for f, items in sorted(groups.items())))
+    """Order b-exponents by fractional part (= monodromy eigenvalue class),
+    each class by value; the eigenvalues are distinct (eigenvalues_distinct)
+    when every class is one exponent of multiplicity one."""
+    return EigenvalueAnalysis(pi.den, sorted(sorted(pi.counts), key=pi.den.__rmod__))
 
 
 def log_canonical_threshold(bn: BranchNumerics) -> Fraction:

@@ -23,8 +23,9 @@ R'_i = R_i/n_i, with no ladder and no divisor read.
 The exponent sections of the JSON report (pi, pi_levels, yano and the
 eigenvalue classes) are built here section by section, each from its own
 multiset's Fractions, as branchzeta.cli built them before the sections
-shared one record list; and exponent multisets are compared here as
-Fraction-keyed dicts.
+shared one record list; the report's eigenvalue order, Pi's numerators
+sorted by residue, is cut back into those classes by classes_of; and
+exponent multisets are compared here as Fraction-keyed dicts.
 
 The resonances are also found here as branchzeta.poles found them before it
 read them off the pairs of ladders: every numerator of every ladder counted
@@ -33,7 +34,7 @@ in one Counter, and each key counted twice or more kept.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 
 from branchzeta.poles import _STATUS, Resonance, _numerators
 from branchzeta.toric import toric_steps
@@ -130,7 +131,8 @@ def yano_multiset(bn):
 
 
 def eigenvalue_analysis(pi):
-    """(distinct, classes) of an {exponent: multiplicity} dict."""
+    """(distinct, classes) of an {exponent: multiplicity} dict, each class a
+    (fractional part, ((exponent, multiplicity), ...)) pair."""
     groups = {}
     for exp, mult in sorted(pi.items()):
         frac = exp - (exp.numerator // exp.denominator)
@@ -138,6 +140,15 @@ def eigenvalue_analysis(pi):
     classes = tuple((frac, tuple(items)) for frac, items in sorted(groups.items()))
     distinct = all(len(items) == 1 and items[0][1] == 1 for _, items in classes)
     return distinct, classes
+
+
+def classes_of(analysis, pi):
+    """The classes of branchzeta's EigenvalueAnalysis in the form of
+    eigenvalue_analysis here: its order cut into runs of one residue mod den,
+    each member's multiplicity read off pi's counts."""
+    den = analysis.den
+    return tuple((Fraction(f, den), tuple((Fraction(k, den), pi.counts[k]) for k in run))
+                 for f, run in groupby(analysis.order, lambda k: k % den))
 
 
 def resonances(cands):

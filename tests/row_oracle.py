@@ -1,6 +1,6 @@
 """Oracles of branchzeta.cli._candidate_cells, the one loop that steps a
-ladder, with one frame and three gcds a row where e_i = 1 (eps3 is sigma
-there) and four elsewhere, and which every analyze format reads, TSV lines,
+ladder, with one frame and two gcds a row where e_i = 1 (eps3 is sigma
+there) and three elsewhere, and which every analyze format reads, TSV lines,
 JSON candidate records and text candidate lines alike:
 
 * rows and candidate_cells, the stepping generator that Ladder.rows was and

@@ -12,7 +12,8 @@ stepping generator and the two-generator loop it replaced and against one
 row at a time, the closed-form Ladder.row against the stepped rows, and
 the candidates that analyze writes from the cells in every format (TSV
 lines, JSON records, text lines) against those rows formatted as text
-(all in row_oracle.py);
+(all in row_oracle.py), and on those rows the gcd identity the cells read,
+gcd(t, n mbar) = gcd(eps1 numerator, n) gcd(eps2 numerator, mbar);
 the JSON exponent sections, which share Pi's records, and the text Pi and
 Yano lines, made from the counts, against sections built one by one
 (fraction_oracle.py); exponent-multiset equality on integers against
@@ -25,6 +26,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,9 +77,7 @@ def test_report_matches_fraction_oracle(draw):
 
     distinct, classes = oracle.eigenvalue_analysis(merged)
     assert rep.distinct == distinct
-    den = rep.eigenvalues.den
-    assert tuple((Fraction(f, den), tuple((Fraction(k, den), m) for k, m in items))
-                 for f, items in rep.eigenvalues.groups) == classes
+    assert oracle.classes_of(rep.eigenvalues, rep.pi_merged) == classes
     assert rep.verdict == ("proved-distinct" if distinct else "conjectural-generic")
 
     got_res = [
@@ -311,6 +311,24 @@ def test_stepped_rows_equal_single_rows(draw, lo, width):
                                                               for nu in range(lo, lo + width)]
 
 
+@given(draws())
+@settings(max_examples=60, deadline=None)
+def test_gcd_of_t_and_n_mbar_is_the_product_of_the_eps_gcds(draw):
+    # the row identity gives e1 mbar = t mod n and e2 n = t mod mbar, and n,
+    # mbar are coprime, so gcd(t, n mbar) = gcd(e1, n) gcd(e2, mbar), which
+    # _candidate_cells reads for eps3, and for sigma where e_i = 1 (N = n mbar)
+    cs, nu_max = draw
+    rep = branch_report(cs, nu_max=nu_max)
+    for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
+        nm = lad.n * lad.mbar
+        assert gcd(lad.n, lad.mbar) == 1 and (lad.N == nm) == (lad.e == 1)
+        for t, e1, e2, _ in row_oracle.rows(lad, 0, hi):
+            h = gcd(e1, lad.n) * gcd(e2, lad.mbar)
+            assert gcd(t, nm) == h
+            if lad.e == 1:
+                assert gcd(t, lad.N) == h
+
+
 @pytest.mark.parametrize("text", ["2,3", "4,9", "4,6,7", "6,9,22"])
 @pytest.mark.parametrize("field,first_bad", [("c2", 0), ("D", 1)])
 def test_identity_check_fires_on_every_row(text, field, first_bad):
@@ -364,16 +382,16 @@ def test_exponent_sections_match_oracle(draw):
 def test_non_distinct_branches_match_oracle(text, largest_class, largest_mult, nu_max):
     rep = branch_report(text, nu_max=nu_max)
     assert rep.verdict == "conjectural-generic"
-    groups = eigenvalue_analysis(rep.pi_merged).groups
-    assert max(len(items) for _, items in groups) == largest_class
-    assert max(m for _, items in groups for _, m in items) == largest_mult
+    analysis = eigenvalue_analysis(rep.pi_merged)
+    got = oracle.classes_of(analysis, rep.pi_merged)
+    assert max(len(items) for _, items in got) == largest_class
+    assert max(m for _, items in got for _, m in items) == largest_mult
     den = rep.pi_merged.den
     merged = {Fraction(k, den): m for k, m in rep.pi_merged.counts.items()}
     distinct, classes = oracle.eigenvalue_analysis(merged)
     assert not distinct and not rep.distinct
-    assert tuple((Fraction(f, den), tuple((Fraction(k, den), m) for k, m in items))
-                 for f, items in groups) == classes
-    assert rep.eigenvalues.groups == groups
+    assert got == classes
+    assert rep.eigenvalues == analysis
     assert written_sections(rep) == oracle.exponent_sections(rep)
 
 
@@ -442,10 +460,9 @@ def test_multiset_equality_matches_fraction_oracle(pair):
 def test_eigenvalue_classes_and_distinctness_match_oracle(pi):
     # distinctness from one pass over Pi, and as read off the classes: both
     # must agree with the oracle
-    analysis = eigenvalue_analysis(pi)
+    got = oracle.classes_of(eigenvalue_analysis(pi), pi)
     distinct, classes = oracle.eigenvalue_analysis(
         {Fraction(k, pi.den): m for k, m in pi.counts.items()})
-    listed = all(len(items) == 1 and items[0][1] == 1 for _, items in analysis.groups)
+    listed = all(len(items) == 1 and items[0][1] == 1 for _, items in got)
     assert eigenvalues_distinct(pi) == listed == distinct
-    assert tuple((Fraction(f, pi.den), tuple((Fraction(k, pi.den), m) for k, m in items))
-                 for f, items in analysis.groups) == classes
+    assert got == classes

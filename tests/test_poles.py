@@ -195,6 +195,15 @@ class TestExponentMultiset:
         assert ms.total == 3
         assert ms == ExponentMultiset(3, {1: 2, 3: 1})
 
+    def test_zero_counts_dropped_and_counts_copied(self):
+        counts = {1: 2, 5: 0, 7: 1}
+        ms = ExponentMultiset(6, counts)
+        assert ms.counts == {1: 2, 7: 1} and counts == {1: 2, 5: 0, 7: 1}
+        whole = {1: 1, 5: 3}  # no zero: copied, not filtered
+        ms = ExponentMultiset(6, whole)
+        ms.add(Fraction(1, 6), -1)
+        assert ms.counts == {5: 3} and whole == {1: 1, 5: 3} and ms.counts is not whole
+
     def test_finalize_rejects_negative(self):
         ms = ExponentMultiset(6, {5: 1, 7: -1})
         with pytest.raises(NegativeCoefficient) as info:
@@ -233,25 +242,24 @@ class TestEigenvaluesAndLct:
         for cs in (CharSeq(2, (3,)), CharSeq(4, (6, 7))):
             _, merged = pi_multisets(derive_numerics(cs))
             assert eigenvalues_distinct(merged)
-            assert all(len(items) == 1 for _, items in eigenvalue_analysis(merged).groups)
+            classes = fraction_oracle.classes_of(eigenvalue_analysis(merged), merged)
+            assert all(len(items) == 1 for _, items in classes)
 
     def test_stress_case_6_8_9(self):
         bn = derive_numerics(CharSeq(6, (8, 9)))
         _, merged = pi_multisets(bn)
-        analysis = eigenvalue_analysis(merged)
+        classes = fraction_oracle.classes_of(eigenvalue_analysis(merged), merged)
         # internal consistency: class totals account for every exponent
-        assert sum(m for _, items in analysis.groups for _, m in items) == bn.milnor
+        assert sum(m for _, items in classes for _, m in items) == bn.milnor
         if eigenvalues_distinct(merged):
-            assert all(len(items) == 1 for _, items in analysis.groups)
+            assert all(len(items) == 1 for _, items in classes)
 
     def test_classes_group_by_fractional_part(self):
         _, merged = pi_multisets(derive_numerics(CharSeq(4, (6, 7))))
         analysis = eigenvalue_analysis(merged)
-        # each class is a fractional part and its exponents, numerators over den
-        for frac, items in analysis.groups:
-            assert 0 <= frac < analysis.den
-            for k, _ in items:
-                assert (k - frac) % analysis.den == 0
+        # every exponent once, sorted by fractional part (numerators mod den), then by value
+        assert sorted(analysis.order) == sorted(merged.counts)
+        assert analysis.order == sorted(merged.counts, key=lambda k: (k % analysis.den, k))
 
 
 # Two oracles from closed forms.  The Alexander polynomial of a branch is
@@ -281,9 +289,8 @@ def divisors_of(k):
 class TestClosedFormOracles:
     def test_eigenvalue_class_multiplicity(self, corpus_reports):
         for rep in corpus_reports:
-            den = rep.eigenvalues.den
-            for f, items in rep.eigenvalues.groups:
-                d = den // math.gcd(f, den)
+            for f, items in fraction_oracle.classes_of(rep.eigenvalues, rep.pi_merged):
+                d = f.denominator  # the eigenvalue's order as a root of unity
                 assert sum(m for _, m in items) == alexander_multiplicity(rep.bn, d), rep.input_text
 
     def test_distinct_iff_alexander_roots_simple(self, corpus_reports):
@@ -297,7 +304,8 @@ class TestClosedFormOracles:
     def test_distinct_matches_the_class_listing(self, corpus_reports):
         # every eigenvalue class a singleton of multiplicity one
         for rep in corpus_reports:
-            listed = all(len(items) == 1 and items[0][1] == 1 for _, items in rep.eigenvalues.groups)
+            classes = fraction_oracle.classes_of(rep.eigenvalues, rep.pi_merged)
+            listed = all(len(items) == 1 and items[0][1] == 1 for _, items in classes)
             assert rep.distinct == listed, rep.input_text
 
     def test_lct_is_least_divisor_ratio(self, corpus_reports):

@@ -29,7 +29,7 @@ FIELDS = {
     "ToricStep": ("i", "n", "q", "a", "b", "c", "d"),
     "DivisorNumerics": ("i", "N_rupture", "k_rupture_plus1", "N_deadend", "k_deadend_plus1"),
     "CandidatePole": ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status"),
-    "EigenvalueAnalysis": ("den", "groups"),
+    "EigenvalueAnalysis": ("den", "order"),
     "Resonance": ("sigma", "occurrences"),
     "BranchReport": ("input_text", "kind", "bn", "nu_max"),
     "MeromorphicValue": ("order", "value", "reason"),
