@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from math import inf
 
 GRID_PAIRS = ((Fraction(-3, 5), Fraction(-7, 10)), (Fraction(-2, 3), Fraction(-2, 3)),
@@ -81,9 +81,7 @@ def combinatorics_rows(cases=COMBINATORIC_CASES) -> Iterator[tuple]:
                 for lad, rows in ladders for row in rows))
         # mu = 2 delta for a branch, delta counted as the semigroup's gaps
         yield _exact(f"conductor-eq-milnor({text})", bn.conductor, 2 * len(branch.gaps(bn)))
-        counts, eig = rep.pi_merged.counts, rep.eigenvalues
-        class_total = sum(sum(map(counts.__getitem__, members))
-                          for _, members in groupby(eig.order, eig.den.__rmod__))
+        class_total = sum(map(rep.pi_merged.counts.__getitem__, rep.eigenvalues.order))
         yield _exact(f"eigenvalue-count({text})", bn.milnor, class_total)
 
 

@@ -43,7 +43,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, filterfalse, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isqrt
 from operator import floordiv
@@ -65,10 +65,12 @@ def _den_text(d: int) -> str:
     return f"/{d}" if d != 1 else ""
 
 
-def _ratio(num: int, den: int) -> str:
-    """num/den (den > 0) in lowest terms, as str(Fraction) prints it, via _den_text."""
-    g = gcd(num, den)
-    return f"{num // g}{_den_text(den // g)}"
+def _ratios(nums, den: int) -> Iterator[str]:
+    """Each num/den of the sequence nums (den > 0) in lowest terms, as str(Fraction)
+    prints it, made as read: C-level maps, a gcd a number, one _den_text a distinct gcd."""
+    gs = list(map(gcd, nums, repeat(den)))
+    dtext = {g: _den_text(den // g) for g in set(gs)}
+    return map("%d%s".__mod__, zip(map(floordiv, nums, gs), map(dtext.__getitem__, gs)))
 
 
 _CHUNK_LINES = 512  # lines joined into one stdout write
@@ -221,30 +223,24 @@ def report_to_dict(rep) -> dict:
     candidates and classes are made as they are written: write the value once."""
     bn, pi, eig = rep.bn, rep.pi_merged, rep.eigenvalues
     den, counts = bn.den, pi.counts  # every exponent multiset of the report counts over den
-    # each exponent's text and Pi's records made once, by maps over its keys: Yano and
-    # Pi_1 (g = 1) are Pi's records where they equal Pi, the classes and other lists its texts
+    # each exponent's text and Pi's records made once: Yano and Pi_1 (g = 1) are
+    # Pi's records where they equal Pi, and the classes and other lists read the texts
     keys = sorted(counts)
-    gs = list(map(gcd, keys, repeat(den)))
-    dtext = {g: _den_text(den // g) for g in set(gs)}
-    exp = dict(zip(keys, map("%d%s".__mod__, zip(map(floordiv, keys, gs),
-                                                   map(dtext.__getitem__, gs)))))
+    exp = dict(zip(keys, _ratios(keys, den)))
     pi_rows = _Rows("%s", list(map(_EXPONENT_JSON.__mod__,
                                    zip(exp.values(), map(counts.__getitem__, keys)))))
+    more = list(rep.yano.counts.keys() - exp.keys())
+    exp.update(zip(more, _ratios(more, den)))  # Yano's exponents outside Pi
     member = _EXPONENT_JSON.replace("\n", "\n    ")  # at its depth in a class
-    one = _CLASS_JSON % ("%s", member)  # a class of one exponent
-
-    def classes() -> Iterator[str]:
-        # a class's fraction is its exponents' fractional part, often one of them
-        for f, ks in groupby(eig.order, den.__rmod__):
-            k, more, text = next(ks), next(ks, None), exp[f] if f in exp else _ratio(f, den)
-            yield (one % (text, exp[k], counts[k]) if more is None else _CLASS_JSON % (
-                text, ",\n    ".join([member % (exp[j], counts[j]) for j in chain((k, more), ks)])))
+    # the class fractions outside Pi, in class order, their texts made as they are written
+    others = _ratios(list(filterfalse(exp.__contains__,
+                                      dict.fromkeys(map(den.__rmod__, eig.order)))), den)
 
     def records(ms) -> _Rows:
         if ms == pi:
             return pi_rows
-        return _Rows(_EXPONENT_JSON, [(exp[k] if k in exp else _ratio(k, den), m)
-                                      for k, m in ms.sorted_counts()])
+        ks = sorted(ms.counts)
+        return _Rows(_EXPONENT_JSON, list(zip(map(exp.__getitem__, ks), map(ms.counts.__getitem__, ks))))
 
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
@@ -263,7 +259,11 @@ def report_to_dict(rep) -> dict:
         "yano": records(rep.yano),
         "eigenvalues": {
             "distinct": rep.distinct,
-            "classes": _Rows("%s", classes()),
+            # a class's fraction is its exponents' fractional part, often one of them
+            "classes": _Rows(_CLASS_JSON, (
+                (exp[f] if f in exp else next(others),
+                 ",\n    ".join([member % (exp[k], counts[k]) for k in ks]))
+                for f, ks in groupby(eig.order, den.__rmod__))),
         },
         "resonances": [
             {
@@ -303,8 +303,9 @@ def _analyze_text(rep) -> Iterator[str]:
     for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
                      ("yano:", rep.yano)):
         yield head
-        for k, m in ms.sorted_counts():
-            yield f"  {_ratio(k, ms.den):>12} x{m}"
+        ks = sorted(ms.counts)
+        for text, m in zip(_ratios(ks, ms.den), map(ms.counts.__getitem__, ks)):
+            yield f"  {text:>12} x{m}"
     yield f"eigenvalues distinct: {str(rep.distinct).lower()}"
     for r in rep.resonances:
         where = ", ".join(f"(i={i}, nu={nu})" for i, nu, _ in r.occurrences)

@@ -169,7 +169,7 @@ def eigenvalue_analysis(pi: ExponentMultiset) -> EigenvalueAnalysis:
     """Order b-exponents by fractional part (= monodromy eigenvalue class),
     each class by value; the eigenvalues are distinct (eigenvalues_distinct)
     when every class is one exponent of multiplicity one."""
-    return EigenvalueAnalysis(pi.den, sorted(sorted(pi.counts), key=pi.den.__rmod__))
+    return EigenvalueAnalysis(pi.den, tuple(sorted(sorted(pi.counts), key=pi.den.__rmod__)))
 
 
 def log_canonical_threshold(bn: BranchNumerics) -> Fraction:

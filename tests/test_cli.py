@@ -29,7 +29,7 @@ import curves_oracle
 import fraction_oracle
 import row_oracle
 from branchzeta.branch import gaps, random_charseq
-from branchzeta.cli import (_CHUNK_LINES, _RUN, _merge_negative_values, _ratio, _Rows,
+from branchzeta.cli import (_CHUNK_LINES, _RUN, _merge_negative_values, _ratios, _Rows,
                             _write_stdout, build_parser, canonical_json, main, report_to_dict)
 from branchzeta.errors import DomainError, IndexOutOfRange
 from branchzeta.poles import branch_report
@@ -999,9 +999,9 @@ class _Stdout:
 
 
 class TestPlumbing:
-    @given(st.integers(), st.integers(min_value=1))
-    def test_ratio_is_str_of_fraction(self, a, b):
-        assert _ratio(a, b) == str(Fraction(a, b))
+    @given(st.lists(st.integers()), st.integers(min_value=1))
+    def test_ratio_is_str_of_fraction(self, nums, b):
+        assert list(_ratios(nums, b)) == [str(Fraction(a, b)) for a in nums]
 
     def test_reports_leave_the_module_tables_as_they_were(self, capsys):
         """analyze keeps each table to its report: no dict of the module

@@ -259,7 +259,7 @@ class TestEigenvaluesAndLct:
         analysis = eigenvalue_analysis(merged)
         # every exponent once, sorted by fractional part (numerators mod den), then by value
         assert sorted(analysis.order) == sorted(merged.counts)
-        assert analysis.order == sorted(merged.counts, key=lambda k: (k % analysis.den, k))
+        assert analysis.order == tuple(sorted(merged.counts, key=lambda k: (k % analysis.den, k)))
 
 
 # Two oracles from closed forms.  The Alexander polynomial of a branch is

@@ -84,6 +84,13 @@ def test_assigning_a_field_raises_attribute_error(name):
             setattr(record, field, getattr(record, field))
 
 
+def test_eigenvalue_analysis_is_hashable_and_holds_no_list():
+    """A report caches its EigenvalueAnalysis, so no caller can change its order in place."""
+    eig = branch_report("6,9,22").eigenvalues
+    assert type(eig.order) is tuple and all(type(k) is int for k in eig.order)
+    assert hash(eig) == hash(branch_report("6,9,22").eigenvalues)
+
+
 def test_cached_properties_keep_their_values_on_the_instance():
     rep = branch_report("4,9")
     assert rep.yano is rep.yano and "yano" in vars(rep)
