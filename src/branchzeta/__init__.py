@@ -36,8 +36,8 @@ _PUBLIC = {
         "rnm_closed_form", "symmetry_check", "symmetry_pair",
     ),
     "quadrature": (
-        "QuadConfig", "radial_mass", "rnm_quadrature", "vanishing_integral_check",
-        "vanishing_symbolic_cancellation",
+        "QuadConfig", "radial_mass", "rnm_integral", "rnm_prefactor", "rnm_quadrature",
+        "vanishing_integral_check", "vanishing_symbolic_cancellation",
     ),
     "curves": (
         "DeformationFamily", "DeformationTerm", "SparsePoly", "deformation_family",

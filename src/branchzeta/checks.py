@@ -3,7 +3,9 @@ generator of rows (case, expected, got, relerr, pass) per suite.  An exact
 law passes with relerr 0 and fails with inf; expected and got are values,
 which the CLI writes.  The combinatorics laws read the closed-form integer
 Ladder.row of each candidate, apart from the CLI's loop, and the report's
-integer multisets, with one Fraction per ladder.  Like cli, this module
+integer multisets, with one Fraction per ladder.  The rnm rows integrate
+each grid pair once (quadrature.rnm_integral) and write both lambda rows
+from it through quadrature.rnm_prefactor.  Like cli, this module
 imports no layer at module level: each suite imports the layers it runs and
 calls them as module attributes."""
 
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import product
 from math import inf
 
 GRID_PAIRS = ((Fraction(-3, 5), Fraction(-7, 10)), (Fraction(-2, 3), Fraction(-2, 3)),
@@ -40,11 +41,15 @@ def rnm_rows(tol: float, rel_tol: float) -> Iterator[tuple]:
     from . import gammaratio, quadrature
 
     cfg = quadrature.QuadConfig(rel_tol=rel_tol)
-    for (a, b), lam in product(GRID_PAIRS, (1.0, 2.0)):
-        p = gammaratio.RnmParams(alpha=a, n=0, beta=b, m=0, lam=lam)
-        want, got = gammaratio.rnm_closed_form(p).value, quadrature.rnm_quadrature(p, cfg)
-        rel = abs(got - want) / abs(want)
-        yield f"rnm(alpha={a},n=0,beta={b},m=0,lambda={lam:g})", want, got, rel, rel <= tol
+    for a, b in GRID_PAIRS:
+        # one integral a pair: lambda enters the kernel only through its prefactor
+        total = quadrature.rnm_integral(gammaratio.RnmParams(alpha=a, n=0, beta=b, m=0), cfg)
+        for lam in (1.0, 2.0):
+            p = gammaratio.RnmParams(alpha=a, n=0, beta=b, m=0, lam=lam)
+            want = gammaratio.rnm_closed_form(p).value
+            got = -2j * quadrature.rnm_prefactor(p) * total  # rnm_quadrature(p, cfg), bit for bit
+            rel = abs(got - want) / abs(want)
+            yield f"rnm(alpha={a},n=0,beta={b},m=0,lambda={lam:g})", want, got, rel, rel <= tol
     for alpha, n, beta, m, lam in SYMMETRY_CASES:
         sides = gammaratio.symmetry_pair(gammaratio.RnmParams(alpha, n, beta, m, lam))
         rel = gammaratio.symmetry_relerr(*sides)

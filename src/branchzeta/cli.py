@@ -33,6 +33,16 @@ its layers in its body and calls them as module attributes: analyze `poles`
 `curves`, verify `checks`, whose rnm suite loads `gammaratio` and `quadrature`
 (numpy too), vanishing `quadrature` alone.  verify states no law: it checks
 --tol, runs the suites asked for, writes the rows.
+
+A process enters through entry(), both as `python -m branchzeta.cli` and as
+the `branchzeta` script: where the environment sets none of
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, it sets
+OPENBLAS_NUM_THREADS=1 before main runs, so numpy starts no BLAS thread
+pool; any of them set by the caller is kept.  When main returns, entry
+flushes stdout and stderr and ends the process with main's exit code
+through os._exit, skipping the interpreter's teardown.  main itself changes
+no environment variable and ends no process, so in-process callers see
+neither.
 """
 
 from __future__ import annotations
@@ -581,5 +591,26 @@ def main(argv=None) -> int:
         return _write_stdout(2, [canonical_json({"error": "domain", "reason": str(exc)})])
 
 
+# the variables OpenBLAS sizes its thread pool by
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def entry():
+    """The process entry, which never returns: main, with
+    OPENBLAS_NUM_THREADS=1 where none of _BLAS_THREAD_VARS is set (the
+    quadrature's products are too small to split, and starting a pool costs
+    start-up time); then the process ends with main's code, its output
+    flushed, without the interpreter's teardown, which would only free what
+    the process is about to drop.  An exception from main, SystemExit too,
+    ends the process the usual way."""
+    if not any(map(os.environ.__contains__, _BLAS_THREAD_VARS)):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    rc = main()
+    for stream in (sys.stdout, sys.stderr):  # None where the descriptor was closed
+        if stream is not None:
+            stream.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -21,7 +21,8 @@ from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 
 from .branch import BranchNumerics, Ladder, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient, exact_int
@@ -144,6 +145,11 @@ def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
         signed.subtract(_numerators(den, dead_k, dead_n, dead_n))
     signed.subtract(_numerators(den, 2, bn.n, bn.n))
     signed[den] += 1
+    # drop the cancelled keys in place (negative counts stay, for finalize),
+    # so ExponentMultiset copies the Counter once and filters nothing; the
+    # keys are picked and popped at C level (Counter's del is Python code)
+    for key in list(compress(signed, map(not_, signed.values()))):
+        signed.pop(key)
     ms = ExponentMultiset(den, signed).finalize()
     assert ms.total == bn.milnor
     return ms

@@ -16,7 +16,10 @@ singularity at (r, theta) = (1, 0), smooth rectangles beside it, and dyadic
 radial panels outward from _R_MAX until an analytic power-law remainder
 bound certifies the neglected tail below tolerance.  All omitted regions
 (shell core, innermost disk, far tail) are controlled by explicit bounds,
-so tightening rel_tol only ever adds panels.
+so tightening rel_tol only ever adds panels.  lambda enters only through
+the prefactor lambda^{-(2 alpha + n + 2)} (rnm_prefactor, checked before
+any panel); the integral in r, rnm_integral, never reads it, so one
+integral serves every lambda: rnm_quadrature is -2i times the two.
 
 The bounds read only the refinement levels, so each pass lists its panels
 before it evaluates any.  numpy lists their 24 x 24-node tiles from the
@@ -148,6 +151,39 @@ def _integrand(p0: float, beta: float, n: int, m: int):
     return f
 
 
+def _exponents(p) -> tuple[float, float, float]:
+    """beta, 2 alpha + n and 2 beta + m of p as doubles; DomainError outside
+    the region where the integral converges."""
+    beta = float(p.beta)
+    two_a, two_b = 2.0 * float(p.alpha) + p.n, 2.0 * beta + p.m
+    if not two_a > -2:
+        raise DomainError(f"Re(alpha'+alpha) = {two_a} must exceed -2")
+    if not two_b > -2:
+        raise DomainError(f"Re(beta'+beta) = {two_b} must exceed -2")
+    if not two_a + two_b < -2:
+        raise DomainError(f"Re(alpha'+alpha+beta'+beta) = {two_a + two_b} must be below -2")
+    return beta, two_a, two_b
+
+
+def rnm_prefactor(p) -> float:
+    """lambda^{-(2 alpha + n + 2)}, the one place lambda enters the kernel's
+    integral (rnm_quadrature(p) = -2j * rnm_prefactor(p) * rnm_integral(p)).
+    DomainError unless lambda is real > 0, p lies in the convergence region
+    (rnm_quadrature's preconditions, checked in that order) and the value is
+    a normal double."""
+    lam = complex(p.lam)
+    if lam.imag != 0 or lam.real <= 0:
+        raise DomainError("quadrature oracle requires real lambda > 0")
+    two_a = _exponents(p)[1]
+    try:
+        prefactor = lam.real ** (-(two_a + 2.0))
+    except OverflowError:
+        prefactor = math.inf
+    if not 2.0**-1022 <= prefactor < math.inf:  # from the least normal double up
+        raise DomainError(f"lambda^{-(two_a + 2.0):.6g} = {prefactor:.6g} is not a normal double")
+    return prefactor
+
+
 def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
     """Numerically integrate the kernel at p.alpha, p.n, p.beta, p.m, p.lam.
 
@@ -158,28 +194,18 @@ def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
     loop exhausts its budget or a pass's sum or a bound is not finite.
     Deterministic: fixed mesh construction and summation order.
     """
-    lam = complex(p.lam)
-    if lam.imag != 0 or lam.real <= 0:
-        raise DomainError("quadrature oracle requires real lambda > 0")
-    lam = lam.real
-    alpha = float(p.alpha)
-    beta = float(p.beta)
-    n, m = p.n, p.m
-    two_a = 2.0 * alpha + n
-    two_b = 2.0 * beta + m
-    if not two_a > -2:
-        raise DomainError(f"Re(alpha'+alpha) = {two_a} must exceed -2")
-    if not two_b > -2:
-        raise DomainError(f"Re(beta'+beta) = {two_b} must exceed -2")
-    if not two_a + two_b < -2:
-        raise DomainError(f"Re(alpha'+alpha+beta'+beta) = {two_a + two_b} must be below -2")
-    try:
-        prefactor = lam ** (-(two_a + 2.0))
-    except OverflowError:
-        prefactor = math.inf
-    if not 2.0**-1022 <= prefactor < math.inf:  # from the least normal double up
-        raise DomainError(f"lambda^{-(two_a + 2.0):.6g} = {prefactor:.6g} is not a normal double")
+    prefactor = rnm_prefactor(p)
+    return -2j * prefactor * rnm_integral(p, cfg)
 
+
+def rnm_integral(p, cfg: QuadConfig = QuadConfig()) -> float:
+    """The kernel's integral in the scaled variable r = |lambda z|, theta
+    fold included, without the measure and lambda factor -2i
+    lambda^{-(2 alpha + n + 2)}: it reads p.alpha, p.n, p.beta and p.m, never
+    p.lam, so one value serves every lambda.  DomainError outside the
+    convergence region; ConvergenceFailure as rnm_quadrature."""
+    beta, two_a, two_b = _exponents(p)
+    n, m = p.n, p.m
     p0 = two_a + 1.0  # radial power at r = 0, > -1
     w = two_b  # local exponent at (r, theta) = (1, 0), > -2
     pt = two_a + two_b + 1.0  # radial power at infinity, < -1
@@ -254,8 +280,7 @@ def rnm_quadrature(p, cfg: QuadConfig = QuadConfig()) -> complex:
     else:
         raise ConvergenceFailure("refinement did not stabilize", list(levels))
 
-    total = 2.0 * math.fsum(pieces)  # theta fold
-    return -2j * prefactor * total
+    return 2.0 * math.fsum(pieces)  # theta fold
 
 
 def _nodes(edges: list[float]):

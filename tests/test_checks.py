@@ -1,18 +1,21 @@
 """The law table behind verify (branchzeta.checks): every combinatorics row
 passes on random characteristic sequences; a ladder with a wrong
 coefficient is caught by the Ladder.row identity; the suite builds no
-Fraction per candidate; and the rnm symmetry rows and
-gammaratio.symmetry_check read one comparison, symmetry_relerr."""
+Fraction per candidate; the rnm symmetry rows and
+gammaratio.symmetry_check read one comparison, symmetry_relerr; and the rnm
+grid rows, one integral a grid pair, equal one rnm_quadrature per (pair,
+lambda)."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import branchzeta.gammaratio as gammaratio
 import branchzeta.poles as poles
-from branchzeta import checks
+from branchzeta import checks, quadrature
 from branchzeta.branch import random_charseq
 from branchzeta.gammaratio import MeromorphicValue, RnmParams
 
@@ -83,3 +86,26 @@ def test_symmetry_rows_and_check_read_one_comparison(monkeypatch):
     rows = [r for r in checks.rnm_rows(1.0, 1e-2) if r[0].startswith("symmetry(")]
     assert len(rows) == len(checks.SYMMETRY_CASES)
     assert not any(ok for *_, ok in rows)
+
+
+def rnm_grid_rows_oracle(tol: float, rel_tol: float) -> list[tuple]:
+    """The grid rows of checks.rnm_rows as one rnm_quadrature per (pair, lambda)."""
+    cfg = quadrature.QuadConfig(rel_tol=rel_tol)
+    rows = []
+    for (a, b), lam in product(checks.GRID_PAIRS, (1.0, 2.0)):
+        p = RnmParams(alpha=a, n=0, beta=b, m=0, lam=lam)
+        want, got = gammaratio.rnm_closed_form(p).value, quadrature.rnm_quadrature(p, cfg)
+        rel = abs(got - want) / abs(want)
+        rows.append((f"rnm(alpha={a},n=0,beta={b},m=0,lambda={lam:g})", want, got, rel, rel <= tol))
+    return rows
+
+
+@pytest.mark.parametrize("tol, rel_tol", [(1e-4, 1e-5), (1e-9, 1e-3)], ids=["default", "failing"])
+def test_rnm_rows_integrate_each_grid_pair_once(monkeypatch, tol, rel_tol):
+    want = rnm_grid_rows_oracle(tol, rel_tol)
+    calls = []
+    monkeypatch.setattr(quadrature, "rnm_integral",
+                        lambda p, cfg, f=quadrature.rnm_integral: calls.append(p) or f(p, cfg))
+    got = [row for row in checks.rnm_rows(tol, rel_tol) if row[0].startswith("rnm(")]
+    assert got == want  # the values compared with ==, bit for bit
+    assert [(p.alpha, p.beta) for p in calls] == list(checks.GRID_PAIRS)

@@ -1,11 +1,13 @@
 """CLI contract tests: exit codes, golden outputs, canonical JSON
 round-trips, and the verify suites."""
 
+import ast
 import contextlib
 import enum
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import random
@@ -1217,6 +1219,49 @@ COMMAND_LAYERS = [
 ]
 
 
+# The process entry: a child runs branchzeta.cli as __main__ through runpy
+# (as `python -m` does) with the argv given; as the entry ends the process,
+# the child writes the exit code and its thread count to stderr.  numpy's
+# OpenBLAS pool threads outlive the command, so the count is the pool's size
+# plus the main thread.
+THREAD_PROBE = """
+import os, runpy, sys
+end = os._exit
+
+def report(code):
+    print(code, len(os.listdir("/proc/self/task")), file=sys.stderr, flush=True)
+    end(code)
+
+os._exit = report
+runpy.run_module("branchzeta.cli", run_name="__main__", alter_sys=True)
+"""
+needs_task_dir = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                    reason="threads are counted in /proc/self/task")
+
+
+def _blas_env(**extra) -> dict:
+    """_child_env without any variable OpenBLAS sizes its pool by, plus extra."""
+    env = {k: v for k, v in _child_env().items() if k not in branchzeta.cli._BLAS_THREAD_VARS}
+    return {**env, **extra}
+
+
+def _threads_after(argv, env) -> tuple[int, int, str]:
+    """Exit code, thread count and stdout of THREAD_PROBE running argv."""
+    r = subprocess.run([sys.executable, "-c", THREAD_PROBE, *argv], capture_output=True,
+                       text=True, env=env, timeout=120)
+    code, threads = map(int, r.stderr.split())
+    return code, threads, r.stdout
+
+
+def _openblas_threads_available(count: int) -> bool:
+    """Whether numpy's BLAS is OpenBLAS and this process may run on count
+    CPUs: OpenBLAS caps its pool at the CPUs it may use."""
+    import numpy
+
+    blas = numpy.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")) and len(os.sched_getaffinity(0)) >= count
+
+
 class TestStartup:
     def test_exact_commands_do_not_load_numpy(self):
         assert [s["numpy"] for s in _loaded_after(
@@ -1270,8 +1315,9 @@ class TestStartup:
     def test_dir_lists_the_names_and_submodules(self):
         assert {*branchzeta.__all__, *branchzeta._PUBLIC, "__version__"} <= set(dir(branchzeta))
 
-    @pytest.mark.parametrize("name", ["QuadConfig", "radial_mass", "rnm_quadrature",
-                                      "vanishing_integral_check", "vanishing_symbolic_cancellation"])
+    @pytest.mark.parametrize("name", ["QuadConfig", "radial_mass", "rnm_integral", "rnm_prefactor",
+                                      "rnm_quadrature", "vanishing_integral_check",
+                                      "vanishing_symbolic_cancellation"])
     def test_quadrature_names_resolve_from_the_module(self, name):
         import branchzeta.quadrature
 
@@ -1281,6 +1327,74 @@ class TestStartup:
         with pytest.raises(AttributeError, match="nope"):
             getattr(branchzeta, "nope")
         assert not hasattr(branchzeta, "nope")
+
+    @needs_task_dir
+    def test_process_entry_starts_one_blas_thread(self):
+        code, threads, out = _threads_after(["verify", "--suite", "vanishing"], _blas_env())
+        assert code == 0 and out == (GOLDEN / "verify_vanishing.tsv").read_text()
+        assert threads == 1
+
+    @needs_task_dir
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_process_entry_keeps_the_callers_thread_count(self, var):
+        if not _openblas_threads_available(2):
+            pytest.skip("needs numpy on OpenBLAS and two CPUs")
+        code, threads, _ = _threads_after(["verify", "--suite", "vanishing"],
+                                          _blas_env(**{var: "2"}))
+        assert (code, threads) == (0, 2)
+
+    def test_main_leaves_the_environment_alone(self, capsys, monkeypatch):
+        for var in branchzeta.cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        rc, _, _ = run(capsys, "verify", "--suite", "vanishing")
+        assert rc == 0 and dict(os.environ) == before
+
+    def test_script_target_is_the_function_the_main_block_calls(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+        module, func = pyproject["project"]["scripts"]["branchzeta"].split(":")
+        assert module == "branchzeta.cli"
+        tree = ast.parse(Path(branchzeta.cli.__file__).read_text())
+        blocks = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(b.body) for b in blocks] == [f"{func}()"]
+        assert callable(getattr(branchzeta.cli, func))
+
+    # the entry ends the process itself: no exit code, stdout or stderr byte may change
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "4,9", "--format", "json"], 0),
+        (["verify", "--suite", "combinatorics", "--format", "text"], 0),
+        (["analyze", "4,9", "--bogus"], 1),
+        (["analyze", "semigroup:4,6,13,27"], 2),
+        (["residue", "--alpha", "-1/4", "--n", "0", "--beta", "-1/3", "--m", "0", "--lambda", "0",
+          "--format", "json"], 2),
+        (["verify", "--suite", "rnm", "--tol", "1e-9"], 3),
+    ], ids=["analyze", "verify", "syntax", "validation", "domain", "verify-failure"])
+    def test_process_entry_writes_what_main_writes(self, capsys, argv, code):
+        child = subprocess.run([sys.executable, "-m", "branchzeta.cli", *argv], capture_output=True,
+                               text=True, env=_child_env(), timeout=120)
+        assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv)
+        assert child.returncode == code
+
+    def test_process_entry_skips_the_interpreters_teardown(self):
+        # an atexit hook runs at teardown only; the output is flushed all the same
+        probe = ("import atexit, runpy, sys; atexit.register(print, 'teardown', file=sys.stderr);"
+                 " runpy.run_module('branchzeta.cli', run_name='__main__', alter_sys=True)")
+        r = subprocess.run([sys.executable, "-c", probe, "analyze", "2,3", "--format", "tsv"],
+                           capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == (GOLDEN / "analyze_2_3.tsv").read_text()
+
+    # no output bit may depend on the BLAS pool's size
+    @pytest.mark.parametrize("threads", [None, "1", "2"], ids=["unset", "1", "2"])
+    def test_numpy_suites_write_the_goldens_whatever_the_pool(self, threads):
+        env = _blas_env() if threads is None else _blas_env(OPENBLAS_NUM_THREADS=threads)
+        for suite, fmt in itertools.product(("rnm", "vanishing"), ("json", "text", "tsv")):
+            r = subprocess.run([sys.executable, "-m", "branchzeta.cli", "verify", "--suite", suite,
+                                "--format", fmt], capture_output=True, env=env, timeout=120)
+            assert r.returncode == 0, (suite, fmt)
+            assert r.stdout == (GOLDEN / f"verify_{suite}.{fmt}").read_bytes(), (suite, fmt)
 
 
 # Exit-code contract under fuzzing: generated argv lists of every kind the

@@ -9,11 +9,13 @@ branches.
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import branchzeta.poles as poles
 import fraction_oracle
 from branchzeta.branch import (
     CharSeq,
@@ -230,6 +232,33 @@ class TestYano:
         for bn in small_corpus_numerics:
             _, merged = pi_multisets(bn)
             assert yano_multiset(bn).entries == merged.entries
+
+    def test_signed_assembly_reaches_the_multiset_without_zeros(self, monkeypatch):
+        # the cancelled keys go from the Counter itself, so the multiset copies it once
+        seen = []
+
+        class Spy(poles.ExponentMultiset):
+            def __init__(self, den=1, counts=()):
+                seen.append((len(counts), 0 in counts.values()))
+                super().__init__(den, counts)
+                assert len(self.counts) == len(counts)
+
+        monkeypatch.setattr(poles, "ExponentMultiset", Spy)
+        for cs in (CharSeq(2, (3,)), CharSeq(6, (9, 22)), CharSeq(4, (6, 7))):
+            yano_multiset(derive_numerics(cs))
+        assert len(seen) == 3 and not any(zero for _, zero in seen)
+
+    def test_negative_assembly_still_raises(self, monkeypatch):
+        # each dead-end block subtracted twice: counts below zero must reach finalize
+        class Twice(Counter):
+            def subtract(self, keys):
+                keys = list(keys)
+                super().subtract(keys)
+                super().subtract(keys)
+
+        monkeypatch.setattr(poles, "Counter", Twice)
+        with pytest.raises(NegativeCoefficient):
+            yano_multiset(derive_numerics(CharSeq(2, (3,))))
 
 
 class TestEigenvaluesAndLct:

@@ -1,5 +1,7 @@
-"""Quadrature oracle tests: convergence-region gates, agreement with the
-closed form on the full admissible grid, mesh-refinement monotonicity,
+"""Quadrature oracle tests: convergence-region gates (a prefactor outside
+the normal doubles refused before any panel), agreement with the closed
+form on the full admissible grid, the quadrature as the lambda prefactor
+times one lambda-free integral, mesh-refinement monotonicity,
 determinism, bit identity with the per-panel oracle (quadrature_oracle.py)
 on every integrand branch and of np.vecdot with one dot per tile, the
 memory of one batched evaluation, ConvergenceFailure where a sum or a bound
@@ -105,6 +107,18 @@ class TestGates:
         with pytest.raises(DomainError, match=r"lambda\^-1\.4 = (inf|0) is not a normal double"):
             rnm_quadrature(p)
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e221, 1e300], ids=["inf", "subnormal", "0"])
+    def test_prefactor_refused_before_any_panel(self, monkeypatch, lam):
+        def no_panel(*args):
+            raise AssertionError("a panel was evaluated")
+
+        monkeypatch.setattr(quadrature, "_panels", no_panel)
+        p = RnmParams(alpha=Fraction(-3, 10), n=0, beta=Fraction(-4, 5), m=0, lam=lam)
+        with pytest.raises(DomainError, match="is not a normal double"):
+            rnm_quadrature(p)
+        with pytest.raises(DomainError, match="is not a normal double"):
+            quadrature.rnm_prefactor(p)
+
     @pytest.mark.parametrize("alpha, beta, budget, message", [
         # radial power 2 alpha + n + 1 = -0.1 at r = 0: the inner bound
         # falls as r^0.9 and 8 levels of inner grading cannot certify it
@@ -207,6 +221,16 @@ class TestOracleAgreement:
         q2 = rnm_quadrature(RnmParams(alpha=a, n=0, beta=b, m=0, lam=2.0))
         scale = 2.0 ** -(2 * float(a) + 0 + 2)
         assert abs(q2 - q1 * scale) <= 1e-14 * abs(q1)
+
+    @pytest.mark.parametrize("pair", GRID_PAIRS, ids=str)
+    def test_quadrature_is_prefactor_times_one_integral(self, pair):
+        a, b = pair
+        ps = [RnmParams(alpha=a, n=0, beta=b, m=0, lam=lam) for lam in (0.25, 1.0, 2.0, 3.7)]
+        total = quadrature.rnm_integral(ps[0])
+        for p in ps:
+            assert quadrature.rnm_integral(p) == total  # no lambda enters it
+            assert rnm_quadrature(p) == -2j * quadrature.rnm_prefactor(p) * total
+            assert quadrature.rnm_prefactor(p) == p.lam ** -(2 * float(a) + 2)
 
     def test_smaller_r_max_still_converges(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_R_MAX", 4.0)
