@@ -121,9 +121,11 @@ class Ladder(namedtuple("Ladder", "i r N n mbar e a D c2")):
     sigma = -t/N, eps1 = (1 - n - a_i nu)/n, eps2 = (c2 - D nu)/mbar and
     eps3 = e sigma = -t/(n mbar).  betabar_i sigma is integral (dead end)
     iff n | t, and e_{i-1} sigma (previous level) iff mbar | t.  Along a
-    ladder t, e1 and e2 move by the constant slopes 1, -a and -D; the one
-    loop that steps them is cli._candidate_cells, and row() serves the
-    readers of single rows."""
+    ladder t, e1 and e2 move by the constant slopes 1, -a and -D, so the
+    row identity that row() checks holds on every row iff it holds at
+    nu = 0 and a mbar + D n + 1 = n mbar; the one loop that steps them is
+    cli._candidate_cells, which checks those two once a ladder, and row()
+    serves the readers of single rows."""
 
     __slots__ = ()
 

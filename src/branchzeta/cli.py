@@ -23,7 +23,8 @@ Output conventions, kept byte-stable for golden tests:
   once per process, and main reads the command function off the module.
 * analyze writes its candidates in every format (TSV, text, JSON) from the
   cells of _candidate_cells, the one loop that steps a ladder, one frame
-  and two gcds a row where e_i = 1, three elsewhere; text writes each Pi
+  and two gcds a row where e_i = 1, three elsewhere, the row identity
+  checked once a ladder and each text read off a gcd; text writes each Pi
   and Yano line from the counts, so it keeps no exponent text.
 
 At module level this file imports only the standard library and `errors`
@@ -202,29 +203,32 @@ def _monomial(p) -> str:
 def _candidate_cells(rep) -> Iterator[tuple]:
     """The cells of every candidate, ladder by ladder, from the one loop that
     steps a ladder, one frame a row and no Fraction: t, e1 and e2 stepped from
-    Ladder.row(0) by 1, -a and -D, the row identity checked, then i, nu, the
-    numerator and "/d" text of sigma = -t/N, eps1, eps2 and eps3 = -t/(n mbar)
-    in lowest terms, each text off a dict per ladder over the divisors of N, and
-    the status text eps1's and eps2's gcds give.  gcd(t, n mbar) = g1 g2, as the identity
-    gives e1 mbar = t mod n, e2 n = t mod mbar; e = 1 makes eps3 sigma: 2 gcds, else 3."""
+    Ladder.row(0) by 1, -a and -D, then i, nu, the numerator and "/d" text of
+    sigma = -t/N, eps1, eps2 and eps3 = -t/(n mbar) in lowest terms, and the
+    status text.  row(0) checks the row identity at nu = 0, and the slope
+    a mbar + D n + 1 = n mbar, checked once a ladder, carries it to every row;
+    it gives gcd(t, n mbar) = g1 g2 = h (e1 mbar = t mod n, e2 n = t mod mbar).
+    Each text is read off the gcd the row holds, from per-ladder dicts over the
+    divisors of N, the status off h: gcd(n, mbar) = 1, so g1 = n iff n | h and
+    g2 = mbar iff mbar | h.  e = 1 makes eps3 sigma: 2 gcds a row, else 3."""
     from .poles import PoleStatus
 
     status_text = tuple(s.value for s in PoleStatus)
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
         i, N, n, mbar, a, D, one = lad.i, lad.N, lad.n, lad.mbar, lad.a, lad.D, lad.e == 1
-        den = {q: _den_text(q) for d in range(1, isqrt(N) + 1) if N % d == 0 for q in (d, N // d)}
         nm, (t, e1, e2, _) = n * mbar, lad.row(0)
-        w = 2 * nm  # (nu + 2) n mbar
+        assert a * mbar + D * n + 1 == nm  # the row identity's slope
+        divs = [q for d in range(1, isqrt(N) + 1) if N % d == 0 for q in (d, N // d)]
+        dN, dn, dm, dnm = ({g: _den_text(M // g) for g in divs if M % g == 0}
+                           for M in (N, n, mbar, nm))
+        status = {h: status_text[(h % n == 0) + 2 * (h % mbar == 0)] for h in dnm}
         for nu in range(hi):
-            assert e1 * mbar + e2 * n - t + w == 0
             h = (g1 := gcd(e1, n)) * (g2 := gcd(e2, mbar))  # gcd(t, n mbar)
             g = h if one else gcd(t, N)
-            s, sd = -t // g, den[N // g]
-            s3, d3 = (s, sd) if one else (-t // h, den[nm // h])
-            yield (i, nu, s, sd, e1 // g1, den[n // g1], e2 // g2, den[mbar // g2], s3, d3,
-                   status_text[(g1 == n) + 2 * (g2 == mbar)])
+            s, sd = -t // g, dN[g]
+            s3, d3 = (s, sd) if one else (-t // h, dnm[h])
+            yield i, nu, s, sd, e1 // g1, dn[g1], e2 // g2, dm[g2], s3, d3, status[h]
             t, e1, e2 = t + 1, e1 - a, e2 - D
-            w += nm
 
 
 def report_to_dict(rep) -> dict:

@@ -1,10 +1,13 @@
 """Oracles of branchzeta.cli._candidate_cells, the one loop that steps a
 ladder, with one frame and two gcds a row where e_i = 1 (eps3 is sigma
-there) and three elsewhere, and which every analyze format reads, TSV lines,
-JSON candidate records and text candidate lines alike:
+there) and three elsewhere, the row identity checked once a ladder on its
+slope and each "/d" text and status read off a gcd the row holds, and which
+every analyze format reads, TSV lines, JSON candidate records and text
+candidate lines alike:
 
 * rows and candidate_cells, the stepping generator that Ladder.rows was and
-  the two-generator loop over it that _candidate_cells was, four gcds a row;
+  the two-generator loop over it that _candidate_cells was, four gcds and
+  the row identity checked a row, each text made from its denominator;
 * candidate_rows and tsv_lines, the candidate rows as text, one Ladder.row
   call and one str(Fraction) per field, and the TSV lines of those rows
   through one template for every row.

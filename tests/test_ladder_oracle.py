@@ -12,8 +12,10 @@ stepping generator and the two-generator loop it replaced and against one
 row at a time, the closed-form Ladder.row against the stepped rows, and
 the candidates that analyze writes from the cells in every format (TSV
 lines, JSON records, text lines) against those rows formatted as text
-(all in row_oracle.py), and on those rows the gcd identity the cells read,
-gcd(t, n mbar) = gcd(eps1 numerator, n) gcd(eps2 numerator, mbar);
+(all in row_oracle.py), and on those rows the laws the cells read: the
+gcd identity gcd(t, n mbar) = gcd(eps1 numerator, n) gcd(eps2 numerator,
+mbar), the slope a mbar + D n + 1 = n mbar that carries the row identity
+from row 0 to every row, and the exclusion code read off that gcd;
 the JSON exponent sections, which share Pi's records, and the text Pi and
 Yano lines, made from the counts, against sections built one by one
 (fraction_oracle.py); exponent-multiset equality on integers against
@@ -316,15 +318,20 @@ def test_stepped_rows_equal_single_rows(draw, lo, width):
 def test_gcd_of_t_and_n_mbar_is_the_product_of_the_eps_gcds(draw):
     # the row identity gives e1 mbar = t mod n and e2 n = t mod mbar, and n,
     # mbar are coprime, so gcd(t, n mbar) = gcd(e1, n) gcd(e2, mbar), which
-    # _candidate_cells reads for eps3, and for sigma where e_i = 1 (N = n mbar)
+    # _candidate_cells reads for eps3, and for sigma where e_i = 1 (N = n mbar).
+    # It checks the identity once a ladder, on its slope: its left side moves
+    # by a mbar + D n + 1 - n mbar a row.  h = g1 g2 fixes g1 = gcd(h, n) and
+    # g2 = gcd(h, mbar), so the status it reads off h is the exclusion code
     cs, nu_max = draw
     rep = branch_report(cs, nu_max=nu_max)
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
         nm = lad.n * lad.mbar
         assert gcd(lad.n, lad.mbar) == 1 and (lad.N == nm) == (lad.e == 1)
-        for t, e1, e2, _ in row_oracle.rows(lad, 0, hi):
+        assert lad.a * lad.mbar + lad.D * lad.n + 1 == nm
+        for t, e1, e2, code in row_oracle.rows(lad, 0, hi):
             h = gcd(e1, lad.n) * gcd(e2, lad.mbar)
             assert gcd(t, nm) == h
+            assert code == (gcd(h, lad.n) == lad.n) + 2 * (gcd(h, lad.mbar) == lad.mbar)
             if lad.e == 1:
                 assert gcd(t, lad.N) == h
 
@@ -332,11 +339,14 @@ def test_gcd_of_t_and_n_mbar_is_the_product_of_the_eps_gcds(draw):
 @pytest.mark.parametrize("text", ["2,3", "4,9", "4,6,7", "6,9,22"])
 @pytest.mark.parametrize("field,first_bad", [("c2", 0), ("D", 1)])
 def test_identity_check_fires_on_every_row(text, field, first_bad):
-    # c2 shifts eps2 on every row; D shifts it from nu = 1 on.  Ladder.row
-    # fails on each shifted row, and _candidate_cells at the first one of
-    # the broken ladder, after every row before it
+    # c2 shifts eps2 on every row, breaking row 0; D shifts it from nu = 1
+    # on, breaking the slope.  Ladder.row fails on each shifted row, and
+    # _candidate_cells, which checks row 0 and the slope once a ladder, yields
+    # every row of the ladders before the broken one, then fails before its
+    # first row
     rep = branch_report(text)
     ladders, lengths = rep.bn.ladders, rep.ladder_lengths
+    want = list(row_oracle.candidate_cells(rep))
     for j, lad in enumerate(ladders):
         bad = lad._replace(**{field: getattr(lad, field) + 1})
         assert [bad.row(nu) for nu in range(first_bad)] == [lad.row(nu) for nu in range(first_bad)]
@@ -345,8 +355,8 @@ def test_identity_check_fires_on_every_row(text, field, first_bad):
                 bad.row(nu)
         broken = rep._replace(bn=rep.bn._replace(ladders=(*ladders[:j], bad, *ladders[j + 1:])))
         cells = _candidate_cells(broken)
-        written = [next(cells) for _ in range(sum(lengths[:j]) + first_bad)]
-        assert written == list(row_oracle.candidate_cells(rep))[:len(written)]
+        written = [next(cells) for _ in range(sum(lengths[:j]))]
+        assert written == want[:len(written)]
         with pytest.raises(AssertionError):
             next(cells)
 
