@@ -6,12 +6,12 @@ are built on first read.
 The candidate attached to rupture divisor i and shift nu is
 sigma_{i,nu} = -(r_i + nu) / N_i, excluded when the dead-end divisor or the
 previous-step divisor chain forces the residue to vanish; the survivors, as
-b-exponents -sigma, form the sets Pi_i; Yano's multiset is read off the
-same divisors, rupture blocks minus dead-end blocks.  All of it is integer
-arithmetic on one Ladder record per rupture index (BranchNumerics.ladders),
-which holds both divisors of its step, over one denominator,
-BranchNumerics.den = lcm(N_i), both built by derive_numerics; exact
-Fractions are built only for a result that is reported.  No floats.
+b-exponents -sigma, form the sets Pi_i; Yano's multiset is each period less
+its multiples of n_i (the dead end), less the first dead end's block.  All
+of it is integer arithmetic on one Ladder record per rupture index
+(BranchNumerics.ladders), which holds both divisors of its step, over one
+denominator, BranchNumerics.den = lcm(N_i), both built by derive_numerics;
+exact Fractions are built only for a result that is reported.  No floats.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress
-from operator import not_
+from itertools import combinations
 
 from .branch import BranchNumerics, Ladder, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient, exact_int
@@ -53,7 +52,7 @@ class ExponentMultiset:
     counts may occur transiently; finalize() enforces non-negativity."""
 
     def __init__(self, den: int = 1, counts=()):
-        self.den, self.counts = den, dict(counts)  # a copy; only a signed assembly holds a 0
+        self.den, self.counts = den, dict(counts)  # a copy; no report passes a 0, a caller may
         if 0 in self.counts.values():
             self.counts = {k: m for k, m in self.counts.items() if m}
 
@@ -105,12 +104,6 @@ def candidate_pole(bn: BranchNumerics, i: int, nu: int) -> CandidatePole:
                          Fraction(-t, lad.n * lad.mbar), _STATUS[code])
 
 
-def _numerators(den: int, start: int, count: int, q: int) -> range:
-    """Numerators over den of (start + j)/q for 0 <= j < count (q | den)."""
-    step = den // q
-    return range(start * step, (start + count) * step, step)
-
-
 def pi_multisets(bn: BranchNumerics) -> tuple[list[ExponentMultiset], ExponentMultiset]:
     """Generic pole sets as b-exponents -sigma, one per rupture index, plus
     their merged union.  One full period 0 <= nu < N_i per index; the
@@ -132,24 +125,24 @@ def pi_multisets(bn: BranchNumerics) -> tuple[list[ExponentMultiset], ExponentMu
 
 def yano_multiset(bn: BranchNumerics) -> ExponentMultiset:
     """Yano's generating series as an exact exponent multiset over bn.den,
-    read off the divisors of each ladder.  By (1 - t)/(1 - t^{1/R}) =
-    sum_{j<R} t^{j/R}, each rupture divisor (N_i, r_i) adds the block
-    (r_i + j)/N_i, each dead end (betabar_i, k) and the first dead end (n, 2)
-    subtract (k + j)/betabar_i and (2 + j)/n, and +t restores the
-    doubly-subtracted exponent 1.  Raises NegativeCoefficient if the signed
-    assembly ever finalizes below zero."""
-    den, signed = bn.den, Counter()  # n | N_1 and betabar_i | N_i
+    read off each ladder's period.  By (1 - t)/(1 - t^{1/R}) = sum_{j<R} t^{j/R},
+    each rupture divisor adds the block (r_i + j)/N_i, each dead end
+    (betabar_i, k) and the first dead end (n, 2) subtract (k + j)/betabar_i and
+    (2 + j)/n, and +t restores the exponent 1.  A dead end's block is
+    (k + j) n_i/N_i: k n_i is the first multiple of n_i at or above r_i and the
+    betabar_i of them end below r_i + N_i, so ladder i adds the t of its period
+    [r_i, r_i + N_i) that n_i does not divide.  Raises NegativeCoefficient if
+    the signed assembly finalizes below zero."""
+    den, signed = bn.den, Counter()
     for lad in bn.ladders:
-        signed.update(_numerators(den, lad.r, lad.N, lad.N))
-        dead_n, dead_k = lad.dead_end
-        signed.subtract(_numerators(den, dead_k, dead_n, dead_n))
-    signed.subtract(_numerators(den, 2, bn.n, bn.n))
+        step = den // lad.N
+        signed.update([t * step for t in range(lad.r, lad.r + lad.N) if t % lad.n])
+    first = range(2 * den // bn.n, (bn.n + 2) * den // bn.n, den // bn.n)  # n | N_1 | den
+    signed.subtract(first)
     signed[den] += 1
-    # drop the cancelled keys in place (negative counts stay, for finalize),
-    # so ExponentMultiset copies the Counter once and filters nothing; the
-    # keys are picked and popped at C level (Counter's del is Python code)
-    for key in list(compress(signed, map(not_, signed.values()))):
-        signed.pop(key)
+    for key in first:  # only these keys can hold a 0; negative counts stay, for finalize
+        if not signed[key]:
+            signed.pop(key)
     ms = ExponentMultiset(den, signed).finalize()
     assert ms.total == bn.milnor
     return ms
@@ -195,7 +188,8 @@ def _resonances(bn: BranchNumerics, ends: tuple[int, ...]) -> tuple[Resonance, .
     """Candidate values on two or more ladders, largest sigma first: ladder i
     holds the multiples of s_i = den/N_i in [r_i s_i, (r_i + ends_i) s_i), and
     each pair shares one progression, those of lcm(s_i, s_j) in both (any g)."""
-    tops = [_numerators(bn.den, lad.r, hi, lad.N) for lad, hi in zip(bn.ladders, ends)]
+    tops = [range(lad.r * s, (lad.r + hi) * s, s)
+            for lad, hi in zip(bn.ladders, ends) for s in (bn.den // lad.N,)]
     shared = set()
     for a, b in combinations(tops, 2):
         lo, step = max(a.start, b.start), math.lcm(a.step, b.step)

@@ -36,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, groupby
 
-from branchzeta.poles import _STATUS, Resonance, _numerators
+from branchzeta.poles import _STATUS, Resonance
 from branchzeta.toric import toric_steps
 
 STATUS = {
@@ -167,7 +167,8 @@ def resonances(cands):
 def counted_resonances(bn, ends):
     """The Resonance records of the numerators that two or more ladders
     hold, ladder i holding 0 <= nu < ends[i - 1], largest sigma first."""
-    tops = [_numerators(bn.den, lad.r, hi, lad.N) for lad, hi in zip(bn.ladders, ends)]
+    tops = [range(lad.r * s, (lad.r + hi) * s, s)
+            for lad, hi in zip(bn.ladders, ends) for s in (bn.den // lad.N,)]
     hits = Counter(chain.from_iterable(tops))
     return tuple(
         Resonance(Fraction(-key, bn.den), tuple(

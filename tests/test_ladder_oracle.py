@@ -5,7 +5,8 @@ sequences, some with an extended ladder, all over one denominator; the
 resonances against the count of every numerator that found them before
 (fraction_oracle.py), on g = 1 to 3 and ladders short and extended; Yano's
 divisor form against his series expanded from the characteristic
-sequence, up to n = 36 and g >= 3; the divisor data (the ladders' dead
+sequence, up to n = 36 and g >= 3, and each dead end's block against the
+multiples of n_i in its rupture period; the divisor data (the ladders' dead
 ends too) and lct read off the ladders against their closed forms; the
 cells of _candidate_cells, the one loop that steps a ladder, against the
 stepping generator and the two-generator loop it replaced and against one
@@ -155,10 +156,22 @@ def deep_draws(draw):
 @given(deep_draws())
 @settings(max_examples=60, deadline=None)
 def test_yano_divisor_form_matches_yano_definition(cs):
-    # the rupture and dead-end blocks of the ladders against Yano's series
-    # expanded from the characteristic sequence
+    # each ladder's period less its multiples of n_i, less the first dead end,
+    # against Yano's series expanded from the characteristic sequence
     bn = branch_report(cs).bn
     assert list(yano_multiset(bn).entries.items()) == list(oracle.yano_multiset(bn).items())
+
+
+@given(deep_draws())
+@settings(max_examples=60, deadline=None)
+def test_dead_end_block_is_the_multiples_of_n_in_the_period(cs):
+    # the law yano_multiset reads: the dead end (betabar_i, k) subtracts
+    # (k + j)/betabar_i = (k + j) n_i/N_i, j < betabar_i, which are the
+    # multiples of n_i in the rupture period [r_i, r_i + N_i)
+    for lad in branch_report(cs).bn.ladders:
+        betabar, k = lad.dead_end
+        assert [(k + j) * lad.n for j in range(betabar)] == [
+            t for t in range(lad.r, lad.r + lad.N) if t % lad.n == 0]
 
 
 FORMATS = ("tsv", "json", "text")
@@ -274,8 +287,11 @@ def test_candidate_outputs_check_the_row_identity(fmt, field, monkeypatch):
     # identity check fires on a broken ladder
     rep = built_but_candidates("4,6,7")
     bad = tuple(lad._replace(**{field: getattr(lad, field) + 1}) for lad in rep.bn.ladders)
-    rep = rep._replace(bn=rep.bn._replace(ladders=bad))
-    monkeypatch.setattr(branchzeta.poles, "branch_report", lambda *args, **kwargs: rep)
+    broken = rep._replace(bn=rep.bn._replace(ladders=bad))
+    # the other sections as built on the intact ladders, so the check that
+    # fires is the candidate loop's own and not one made by a later section
+    broken.__dict__.update(rep.__dict__)
+    monkeypatch.setattr(branchzeta.poles, "branch_report", lambda *args, **kwargs: broken)
     with pytest.raises(AssertionError), contextlib.redirect_stdout(io.StringIO()):
         main(["analyze", "4,6,7", "--format", fmt])
 

@@ -249,7 +249,7 @@ class TestYano:
         assert len(seen) == 3 and not any(zero for _, zero in seen)
 
     def test_negative_assembly_still_raises(self, monkeypatch):
-        # each dead-end block subtracted twice: counts below zero must reach finalize
+        # the first dead end's block subtracted twice: counts below zero must reach finalize
         class Twice(Counter):
             def subtract(self, keys):
                 keys = list(keys)
