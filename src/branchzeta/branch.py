@@ -124,7 +124,7 @@ class Ladder(namedtuple("Ladder", "i r N n mbar e a D c2")):
     ladder t, e1 and e2 move by the constant slopes 1, -a and -D, so the
     row identity that row() checks holds on every row iff it holds at
     nu = 0 and a mbar + D n + 1 = n mbar; the one loop that steps them is
-    cli._candidate_cells, which checks those two once a ladder, and row()
+    cli._candidate_lines, which checks those two once a ladder, and row()
     serves the readers of single rows."""
 
     __slots__ = ()

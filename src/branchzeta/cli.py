@@ -9,9 +9,8 @@ Output conventions, kept byte-stable for golden tests:
   strings in lowest terms, complex numbers as {"re":, "im":} objects;
   parsing emitted JSON and re-serializing it reproduces the bytes.  One
   walker, _json_lines, sets every indentation and yields the text in pieces;
-  the row sections of an analyze report (candidates, exponent lists,
-  eigenvalue classes) and generate's term records are _Rows, one %-template
-  a record, placed _RUN records to one replace.
+  analyze's row sections and generate's term records are _Rows, records
+  made once as finished text at their depth, which the walker checks.
 * Exit codes: 0 success, 1 input syntax error, 2 domain validation
   failure, 3 verification failure. A reader that closes stdout early
   changes neither the exit code nor stderr, and gets no traceback.
@@ -21,11 +20,9 @@ Output conventions, kept byte-stable for golden tests:
   JSON) as they are written; generate makes its text before it writes,
   so a coefficient str() would refuse writes no line.  The parser is built
   once per process, and main reads the command function off the module.
-* analyze writes its candidates in every format (TSV, text, JSON) from the
-  cells of _candidate_cells, the one loop that steps a ladder, one frame
-  and two gcds a row where e_i = 1, three elsewhere, the row identity
-  checked once a ladder and each text read off a gcd; text writes each Pi
-  and Yano line from the counts, so it keeps no exponent text.
+* analyze writes its candidates in every format (TSV, text, JSON) as the
+  finished lines of _candidate_lines, the one loop that steps a ladder;
+  text writes each Pi and Yano line from the counts, keeping no exponent text.
 
 At module level this file imports only the standard library and `errors`
 (whose exact_rational sizes --lambda and --lambdas).  Each command imports
@@ -54,7 +51,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, filterfalse, groupby, islice, repeat
+from itertools import chain, filterfalse, groupby, islice, repeat, starmap, tee
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isqrt
 from operator import floordiv
@@ -85,7 +82,7 @@ def _ratios(nums, den: int) -> Iterator[str]:
 
 
 _CHUNK_LINES = 512  # lines joined into one stdout write
-_RUN = 128  # records of a _Rows formatted and placed as one piece (a line of the writer)
+_RUN = 128  # records of a _Rows joined into one piece (a line of the writer)
 
 
 def _fmt_cx(z: complex) -> str:
@@ -93,30 +90,35 @@ def _fmt_cx(z: complex) -> str:
 
 
 class _Rows:
-    """A lazy JSON list: template % row for each of rows (an iterator is
-    written once), the template and any text cell (class members, exponent
-    vectors, a term's monomial) written relative to their own record."""
+    """A lazy JSON list: each of lines is a record's finished JSON text,
+    every line of it (the first too) written by its maker at the
+    indentation inner, where the document places the list's records; an
+    iterator is written once."""
 
-    def __init__(self, template: str, rows: Iterable[tuple]):
-        self.template, self.rows = template, rows
+    def __init__(self, inner: str, lines: Iterable[str]):
+        self.inner, self.lines = inner, lines
 
 
 def _json_lines(obj, ind: str, head: str, tail: str) -> Iterator[str]:
     """Pieces whose "\n".join is head, obj's JSON text as json.dumps(obj,
     sort_keys=True, indent=2) writes it with ind (spaces) before each line
-    after the first, and tail.  A _Rows is formatted _RUN records a piece,
-    placed by one replace of their newlines (JSON text holds no raw newline
-    in a string); json.dumps writes what is not an exact str, int, dict of str
-    keys or non-empty list or tuple (floats, bools, None, [], IntEnum, ...)."""
+    after the first, and tail.  A _Rows is _RUN records a piece, joined as
+    written: one made for another depth than the walker's, or whose first
+    record does not start at it, is a bug of its maker and raises
+    AssertionError before any of its text is yielded.  json.dumps writes what
+    is not an exact str, int, dict of str keys or non-empty list or tuple
+    (floats, bools, None, [], IntEnum, ...)."""
     t, inner = type(obj), ind + "  "
     if t is _Rows:
-        rows = iter(obj.rows)
-        run = list(islice(rows, _RUN))
+        lines = iter(obj.lines)
+        run = list(islice(lines, _RUN))
+        if obj.inner != inner or run and len(run[0]) - len(run[0].lstrip(" ")) != len(inner):
+            raise AssertionError(f"records made at {len(obj.inner)} spaces placed at {len(inner)}")
         yield head + ("[" if run else "[]" + tail)
         while run:
-            text = ",\n".join(map(obj.template.__mod__, run)).replace("\n", "\n" + inner)
-            run = list(islice(rows, _RUN))
-            yield f"{inner}{text}," if run else f"{inner}{text}\n{ind}]{tail}"
+            text = ",\n".join(run)
+            run = list(islice(lines, _RUN))
+            yield text + "," if run else f"{text}\n{ind}]{tail}"
         return
     if t is dict and obj and all(type(k) is str for k in obj):
         items = [(f"{inner}{encode_basestring_ascii(k)}: ", obj[k]) for k in sorted(obj)]
@@ -157,63 +159,51 @@ def _printable(x) -> str:
     return str(x)
 
 
-# a candidate record's keys in row order, which the TSV header and the text
-# heading read; its TSV line, text line and JSON record are made from its cells
+# a candidate record's keys in row order, which the TSV header and the text heading read
 _CANDIDATE_FIELDS = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
-_CANDIDATE_TSV = "%d\t%d\t%d%s\t%d%s\t%d%s\t%d%s\t%s"
-_CANDIDATE_TEXT = "  %12d %12d %12s %12s %12s %12s  %s"
-# JSON records at indentation "\n", keys sorted: a candidate's fields are its
-# cells with i, nu and sigma moved after eps3; a class's members go in as text
-_CANDIDATE_JSON = ('{\n  "eps1": "%d%s",\n  "eps2": "%d%s",\n  "eps3": "%d%s",\n  "i": %d,'
-                   '\n  "nu": %d,\n  "sigma": "%d%s",\n  "status": "%s"\n}')
-_EXPONENT_JSON = '{\n  "exponent": "%s",\n  "multiplicity": %d\n}'
-_CLASS_JSON = '{\n  "fraction": "%s",\n  "members": [\n    %s\n  ]\n}'
-# a deformation term's record: the DeformationTerm fields, sorted
-_DEFORMATION_TERM_JSON = ('{\n  "coefficient": %s,\n  "exponents": %s,\n  "level": %d,'
-                          '\n  "monomial": %s,\n  "parameter": %s,\n  "weight": %d\n}')
 
 
-# a polynomial's JSON record and its term records at indentation "\n", keys
-# sorted; a coefficient's str() is digits, "-" and "/", nothing to escape
-_TERM_JSON = '{\n  "coefficient": "%s",\n  "exponents": %s\n}'
-_MONOMIAL_JSON = ('{\n    "terms": [\n      %s\n    ],\n    "text": %s,'
-                  '\n    "variables": [\n      %s\n    ]\n  }')
+def _ints(e, ind: str) -> str:
+    """A vector of ints as JSON text, the line of its key at indentation ind."""
+    return f"[\n{ind}  " + f",\n{ind}  ".join(map(str, e)) + f"\n{ind}]" if e else "[]"
 
 
-def _poly_dict(p) -> dict:
-    """p's JSON record, its terms as rows; str(p) is made first, so an
-    oversized coefficient is refused before any term is written."""
+def _term(ind: str, c, e) -> str:
+    """A polynomial term's record at indentation ind (a coefficient's str() needs no escape)."""
+    return (f'{ind}{{\n{ind}  "coefficient": "{c}",\n{ind}  "exponents": '
+            f'{_ints(e, ind + "  ")}\n{ind}}}')
+
+
+def _poly_dict(p, inner: str) -> dict:
+    """p's JSON record, its terms' records made at inner; str(p) is made first,
+    so an oversized coefficient is refused before any term is written."""
     return {"text": _printable(p), "variables": p.variables,
-            "terms": _Rows(_TERM_JSON, ((c, _ints(e)) for e, c in p.canonical_terms()))}
+            "terms": _Rows(inner, (_term(inner, c, e) for e, c in p.canonical_terms()))}
 
 
-def _ints(e) -> str:
-    """A record's vector of ints as JSON text relative to the record."""
-    return "[\n    " + ",\n    ".join(map(str, e)) + "\n  ]" if e else "[]"
-
-
-def _monomial(p) -> str:
-    """A deformation term's monomial, its record by one template, relative to the term's."""
+def _monomial(p, ind: str) -> str:
+    """A deformation term's monomial as JSON text, the line of its key at indentation ind."""
     text = encode_basestring_ascii(_printable(p))
-    terms = ",\n".join([_TERM_JSON % (c, _ints(e)) for e, c in p.canonical_terms()])
-    names = ",\n      ".join(map(encode_basestring_ascii, p.variables))
-    return _MONOMIAL_JSON % (terms.replace("\n", "\n      "), text, names)
+    terms = ",\n".join([_term(ind + "    ", c, e) for e, c in p.canonical_terms()])
+    names = f",\n{ind}    ".join(map(encode_basestring_ascii, p.variables))
+    return (f'{{\n{ind}  "terms": [\n{terms}\n{ind}  ],\n{ind}  "text": {text},'
+            f'\n{ind}  "variables": [\n{ind}    {names}\n{ind}  ]\n{ind}}}')
 
 
-def _candidate_cells(rep) -> Iterator[tuple]:
-    """The cells of every candidate, ladder by ladder, from the one loop that
-    steps a ladder, one frame a row and no Fraction: t, e1 and e2 stepped from
-    Ladder.row(0) by 1, -a and -D, then i, nu, the numerator and "/d" text of
-    sigma = -t/N, eps1, eps2 and eps3 = -t/(n mbar) in lowest terms, and the
-    status text.  row(0) checks the row identity at nu = 0, and the slope
+def _candidate_lines(rep, fmt: str) -> Iterator[str]:
+    """Each candidate's TSV line, text line or JSON record at 4 spaces (where
+    report_to_dict places it) by fmt, from the one loop that steps a ladder,
+    one frame a row and no Fraction: t, e1 and e2 stepped from Ladder.row(0)
+    by 1, -a and -D give i, nu, sigma = -t/N, eps1, eps2, eps3 = -t/(n mbar)
+    and the status.  row(0) checks the row identity at nu = 0, and the slope
     a mbar + D n + 1 = n mbar, checked once a ladder, carries it to every row;
-    it gives gcd(t, n mbar) = g1 g2 = h (e1 mbar = t mod n, e2 n = t mod mbar).
-    Each text is read off the gcd the row holds, from per-ladder dicts over the
-    divisors of N, the status off h: gcd(n, mbar) = 1, so g1 = n iff n | h and
-    g2 = mbar iff mbar | h.  e = 1 makes eps3 sigma: 2 gcds a row, else 3."""
+    so gcd(t, n mbar) = g1 g2 = h, and each "/d" text is read off a gcd from
+    per-ladder dicts, the status off h (gcd(n, mbar) = 1: g1 = n iff n | h).
+    e = 1 makes eps3 sigma: 2 gcds a row, else 3."""
     from .poles import PoleStatus
 
     status_text = tuple(s.value for s in PoleStatus)
+    js, tsv = fmt == "json", fmt == "tsv"
     for lad, hi in zip(rep.bn.ladders, rep.ladder_lengths):
         i, N, n, mbar, a, D, one = lad.i, lad.N, lad.n, lad.mbar, lad.a, lad.D, lad.e == 1
         nm, (t, e1, e2, _) = n * mbar, lad.row(0)
@@ -227,35 +217,53 @@ def _candidate_cells(rep) -> Iterator[tuple]:
             g = h if one else gcd(t, N)
             s, sd = -t // g, dN[g]
             s3, d3 = (s, sd) if one else (-t // h, dnm[h])
-            yield i, nu, s, sd, e1 // g1, dn[g1], e2 // g2, dm[g2], s3, d3, status[h]
+            if js:
+                yield (f'    {{\n      "eps1": "{e1 // g1}{dn[g1]}",\n      "eps2": "{e2 // g2}'
+                       f'{dm[g2]}",\n      "eps3": "{s3}{d3}",\n      "i": {i},\n      "nu": {nu},'
+                       f'\n      "sigma": "{s}{sd}",\n      "status": "{status[h]}"\n    }}')
+            elif tsv:
+                yield (f"{i}\t{nu}\t{s}{sd}\t{e1 // g1}{dn[g1]}\t{e2 // g2}{dm[g2]}\t{s3}{d3}"
+                       f"\t{status[h]}")
+            else:
+                yield "  %12d %12d %12s %12s %12s %12s  %s" % (  # widths: % beats an f-string
+                    i, nu, f"{s}{sd}", f"{e1 // g1}{dn[g1]}", f"{e2 // g2}{dm[g2]}", f"{s3}{d3}",
+                    status[h])
             t, e1, e2 = t + 1, e1 - a, e2 - D
 
 
 def report_to_dict(rep) -> dict:
-    """The analyze report for _json_lines: its small sections as values, its
-    row sections as _Rows of cells made from the integers, no dict a row.  The
-    candidates and classes are made as they are written: write the value once."""
-    bn, pi, eig = rep.bn, rep.pi_merged, rep.eigenvalues
+    """The analyze report for _json_lines: small sections as values, row
+    sections as _Rows of records made from the integers at their depth, no
+    dict a row (candidates, Pi and Yano at 4 spaces, Pi levels and classes
+    at 6, class members at 10), each as it is written: write the value once."""
+    bn, pi, yano, eig = rep.bn, rep.pi_merged, rep.yano, rep.eigenvalues
     den, counts = bn.den, pi.counts  # every exponent multiset of the report counts over den
-    # each exponent's text and Pi's records made once: Yano and Pi_1 (g = 1) are
-    # Pi's records where they equal Pi, and the classes and other lists read the texts
+    # each exponent's text made once, Pi's first; the records read the texts
     keys = sorted(counts)
     exp = dict(zip(keys, _ratios(keys, den)))
-    pi_rows = _Rows("%s", list(map(_EXPONENT_JSON.__mod__,
-                                   zip(exp.values(), map(counts.__getitem__, keys)))))
-    more = list(rep.yano.counts.keys() - exp.keys())
+    more = list(yano.counts.keys() - exp.keys())
     exp.update(zip(more, _ratios(more, den)))  # Yano's exponents outside Pi
-    member = _EXPONENT_JSON.replace("\n", "\n    ")  # at its depth in a class
     # the class fractions outside Pi, in class order, their texts made as they are written
     others = _ratios(list(filterfalse(exp.__contains__,
                                       dict.fromkeys(map(den.__rmod__, eig.order)))), den)
 
-    def records(ms) -> _Rows:
-        if ms == pi:
-            return pi_rows
-        ks = sorted(ms.counts)
-        return _Rows(_EXPONENT_JSON, list(zip(map(exp.__getitem__, ks), map(ms.counts.__getitem__, ks))))
+    def at4(c, ks) -> Iterator[str]:  # Pi's and Yano's records
+        return (f'    {{\n      "exponent": "{exp[k]}",\n      "multiplicity": {c[k]}\n    }}'
+                for k in ks)
 
+    def at6(c) -> Iterator[str]:  # a Pi level's records, its keys sorted when first read
+        for k in sorted(c):
+            yield f'      {{\n        "exponent": "{exp[k]}",\n        "multiplicity": {c[k]}\n      }}'
+
+    def eigen_class(f, ks) -> str:  # a class's record at 6 spaces, its members at 10
+        members = ",\n".join([f'          {{\n            "exponent": "{exp[k]}",\n            '
+                              f'"multiplicity": {counts[k]}\n          }}' for k in ks])
+        return (f'      {{\n        "fraction": "{exp[f] if f in exp else next(others)}",\n'
+                f'        "members": [\n{members}\n        ]\n      }}')
+
+    # Pi's records made once: where Yano equals Pi, a tee keeps them from Pi's write to Yano's
+    pi_rows, yano_rows = (tee(at4(counts, keys)) if yano == pi else
+                          (at4(counts, keys), at4(yano.counts, sorted(yano.counts))))
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
         "numerics": {"n": bn.n, "g": bn.g, "betas": list(bn.cs.betas), "betabar": list(bn.gens),
@@ -265,29 +273,18 @@ def report_to_dict(rep) -> dict:
         "lct": str(rep.lct),
         "toric_steps": [s._asdict() for s in rep.bn.steps],
         "divisors": [d._asdict() for d in rep.divisors],
-        "candidates": _Rows(_CANDIDATE_JSON, (
-            (e1, d1, e2, d2, e3, d3, i, nu, s, sd, st)
-            for i, nu, s, sd, e1, d1, e2, d2, e3, d3, st in _candidate_cells(rep))),
-        "pi": pi_rows,
-        "pi_levels": list(map(records, rep.pi_sets)),
-        "yano": records(rep.yano),
+        "candidates": _Rows("    ", _candidate_lines(rep, "json")),
+        "pi": _Rows("    ", pi_rows),
+        "pi_levels": [_Rows("      ", at6(ms.counts)) for ms in rep.pi_sets],
+        "yano": _Rows("    ", yano_rows),
         "eigenvalues": {
             "distinct": rep.distinct,
             # a class's fraction is its exponents' fractional part, often one of them
-            "classes": _Rows(_CLASS_JSON, (
-                (exp[f] if f in exp else next(others),
-                 ",\n    ".join([member % (exp[k], counts[k]) for k in ks]))
-                for f, ks in groupby(eig.order, den.__rmod__))),
+            "classes": _Rows("      ", starmap(eigen_class, groupby(eig.order, den.__rmod__))),
         },
-        "resonances": [
-            {
-                "sigma": str(r.sigma),
-                "occurrences": [
-                    {"i": i, "nu": nu, "status": st.value} for i, nu, st in r.occurrences
-                ],
-            }
-            for r in rep.resonances
-        ],
+        "resonances": [{"sigma": str(r.sigma), "occurrences": [
+            {"i": i, "nu": nu, "status": st.value} for i, nu, st in r.occurrences]}
+            for r in rep.resonances],
         "strict_transform": rep.strict_transform_poles,
         "verdict": rep.verdict,
     }
@@ -312,8 +309,7 @@ def _analyze_text(rep) -> Iterator[str]:
             f" deadend N={d.N_deadend} k+1={d.k_deadend_plus1}"
         )
     yield f"candidates ({', '.join(_CANDIDATE_FIELDS)}):"
-    for i, nu, s, sd, e1, d1, e2, d2, e3, d3, st in _candidate_cells(rep):
-        yield _CANDIDATE_TEXT % (i, nu, f"{s}{sd}", f"{e1}{d1}", f"{e2}{d2}", f"{e3}{d3}", st)
+    yield from _candidate_lines(rep, "text")
     for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
                      ("yano:", rep.yano)):
         yield head
@@ -352,8 +348,7 @@ def cmd_analyze(ns) -> tuple[int, Iterable[str]]:
     if ns.format == "json":
         return 0, _json_lines(report_to_dict(rep), "", "", "")
     if ns.format == "tsv":
-        return 0, chain(["\t".join(_CANDIDATE_FIELDS)],
-                        map(_CANDIDATE_TSV.__mod__, _candidate_cells(rep)))
+        return 0, chain(["\t".join(_CANDIDATE_FIELDS)], _candidate_lines(rep, "tsv"))
     return 0, _analyze_text(rep)
 
 
@@ -446,20 +441,25 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
         deformation = None if fam is None else {
             "cutoff": fam.weight_cutoff,
             "lambdas": list(map(_printable, fam.lambdas)),
-            "base": _poly_dict(fam.base),
-            "terms": _Rows(_DEFORMATION_TERM_JSON, (
-                ("null" if t.coefficient is None else f'"{_printable(t.coefficient)}"',
-                 _ints(t.exponents), t.level, _monomial(t.monomial),
-                 encode_basestring_ascii(t.parameter), t.weight)
-                for t in fam.terms)),
-            "fiber": None if fiber is None else _poly_dict(fiber),
+            "base": _poly_dict(fam.base, " " * 8),
+            "terms": _Rows(" " * 6, map(_deformation_term, fam.terms)),
+            "fiber": None if fiber is None else _poly_dict(fiber, " " * 8),
         }
         return 0, [canonical_json({  # whole before its first write: a refusal writes nothing
-            "input": {"text": text, "kind": kind}, "plane": _poly_dict(plane),
-            "monomial_curve": [_poly_dict(h) for h in hs], "deformation": deformation})]
+            "input": {"text": text, "kind": kind}, "plane": _poly_dict(plane, " " * 6),
+            "monomial_curve": [_poly_dict(h, " " * 8) for h in hs], "deformation": deformation})]
     # every line made before the first is written, _CHUNK_LINES joined to a text
     lines = (_generate_tsv if ns.format == "tsv" else _generate_text)(plane, hs, fam, fiber)
     return 0, ["\n".join(c) for c in iter(lambda: list(islice(lines, _CHUNK_LINES)), [])]
+
+
+def _deformation_term(t) -> str:
+    """A deformation term's record (the DeformationTerm fields, sorted) at 6 spaces."""
+    coefficient = "null" if t.coefficient is None else f'"{_printable(t.coefficient)}"'
+    return (f'      {{\n        "coefficient": {coefficient},\n        "exponents": '
+            f'{_ints(t.exponents, " " * 8)},\n        "level": {t.level},\n        "monomial": '
+            f'{_monomial(t.monomial, " " * 8)},\n        "parameter": '
+            f'{encode_basestring_ascii(t.parameter)},\n        "weight": {t.weight}\n      }}')
 
 
 def _poly_rows(name: str, p) -> Iterator[str]:

@@ -1,13 +1,16 @@
-"""Oracles of branchzeta.cli._candidate_cells, the one loop that steps a
+"""Oracles of branchzeta.cli._candidate_lines, the one loop that steps a
 ladder, with one frame and two gcds a row where e_i = 1 (eps3 is sigma
 there) and three elsewhere, the row identity checked once a ladder on its
 slope and each "/d" text and status read off a gcd the row holds, and which
-every analyze format reads, TSV lines, JSON candidate records and text
-candidate lines alike:
+yields every analyze format's finished candidate lines, TSV lines, JSON
+candidate records at 4 spaces and text candidate lines alike:
 
 * rows and candidate_cells, the stepping generator that Ladder.rows was and
-  the two-generator loop over it that _candidate_cells was, four gcds and
+  the two-generator loop over it that the candidate loop was, four gcds and
   the row identity checked a row, each text made from its denominator;
+* candidate_lines, those cells formatted by the three %-templates the
+  writer used before it made finished lines: TSV_LINE, TEXT_LINE and
+  JSON_RECORD, the candidate's JSON record re-indented to 4 spaces;
 * candidate_rows and tsv_lines, the candidate rows as text, one Ladder.row
   call and one str(Fraction) per field, and the TSV lines of those rows
   through one template for every row.
@@ -55,6 +58,26 @@ def candidate_cells(rep):
             yield (i, nu, -t // g, den_text(N // g), e1 // g1, den_text(n // g1),
                    e2 // g2, den_text(mbar // g2), -t // h, den_text(nm // h),
                    STATUS[code].value)
+
+
+TSV_LINE = "%d\t%d\t%d%s\t%d%s\t%d%s\t%d%s\t%s"
+TEXT_LINE = "  %12d %12d %12s %12s %12s %12s  %s"
+# keys sorted, so i, nu and sigma come after eps3; placed at 4 spaces, where
+# the report's candidates list puts its records
+JSON_RECORD = "    " + ('{\n  "eps1": "%d%s",\n  "eps2": "%d%s",\n  "eps3": "%d%s",\n  "i": %d,'
+                        '\n  "nu": %d,\n  "sigma": "%d%s",\n  "status": "%s"\n}').replace("\n", "\n    ")
+
+
+def candidate_lines(rep, fmt):
+    """The candidate lines of format fmt ("tsv", "text" or "json"), each
+    made from the cells of candidate_cells by its format's template."""
+    for i, nu, s, sd, e1, d1, e2, d2, e3, d3, status in candidate_cells(rep):
+        if fmt == "tsv":
+            yield TSV_LINE % (i, nu, s, sd, e1, d1, e2, d2, e3, d3, status)
+        elif fmt == "text":
+            yield TEXT_LINE % (i, nu, f"{s}{sd}", f"{e1}{d1}", f"{e2}{d2}", f"{e3}{d3}", status)
+        else:
+            yield JSON_RECORD % (e1, d1, e2, d2, e3, d3, i, nu, s, sd, status)
 
 
 def candidate_rows(rep):

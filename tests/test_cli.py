@@ -9,6 +9,7 @@ import importlib
 import io
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -31,8 +32,9 @@ import curves_oracle
 import fraction_oracle
 import row_oracle
 from branchzeta.branch import gaps, random_charseq
-from branchzeta.cli import (_CHUNK_LINES, _RUN, _merge_negative_values, _ratios, _Rows,
-                            _write_stdout, build_parser, canonical_json, main, report_to_dict)
+from branchzeta.cli import (_CHUNK_LINES, _RUN, _json_lines, _merge_negative_values, _ratios,
+                            _Rows, _write_stdout, build_parser, canonical_json, main,
+                            report_to_dict)
 from branchzeta.errors import DomainError, IndexOutOfRange
 from branchzeta.poles import branch_report
 
@@ -209,11 +211,17 @@ class TestAnalyze:
         assert calls == built
 
     def test_sections_share_pi_records(self):
-        # g = 1: Yano and Pi_1 are Pi's list; g = 2: Pi_1 is its own list
+        # Yano writes the very record texts Pi writes, made once at 4 spaces as
+        # Pi is written; each Pi level is its own list, made at its depth of 6
+        # spaces, Pi_1 too where it equals Pi (g = 1)
         for text, g in (("4,9", 1), ("6,9,22", 2)):
             d = report_to_dict(branch_report(text))
-            assert d["yano"] is d["pi"]
-            assert (d["pi_levels"][0] is d["pi"]) == (g == 1)
+            assert d["pi"].inner == d["yano"].inner == " " * 4
+            assert [level.inner for level in d["pi_levels"]] == [" " * 6] * g
+            pi, yano = list(d["pi"].lines), list(d["yano"].lines)
+            assert pi and len(pi) == len(yano) and all(map(operator.is_, pi, yano))
+            written = json.loads(canonical_json(report_to_dict(branch_report(text))))
+            assert (written["pi_levels"][0] == written["pi"]) == (g == 1)
 
     def test_yano_differing_from_pi_is_written_as_its_own(self, capsys, monkeypatch):
         yano = branchzeta.poles.yano_multiset
@@ -689,6 +697,15 @@ def shared_lists(draw):
             "e": draw(st.sampled_from([shared, 0, [shared, shared]]))}
 
 
+def nested(x, depth: int, times: int):
+    """x placed depth levels down, lists and dicts by turns, the innermost
+    holding it times times."""
+    if depth == 0:
+        return x
+    items = [nested(x, depth - 1, times)] * (times if depth == 1 else 1)
+    return items if depth % 2 else {f"%s{j}": v for j, v in enumerate(items)}
+
+
 class TestCanonicalJson:
     @settings(max_examples=500, deadline=None)
     @given(json_values)
@@ -723,19 +740,37 @@ class TestCanonicalJson:
     @given(st.lists(json_values, min_size=1, max_size=4), st.integers(0, 2 * _RUN + 1),
            st.integers(0, 3), st.integers(1, 2))
     def test_rows_placed_at_their_depth(self, values, count, depth, times):
-        """A _Rows list of count records, each a value's JSON text written
-        relative to itself, placed depth levels down, once or twice (one
-        object), writes the bytes of the list of values placed there: empty,
-        one run of records, and runs split at _RUN."""
-        def place(x, level=depth):
-            if level == 0:
-                return x
-            items = [place(x, level - 1)] * (times if level == 1 else 1)
-            return items if level % 2 else {f"%s{j}": v for j, v in enumerate(items)}
-
+        """A _Rows list of count records, each a value's JSON text written at
+        the depth where the list is placed, depth levels down, once or twice
+        (one object), writes the bytes of the list of values placed there:
+        empty, one run of records, and runs split at _RUN."""
         listed = [values[j % len(values)] for j in range(count)]
-        rows = _Rows("%s", [(json.dumps(v, sort_keys=True, indent=2),) for v in listed])
-        assert canonical_json(place(rows)) == json.dumps(place(listed), sort_keys=True, indent=2)
+        inner = "  " * (depth + 1)
+        rows = _Rows(inner, [inner + json.dumps(v, sort_keys=True, indent=2).replace(
+            "\n", "\n" + inner) for v in listed])
+        assert (canonical_json(nested(rows, depth, times))
+                == json.dumps(nested(listed, depth, times), sort_keys=True, indent=2))
+
+    @pytest.mark.parametrize("made,written,depth", [
+        (1, 1, 0), (2, 2, 0), (1, 1, 1), (3, 3, 1), (3, 3, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("count", [0, 1, _RUN + 1])
+    def test_rows_made_for_another_depth_raise(self, made, written, depth, count):
+        """A _Rows made for `made` levels whose records are written at
+        `written`, placed where its records sit depth + 1 levels down, raises
+        unless both are that depth (an empty list only on `made`), and no
+        record of it reaches the pieces yielded before."""
+        rows = _Rows("  " * made, ["  " * written + '"a record"'] * count)
+        doc = nested(rows, depth, 2)
+        pieces = []
+        if made == depth + 1 and (written == made or not count):
+            pieces.extend(_json_lines(doc, "", "", ""))
+            assert "\n".join(pieces) == json.dumps(nested(["a record"] * count, depth, 2),
+                                                   sort_keys=True, indent=2)
+            return
+        with pytest.raises(AssertionError, match="placed at"):
+            for piece in _json_lines(doc, "", "", ""):
+                pieces.append(piece)
+        assert "a record" not in "\n".join(pieces)
 
     def test_peak_memory_below_two_and_a_half_outputs(self, monkeypatch):
         # an analyze report, and the payload of a seeded generate --deform

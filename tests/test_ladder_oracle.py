@@ -8,15 +8,17 @@ divisor form against his series expanded from the characteristic
 sequence, up to n = 36 and g >= 3, and each dead end's block against the
 multiples of n_i in its rupture period; the divisor data (the ladders' dead
 ends too) and lct read off the ladders against their closed forms; the
-cells of _candidate_cells, the one loop that steps a ladder, against the
-stepping generator and the two-generator loop it replaced and against one
+finished lines of _candidate_lines, the one loop that steps a ladder, in
+every format (TSV lines, JSON records at their depth, text lines), byte for
+byte against the cells of the stepping generator and the two-generator
+loop it replaced formatted by the writer's old templates, and against one
 row at a time, the closed-form Ladder.row against the stepped rows, and
-the candidates that analyze writes from the cells in every format (TSV
-lines, JSON records, text lines) against those rows formatted as text
-(all in row_oracle.py), and on those rows the laws the cells read: the
-gcd identity gcd(t, n mbar) = gcd(eps1 numerator, n) gcd(eps2 numerator,
-mbar), the slope a mbar + D n + 1 = n mbar that carries the row identity
-from row 0 to every row, and the exclusion code read off that gcd;
+the candidates that analyze writes in every format against those rows
+formatted as text (all in row_oracle.py), and on those rows the laws the
+loop reads: the gcd identity gcd(t, n mbar) = gcd(eps1 numerator, n)
+gcd(eps2 numerator, mbar), the slope a mbar + D n + 1 = n mbar that carries
+the row identity from row 0 to every row, and the exclusion code read off
+that gcd;
 the JSON exponent sections, which share Pi's records, and the text Pi and
 Yano lines, made from the counts, against sections built one by one
 (fraction_oracle.py); exponent-multiset equality on integers against
@@ -39,7 +41,7 @@ import branchzeta.poles
 import fraction_oracle as oracle
 import row_oracle
 from branchzeta.branch import parse_input, random_charseq
-from branchzeta.cli import _candidate_cells, canonical_json, main, report_to_dict
+from branchzeta.cli import _candidate_lines, canonical_json, main, report_to_dict
 from branchzeta.poles import (ExponentMultiset, branch_report, candidate_pole,
                               eigenvalue_analysis, eigenvalues_distinct, log_canonical_threshold,
                               yano_multiset)
@@ -216,12 +218,11 @@ def oracle_candidates(rep, fmt: str) -> list:
 @given(draws())
 @settings(max_examples=40, deadline=None)
 def test_candidate_rows_match_row_oracle(draw):
-    # the cells joined into rows, then the JSON records and text lines of them
+    # the fields of the loop's TSV lines, then the JSON records and text lines
     cs, nu_max = draw
     rep = branch_report(cs, nu_max=nu_max)
-    got = [(i, nu, f"{s}{s_den}", f"{e1}{e1_den}", f"{e2}{e2_den}", f"{e3}{e3_den}", status)
-           for i, nu, s, s_den, e1, e1_den, e2, e2_den, e3, e3_den, status
-           in _candidate_cells(rep)]
+    got = [(int(i), int(nu), *rest) for i, nu, *rest
+           in (line.split("\t") for line in _candidate_lines(rep, "tsv"))]
     assert got == list(row_oracle.candidate_rows(rep))
     assert got == [(i, nu, *map(str, rest))
                    for i, nu, *rest in oracle.candidates(rep.bn, nu_max)]
@@ -260,20 +261,20 @@ def built_but_candidates(text: str, nu_max=None):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_candidate_outputs_step_ladder_rows_and_build_no_fraction(fmt, monkeypatch):
-    # every format writes one candidate per row of _candidate_cells
+    # every format writes one candidate per line of _candidate_lines
     rep = built_but_candidates("semigroup:4,6,301", nu_max=50)
-    stepped, cells = [], branchzeta.cli._candidate_cells
+    stepped, lines = [], branchzeta.cli._candidate_lines
 
-    def counted(rep):
-        for row in cells(rep):
-            stepped.append(row)
-            yield row
+    def counted(rep, fmt):
+        for line in lines(rep, fmt):
+            stepped.append(line)
+            yield line
 
     def no_fraction(cls, *args, **kwargs):
         raise AssertionError("a Fraction built while writing the candidates")
 
     monkeypatch.setattr(branchzeta.poles, "branch_report", lambda *args, **kwargs: rep)
-    monkeypatch.setattr(branchzeta.cli, "_candidate_cells", counted)
+    monkeypatch.setattr(branchzeta.cli, "_candidate_lines", counted)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(no_fraction))
     candidates = written_candidates(rep.input_text, 50, fmt)
     monkeypatch.undo()
@@ -283,8 +284,8 @@ def test_candidate_outputs_step_ladder_rows_and_build_no_fraction(fmt, monkeypat
 @pytest.mark.parametrize("field", ["c2", "D"])
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_candidate_outputs_check_the_row_identity(fmt, field, monkeypatch):
-    # every candidate of every format comes out of Ladder.rows, whose
-    # identity check fires on a broken ladder
+    # every candidate of every format comes out of _candidate_lines, whose
+    # identity check (Ladder.row(0) and the slope) fires on a broken ladder
     rep = built_but_candidates("4,6,7")
     bad = tuple(lad._replace(**{field: getattr(lad, field) + 1}) for lad in rep.bn.ladders)
     broken = rep._replace(bn=rep.bn._replace(ladders=bad))
@@ -315,8 +316,10 @@ def cell_draws(draw):
 
 @given(cell_draws())
 @settings(max_examples=80, deadline=None)
-def test_candidate_cells_match_stepping_oracle(rep):
-    assert list(_candidate_cells(rep)) == list(row_oracle.candidate_cells(rep))
+def test_candidate_lines_match_stepping_oracle(rep):
+    # line for line, byte for byte, in every format
+    for fmt in FORMATS:
+        assert list(_candidate_lines(rep, fmt)) == list(row_oracle.candidate_lines(rep, fmt))
 
 
 @given(draws(), st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=40))
@@ -334,7 +337,7 @@ def test_stepped_rows_equal_single_rows(draw, lo, width):
 def test_gcd_of_t_and_n_mbar_is_the_product_of_the_eps_gcds(draw):
     # the row identity gives e1 mbar = t mod n and e2 n = t mod mbar, and n,
     # mbar are coprime, so gcd(t, n mbar) = gcd(e1, n) gcd(e2, mbar), which
-    # _candidate_cells reads for eps3, and for sigma where e_i = 1 (N = n mbar).
+    # _candidate_lines reads for eps3, and for sigma where e_i = 1 (N = n mbar).
     # It checks the identity once a ladder, on its slope: its left side moves
     # by a mbar + D n + 1 - n mbar a row.  h = g1 g2 fixes g1 = gcd(h, n) and
     # g2 = gcd(h, mbar), so the status it reads off h is the exclusion code
@@ -357,12 +360,12 @@ def test_gcd_of_t_and_n_mbar_is_the_product_of_the_eps_gcds(draw):
 def test_identity_check_fires_on_every_row(text, field, first_bad):
     # c2 shifts eps2 on every row, breaking row 0; D shifts it from nu = 1
     # on, breaking the slope.  Ladder.row fails on each shifted row, and
-    # _candidate_cells, which checks row 0 and the slope once a ladder, yields
-    # every row of the ladders before the broken one, then fails before its
-    # first row
+    # _candidate_lines, which checks row 0 and the slope once a ladder, yields
+    # every line of the ladders before the broken one, in every format, then
+    # fails before its first row
     rep = branch_report(text)
     ladders, lengths = rep.bn.ladders, rep.ladder_lengths
-    want = list(row_oracle.candidate_cells(rep))
+    want = {fmt: list(row_oracle.candidate_lines(rep, fmt)) for fmt in FORMATS}
     for j, lad in enumerate(ladders):
         bad = lad._replace(**{field: getattr(lad, field) + 1})
         assert [bad.row(nu) for nu in range(first_bad)] == [lad.row(nu) for nu in range(first_bad)]
@@ -370,11 +373,12 @@ def test_identity_check_fires_on_every_row(text, field, first_bad):
             with pytest.raises(AssertionError):
                 bad.row(nu)
         broken = rep._replace(bn=rep.bn._replace(ladders=(*ladders[:j], bad, *ladders[j + 1:])))
-        cells = _candidate_cells(broken)
-        written = [next(cells) for _ in range(sum(lengths[:j]))]
-        assert written == want[:len(written)]
-        with pytest.raises(AssertionError):
-            next(cells)
+        for fmt in FORMATS:
+            lines = _candidate_lines(broken, fmt)
+            written = [next(lines) for _ in range(sum(lengths[:j]))]
+            assert written == want[fmt][:len(written)]
+            with pytest.raises(AssertionError):
+                next(lines)
 
 
 SECTIONS = ("pi", "pi_levels", "yano", "eigenvalues")
