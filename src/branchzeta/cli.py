@@ -16,10 +16,10 @@ Output conventions, kept byte-stable for golden tests:
   changes neither the exit code nor stderr, and gets no traceback.
 * Results go to stdout, diagnostics to stderr. Each command writes its
   stderr lines, then returns its exit code and stdout lines for main to
-  write, 512 lines to a write.  analyze makes its lines (JSON pieces in
-  JSON) as they are written; generate makes its text before it writes,
-  so a coefficient str() would refuse writes no line.  The parser is built
-  once per process, and main reads the command function off the module.
+  write, _RUN lines to a write.  analyze makes its lines (JSON pieces in
+  JSON) as they are written; generate makes every line (piece) before the
+  first write, so a coefficient str() would refuse writes no line.  The
+  parser is built once per process; main reads the command off the module.
 * analyze writes its candidates in every format (TSV, text, JSON) as the
   finished lines of _candidate_lines, the one loop that steps a ladder;
   text writes each Pi and Yano line from the counts, keeping no exponent text.
@@ -51,7 +51,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, filterfalse, groupby, islice, repeat, starmap, tee
+from itertools import chain, filterfalse, groupby, islice, repeat, tee
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isqrt
 from operator import floordiv
@@ -81,8 +81,7 @@ def _ratios(nums, den: int) -> Iterator[str]:
     return map("%d%s".__mod__, zip(map(floordiv, nums, gs), map(dtext.__getitem__, gs)))
 
 
-_CHUNK_LINES = 512  # lines joined into one stdout write
-_RUN = 128  # records of a _Rows joined into one piece (a line of the writer)
+_RUN = 128  # records of a _Rows joined into one piece, and lines into one stdout write
 
 
 def _fmt_cx(z: complex) -> str:
@@ -243,9 +242,6 @@ def report_to_dict(rep) -> dict:
     exp = dict(zip(keys, _ratios(keys, den)))
     more = list(yano.counts.keys() - exp.keys())
     exp.update(zip(more, _ratios(more, den)))  # Yano's exponents outside Pi
-    # the class fractions outside Pi, in class order, their texts made as they are written
-    others = _ratios(list(filterfalse(exp.__contains__,
-                                      dict.fromkeys(map(den.__rmod__, eig.order)))), den)
 
     def at4(c, ks) -> Iterator[str]:  # Pi's and Yano's records
         return (f'    {{\n      "exponent": "{exp[k]}",\n      "multiplicity": {c[k]}\n    }}'
@@ -255,11 +251,14 @@ def report_to_dict(rep) -> dict:
         for k in sorted(c):
             yield f'      {{\n        "exponent": "{exp[k]}",\n        "multiplicity": {c[k]}\n      }}'
 
-    def eigen_class(f, ks) -> str:  # a class's record at 6 spaces, its members at 10
-        members = ",\n".join([f'          {{\n            "exponent": "{exp[k]}",\n            '
-                              f'"multiplicity": {counts[k]}\n          }}' for k in ks])
-        return (f'      {{\n        "fraction": "{exp[f] if f in exp else next(others)}",\n'
-                f'        "members": [\n{members}\n        ]\n      }}')
+    def classes() -> Iterator[str]:  # class records at 6 spaces, members at 10, as written
+        others = _ratios(list(filterfalse(exp.__contains__,  # fractions outside Pi, class order
+                                          dict.fromkeys(map(den.__rmod__, eig.order)))), den)
+        for f, ks in groupby(eig.order, den.__rmod__):
+            members = ",\n".join([f'          {{\n            "exponent": "{exp[k]}",\n            '
+                                  f'"multiplicity": {counts[k]}\n          }}' for k in ks])
+            yield (f'      {{\n        "fraction": "{exp[f] if f in exp else next(others)}",\n'
+                   f'        "members": [\n{members}\n        ]\n      }}')
 
     # Pi's records made once: where Yano equals Pi, a tee keeps them from Pi's write to Yano's
     pi_rows, yano_rows = (tee(at4(counts, keys)) if yano == pi else
@@ -280,7 +279,7 @@ def report_to_dict(rep) -> dict:
         "eigenvalues": {
             "distinct": rep.distinct,
             # a class's fraction is its exponents' fractional part, often one of them
-            "classes": _Rows("      ", starmap(eigen_class, groupby(eig.order, den.__rmod__))),
+            "classes": _Rows("      ", classes()),
         },
         "resonances": [{"sigma": str(r.sigma), "occurrences": [
             {"i": i, "nu": nu, "status": st.value} for i, nu, st in r.occurrences]}
@@ -324,13 +323,14 @@ def _analyze_text(rep) -> Iterator[str]:
 
 
 def _write_stdout(rc: int, lines: Iterable[str]) -> int:
-    """Write each of lines and a newline to stdout, _CHUNK_LINES to a write,
+    """Write each of lines and a newline to stdout, _RUN lines to a write,
     flush it and return rc; nothing else writes stdout.  A reader that closes
     stdout early changes neither rc nor stderr, fixed before this runs."""
     lines = iter(lines)
     try:
-        while chunk := list(islice(lines, _CHUNK_LINES)):
-            sys.stdout.write("\n".join(chunk) + "\n")
+        while chunk := list(islice(lines, _RUN)):
+            chunk.append("")  # the last newline joined in, not added to a copy
+            sys.stdout.write("\n".join(chunk))
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
     except BrokenPipeError:
         # the reader stopped reading: send what is still buffered to devnull
@@ -445,12 +445,12 @@ def cmd_generate(ns) -> tuple[int, Iterable[str]]:
             "terms": _Rows(" " * 6, map(_deformation_term, fam.terms)),
             "fiber": None if fiber is None else _poly_dict(fiber, " " * 8),
         }
-        return 0, [canonical_json({  # whole before its first write: a refusal writes nothing
-            "input": {"text": text, "kind": kind}, "plane": _poly_dict(plane, " " * 6),
-            "monomial_curve": [_poly_dict(h, " " * 8) for h in hs], "deformation": deformation})]
-    # every line made before the first is written, _CHUNK_LINES joined to a text
+        doc = {"input": {"text": text, "kind": kind}, "plane": _poly_dict(plane, " " * 6),
+               "monomial_curve": [_poly_dict(h, " " * 8) for h in hs], "deformation": deformation}
+        return 0, list(_json_lines(doc, "", "", ""))  # every piece made before the first write
+    # every line made before the first is written, _RUN joined to a text
     lines = (_generate_tsv if ns.format == "tsv" else _generate_text)(plane, hs, fam, fiber)
-    return 0, ["\n".join(c) for c in iter(lambda: list(islice(lines, _CHUNK_LINES)), [])]
+    return 0, ["\n".join(c) for c in iter(lambda: list(islice(lines, _RUN)), [])]
 
 
 def _deformation_term(t) -> str:

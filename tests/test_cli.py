@@ -32,7 +32,7 @@ import curves_oracle
 import fraction_oracle
 import row_oracle
 from branchzeta.branch import gaps, random_charseq
-from branchzeta.cli import (_CHUNK_LINES, _RUN, _json_lines, _merge_negative_values, _ratios,
+from branchzeta.cli import (_RUN, _json_lines, _merge_negative_values, _ratios,
                             _Rows, _write_stdout, build_parser, canonical_json, main,
                             report_to_dict)
 from branchzeta.errors import DomainError, IndexOutOfRange
@@ -775,9 +775,10 @@ class TestCanonicalJson:
     def test_peak_memory_below_two_and_a_half_outputs(self, monkeypatch):
         # an analyze report, and the payload of a seeded generate --deform
         payloads = [report_to_dict(branch_report("2,20001"))]
-        monkeypatch.setattr(branchzeta.cli, "canonical_json", lambda obj: payloads.append(obj) or "")
-        with contextlib.redirect_stdout(io.StringIO()):
+        with monkeypatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
+            m.setattr(branchzeta.cli, "_json_lines", lambda obj, *_: payloads.append(obj) or ())
             assert main(["generate", "8,199", "--deform", "--seed", "1", "--format", "json"]) == 0
+        assert len(payloads) == 2
         for d in payloads:
             tracemalloc.start()
             try:
@@ -825,19 +826,20 @@ class TestCanonicalJson:
         canonical_json([{"a key set no other call uses": i, "%s": [{"k": i}]} for i in range(3)])
         assert caches() == before
 
-    def test_analyze_streams_and_every_other_command_calls_it_once(self, capsys, monkeypatch):
-        """A successful analyze hands its pieces to the stdout writer and
-        makes no call; every other JSON command, on success or failure, an
-        analyze validation failure among them, makes one call (generate's
-        text is whole before its first write), and the writer recurses
-        through its helper, never the public name."""
+    def test_analyze_and_generate_stream_and_every_other_command_calls_it_once(
+            self, capsys, monkeypatch):
+        """A successful analyze or generate hands its pieces to the stdout
+        writer and makes no call (generate makes every piece before its first
+        write); every other JSON command, on success or failure, an analyze
+        validation failure among them, makes one call, and the writer
+        recurses through its helper, never the public name."""
         calls = []
         write = branchzeta.cli.canonical_json
         monkeypatch.setattr(branchzeta.cli, "canonical_json",
                             lambda obj: calls.append(obj) or write(obj))
         for argv, code, count in [
             (["analyze", "6,9,22"], 0, 0),
-            (["generate", "4,6,7", "--deform", "--seed", "5"], 0, 1),
+            (["generate", "4,6,7", "--deform", "--seed", "5"], 0, 0),
             (["verify", "--suite", "combinatorics"], 0, 1),
             (["residue", "--alpha", "1/2", "--n", "2", "--beta", "1/3", "--m", "3"], 0, 1),
             (["analyze", "4,6"], 2, 1),  # a validation failure
@@ -1109,9 +1111,46 @@ class TestPlumbing:
         monkeypatch.setattr(sys, "stdout", _Stdout(lambda s: (at_write.append(taken),
                                                               text.append(s))))
         assert _write_stdout(5, lines()) == 5
-        assert 1 <= at_write[0] <= _CHUNK_LINES
-        assert all(b - a <= _CHUNK_LINES for a, b in zip(at_write, at_write[1:]))
+        assert 1 <= at_write[0] <= _RUN
+        assert all(b - a <= _RUN for a, b in zip(at_write, at_write[1:]))
         assert "".join(text) == "".join(f"{k}\n" for k in range(10**5))
+
+    GENERATE_4_9 = ["generate", "4,9", "--deform", "--cutoff", "400", "--format"]
+
+    @pytest.mark.parametrize("argv, run_size", [
+        (["analyze", "2,20001", "--format", "json"], _RUN),
+        # a generate family fits one write of _RUN pieces, so its runs are cut short
+        ([*GENERATE_4_9, "json"], 4),
+        ([*GENERATE_4_9, "text"], 4),
+    ])
+    def test_each_write_joins_a_run_of_pieces_and_ends_its_last_line(self, capsys, monkeypatch,
+                                                                      argv, run_size):
+        """Each stdout write joins at most _RUN of the pieces the command
+        returns and ends in a newline, and the writes are the command's bytes."""
+        if argv[0] == "analyze":
+            expected = canonical_json(report_to_dict(branch_report(argv[1]))) + "\n"
+        else:
+            expected = run(capsys, *argv)[1]
+        monkeypatch.setattr(branchzeta.cli, "_RUN", run_size)
+        command, taken, at_write, writes = getattr(branchzeta.cli, f"cmd_{argv[0]}"), 0, [0], []
+
+        def counted(ns):
+            rc, pieces = command(ns)
+
+            def each():
+                nonlocal taken
+                for piece in pieces:
+                    taken += 1
+                    yield piece
+            return rc, each()
+
+        monkeypatch.setattr(branchzeta.cli, f"cmd_{argv[0]}", counted)
+        monkeypatch.setattr(sys, "stdout", _Stdout(lambda s: (at_write.append(taken),
+                                                              writes.append(s))))
+        assert main(argv) == 0
+        assert len(writes) > 1 and all(s.endswith("\n") for s in writes)
+        assert all(0 < b - a <= run_size for a, b in zip(at_write, at_write[1:]))
+        assert "".join(writes) == expected
 
     def test_tsv_peak_memory_is_a_small_part_of_the_output(self, monkeypatch):
         # about 2 MB of rows go to a stdout that keeps only their sizes
