@@ -67,7 +67,7 @@ def combinatorics_rows(cases=COMBINATORIC_CASES) -> Iterator[tuple]:
         rep = poles.branch_report(case)
         bn, text = rep.bn, rep.input_text
         yield _exact(f"pi-total({text})", bn.milnor, rep.pi_merged.total)
-        same = rep.pi_merged == rep.yano
+        same = rep.pi_merged == poles.yano_multiset(bn)  # Yano's own series, not rep.yano
         yield _exact(f"pi-vs-yano({text})", "equal", "equal" if same else "differ")
         # (t, eps1 numerator, eps2 numerator, dead end excludes + 2 * previous level excludes)
         ladders = [(lad, list(map(lad.row, range(hi))))

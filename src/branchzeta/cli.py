@@ -22,7 +22,7 @@ Output conventions, kept byte-stable for golden tests:
   parser is built once per process; main reads the command off the module.
 * analyze writes its candidates in every format (TSV, text, JSON) as the
   finished lines of _candidate_lines, the one loop that steps a ladder;
-  text writes each Pi and Yano line from the counts, keeping no exponent text.
+  text writes each Pi and Yano line from Pi's counts, keeping no exponent text.
 
 At module level this file imports only the standard library and `errors`
 (whose exact_rational sizes --lambda and --lambdas).  Each command imports
@@ -51,7 +51,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, filterfalse, groupby, islice, repeat, tee
+from itertools import chain, filterfalse, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isqrt
 from operator import floordiv
@@ -234,18 +234,15 @@ def report_to_dict(rep) -> dict:
     """The analyze report for _json_lines: small sections as values, row
     sections as _Rows of records made from the integers at their depth, no
     dict a row (candidates, Pi and Yano at 4 spaces, Pi levels and classes
-    at 6, class members at 10), each as it is written: write the value once."""
-    bn, pi, yano, eig = rep.bn, rep.pi_merged, rep.yano, rep.eigenvalues
-    den, counts = bn.den, pi.counts  # every exponent multiset of the report counts over den
-    # each exponent's text made once, Pi's first; the records read the texts
-    keys = sorted(counts)
-    exp = dict(zip(keys, _ratios(keys, den)))
-    more = list(yano.counts.keys() - exp.keys())
-    exp.update(zip(more, _ratios(more, den)))  # Yano's exponents outside Pi
+    at 6, class members at 10), each as it is written: write the value once.
+    Yano is Pi, certified (rep.yano) before any line: Pi's records, made again."""
+    bn, counts, eig = rep.bn, rep.yano.counts, rep.eigenvalues  # rep.yano: Pi, certified
+    den, keys = bn.den, sorted(counts)  # every exponent multiset of the report counts over den
+    exp = dict(zip(keys, _ratios(keys, den)))  # each exponent's text, made once
 
-    def at4(c, ks) -> Iterator[str]:  # Pi's and Yano's records
-        return (f'    {{\n      "exponent": "{exp[k]}",\n      "multiplicity": {c[k]}\n    }}'
-                for k in ks)
+    def at4() -> Iterator[str]:  # Pi's (Yano's) records
+        return (f'    {{\n      "exponent": "{exp[k]}",\n      "multiplicity": '
+                f'{counts[k]}\n    }}' for k in keys)
 
     def at6(c) -> Iterator[str]:  # a Pi level's records, its keys sorted when first read
         for k in sorted(c):
@@ -260,9 +257,6 @@ def report_to_dict(rep) -> dict:
             yield (f'      {{\n        "fraction": "{exp[f] if f in exp else next(others)}",\n'
                    f'        "members": [\n{members}\n        ]\n      }}')
 
-    # Pi's records made once: where Yano equals Pi, a tee keeps them from Pi's write to Yano's
-    pi_rows, yano_rows = (tee(at4(counts, keys)) if yano == pi else
-                          (at4(counts, keys), at4(yano.counts, sorted(yano.counts))))
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
         "numerics": {"n": bn.n, "g": bn.g, "betas": list(bn.cs.betas), "betabar": list(bn.gens),
@@ -273,9 +267,9 @@ def report_to_dict(rep) -> dict:
         "toric_steps": [s._asdict() for s in rep.bn.steps],
         "divisors": [d._asdict() for d in rep.divisors],
         "candidates": _Rows("    ", _candidate_lines(rep, "json")),
-        "pi": _Rows("    ", pi_rows),
+        "pi": _Rows("    ", at4()),
         "pi_levels": [_Rows("      ", at6(ms.counts)) for ms in rep.pi_sets],
-        "yano": _Rows("    ", yano_rows),
+        "yano": _Rows("    ", at4()),
         "eigenvalues": {
             "distinct": rep.distinct,
             # a class's fraction is its exponents' fractional part, often one of them
@@ -290,7 +284,7 @@ def report_to_dict(rep) -> dict:
 
 
 def _analyze_text(rep) -> Iterator[str]:
-    bn = rep.bn
+    bn, pi = rep.bn, rep.yano  # Yano is Pi: its certificate checked before the first line
     yield f"input {rep.input_text} kind {rep.kind}"
     yield (
         f"n {bn.n}  g {bn.g}  betabar {','.join(map(str, bn.gens))}"
@@ -309,12 +303,10 @@ def _analyze_text(rep) -> Iterator[str]:
         )
     yield f"candidates ({', '.join(_CANDIDATE_FIELDS)}):"
     yield from _candidate_lines(rep, "text")
-    for head, ms in ((f"pi ({rep.pi_merged.total} exponents with multiplicity):", rep.pi_merged),
-                     ("yano:", rep.yano)):
+    ks, counts = sorted(pi.counts), pi.counts
+    for head in (f"pi ({pi.total} exponents with multiplicity):", "yano:"):
         yield head
-        ks = sorted(ms.counts)
-        for text, m in zip(_ratios(ks, ms.den), map(ms.counts.__getitem__, ks)):
-            yield f"  {text:>12} x{m}"
+        yield from map("  %12s x%d".__mod__, zip(_ratios(ks, pi.den), map(counts.__getitem__, ks)))
     yield f"eigenvalues distinct: {str(rep.distinct).lower()}"
     for r in rep.resonances:
         where = ", ".join(f"(i={i}, nu={nu})" for i, nu, _ in r.occurrences)

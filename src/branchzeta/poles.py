@@ -7,11 +7,11 @@ The candidate attached to rupture divisor i and shift nu is
 sigma_{i,nu} = -(r_i + nu) / N_i, excluded when the dead-end divisor or the
 previous-step divisor chain forces the residue to vanish; the survivors, as
 b-exponents -sigma, form the sets Pi_i; Yano's multiset is each period less
-its multiples of n_i (the dead end), less the first dead end's block.  All
-of it is integer arithmetic on one Ladder record per rupture index
-(BranchNumerics.ladders), which holds both divisors of its step, over one
-denominator, BranchNumerics.den = lcm(N_i), both built by derive_numerics;
-exact Fractions are built only for a result that is reported.  No floats.
+its multiples of n_i (the dead end), less the first dead end's block: a
+report reads it as Pi, certified per ladder.  All of it is integer arithmetic
+on one Ladder record per rupture index (BranchNumerics.ladders), which holds
+both divisors of its step, over one denominator, BranchNumerics.den =
+lcm(N_i), both built by derive_numerics; Fractions only where reported, no floats.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class BranchReport(namedtuple("BranchReport", "input_text kind bn nu_max")):
     """Every invariant of one branch.  Only the input is stored (kind is
     "charseq" or "semigroup", nu_max an int or None); each other section,
     the resonances for every g too, is built from bn and nu_max when first
-    read, and kept in the instance __dict__ (no __slots__)."""
+    read, and kept in the instance __dict__ (no __slots__); yano is pi_merged."""
 
     # The strict transform contributes the pole ladder -1, -2, -3, ...
     strict_transform_poles = "all negative integers"
@@ -214,7 +214,6 @@ class BranchReport(namedtuple("BranchReport", "input_text kind bn nu_max")):
     lct = cached_property(lambda self: log_canonical_threshold(self.bn))
     pi_sets = property(lambda self: self._pi[0])
     pi_merged = property(lambda self: self._pi[1])
-    yano = cached_property(lambda self: yano_multiset(self.bn))
     resonances = cached_property(lambda self: _resonances(self.bn, self.ladder_lengths))
     eigenvalues = cached_property(lambda self: eigenvalue_analysis(self.pi_merged))
     distinct = cached_property(lambda self: eigenvalues_distinct(self.pi_merged))
@@ -226,6 +225,14 @@ class BranchReport(namedtuple("BranchReport", "input_text kind bn nu_max")):
         """Ladder i holds the candidates 0 <= nu < length: n_i betabar_i or up to nu_max."""
         return tuple(lad.N if self.nu_max is None else max(lad.N, self.nu_max + 1)
                      for lad in self.bn.ladders)
+
+    @cached_property
+    def yano(self) -> ExponentMultiset:
+        """pi_merged, which each ladder's law certifies is Yano's multiset (README)."""
+        for lad in self.bn.ladders:  # m_1 > n_1, then r_i <= mbar_i; raised under -O too
+            if lad.r > lad.mbar if lad.i > 1 else lad.mbar <= lad.n:
+                raise AssertionError(f"ladder {lad.i} breaks m_1 > n_1 (i = 1) or r_i <= mbar_i")
+        return self.pi_merged
 
     @cached_property
     def _pi(self) -> tuple[tuple[ExponentMultiset, ...], ExponentMultiset]:

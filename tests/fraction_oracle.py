@@ -22,10 +22,11 @@ R'_i = R_i/n_i, with no ladder and no divisor read.
 
 The exponent sections of the JSON report (pi, pi_levels, yano and the
 eigenvalue classes) are built here section by section, each from its own
-multiset's Fractions, as branchzeta.cli built them before the sections
-shared one record list; the report's eigenvalue order, Pi's numerators
-sorted by residue, is cut back into those classes by classes_of; and
-exponent multisets are compared here as Fraction-keyed dicts.
+multiset's Fractions (yano from Yano's series above), as branchzeta.cli
+built them before the sections shared one record list; the report's
+eigenvalue order, Pi's numerators sorted by residue, is cut back into those
+classes by classes_of; and exponent multisets are compared here as
+Fraction-keyed dicts.
 
 The resonances are also found here as branchzeta.poles found them before it
 read them off the pairs of ladders: every numerator of every ladder counted
@@ -194,13 +195,14 @@ def exponent_records(ms):
 
 def exponent_sections(rep):
     """The pi, pi_levels, yano and eigenvalues sections of a report's JSON,
-    each section built from its own multiset."""
+    each section built from its own multiset, yano from Yano's series as
+    expanded here."""
     distinct, classes = eigenvalue_analysis(
         {Fraction(k, rep.pi_merged.den): m for k, m in rep.pi_merged.counts.items()})
     return {
         "pi": exponent_records(rep.pi_merged),
         "pi_levels": [exponent_records(ms) for ms in rep.pi_sets],
-        "yano": exponent_records(rep.yano),
+        "yano": [{"exponent": str(e), "multiplicity": m} for e, m in yano_multiset(rep.bn).items()],
         "eigenvalues": {
             "distinct": distinct,
             "classes": [{"fraction": str(frac),

@@ -10,7 +10,7 @@ import importlib.util
 import io
 from pathlib import Path
 
-from branchzeta import cli, poles
+from branchzeta import checks, cli, poles
 
 _SPEC = importlib.util.spec_from_file_location(
     "tracer", Path(__file__).resolve().parent.parent / "bench" / "tracer.py")
@@ -37,10 +37,21 @@ def test_sections_are_traced_under_the_reader():
         t.uninstall()
     names = [s[0] for s in t.spans]
     parent = {s[0]: names[s[3]] for s in t.spans if s[3] >= 0}
-    for name in ("poles.pi_multisets", "poles.yano_multiset", "poles.eigenvalue_analysis",
-                 "toric.divisor_numerics"):
+    for name in ("poles.pi_multisets", "poles.eigenvalue_analysis", "toric.divisor_numerics"):
         assert parent[name] == "cli.report_to_dict", name
     assert parent["poles.branch_report"] == "bench.op"
+    # a report reads Yano's multiset as Pi; only verify's rows assemble it
+    assert "poles.yano_multiset" not in names
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.run_op(0, t.wrap("checks.combinatorics_rows",
+                           lambda: list(checks.combinatorics_rows(["4,6,7"]))))
+    finally:
+        t.uninstall()
+    names = [s[0] for s in t.spans]
+    assert [names[s[3]] for s in t.spans if s[0] == "poles.yano_multiset"] == [
+        "checks.combinatorics_rows"]
 
 
 def test_commands_call_their_layers_through_the_traced_attribute():

@@ -9,7 +9,6 @@ import importlib
 import io
 import itertools
 import json
-import operator
 import os
 import random
 import subprocess
@@ -17,6 +16,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from branchzeta.branch import gaps, random_charseq
 from branchzeta.cli import (_RUN, _json_lines, _merge_negative_values, _ratios,
                             _Rows, _write_stdout, build_parser, canonical_json, main,
                             report_to_dict)
-from branchzeta.errors import DomainError, IndexOutOfRange
+from branchzeta.errors import DomainError, IndexOutOfRange, NegativeCoefficient
 from branchzeta.poles import branch_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -79,6 +79,55 @@ def run(capsys, *args):
     rc = main(list(args))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# (argv) -> (exit code, sha256 of stdout) of outputs too large for tests/golden/
+PINS = {
+    ("analyze", "semigroup:2,200001", "--format", "json"):
+        (0, "0c216d37a1dca79f1dd2389642bb644528b750a61b56dd70bf83893d39991ed4"),
+    ("analyze", "semigroup:2,200001", "--format", "text"):
+        (0, "f9ad0a84acb74d4d6fef7b1a773341757d99a77b4cd6b2352ed22385c316bf16"),
+    ("analyze", "semigroup:2,200001", "--format", "tsv"):
+        (0, "e3c31f12c00871422bb3cfb305ecbfd57aae3a60f256ec381f37459d4b9f30af"),
+    ("verify", "--suite", "all", "--format", "json"):
+        (0, "9c876334fe64610720ebcde37d8d03ded73c27edfbb6cf2d7886e86af30137a9"),
+    ("analyze", "4,6,7", "--nu-max", "200000", "--format", "json"):
+        (0, "0ca972b3fc338069c61860f916546f00b0fbabec8fcc659a757b4f5397ba2372"),
+}
+
+
+# Starts a cli child and writes its exit code and peak RSS (os.wait4) to
+# stderr.  The child is not started from the test process itself: an exec
+# after vfork records the peak RSS of the process that forked as the child's.
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "branchzeta.cli", *sys.argv[1:]],
+                        stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def run_child(argv) -> tuple[int, str, int, int]:
+    """(exit code, sha256 of stdout, stdout bytes, peak RSS in KiB) of a
+    `python -m branchzeta.cli` child, its stdout hashed as it streams."""
+    proc = subprocess.Popen([sys.executable, "-c", _LAUNCHER, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env())
+    digest, size = hashlib.sha256(), 0
+    while chunk := proc.stdout.read(1 << 20):
+        digest.update(chunk)
+        size += len(chunk)
+    rc, peak = map(int, proc.communicate(timeout=120)[1].split())
+    return rc, digest.hexdigest(), size, peak
+
+
+def ladder_replaced(rep, i: int, **fields):
+    """rep with fields of ladder i replaced, each by a function of that
+    ladder; no section of the new report is built."""
+    lads = list(rep.bn.ladders)
+    lads[i - 1] = lads[i - 1]._replace(**{k: f(lads[i - 1]) for k, f in fields.items()})
+    return rep._replace(bn=rep.bn._replace(ladders=tuple(lads)))
 
 
 class TestAnalyze:
@@ -191,10 +240,13 @@ class TestAnalyze:
     BUILDERS = ("divisor_numerics", "log_canonical_threshold", "pi_multisets",
                 "yano_multiset", "eigenvalue_analysis", "_resonances")
 
+    # analyze reads Yano's multiset as Pi and never assembles it; verify does, once a case
     @pytest.mark.parametrize("argv,built", [
-        (["analyze", "6,9,22", "--format", "json"], dict.fromkeys(BUILDERS, 1)),
+        (["analyze", "6,9,22", "--format", "json"],
+         {name: 1 for name in BUILDERS if name != "yano_multiset"}),
         (["analyze", "6,9,22", "--format", "text"],
-         {name: 1 for name in BUILDERS if name != "eigenvalue_analysis"}),
+         {name: 1 for name in BUILDERS
+          if name not in ("yano_multiset", "eigenvalue_analysis")}),
         (["verify", "--suite", "combinatorics"],
          dict.fromkeys(("log_canonical_threshold", "pi_multisets", "yano_multiset",
                         "eigenvalue_analysis"), len(branchzeta.checks.COMBINATORIC_CASES))),
@@ -211,36 +263,59 @@ class TestAnalyze:
         assert calls == built
 
     def test_sections_share_pi_records(self):
-        # Yano writes the very record texts Pi writes, made once at 4 spaces as
-        # Pi is written; each Pi level is its own list, made at its depth of 6
-        # spaces, Pi_1 too where it equals Pi (g = 1)
+        # Yano writes Pi's record texts, made again at 4 spaces from the one
+        # table of exponent texts; each Pi level is its own list, made at its
+        # depth of 6 spaces, Pi_1 too where it equals Pi (g = 1)
         for text, g in (("4,9", 1), ("6,9,22", 2)):
             d = report_to_dict(branch_report(text))
+            assert type(d["pi"]) is type(d["yano"]) is _Rows
             assert d["pi"].inner == d["yano"].inner == " " * 4
             assert [level.inner for level in d["pi_levels"]] == [" " * 6] * g
             pi, yano = list(d["pi"].lines), list(d["yano"].lines)
-            assert pi and len(pi) == len(yano) and all(map(operator.is_, pi, yano))
+            assert pi and pi == yano
             written = json.loads(canonical_json(report_to_dict(branch_report(text))))
             assert (written["pi_levels"][0] == written["pi"]) == (g == 1)
 
-    def test_yano_differing_from_pi_is_written_as_its_own(self, capsys, monkeypatch):
-        yano = branchzeta.poles.yano_multiset
+    @pytest.mark.parametrize("i,field,value", [(2, "r", lambda lad: lad.mbar + 1),
+                                               (1, "mbar", lambda lad: lad.n)],
+                             ids=["r2-above-mbar2", "m1-not-above-n1"])
+    def test_broken_certificate_raises_and_writes_nothing(self, capsys, monkeypatch, i, field,
+                                                          value):
+        # one ladder of 6,9,22 breaks its law: the report refuses to read Pi as
+        # Yano's multiset, and analyze writes no line in JSON or text
+        def broken(*_, **__):
+            return ladder_replaced(branch_report("6,9,22"), i, **{field: value})
 
-        def moved(bn):
-            # one exponent of Yano moved onto a value that is not in Pi
-            ms = yano(bn)
-            counts = dict(ms.counts)
-            counts.pop(min(counts))
-            counts[next(k for k in range(1, ms.den) if k not in counts)] = 1
-            return branchzeta.poles.ExponentMultiset(ms.den, counts)
+        with pytest.raises(AssertionError, match=f"ladder {i} breaks"):
+            broken().yano
+        monkeypatch.setattr(branchzeta.poles, "branch_report", broken)
+        for fmt in ("json", "text"):
+            with pytest.raises(AssertionError, match=f"ladder {i} breaks"):
+                main(["analyze", "6,9,22", "--format", fmt])
+            assert capsys.readouterr().out == ""
 
-        monkeypatch.setattr(branchzeta.poles, "yano_multiset", moved)
-        rc, out, _ = run(capsys, "analyze", "4,9", "--format", "json")
-        assert rc == 0
-        d = json.loads(out)
-        assert d["yano"] != d["pi"]
-        want = fraction_oracle.exponent_sections(branch_report("4,9"))
-        assert {key: d[key] for key in want} == want
+    def test_certificate_is_sharp_on_r(self):
+        # r_2 = mbar_2 + 1 takes a value of B = {(2 + j)/n} out of period 2, so
+        # Yano's assembly goes below zero; at r_2 = mbar_2, the edge of the law,
+        # Pi is Yano's multiset
+        rep = branch_report("6,9,22")
+        with pytest.raises(NegativeCoefficient):
+            branchzeta.poles.yano_multiset(ladder_replaced(rep, 2, r=lambda lad: lad.mbar + 1).bn)
+        edge = ladder_replaced(rep, 2, r=lambda lad: lad.mbar)
+        assert edge.yano is edge.pi_merged
+        assert edge.yano == branchzeta.poles.yano_multiset(edge.bn) != rep.pi_merged
+
+    def test_broken_certificate_raises_under_python_O(self):
+        # the certificate is no assert statement, which -O would strip
+        code = ("import sys; from branchzeta.poles import branch_report\n"
+                "rep = branch_report('6,9,22'); one, two = rep.bn.ladders\n"
+                "two = two._replace(r=two.mbar + 1)\n"
+                "try:\n    rep._replace(bn=rep.bn._replace(ladders=(one, two))).yano\n"
+                "except AssertionError as exc:\n    print(sys.flags.optimize, exc)\n")
+        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                           env=_child_env(PYTHONDONTWRITEBYTECODE="1"), timeout=120)
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == "1 ladder 2 breaks m_1 > n_1 (i = 1) or r_i <= mbar_i\n"
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_distinctness_is_checked_once_per_report(self, capsys, monkeypatch, fmt):
@@ -1168,22 +1243,24 @@ class TestPlumbing:
         assert sum(sizes) > 1.8e6
         assert peak < 300_000, peak
 
-    def test_json_peak_memory_is_below_the_output(self, monkeypatch):
-        # about 78 MB of JSON go to a stdout that keeps only their sizes; the
-        # report's sections are held, its text is written a chunk at a time
-        sizes = []
-        monkeypatch.setattr(sys, "stdout", _Stdout(lambda s: sizes.append(len(s))))
-        assert main(["analyze", "2,301", "--format", "json"]) == 0  # imports and parser
-        sizes.clear()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert main(["analyze", "4,6,7", "--nu-max", "200000", "--format", "json"]) == 0
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert sum(sizes) > 7.5e7
-        assert peak < sum(sizes), (peak, sum(sizes))
+    def test_json_peak_memory_is_below_the_output(self):
+        # about 78 MB of JSON go to a pipe that keeps only their hash; the
+        # report's sections are held, its text is written a run at a time.  The
+        # child's peak RSS, less that of a child that writes a small report,
+        # stays below the output's size
+        _, _, _, base = run_child(["analyze", "2,3", "--format", "json"])
+        rc, digest, size, peak = run_child(["analyze", "4,6,7", "--nu-max", "200000",
+                                            "--format", "json"])
+        assert (rc, digest) == PINS[("analyze", "4,6,7", "--nu-max", "200000", "--format", "json")]
+        assert size > 7.5e7
+        assert (peak - base) * 1024 < size, (peak, base, size)
+
+    def test_large_outputs_match_their_pins(self):
+        # each pinned command as a child process, two at a time, its stdout
+        # hashed as it streams
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = dict(zip(PINS, pool.map(lambda argv: run_child(argv)[:2], PINS)))
+        assert got == PINS
 
     def test_missing_subcommand_exit_1(self, capsys):
         rc, _, err = run(capsys)

@@ -6,7 +6,8 @@ resonances against the count of every numerator that found them before
 (fraction_oracle.py), on g = 1 to 3 and ladders short and extended; Yano's
 divisor form against his series expanded from the characteristic
 sequence, up to n = 36 and g >= 3, and each dead end's block against the
-multiples of n_i in its rupture period; the divisor data (the ladders' dead
+multiples of n_i in its rupture period; the per-ladder law by which Pi is
+Yano's multiset, with the report's certificate of it; the divisor data (the ladders' dead
 ends too) and lct read off the ladders against their closed forms; the
 finished lines of _candidate_lines, the one loop that steps a ladder, in
 every format (TSV lines, JSON records at their depth, text lines), byte for
@@ -19,9 +20,9 @@ loop reads: the gcd identity gcd(t, n mbar) = gcd(eps1 numerator, n)
 gcd(eps2 numerator, mbar), the slope a mbar + D n + 1 = n mbar that carries
 the row identity from row 0 to every row, and the exclusion code read off
 that gcd;
-the JSON exponent sections, which share Pi's records, and the text Pi and
-Yano lines, made from the counts, against sections built one by one
-(fraction_oracle.py); exponent-multiset equality on integers against
+the JSON exponent sections, whose Pi and Yano hold Pi's records, and the
+text Pi and Yano lines, made from Pi's counts, against sections built one by
+one, Yano's from his series (fraction_oracle.py); exponent-multiset equality on integers against
 equality of Fraction-keyed dicts; and the eigenvalue classes and both
 derivations of distinctness on multisets with many shared fractional
 parts."""
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import branchzeta.cli
 import branchzeta.poles
@@ -162,6 +163,37 @@ def test_yano_divisor_form_matches_yano_definition(cs):
     # against Yano's series expanded from the characteristic sequence
     bn = branch_report(cs).bn
     assert list(yano_multiset(bn).entries.items()) == list(oracle.yano_multiset(bn).items())
+
+
+def check_yano_law(bn):
+    """The law that makes Pi Yano's multiset, ladder by ladder.  Pi_i is
+    period i less its multiples of n_i and of mbar_i; Yano's multiset is the
+    periods less their multiples of n_i, less B = {(2 + j)/n : j < n}, plus
+    1.  So Pi is Yano's multiset where M_i, the multiples of mbar_i in period
+    i that n_i does not divide, taken as values t/N_i, is the set of values of
+    B whose reduced denominator divides e_{i-1} and not e_i, and the M_i
+    together make B - {1}; the report's certificate, m_1 > n_1 and
+    r_i <= mbar_i for i >= 2, holds too."""
+    b = {Fraction(2 + j, bn.n) for j in range(bn.n)}
+    parts = []
+    for lad, e_before, e in zip(bn.ladders, bn.e, bn.e[1:]):
+        m = [Fraction(t, lad.N)
+             for t in range(lad.r + -lad.r % lad.mbar, lad.r + lad.N, lad.mbar) if t % lad.n]
+        assert set(m) == {x for x in b if e_before % x.denominator == 0 and e % x.denominator}
+        parts += m
+    assert sorted(parts) == sorted(b - {1})
+    first, *rest = bn.ladders
+    assert first.mbar > first.n and all(lad.r <= lad.mbar for lad in rest)
+
+
+@given(deep_draws())
+@example(parse_input("16,24,28,30,31"))  # g = 4
+@settings(max_examples=60, deadline=None)
+def test_each_ladder_certifies_that_pi_is_yano(cs):
+    rep = branch_report(cs)
+    check_yano_law(rep.bn)
+    assert rep.yano is rep.pi_merged
+    assert rep.yano == yano_multiset(rep.bn)
 
 
 @given(deep_draws())
@@ -425,32 +457,21 @@ def test_non_distinct_branches_match_oracle(text, largest_class, largest_mult, n
     assert written_sections(rep) == oracle.exponent_sections(rep)
 
 
-def moved_yano(bn):
-    """Yano's multiset with one exponent moved onto a value that is not in Pi."""
-    ms = yano_multiset(bn)
-    counts = dict(ms.counts)
-    counts.pop(min(counts))
-    counts[next(k for k in range(1, ms.den) if k not in counts)] = 1
-    return ExponentMultiset(ms.den, counts)
-
-
-@given(wide_draws(), st.booleans())
+@given(wide_draws())
 @settings(max_examples=60, deadline=None)
-def test_text_pi_and_yano_lines_match_oracle(draw, move):
+def test_text_pi_and_yano_lines_match_oracle(draw):
+    # Pi's lines against Pi's records, Yano's against Yano's series expanded here
     cs, nu_max = draw
     rep = branch_report(cs, nu_max=nu_max)
-    yano = moved_yano(rep.bn) if move else rep.yano
-    assert (yano == rep.pi_merged) == (not move)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(branchzeta.poles, "yano_multiset", lambda bn: yano)
-        lines = written(rep.input_text, nu_max, "text").splitlines()
+    lines = written(rep.input_text, nu_max, "text").splitlines()
     pi_at = next(j for j, line in enumerate(lines) if line.startswith("pi ("))
     yano_at = lines.index("yano:")
     end = next(j for j, line in enumerate(lines) if line.startswith("eigenvalues distinct:"))
     assert lines[pi_at] == f"pi ({rep.bn.milnor} exponents with multiplicity):"
-    for got, ms in ((lines[pi_at + 1:yano_at], rep.pi_merged), (lines[yano_at + 1:end], yano)):
-        assert got == ["  %(exponent)12s x%(multiplicity)d" % record
-                       for record in oracle.exponent_records(ms)]
+    sections = oracle.exponent_sections(rep)
+    for got, records in ((lines[pi_at + 1:yano_at], sections["pi"]),
+                         (lines[yano_at + 1:end], sections["yano"])):
+        assert got == ["  %(exponent)12s x%(multiplicity)d" % record for record in records]
 
 
 @st.composite
