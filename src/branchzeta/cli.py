@@ -22,7 +22,8 @@ Output conventions, kept byte-stable for golden tests:
   parser is built once per process; main reads the command off the module.
 * analyze writes its candidates in every format (TSV, text, JSON) as the
   finished lines of _candidate_lines, the one loop that steps a ladder;
-  text writes each Pi and Yano line from Pi's counts, keeping no exponent text.
+  text writes each Pi and Yano line from Pi's counts, keeping no exponent text;
+  JSON's classes are one pass over the class order, one member's record held.
 
 At module level this file imports only the standard library and `errors`
 (whose exact_rational sizes --lambda and --lambdas).  Each command imports
@@ -51,7 +52,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, filterfalse, groupby, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isqrt
 from operator import floordiv
@@ -198,7 +199,7 @@ def _candidate_lines(rep, fmt: str) -> Iterator[str]:
     a mbar + D n + 1 = n mbar, checked once a ladder, carries it to every row;
     so gcd(t, n mbar) = g1 g2 = h, and each "/d" text is read off a gcd from
     per-ladder dicts, the status off h (gcd(n, mbar) = 1: g1 = n iff n | h).
-    e = 1 makes eps3 sigma: 2 gcds a row, else 3."""
+    e = 1 makes eps3 sigma's text: 2 gcds a row, else 3 and a text more."""
     from .poles import PoleStatus
 
     status_text = tuple(s.value for s in PoleStatus)
@@ -214,28 +215,26 @@ def _candidate_lines(rep, fmt: str) -> Iterator[str]:
         for nu in range(hi):
             h = (g1 := gcd(e1, n)) * (g2 := gcd(e2, mbar))  # gcd(t, n mbar)
             g = h if one else gcd(t, N)
-            s, sd = -t // g, dN[g]
-            s3, d3 = (s, sd) if one else (-t // h, dnm[h])
+            sig = f"{-t // g}{dN[g]}"
+            e3 = sig if one else f"{-t // h}{dnm[h]}"
             if js:
                 yield (f'    {{\n      "eps1": "{e1 // g1}{dn[g1]}",\n      "eps2": "{e2 // g2}'
-                       f'{dm[g2]}",\n      "eps3": "{s3}{d3}",\n      "i": {i},\n      "nu": {nu},'
-                       f'\n      "sigma": "{s}{sd}",\n      "status": "{status[h]}"\n    }}')
+                       f'{dm[g2]}",\n      "eps3": "{e3}",\n      "i": {i},\n      "nu": {nu},'
+                       f'\n      "sigma": "{sig}",\n      "status": "{status[h]}"\n    }}')
             elif tsv:
-                yield (f"{i}\t{nu}\t{s}{sd}\t{e1 // g1}{dn[g1]}\t{e2 // g2}{dm[g2]}\t{s3}{d3}"
-                       f"\t{status[h]}")
+                yield f"{i}\t{nu}\t{sig}\t{e1 // g1}{dn[g1]}\t{e2 // g2}{dm[g2]}\t{e3}\t{status[h]}"
             else:
                 yield "  %12d %12d %12s %12s %12s %12s  %s" % (  # widths: % beats an f-string
-                    i, nu, f"{s}{sd}", f"{e1 // g1}{dn[g1]}", f"{e2 // g2}{dm[g2]}", f"{s3}{d3}",
-                    status[h])
+                    i, nu, sig, f"{e1 // g1}{dn[g1]}", f"{e2 // g2}{dm[g2]}", e3, status[h])
             t, e1, e2 = t + 1, e1 - a, e2 - D
 
 
 def report_to_dict(rep) -> dict:
     """The analyze report for _json_lines: small sections as values, row
-    sections as _Rows of records made from the integers at their depth, no
-    dict a row (candidates, Pi and Yano at 4 spaces, Pi levels and classes
-    at 6, class members at 10), each as it is written: write the value once.
-    Yano is Pi, certified (rep.yano) before any line: Pi's records, made again."""
+    sections as _Rows of records made from the integers as they are written,
+    at their depth, no dict a row (candidates, Pi, Yano, resonances at 4
+    spaces, Pi levels and classes 6, occurrences 8, members 10; the classes in
+    one pass over eig.order).  Yano is Pi, certified (rep.yano) before any line."""
     bn, counts, eig = rep.bn, rep.yano.counts, rep.eigenvalues  # rep.yano: Pi, certified
     den, keys = bn.den, sorted(counts)  # every exponent multiset of the report counts over den
     exp = dict(zip(keys, _ratios(keys, den)))  # each exponent's text, made once
@@ -248,14 +247,26 @@ def report_to_dict(rep) -> dict:
         for k in sorted(c):
             yield f'      {{\n        "exponent": "{exp[k]}",\n        "multiplicity": {c[k]}\n      }}'
 
-    def classes() -> Iterator[str]:  # class records at 6 spaces, members at 10, as written
-        others = _ratios(list(filterfalse(exp.__contains__,  # fractions outside Pi, class order
-                                          dict.fromkeys(map(den.__rmod__, eig.order)))), den)
-        for f, ks in groupby(eig.order, den.__rmod__):
-            members = ",\n".join([f'          {{\n            "exponent": "{exp[k]}",\n            '
-                                  f'"multiplicity": {counts[k]}\n          }}' for k in ks])
-            yield (f'      {{\n        "fraction": "{exp[f] if f in exp else next(others)}",\n'
-                   f'        "members": [\n{members}\n        ]\n      }}')
+    def classes() -> Iterator[str]:  # one pass over the class order, a member's record a piece
+        held, last, close = "", None, "\n        ]\n      }"  # held: the record last made
+        for k in eig.order:
+            head = ""
+            if (f := k % den) != last:  # k opens a class; f outside Pi is reduced by _ratios' rule
+                text = exp.get(f) or f"{f // (g := gcd(f, den))}{_den_text(den // g)}"
+                last, head = f, f'      {{\n        "fraction": "{text}",\n        "members": [\n'
+            if held:  # its class ends where k opens one
+                yield held + close if head else held
+            held = (f'{head}          {{\n            "exponent": "{exp[k]}",\n            '
+                    f'"multiplicity": {counts[k]}\n          }}')
+        if held:
+            yield held + close
+
+    def resonances() -> Iterator[str]:  # resonance records at 4 spaces, occurrences at 8
+        for r in rep.resonances:
+            occ = ",\n".join([f'        {{\n          "i": {i},\n          "nu": {nu},\n          '
+                              f'"status": "{st.value}"\n        }}' for i, nu, st in r.occurrences])
+            yield (f'    {{\n      "occurrences": [\n{occ}\n      ],\n'
+                   f'      "sigma": "{r.sigma}"\n    }}')
 
     return {
         "input": {"text": rep.input_text, "kind": rep.kind},
@@ -272,12 +283,9 @@ def report_to_dict(rep) -> dict:
         "yano": _Rows("    ", at4()),
         "eigenvalues": {
             "distinct": rep.distinct,
-            # a class's fraction is its exponents' fractional part, often one of them
             "classes": _Rows("      ", classes()),
         },
-        "resonances": [{"sigma": str(r.sigma), "occurrences": [
-            {"i": i, "nu": nu, "status": st.value} for i, nu, st in r.occurrences]}
-            for r in rep.resonances],
+        "resonances": _Rows("    ", resonances()),
         "strict_transform": rep.strict_transform_poles,
         "verdict": rep.verdict,
     }

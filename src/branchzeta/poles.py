@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .branch import BranchNumerics, Ladder, resolve_input
+from .branch import BranchNumerics, resolve_input
 from .errors import IndexOutOfRange, NegativeCoefficient, exact_int
 from .toric import divisor_numerics
 

@@ -30,7 +30,9 @@ Fraction-keyed dicts.
 
 The resonances are also found here as branchzeta.poles found them before it
 read them off the pairs of ladders: every numerator of every ladder counted
-in one Counter, and each key counted twice or more kept.
+in one Counter, and each key counted twice or more kept.  Their JSON section
+is built here as dicts from the candidates above, as branchzeta.cli built it
+before it made each resonance's record as finished text.
 """
 
 from collections import Counter
@@ -210,3 +212,10 @@ def exponent_sections(rep):
                         for frac, items in classes],
         },
     }
+
+
+def resonance_records(rep):
+    """The resonances section of a report's JSON, found among the candidates here."""
+    return [{"sigma": str(sigma), "occurrences": [{"i": i, "nu": nu, "status": status}
+                                                 for i, nu, status in group]}
+            for sigma, group in resonances(candidates(rep.bn, rep.nu_max))]

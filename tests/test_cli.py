@@ -93,6 +93,19 @@ PINS = {
         (0, "9c876334fe64610720ebcde37d8d03ded73c27edfbb6cf2d7886e86af30137a9"),
     ("analyze", "4,6,7", "--nu-max", "200000", "--format", "json"):
         (0, "0ca972b3fc338069c61860f916546f00b0fbabec8fcc659a757b4f5397ba2372"),
+    ("generate", "198,199", "--deform", "--format", "json"):
+        (0, "1ab639a1ba633e28fec0d778e15ebe772291980ca6a79128bc1cf8bd0d9a40f1"),
+    ("generate", "198,199", "--deform", "--format", "text"):
+        (0, "bf9eedfcdc3b03a06286a2d66c090c57e6acca5d006443472808c9518ca08814"),
+    ("generate", "198,199", "--deform", "--format", "tsv"):
+        (0, "5dc855c08bbeda35fc697ca6c095474c54ea06c347f215f0392f1681de3dabd4"),
+    ("analyze", "999,1000", "--format", "tsv"):
+        (0, "b92684098266b1f25258cecb66f80e68b852256bef3b508787776bed7ebed2e3"),
+    # g = 4, mu = 37,166: two-member eigenvalue classes, multiplicity 2
+    ("analyze", "24,1332,1924,1926,1961", "--format", "json"):
+        (0, "97c3b2de80d592bf80634d46984484344b8df305b516f65fd092be06f5861c5c"),
+    ("analyze", "24,1332,1924,1926,1961", "--format", "text"):
+        (0, "0d6c8b87cc8b96d40d87fb8ca611e7ee54c9a3879897fa8062b94998a0a36910"),
 }
 
 
@@ -801,13 +814,15 @@ class TestCanonicalJson:
     @example("10,36,81", 40)
     def test_reports_match_json_dumps(self, cs, nu_max):
         """The report's bytes are json.dumps of its value built as dicts:
-        the candidates from the row oracle, the exponent sections from the
-        Fraction oracle, the small sections as report_to_dict gives them."""
+        the candidates from the row oracle, the exponent sections and the
+        resonances from the Fraction oracle, the small sections as
+        report_to_dict gives them."""
         rep = branch_report(cs, nu_max=nu_max)
         d = report_to_dict(rep)
         sections = fraction_oracle.exponent_sections(rep)
         fields = ("i", "nu", "sigma", "eps1", "eps2", "eps3", "status")
         oracle = {**{k: v for k, v in d.items() if k not in sections}, **sections,
+                  "resonances": fraction_oracle.resonance_records(rep),
                   "candidates": [dict(zip(fields, r)) for r in row_oracle.candidate_rows(rep)]}
         assert canonical_json(d) == json.dumps(oracle, sort_keys=True, indent=2)
 
@@ -863,6 +878,21 @@ class TestCanonicalJson:
             finally:
                 tracemalloc.stop()
             assert peak < 2.5 * len(text)
+
+    @pytest.mark.parametrize("spec", ["semigroup:2,20001", "24,1332,1924,1926,1961"])
+    def test_eigenvalue_classes_hold_no_state_per_exponent(self, spec):
+        # mu = 20,000 and 37,166 (classes of two): one pass over the class
+        # order holds a run of records (about 105 KB), where a text, residue
+        # or flag kept per exponent comes to over 1 MB
+        d = report_to_dict(branch_report(spec))
+        tracemalloc.start()
+        try:
+            for _ in _json_lines(d["eigenvalues"], "  ", "", ""):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
 
     @pytest.mark.parametrize("value", [
         {1: "a", 2: [None, {"b": 1}]},

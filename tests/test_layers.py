@@ -2,7 +2,8 @@
 imports, at module level and inside functions, read statically with ast,
 are exactly the layers below it in the table.  __init__ resolves its names
 dynamically and is exempt.  No relative import names a private (_-prefixed)
-name of another module."""
+name of another module, and every name a module-level import binds is read
+in its module (the only unused-import check this repository runs)."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,19 @@ def test_no_module_imports_a_private_name_of_another():
              if isinstance(node, ast.ImportFrom) and node.level and node.module
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def unused_imports(path: Path) -> set[str]:
+    """The names a source file's module-level imports bind and the file never
+    reads; the `from __future__` import is exempt."""
+    tree = ast.parse(path.read_text())
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_level_import_goes_unused():
+    unused = {p.stem: names for p in sorted(SRC.glob("*.py")) if (names := unused_imports(p))}
+    assert unused == {}

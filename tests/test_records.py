@@ -64,7 +64,7 @@ RECORDS = instances()
 
 
 def test_every_record_is_a_namedtuple_with_its_fields():
-    from branchzeta.poles import Ladder
+    from branchzeta.branch import Ladder
 
     assert Ladder._fields == ("i", "r", "N", "n", "mbar", "e", "a", "D", "c2")
     for name, fields in FIELDS.items():
